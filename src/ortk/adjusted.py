@@ -14,13 +14,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 
-from .characters import (
-    NumeratorCharacter,
-    char_add,
-    character_weight_multiplicity,
-    characters_equal,
-    verma_character,
-)
+from .characters import _numerator, _times_factors, character_weight_multiplicity
 from .numerics import Weight, zero_weight
 from .rootsys import Borel, NotIsotropicSimple, Root, RootSystem, odd_reflect
 
@@ -76,11 +70,11 @@ def is_lambda_adjusted(rs: RootSystem, delta_a, lam: Weight) -> bool:
     if stray:
         raise ValueError(
             f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
-    pool = [r.vector for r in rs.even_positive] + [r.vector for r in delta_a]
+    pool = [r.ivec for r in rs.even_positive] + [r.ivec for r in delta_a]
     allowed = set(pool)
     for u, v in itertools.combinations_with_replacement(pool, 2):
-        s = u + v
-        if rs.is_root(s) and s not in allowed:
+        s = tuple(a + b for a, b in zip(u, v))
+        if rs.root_from_ivec(s) is not None and s not in allowed:
             return False
     for r in delta_a:
         if rs.negate(r) in delta_a:
@@ -153,26 +147,13 @@ def brick_decomposition_check(rs: RootSystem, b: Borel, lam: Weight,
     """ch M^{b cap r_J b}(lam) against the 4^|J| brick characters
     M^{b + r_J b}(lam - sigma_{J_1} + sigma_{J_2})."""
     meet_a, join_a = borel_meet_join(rs, b, coll)
-    lhs = verma_character(rs, meet_a.delta_a, lam)
-    roots = list(coll.roots)
-    total = NumeratorCharacter({})
-    n_bricks = 0
-    for k1 in range(len(roots) + 1):
-        for j1 in itertools.combinations(roots, k1):
-            s1 = zero_weight(len(rs.basis_names))
-            for r in j1:
-                s1 = s1 + r.vector
-            for k2 in range(len(roots) + 1):
-                for j2 in itertools.combinations(roots, k2):
-                    s2 = zero_weight(len(rs.basis_names))
-                    for r in j2:
-                        s2 = s2 + r.vector
-                    brick = verma_character(
-                        rs, join_a.delta_a, lam - s1 + s2)
-                    total = char_add(total, brick)
-                    n_bricks += 1
-    assert n_bricks == 4 ** len(roots)
-    return characters_equal(lhs, total)
+    # both sides as offsets from lam; the brick shifts -sigma_{J_1} +
+    # sigma_{J_2} over all 4^|J| pairs are the exponents of
+    # prod_{beta in J} (1 + e^-beta)(1 + e^beta)
+    lhs = _numerator(rs, meet_a.delta_a)
+    shifts = [r.ivec for r in coll.roots] + [rs.negate(r).ivec for r in coll.roots]
+    total = _times_factors(_numerator(rs, join_a.delta_a), shifts)
+    return lhs == total
 
 
 def split_criterion(rs: RootSystem, b: Borel, lam: Weight, i: int) -> SplitVerdict:
@@ -185,16 +166,15 @@ def split_criterion(rs: RootSystem, b: Borel, lam: Weight, i: int) -> SplitVerdi
         raise NotIsotropicSimple(
             f"simple root {rs.root_name(alpha)} is not isotropic")
     meet = frozenset(set(b.odd_positive) - {alpha})
-    c_meet = verma_character(rs, meet, lam)
+    # offsets from lam: M^{b cap r b}(lam) against M^{rb}(lam - alpha) +
+    # M^{rb}(lam) and against M^b(lam + alpha) + M^b(lam)
+    c_meet = _numerator(rs, meet)
     rb = odd_reflect(rs, b, i)
-    av = alpha.vector
-    down = char_add(verma_character(rs, set(rb.odd_positive), lam - av),
-                    verma_character(rs, set(rb.odd_positive), lam))
-    up = char_add(verma_character(rs, set(b.odd_positive), lam + av),
-                  verma_character(rs, set(b.odd_positive), lam))
-    assert characters_equal(c_meet, down)
-    assert characters_equal(c_meet, up)
-    if rs.scalar_is_zero(rs.inner(lam, av)):
+    down = _times_factors(_numerator(rs, rb.odd_positive), [rs.negate(alpha).ivec])
+    up = _times_factors(_numerator(rs, b.odd_positive), [alpha.ivec])
+    assert c_meet == down
+    assert c_meet == up
+    if rs.scalar_is_zero(rs.inner(lam, alpha.vector)):
         return SplitVerdict.INDECOMPOSABLE
     return SplitVerdict.DECOMPOSABLE
 

@@ -7,6 +7,10 @@ checks are then finite polynomial identities between numerators.
 
 Weight multiplicities are computed independently through Kostant
 partition counts, which also back the cone-membership tests.
+
+The kernels run on integer vectors: numerators as offsets from their
+leading weight, Kostant and cone searches in the coordinates of the
+RootSystem integer layer.  Weights are built only for the caller.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import itertools
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .numerics import (
     NotInSpan,
@@ -33,8 +38,6 @@ __all__ = [
     "verma_character",
     "characters_equal",
     "char_add",
-    "char_scale",
-    "char_shift",
     "kostant_partitions",
     "weight_multiplicity",
     "character_weight_multiplicity",
@@ -62,6 +65,45 @@ class NumeratorCharacter:
         return self.terms.get(w, 0)
 
 
+def _times_factors(terms: dict, factors) -> dict:
+    """terms * prod_{beta in factors} (1 + e^beta), over integer vectors.
+
+    The one kernel behind numerators, brick sums and merged PBW subset
+    sums: equal exponents merge as they appear."""
+    out = dict(terms)
+    for beta in factors:
+        for w, c in list(out.items()):
+            u = tuple(a + b for a, b in zip(w, beta))
+            out[u] = out.get(u, 0) + c
+    return out
+
+
+def _numerator(rs: RootSystem, delta_a) -> dict:
+    """Numerator of ch M^a(0) as {integer offset: coefficient}."""
+    delta_a = set(delta_a)
+    stray = delta_a - set(rs.delta1)
+    if stray:
+        raise ValueError(
+            f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
+    factors = [r.ivec for r in rs.delta1 if r not in delta_a]
+    return _times_factors({(0,) * rs.rank: 1}, factors)
+
+
+def _as_weights(lam: Weight, offsets: dict) -> dict:
+    """{lam + offset: coefficient} for integer offsets."""
+    shifted = [{} for _ in lam.coords]  # one Scalar per coordinate value
+    out = {}
+    for off, c in offsets.items():
+        coords = []
+        for cache, base, k in zip(shifted, lam.coords, off):
+            x = cache.get(k)
+            if x is None:
+                x = cache[k] = Scalar(base.r + k, base.s)
+            coords.append(x)
+        out[Weight(tuple(coords))] = c
+    return out
+
+
 def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
     """Numerator of ch M^a(lam): e^lam prod_{odd beta not in delta_a}(1+e^beta).
 
@@ -69,20 +111,7 @@ def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
     a Borel b uses delta_a = its positive odd roots, induction from the
     even subalgebra uses delta_a = empty set.
     """
-    delta_a = set(delta_a)
-    odd = set(rs.delta1)
-    stray = delta_a - odd
-    if stray:
-        raise ValueError(
-            f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
-    factors = sorted((r.vector for r in odd - delta_a),
-                     key=lambda v: v.sort_key())
-    terms = {lam: 1}
-    for beta in factors:
-        shifted = {w + beta: c for w, c in terms.items()}
-        for w, c in shifted.items():
-            terms[w] = terms.get(w, 0) + c
-    return NumeratorCharacter(terms)
+    return NumeratorCharacter(_as_weights(lam, _numerator(rs, delta_a)))
 
 
 def characters_equal(c1: NumeratorCharacter, c2: NumeratorCharacter) -> bool:
@@ -96,51 +125,17 @@ def char_add(c1: NumeratorCharacter, c2: NumeratorCharacter) -> NumeratorCharact
     return NumeratorCharacter(terms)
 
 
-def char_scale(c: NumeratorCharacter, k: int) -> NumeratorCharacter:
-    return NumeratorCharacter({w: k * x for w, x in c.terms.items()})
-
-
-def char_shift(c: NumeratorCharacter, v: Weight) -> NumeratorCharacter:
-    return NumeratorCharacter({w + v: x for w, x in c.terms.items()})
-
-
-def _scalar_value(x: Scalar, alpha_value) -> Fraction | None:
-    """Numeric value of a coefficient; None when it stays symbolic."""
-    if x.s == 0:
-        return x.r
-    if alpha_value is not None:
-        return x.r + x.s * alpha_value
-    return None
-
-
-def _even_coords(rs: RootSystem, v: Weight):
-    """Coordinates of v in the even simple basis, or None outside it."""
-    basis = [r.vector for r in rs.even_simple]
-    if not basis:
-        return () if v.is_zero(rs.alpha_value) else None
-    try:
-        coeffs = expand_in_basis(v, basis)
-    except (NotInSpan, SingularBasis):
-        return None
-    out = []
-    for c in coeffs:
-        val = _scalar_value(c, rs.alpha_value)
-        if val is None:
-            return None
-        out.append(val)
-    return tuple(out)
-
-
 def _even_root_table(rs: RootSystem):
     """Even positive roots in even-simple coordinates, cached per system."""
     table = rs._kostant_memo.get("roots")
     if table is None:
         table = []
+        n, den = len(rs.even_simple), rs.coord_denominator
         for gamma in rs.even_positive:
-            coords = _even_coords(rs, gamma.vector)
-            assert coords is not None
-            ints = tuple(int(c) for c in coords)
-            assert all(Fraction(i) == c for i, c in zip(ints, coords))
+            coords = rs.height_coords(gamma.ivec)
+            assert not any(coords[n:])
+            assert all(c % den == 0 for c in coords[:n])
+            ints = tuple(c // den for c in coords[:n])
             assert all(i >= 0 for i in ints) and sum(ints) >= 1
             table.append(ints)
         table.sort(reverse=True)
@@ -148,15 +143,8 @@ def _even_root_table(rs: RootSystem):
     return table
 
 
-def kostant_partitions(rs: RootSystem, v: Weight) -> int:
-    """Number of ways to write v as a nonnegative integer combination of
-    the even positive roots."""
-    coords = _even_coords(rs, v)
-    if coords is None:
-        return 0
-    if any(c.denominator != 1 or c < 0 for c in coords):
-        return 0
-    key = tuple(int(c) for c in coords)
+def _kostant_count(rs: RootSystem, key: tuple[int, ...]) -> int:
+    """Partitions of the nonnegative even-simple coordinate vector key."""
     roots = _even_root_table(rs)
     memo = rs._kostant_memo
 
@@ -183,6 +171,21 @@ def kostant_partitions(rs: RootSystem, v: Weight) -> int:
     return count(key, 0)
 
 
+def _kostant_scaled(rs: RootSystem, x) -> int:
+    """Kostant count of the vector whose RootSystem.lattice_coords are x."""
+    n, den = len(rs.even_simple), rs.coord_denominator
+    if any(x[n:]) or any(c < 0 or c % den for c in x[:n]):
+        return 0
+    return _kostant_count(rs, tuple(int(c // den) for c in x[:n]))
+
+
+def kostant_partitions(rs: RootSystem, v: Weight) -> int:
+    """Number of ways to write v as a nonnegative integer combination of
+    the even positive roots."""
+    x = rs.lattice_coords(v)
+    return 0 if x is None else _kostant_scaled(rs, x)
+
+
 @dataclass(frozen=True)
 class MultiplicityQuery:
     """Weight multiplicity query for a PBW-style character.
@@ -200,19 +203,23 @@ class MultiplicityQuery:
 
 
 def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:
+    """Sum over the subsets S of free_odd of the Kostant count of
+    base - target + sum(S).
+
+    base - target goes to lattice coordinates once; the subset sums
+    are merged into distinct integer keys (coordinates scaled by
+    rs.coord_denominator) before Kostant counting, once per key."""
     stray = set(q.free_odd) - set(rs.delta1)
     if stray:
         raise ValueError("free_odd must consist of odd roots")
-    odd = sorted(q.free_odd, key=lambda r: r.sort_key())
-    head = q.base - q.target
-    total = 0
-    for take in range(len(odd) + 1):
-        for combo in itertools.combinations(odd, take):
-            v = head
-            for r in combo:
-                v = v + r.vector
-            total += kostant_partitions(rs, v)
-    return total
+    head = rs.lattice_coords(q.base - q.target)
+    # root sums have integer scaled coordinates, so a fractional head
+    # coordinate rules out every subset
+    if head is None or any(x.denominator != 1 for x in head):
+        return 0
+    keys = _times_factors({tuple(int(x) for x in head): 1},
+                          [rs.height_coords(r.ivec) for r in q.free_odd])
+    return sum(subsets * _kostant_scaled(rs, x) for x, subsets in keys.items())
 
 
 def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,
@@ -220,6 +227,27 @@ def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,
     """Coefficient of e^mu in the expanded character numerator/denominator."""
     return sum(coeff * kostant_partitions(rs, w - mu)
                for w, coeff in c.terms.items())
+
+
+def _scalar_value(x: Scalar, alpha_value) -> Fraction | None:
+    """Numeric value of a coefficient; None when it stays symbolic."""
+    if x.s == 0:
+        return x.r
+    if alpha_value is not None:
+        return x.r + x.s * alpha_value
+    return None
+
+
+def _specialized_ints(v: Weight, alpha_value) -> tuple[int, ...] | None:
+    """v with a = alpha_value as an integer vector; None when no integer
+    vector equals it under that specialization."""
+    out = []
+    for c in v.coords:
+        x = _scalar_value(c, alpha_value)
+        if x is None or x.denominator != 1:
+            return None
+        out.append(int(x))
+    return tuple(out)
 
 
 def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool:
@@ -230,16 +258,14 @@ def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool
     (built from its own indecomposable elements); otherwise the search
     could run forever and UnboundedCone is raised.
     """
-    roots = sorted(set(roots), key=lambda r: r.sort_key(), reverse=True)
+    roots = sorted(set(roots), key=Root.sort_key, reverse=True)
     if not roots:
         return v.is_zero(rs.alpha_value)
-    vecs = [r.vector for r in roots]
-    vecset = set(vecs)
-    indec = []
-    for w in vecs:
-        # roots are nonzero, so w - u lands in vecset only for a real split
-        if not any((w - u) in vecset for u in vecs):
-            indec.append(w)
+    vecset = {r.ivec for r in roots}
+    # roots are nonzero, so w - u lands in vecset only for a real split
+    indec = [r.vector for r in roots
+             if not any(tuple(a - b for a, b in zip(r.ivec, u)) in vecset
+                        for u in vecset)]
 
     def phi(u: Weight) -> Fraction | None:
         try:
@@ -254,47 +280,52 @@ def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool
             total += val
         return total
 
-    for r, w in zip(roots, vecs):
-        h = phi(w)
+    heights = []
+    for r in roots:
+        h = phi(r.vector)
         if h is None or h <= 0:
             raise UnboundedCone(
                 f"no positive height functional: root {rs.root_name(r)}")
-
+        heights.append(h)
+    if v.is_zero(rs.alpha_value):
+        return True
+    # phi is linear, so the height of v minus a combination of roots is
+    # phi(v) minus the same combination of root heights
+    h0 = phi(v)
+    target = _specialized_ints(v, rs.alpha_value)
+    if h0 is None or h0 < 0 or target is None:
+        return False
+    scale = lcm(h0.denominator, *(h.denominator for h in heights))
+    steps = [int(h * scale) for h in heights]
+    vecs = [r.ivec for r in roots]
+    caps = [1 if pbw and r.parity == "odd" else None for r in roots]
     memo = {}
 
-    def search(rem: Weight, i: int) -> bool:
-        if rem.is_zero(rs.alpha_value):
+    def search(rem: tuple, h: int, i: int) -> bool:
+        if not any(rem):
             return True
-        if i == len(roots):
+        if i == len(vecs):
             return False
         state = (rem, i)
         hit = memo.get(state)
         if hit is not None:
             return hit
-        h = phi(rem)
-        if h is None or h < 0:
-            memo[state] = False
-            return False
-        root = roots[i]
-        cap = None
-        if pbw and root.parity == "odd":
-            cap = 1
-        ok = search(rem, i + 1)
-        cur = rem
-        k = 0
+        ok = search(rem, h, i + 1)
+        cur, hc, k = rem, h, 0
+        root, step, cap = vecs[i], steps[i], caps[i]
         while not ok:
-            cur = cur - root.vector
             k += 1
             if cap is not None and k > cap:
                 break
-            hc = phi(cur)
-            if hc is None or hc < 0:
+            hc -= step
+            if hc < 0:
                 break
-            ok = search(cur, i + 1)
+            cur = tuple(a - b for a, b in zip(cur, root))
+            ok = search(cur, hc, i + 1)
         memo[state] = ok
         return ok
 
-    return search(v, 0)
+    return search(target, int(h0 * scale), 0)
 
 
 def kac_flag_constituents(rs: RootSystem, b: Borel, lam: Weight):

@@ -31,7 +31,7 @@ from .ecgraph import graph_to_dot, graph_to_json, make_walk
 from .numerics import parse_weight, render_weight
 from .orgraph import build_or_graph, build_or_lambda, walk_hom_oracle
 from .quiver import build_quiver, path_normal_forms, render_path
-from .rootsys import build_root_system, enumerate_borels
+from .rootsys import build_root_system, enumerate_borels, standard_borel
 from .verify import run_suite
 
 __all__ = ["main", "run_command"]
@@ -125,6 +125,16 @@ def _resolve_borel(rs, og, borels, text):
     raise UsageError(f"no Borel has odd positive set {{{text}}}")
 
 
+def _borel_arg(rs, text):
+    """The Borel named by --borel; the standard Borel (borels[0]) when it
+    is omitted, without building the graph or enumerating Borels."""
+    if text is None:
+        return standard_borel(rs)
+    og = build_or_graph(rs)
+    borels, _ = enumerate_borels(rs)
+    return _resolve_borel(rs, og, borels, text)
+
+
 def _parse_lambda(rs, text):
     if text is None:
         raise UsageError("--lambda is required here")
@@ -184,9 +194,7 @@ def _cmd_verify(args, print_fn) -> int:
 
 def _cmd_character(args, print_fn) -> int:
     rs = _build_system(args)
-    og = build_or_graph(rs)
-    borels, _ = enumerate_borels(rs)
-    b = _resolve_borel(rs, og, borels, args.borel)
+    b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
     delta_a = set() if args.induced else set(b.odd_positive)
     c = verma_character(rs, delta_a, lam)
@@ -202,9 +210,7 @@ def _cmd_character(args, print_fn) -> int:
 
 def _cmd_multiplicity(args, print_fn) -> int:
     rs = _build_system(args)
-    og = build_or_graph(rs)
-    borels, _ = enumerate_borels(rs)
-    b = _resolve_borel(rs, og, borels, args.borel)
+    b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
     if args.mu is None:
         raise UsageError("--mu is required")
@@ -220,9 +226,7 @@ def _cmd_multiplicity(args, print_fn) -> int:
 
 def _cmd_typical(args, print_fn) -> int:
     rs = _build_system(args)
-    og = build_or_graph(rs)
-    borels, _ = enumerate_borels(rs)
-    b = _resolve_borel(rs, og, borels, args.borel)
+    b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
     t = is_typical(rs, b, lam)
     if args.out == "json":
@@ -234,9 +238,7 @@ def _cmd_typical(args, print_fn) -> int:
 
 def _cmd_s1(args, print_fn) -> int:
     rs = _build_system(args)
-    og = build_or_graph(rs)
-    borels, _ = enumerate_borels(rs)
-    b = _resolve_borel(rs, og, borels, args.borel)
+    b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
     cls = s1_classify(rs, b, lam, gamma_bound=args.gamma_bound)
     names = lambda roots: sorted(rs.root_name(r) for r in roots)

@@ -73,6 +73,15 @@ class Scalar:
         object.__setattr__(self, "r", _rat(self.r))
         object.__setattr__(self, "s", _rat(self.s))
 
+    def __hash__(self):
+        # cached on first use: Fraction hashing is slow, and many scalars
+        # are built but never hashed
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.r, self.s))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def is_zero(self, alpha: Fraction | None = None) -> bool:
         """Zero test, under the optional specialization a = alpha."""
         if alpha is None:
@@ -181,6 +190,13 @@ class Weight:
 
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(_coerce_coord(c) for c in self.coords))
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash(self.coords)
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @property
     def rank(self) -> int:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .numerics import (
     BilinearForm,
@@ -21,7 +23,6 @@ from .numerics import (
     expand_in_basis,
     inner_product,
     scalar,
-    zero_weight,
 )
 
 __all__ = [
@@ -59,9 +60,22 @@ class Root:
     vector: Weight
     parity: str  # "even" or "odd"
     isotropic: bool
+    # the vector as integers in the standard basis; every family's roots
+    # have integer coordinates
+    ivec: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        coords = self.vector.coords
+        if any(c.s != 0 or c.r.denominator != 1 for c in coords):
+            raise UnsupportedFamily(f"root {self.vector!r} is not integral")
+        object.__setattr__(self, "ivec", tuple(int(c.r) for c in coords))
+
+    def __hash__(self):
+        return hash(self.ivec)
 
     def sort_key(self):
-        return self.vector.sort_key()
+        # the order of vector.sort_key(), whose a-parts are all zero
+        return self.ivec
 
     def __repr__(self):
         return f"Root({self.parity}, {self.vector!r})"
@@ -108,6 +122,7 @@ class RootSystem:
         )
         self.delta_iso = tuple(r for r in self.delta1 if r.isotropic)
         self._by_vector = {r.vector: r for r in self.delta0 + self.delta1}
+        self._by_ivec = {r.ivec: r for r in self.delta0 + self.delta1}
         if len(self._by_vector) != len(self.delta0) + len(self.delta1):
             raise UnsupportedFamily("duplicate root vectors in family data")
 
@@ -120,9 +135,7 @@ class RootSystem:
         )
         if len(self.standard_odd_positive) != len(pos_set):
             raise UnsupportedFamily("standard odd positives are not all roots")
-        self.even_simple = _indecomposables(
-            [r.vector for r in self.even_positive], self._by_vector
-        )
+        self.even_simple = _indecomposables(self.even_positive)
         self._height_matrix = self._build_height_extension()
         self._names = {self.root_name(r): r for r in self.delta0 + self.delta1}
         self._kostant_memo: dict = {}
@@ -131,8 +144,7 @@ class RootSystem:
     # -- construction helpers -------------------------------------------------
 
     def _is_standard_positive_even(self, r: Root) -> bool:
-        key = r.vector.sort_key()
-        return key > zero_weight(self.rank).sort_key()
+        return r.ivec > (0,) * self.rank
 
     def _build_height_extension(self):
         """Complete even_simple to a basis by greedily appending unit vectors."""
@@ -162,8 +174,11 @@ class RootSystem:
     def is_root(self, v: Weight) -> bool:
         return v in self._by_vector
 
+    def root_from_ivec(self, v: tuple[int, ...]) -> Root | None:
+        return self._by_ivec.get(v)
+
     def negate(self, r: Root) -> Root:
-        out = self._by_vector.get(-r.vector)
+        out = self._by_ivec.get(tuple(-x for x in r.ivec))
         if out is None:
             raise ValueError(f"negative of {r!r} is not a root")
         return out
@@ -197,33 +212,83 @@ class RootSystem:
         except KeyError:
             raise ValueError(f"unknown root {name!r} for {self.family}") from None
 
+    # -- the integer coordinate layer -------------------------------------------
+    #
+    # Coordinates in the height-extension basis (even simple roots first,
+    # then unit vectors) come from one inverse of that basis, stored as
+    # integer rows scaled by a common denominator.  Every change to
+    # even-simple coordinates goes through it, so the fixed basis is
+    # never solved again.
+
+    @cached_property
+    def _inverse_height(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
+        """(rows, den, height_row): den times the inverse of the extension
+        basis as integer rows, and the sum of its first n_simple rows."""
+        ext, n_simple = self._height_matrix
+        rank = self.rank
+        # column j of the inverse: unit vector j expanded in the basis
+        cols = [
+            [c.r for c in expand_in_basis(
+                Weight(tuple(scalar(1 if k == j else 0) for k in range(rank))), ext)]
+            for j in range(rank)
+        ]
+        den = lcm(*(x.denominator for col in cols for x in col))
+        rows = tuple(tuple(int(cols[j][i] * den) for j in range(rank)) for i in range(rank))
+        height_row = tuple(sum(row[j] for row in rows[:n_simple]) for j in range(rank))
+        return rows, den, height_row
+
+    @property
+    def coord_denominator(self) -> int:
+        """The common denominator of the coordinates height_coords scales by."""
+        return self._inverse_height[1]
+
+    def height_coords(self, v) -> tuple:
+        """coord_denominator times the coordinates of the rational vector v
+        (a tuple of ints or Fractions) in the height-extension basis; the
+        first len(even_simple) entries are the even simple coordinates."""
+        rows = self._inverse_height[0]
+        return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
+
+    def _split_coords(self, v: Weight):
+        """height_coords of the rational part and of the a-part of v."""
+        return (self.height_coords([c.r for c in v.coords]),
+                self.height_coords([c.s for c in v.coords]))
+
+    def lattice_coords(self, v: Weight) -> tuple | None:
+        """height_coords of v with the a-part specialized at alpha_value;
+        None when the a-part leaves the even simple span or stays symbolic."""
+        r, s = self._split_coords(v)
+        if any(s[len(self.even_simple):]):
+            return None
+        if any(s):
+            if self.alpha_value is None:
+                return None
+            r = tuple(a + b * self.alpha_value for a, b in zip(r, s))
+        return r
+
     def even_height(self, v: Weight) -> Fraction | None:
         """Sum of even-simple coefficients, or None outside their span."""
-        basis = [r.vector for r in self.even_simple]
-        if not basis:
-            return Fraction(0) if v.is_zero() else None
-        try:
-            coeffs = expand_in_basis(v, basis)
-        except NotInSpan:
+        r, s = self._split_coords(v)
+        n = len(self.even_simple)
+        if any(r[n:]) or any(s):
             return None
-        if any(c.s != 0 for c in coeffs):
-            return None
-        return sum((c.r for c in coeffs), Fraction(0))
+        return Fraction(sum(r), self.coord_denominator)
 
     def sort_height(self, v: Weight) -> Fraction:
         """even_height extended by zero on a fixed complement basis."""
-        ext, n_simple = self._height_matrix
-        coeffs = expand_in_basis(v, ext)
-        return sum((c.r for c in coeffs[:n_simple]), Fraction(0))
+        _, den, height_row = self._inverse_height
+        return Fraction(sum(a * c.r for a, c in zip(height_row, v.coords)), den)
 
 
-def _indecomposables(vectors: list[Weight], lookup: dict) -> tuple[Root, ...]:
-    """Elements not expressible as a sum of two members (repeats allowed)."""
-    vecset = set(vectors)
+def _indecomposables(roots) -> tuple[Root, ...]:
+    """Roots not expressible as a sum of two members (repeats allowed)."""
+    vecset = {r.ivec for r in roots}
     result = []
-    for v in vectors:
-        if not any((v - w) in vecset and not (v - w).is_zero() for w in vectors):
-            result.append(lookup[v])
+    for r in roots:
+        v = r.ivec
+        # roots are nonzero, so v - w lands in vecset only for a real split
+        if not any(tuple(a - b for a, b in zip(v, w)) in vecset for w in vecset):
+            result.append(r)
     return tuple(sorted(result, key=Root.sort_key, reverse=True))
 
 
@@ -255,12 +320,8 @@ def _canonical_odd(roots) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=Root.sort_key))
 
 
-def _positive_roots(rs: RootSystem, odd_positive) -> list[Weight]:
-    return [r.vector for r in rs.even_positive] + [r.vector for r in odd_positive]
-
-
 def _simples_by_indecomposability(rs: RootSystem, odd_positive) -> tuple[Root, ...]:
-    return _indecomposables(_positive_roots(rs, odd_positive), rs._by_vector)
+    return _indecomposables(rs.even_positive + tuple(odd_positive))
 
 
 def build_root_system(
@@ -409,11 +470,8 @@ def odd_reflect(rs: RootSystem, b: Borel, i: int) -> Borel:
         if beta == alpha:
             new_simple.append(rs.negate(alpha))
             continue
-        summed = alpha.vector + beta.vector
-        if rs.is_root(summed):
-            new_simple.append(rs.root_from_vector(summed))
-        else:
-            new_simple.append(beta)
+        summed = rs.root_from_ivec(tuple(a + c for a, c in zip(alpha.ivec, beta.ivec)))
+        new_simple.append(beta if summed is None else summed)
     new_odd = set(b.odd_positive)
     new_odd.discard(alpha)
     new_odd.add(rs.negate(alpha))
@@ -497,15 +555,20 @@ def pure_positive_roots(
 
 
 def weyl_vector(rs: RootSystem, b: Borel) -> Weight:
-    total = zero_weight(rs.rank)
+    total = [0] * rs.rank
     for r in rs.even_positive:
-        total = total + r.vector
+        total = [t + x for t, x in zip(total, r.ivec)]
     for r in b.odd_positive:
-        total = total - r.vector
-    return total.scaled(Fraction(1, 2))
+        total = [t - x for t, x in zip(total, r.ivec)]
+    return Weight(tuple(scalar(Fraction(t, 2)) for t in total))
 
 
 # -- gl Borel <-> Young diagram dictionary -------------------------------------
+
+
+def _unit_difference(rank: int, p: int, q: int) -> tuple[int, ...]:
+    """The integer vector of unit p minus unit q."""
+    return tuple(1 if k == p else -1 if k == q else 0 for k in range(rank))
 
 
 def _require_gl(rs: RootSystem):
@@ -525,16 +588,16 @@ def borel_from_partition(rs: RootSystem, parts: tuple[int, ...]) -> Borel:
         raise ValueError(f"row lengths must be weakly decreasing, got {parts}")
     if len(parts) > n or any(p < 0 or p > m for p in parts):
         raise ValueError(f"partition {parts} does not fit the {m}x{n} box")
-    ge = _unit_builder(rs.rank)
     odd = []
     for i in range(1, m + 1):
         for j in range(1, n + 1):
             col = m + 1 - i
             row_len = parts[j - 1] if j - 1 < len(parts) else 0
-            v = ge(i - 1) - ge(m + j - 1)
             if col <= row_len:
-                v = -v
-            odd.append(rs.root_from_vector(v))
+                v = _unit_difference(rs.rank, m + j - 1, i - 1)
+            else:
+                v = _unit_difference(rs.rank, i - 1, m + j - 1)
+            odd.append(rs.root_from_ivec(v))
     odd = _canonical_odd(odd)
     return Borel(odd, _simples_by_indecomposability(rs, odd))
 
@@ -543,10 +606,10 @@ def partition_of_borel(rs: RootSystem, b: Borel) -> tuple[int, ...]:
     _require_gl(rs)
     m, n = rs.params
     flipped = set()
-    ge = _unit_builder(rs.rank)
+    pos = {r.ivec for r in b.odd_positive}
     for i in range(1, m + 1):
         for j in range(1, n + 1):
-            if rs.root_from_vector(ge(m + j - 1) - ge(i - 1)) in b.odd_set():
+            if _unit_difference(rs.rank, m + j - 1, i - 1) in pos:
                 flipped.add((j, m + 1 - i))
     rows = []
     for j in range(1, n + 1):

@@ -173,6 +173,29 @@ def test_borel_addressing():
     assert other != by_default
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("character", []),
+    ("character", ["--induced"]),
+    ("multiplicity", ["--mu={mu}"]),
+    ("typical", []),
+    ("s1", ["--gamma-bound", "2"]),
+])
+@pytest.mark.parametrize("system, mu", [
+    (["--family", "gl", "--m", "3", "--n", "2", "--lambda", "1,0,0,0,-1"],
+     "0,0,0,1,-1"),
+    (["--family", "ospB", "--m", "1", "--n", "2", "--lambda", "1,0,0"], "0,0,0"),
+    (["--family", "d21", "--alpha", "2/3", "--lambda", "1,0,0"], "-1,0,0"),
+])
+def test_default_borel_is_rank_zero(command, extra, system, mu):
+    # without --borel these commands skip the Borel enumeration
+    extra = [x.format(mu=mu) for x in extra]
+    for out in ("text", "json"):
+        argv = [command] + system + extra + ["--out", out]
+        default = cap(argv)
+        assert default[0] == 0
+        assert default == cap(argv + ["--borel", "#0"])
+
+
 @pytest.mark.parametrize("argv", [
     ["or-graph", "--family", "gl", "--m", "2"],
     ["or-graph", "--family", "d21", "--m", "2", "--n", "1"],

@@ -1,0 +1,290 @@
+"""Differential tests for the integer root-lattice kernels.
+
+Each kernel is checked on random weights against reference code written
+in plain Weight/Scalar arithmetic (and, for coordinates, against sympy as
+an independent rational solver).  The references share no code path with
+the kernels beyond the root data itself.
+"""
+
+import functools
+import itertools
+
+from fractions import Fraction
+
+import sympy
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ortk.characters import (
+    MultiplicityQuery,
+    cone_membership,
+    kostant_partitions,
+    verma_character,
+    weight_multiplicity,
+)
+from ortk.numerics import NotInSpan, Scalar, Weight, expand_in_basis, zero_weight
+from ortk.rootsys import build_root_system, enumerate_borels
+
+SYSTEMS = {
+    "gl(2|1)": ("gl", 2, 1, None),
+    "gl(2|2)": ("gl", 2, 2, None),
+    "ospB(1|2)": ("ospB", 1, 2, None),
+    "ospD(2|1)": ("ospD", 2, 1, None),
+    "d21": ("d21alpha", None, None, None),
+    "d21@2/3": ("d21alpha", None, None, Fraction(2, 3)),
+}
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@functools.cache
+def system(key):
+    family, m, n, alpha = SYSTEMS[key]
+    rs = build_root_system(family, m, n, alpha)
+    borels, _ = enumerate_borels(rs)
+    return rs, borels
+
+
+systems = st.sampled_from(sorted(SYSTEMS))
+rationals = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# a-parts on every family: the generic D(2,1;a) keeps them symbolic,
+# alpha = 2/3 specializes them, the others never pair them away
+a_parts = st.sampled_from([0, 0, 0, 1, -1, Fraction(1, 2), 3])
+
+
+@st.composite
+def weights(draw, rs):
+    return Weight(tuple(Scalar(draw(rationals), draw(a_parts)) for _ in range(rs.rank)))
+
+
+def is_zero(rs, v):
+    return v.is_zero(rs.alpha_value)
+
+
+def total(vectors, start):
+    for v in vectors:
+        start = start + v
+    return start
+
+
+# -- references in Weight/Scalar arithmetic -------------------------------------
+
+
+def ref_numerator(rs, delta_a, lam):
+    """e^lam prod (1 + e^beta), expanded subset by subset."""
+    factors = [r.vector for r in rs.delta1 if r not in delta_a]
+    terms = {}
+    for k in range(len(factors) + 1):
+        for combo in itertools.combinations(factors, k):
+            w = total(combo, lam)
+            terms[w] = terms.get(w, 0) + 1
+    return terms
+
+
+def ref_even_coords(rs, v):
+    """Even simple coordinates solved by elimination on every call."""
+    basis = [r.vector for r in rs.even_simple]
+    if not basis:
+        return () if v.is_zero(rs.alpha_value) else None
+    try:
+        coeffs = expand_in_basis(v, basis)
+    except NotInSpan:
+        return None
+    out = []
+    for c in coeffs:
+        if c.s == 0:
+            out.append(c.r)
+        elif rs.alpha_value is None:
+            return None
+        else:
+            out.append(c.r + c.s * rs.alpha_value)
+    return out
+
+
+def ref_kostant(rs, v):
+    coords = ref_even_coords(rs, v)
+    if coords is None or any(c.denominator != 1 or c < 0 for c in coords):
+        return 0
+    roots = [r.vector for r in rs.even_positive]
+
+    def count(rem, i):
+        if rem.is_zero(rs.alpha_value):
+            return 1
+        if i == len(roots):
+            return 0
+        found = 0
+        while True:
+            found += count(rem, i + 1)
+            rem = rem - roots[i]
+            c = ref_even_coords(rs, rem)
+            # even positive roots have nonnegative coordinates, so a
+            # negative one never returns to zero
+            if c is None or any(x < 0 for x in c):
+                return found
+
+    return count(v, 0)
+
+
+def ref_multiplicity(rs, free, base, target):
+    """The sum over all 2^k odd subsets, one Kostant count each."""
+    free = sorted(free, key=lambda r: r.sort_key())
+    head = base - target
+    return sum(ref_kostant(rs, total((r.vector for r in combo), head))
+               for k in range(len(free) + 1)
+               for combo in itertools.combinations(free, k))
+
+
+def ref_cone(rs, b, v, roots, pbw):
+    """Every combination of roots whose simple heights in b add up to at
+    most that of v, odd roots capped at one under pbw.  Each root of the
+    cone is positive for b, so its height is at least one and no other
+    combination can reach v."""
+    roots = sorted(set(roots), key=lambda r: r.sort_key())
+    heights = [simple_height(b, r.vector) for r in roots]
+    assert all(h >= 1 for h in heights)
+    if rs.alpha_value is not None:
+        spec = Weight(tuple(Scalar(c.r + c.s * rs.alpha_value, 0) for c in v.coords))
+    else:
+        spec = v
+    try:
+        budget = simple_height(b, spec)
+    except NotInSpan:
+        budget = 0
+
+    @functools.cache
+    def search(i, rem, left):
+        if is_zero(rs, rem):
+            return True
+        if i == len(roots):
+            return False
+        cap = 1 if pbw and roots[i].parity == "odd" else None
+        k = 0
+        while left - k * heights[i] >= 0 and (cap is None or k <= cap):
+            if search(i + 1, rem - roots[i].vector.scaled(k), left - k * heights[i]):
+                return True
+            k += 1
+        return False
+
+    return search(0, v, budget)
+
+
+def simple_height(b, v):
+    """Sum of the coefficients of v over the simple roots of b."""
+    return sum(c.r for c in expand_in_basis(v, [r.vector for r in b.simple]))
+
+
+def sympy_solve(basis, v):
+    """Coefficients of the rational vector v over basis, or None."""
+    m = sympy.Matrix([[sympy.Rational(b.coords[i].r) for b in basis]
+                      for i in range(len(v))])
+    rhs = sympy.Matrix([sympy.Rational(x) for x in v])
+    try:
+        sol, params = m.gauss_jordan_solve(rhs)
+    except ValueError:
+        return None
+    assert params.shape[0] == 0
+    return [Fraction(int(x.p), int(x.q)) for x in sol]
+
+
+# -- kernels against references -------------------------------------------------
+
+
+@FUZZ
+@given(data=st.data(), key=systems)
+def test_verma_character_matches_product_expansion(data, key):
+    rs, borels = system(key)
+    lam = data.draw(weights(rs))
+    b = data.draw(st.sampled_from(borels))
+    delta_a = data.draw(st.sampled_from([set(b.odd_positive), set()]))
+    assert verma_character(rs, delta_a, lam).terms == ref_numerator(rs, delta_a, lam)
+
+
+@FUZZ
+@given(data=st.data(), key=systems)
+def test_kostant_partitions_match_reference(data, key):
+    rs, _ = system(key)
+    combo = data.draw(st.lists(st.sampled_from(rs.even_positive), max_size=4))
+    v = total((r.vector for r in combo), data.draw(weights(rs)))
+    assert kostant_partitions(rs, v) == ref_kostant(rs, v)
+
+
+@FUZZ
+@given(data=st.data(), key=systems)
+def test_weight_multiplicity_matches_subset_sum(data, key):
+    rs, borels = system(key)
+    b = data.draw(st.sampled_from(borels))
+    free = frozenset(rs.negate(r) for r in b.odd_positive)
+    base = data.draw(weights(rs))
+    # a target below base by a few negative roots, moved off the lattice
+    # or by an a-part now and then
+    lower = data.draw(st.lists(st.sampled_from(
+        list(free) + list(rs.even_positive)), max_size=3))
+    drift = [Scalar(0, 0)] * rs.rank
+    drift[data.draw(st.integers(0, rs.rank - 1))] = data.draw(st.sampled_from(
+        [Scalar(0, 0)] * 4 + [Scalar(Fraction(1, 2), 0), Scalar(0, 3)]))
+    target = base + Weight(tuple(drift))
+    for r in lower:
+        target = target + (r.vector if r in free else -r.vector)
+    q = MultiplicityQuery(free, base, target)
+    assert weight_multiplicity(rs, q) == ref_multiplicity(rs, free, base, target)
+
+
+@FUZZ
+@given(data=st.data(), key=systems)
+def test_cone_membership_matches_bounded_enumeration(data, key):
+    rs, borels = system(key)
+    b = data.draw(st.sampled_from(borels))
+    roots = list(rs.even_positive) + list(b.odd_positive)
+    # a sum of a few cone roots, an odd one twice now and then (which pbw
+    # forbids), sometimes minus a root, sometimes with a non-integral or
+    # a-carrying coordinate
+    combo = data.draw(st.lists(st.sampled_from(roots), max_size=3))
+    if data.draw(st.booleans()):
+        combo += [data.draw(st.sampled_from(b.odd_positive))] * 2
+    v = total((r.vector for r in combo), zero_weight(rs.rank))
+    if data.draw(st.booleans()):
+        v = v - data.draw(st.sampled_from(roots)).vector
+    drift = [Scalar(data.draw(st.sampled_from([0, 0, 0, 0, Fraction(1, 2)])),
+                    data.draw(st.sampled_from([0, 0, 0, 0, 3])))
+             for _ in range(rs.rank)]
+    v = v + Weight(tuple(drift))
+    for pbw in (False, True):
+        assert cone_membership(rs, v, roots, pbw=pbw) == ref_cone(rs, b, v, roots, pbw)
+
+
+@FUZZ
+@given(data=st.data(), key=systems)
+def test_heights_match_elimination_and_sympy(data, key):
+    rs, _ = system(key)
+    v = data.draw(weights(rs))
+    ext, n_simple = rs._height_matrix
+    coeffs = expand_in_basis(v, ext)
+    assert rs.sort_height(v) == sum(c.r for c in coeffs[:n_simple])
+    sol = sympy_solve(ext, [c.r for c in v.coords])
+    assert rs.sort_height(v) == sum(sol[:n_simple])
+
+    even = [r.vector for r in rs.even_simple]
+    try:
+        ref = expand_in_basis(v, even)
+        ref_height = None if any(c.s != 0 for c in ref) else sum(c.r for c in ref)
+    except NotInSpan:
+        ref_height = None
+    assert rs.even_height(v) == ref_height
+    r_sol = sympy_solve(even, [c.r for c in v.coords])
+    s_sol = sympy_solve(even, [c.s for c in v.coords])
+    in_span = r_sol is not None and s_sol is not None
+    sympy_height = sum(r_sol) if in_span and not any(s_sol) else None
+    assert rs.even_height(v) == sympy_height
+
+
+@FUZZ
+@given(data=st.data(), key=systems)
+def test_even_height_on_the_even_lattice(data, key):
+    # weights in the even root span, where even_height is defined
+    rs, _ = system(key)
+    coeffs = [data.draw(rationals) for _ in rs.even_simple]
+    v = total((r.vector.scaled(c) for r, c in zip(rs.even_simple, coeffs)),
+              zero_weight(rs.rank))
+    assert rs.even_height(v) == sum(coeffs, Fraction(0))
+    assert rs.sort_height(v) == sum(coeffs, Fraction(0))
