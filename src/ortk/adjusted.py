@@ -76,31 +76,21 @@ def is_lambda_adjusted(rs: RootSystem, delta_a, lam: Weight) -> bool:
         s = tuple(a + b for a, b in zip(u, v))
         if rs.root_from_ivec(s) is not None and s not in allowed:
             return False
-    for r in delta_a:
-        if rs.negate(r) in delta_a:
-            if not rs.scalar_is_zero(rs.inner(lam, r.vector)):
-                return False
-    return True
+    paired = [r for r in delta_a if rs.negate(r) in delta_a]
+    return rs.orthogonal_roots(lam, paired) == set(paired)
 
 
 def hypercubic_collections(rs: RootSystem, b: Borel, lam: Weight):
     """All subsets of isotropic simple indices that are pairwise orthogonal
     and orthogonal to lam, the empty set included."""
-    candidates = []
-    for i in b.isotropic_simple_indices():
-        alpha = b.simple[i - 1]
-        if rs.scalar_is_zero(rs.inner(lam, alpha.vector)):
-            candidates.append(i)
+    indices = b.isotropic_simple_indices()
+    orthogonal = rs.orthogonal_roots(lam, (b.simple[i - 1] for i in indices))
+    candidates = [i for i in indices if b.simple[i - 1] in orthogonal]
     out = []
     for size in range(len(candidates) + 1):
         for combo in itertools.combinations(candidates, size):
-            ok = True
-            for i, j in itertools.combinations(combo, 2):
-                prod = rs.inner(b.simple[i - 1].vector, b.simple[j - 1].vector)
-                if not rs.scalar_is_zero(prod):
-                    ok = False
-                    break
-            if not ok:
+            if not all(rs.roots_orthogonal(b.simple[i - 1], b.simple[j - 1])
+                       for i, j in itertools.combinations(combo, 2)):
                 continue
             sigma = zero_weight(len(rs.basis_names))
             for i in combo:
@@ -174,7 +164,7 @@ def split_criterion(rs: RootSystem, b: Borel, lam: Weight, i: int) -> SplitVerdi
     up = _times_factors(_numerator(rs, b.odd_positive), [alpha.ivec])
     assert c_meet == down
     assert c_meet == up
-    if rs.scalar_is_zero(rs.inner(lam, alpha.vector)):
+    if alpha in rs.orthogonal_roots(lam, (alpha,)):
         return SplitVerdict.INDECOMPOSABLE
     return SplitVerdict.DECOMPOSABLE
 

@@ -49,9 +49,7 @@ class S1Classification:
 
 def is_typical(rs: RootSystem, b: Borel, lam: Weight) -> bool:
     """No isotropic root pairs to zero with lam + rho^b."""
-    shifted = lam + weyl_vector(rs, b)
-    return all(not rs.scalar_is_zero(rs.inner(shifted, r.vector))
-               for r in rs.delta_iso)
+    return not rs.orthogonal_roots(lam + weyl_vector(rs, b), rs.delta_iso)
 
 
 def _gamma_grid(rs: RootSystem, bound):
@@ -89,17 +87,20 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
     if beta not in pure_iso:
         raise PreconditionViolated(
             f"{rs.root_name(beta)} is not a pure positive isotropic root")
-    if not rs.scalar_is_zero(rs.inner(lam, beta.vector)):
+    if beta not in rs.orthogonal_roots(lam, (beta,)):
         raise PreconditionViolated(
             f"lambda is not orthogonal to {rs.root_name(beta)}")
     grid = _gamma_grid(rs, gamma_bound)
+    # (beta, rho + gamma) as (beta, rho) + (beta, gamma)
+    grid_pairings = [rs.pairing(gamma, beta) for gamma in grid]
     for bbar in borels:
         rho = weyl_vector(rs, bbar)
+        rho_pairing = rs.pairing(rho, beta)
         cone_roots = list(rs.even_positive) + list(bbar.odd_positive)
         free = frozenset(rs.negate(r) for r in bbar.odd_positive)
         base = lam - rho
-        for gamma in grid:
-            if not rs.scalar_is_zero(rs.inner(beta.vector, rho + gamma)):
+        for gamma, gamma_pairing in zip(grid, grid_pairings):
+            if not rs.pairing_sum_is_zero(rho_pairing, gamma_pairing):
                 continue
             if cone_membership(rs, gamma - beta.vector, cone_roots):
                 continue
@@ -119,23 +120,23 @@ def s1_classify(rs: RootSystem, b: Borel, lam: Weight,
     borels, _ = enumerate_borels(rs)
     _, pure_iso = pure_positive_roots(rs, borels)
     simples = {b.simple[i - 1] for i in b.isotropic_simple_indices()}
+    orthogonal = rs.orthogonal_roots(shifted, pos)
+    # on simples (lam, alpha) = (lam + rho, alpha)
+    simple_orthogonal = rs.orthogonal_roots(lam, simples)
     cin, cout = set(), set()
     for r in rs.delta_iso:
         if r not in pos:
             cout.add(r)
-            continue
-        orthogonal = rs.scalar_is_zero(rs.inner(shifted, r.vector))
-        if r in simples:
-            # on simples (lam, alpha) = (lam + rho, alpha)
-            if rs.scalar_is_zero(rs.inner(lam, r.vector)):
+        elif r in simples:
+            if r in simple_orthogonal:
                 cin.add(r)
             else:
                 cout.add(r)
         elif r in pure_iso:
-            if orthogonal and simple_even_witness(
+            if r in orthogonal and simple_even_witness(
                     rs, r, shifted, gamma_bound) is not None:
                 cin.add(r)
-        elif orthogonal:
+        elif r in orthogonal:
             cin.add(r)
     unknown = set(rs.delta_iso) - cin - cout
     assert not (cin & cout)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from fractions import Fraction
@@ -45,21 +44,6 @@ class UsageError(ValueError):
 
 def _internal_family(flag: str) -> str:
     return "d21alpha" if flag == "d21" else flag
-
-
-def thread_cap() -> int:
-    """Parallelism cap from ORTK_THREADS (default 1; execution is serial,
-    which respects any cap)."""
-    raw = os.environ.get("ORTK_THREADS")
-    if raw is None:
-        return 1
-    try:
-        v = int(raw)
-    except ValueError:
-        raise UsageError(f"ORTK_THREADS must be a positive integer, got {raw!r}")
-    if v < 1:
-        raise UsageError(f"ORTK_THREADS must be a positive integer, got {raw!r}")
-    return v
 
 
 def _json_default(x):
@@ -447,7 +431,6 @@ def run_command(argv, print_fn=print) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        thread_cap()
         return args.handler(args, print_fn)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

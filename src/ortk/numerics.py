@@ -22,9 +22,7 @@ __all__ = [
     "Scalar",
     "SCALAR_ZERO",
     "SCALAR_ONE",
-    "ALPHA",
     "scalar",
-    "scalar_arith",
     "render_scalar",
     "parse_scalar",
     "Weight",
@@ -124,18 +122,6 @@ def scalar(r=0, s=0) -> Scalar:
 
 SCALAR_ZERO = scalar(0)
 SCALAR_ONE = scalar(1)
-ALPHA = scalar(0, 1)
-
-
-def scalar_arith(a: Scalar, b: Scalar | None, op: str) -> Scalar:
-    """Dispatch add/mul/neg on scalars.  neg ignores b."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown op {op!r}")
 
 
 def render_scalar(x: Scalar) -> str:

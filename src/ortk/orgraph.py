@@ -127,11 +127,9 @@ class AtypicalColorSet:
 
 def atypical_colors(rs: RootSystem, og: ORGraph, lam: Weight) -> AtypicalColorSet:
     """D_lambda: the colors whose roots do not pair to zero with lambda."""
-    hit = set()
-    for c, root in og.root_of_color.items():
-        if not rs.inner(lam, root.vector).is_zero(rs.alpha_value):
-            hit.add(c)
-    return AtypicalColorSet(lam, frozenset(hit))
+    orthogonal = rs.orthogonal_roots(lam, og.root_of_color.values())
+    return AtypicalColorSet(lam, frozenset(
+        c for c, root in og.root_of_color.items() if root not in orthogonal))
 
 
 def build_or_lambda(rs: RootSystem, og: ORGraph, lam: Weight) -> Quotient:
@@ -256,11 +254,12 @@ def image_intersection_kind(rs: RootSystem, b: Borel, lam: Weight,
                 f"simple root {rs.root_name(root)} is not odd isotropic")
     ai = b.simple[i - 1]
     aj = b.simple[j - 1]
+    orthogonal = rs.orthogonal_roots(lam, (ai, aj))
     for root in (ai, aj):
-        if not rs.inner(lam, root.vector).is_zero(rs.alpha_value):
+        if root not in orthogonal:
             raise PreconditionViolated(
                 f"lambda pairs nonzero with {rs.root_name(root)}")
-    if rs.inner(ai.vector, aj.vector).is_zero(rs.alpha_value):
+    if rs.roots_orthogonal(ai, aj):
         return HypercubicImage(odd_reflect(rs, odd_reflect(rs, b, j), i))
     return TrivialIntersection()
 

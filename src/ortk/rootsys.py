@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 from .numerics import (
     BilinearForm,
+    DegreeOverflow,
     NotInSpan,
+    RankMismatch,
     Scalar,
     Weight,
     expand_in_basis,
@@ -109,10 +112,17 @@ class RootSystem:
         self.alpha_value = alpha_value
         self.type_one = type_one
         self.rank = len(basis_names)
+        # the form's diagonal split into its rational part and its a-part
+        if any(c.r.denominator != 1 or c.s.denominator != 1 for c in form.diagonal):
+            raise UnsupportedFamily("the form's diagonal is not integral")
+        self._diag_r = tuple(int(c.r) for c in form.diagonal)
+        self._diag_s = tuple(int(c.s) for c in form.diagonal)
 
         def mk_root(v: Weight, parity: str) -> Root:
-            iso = parity == "odd" and self.scalar_is_zero(inner_product(v, v, form))
-            return Root(v, parity, iso)
+            root = Root(v, parity, False)
+            if parity == "odd" and self.roots_orthogonal(root, root):
+                root = Root(v, parity, True)
+            return root
 
         self.delta0 = tuple(
             sorted((mk_root(v, "even") for v in even_vectors), key=Root.sort_key)
@@ -167,6 +177,81 @@ class RootSystem:
 
     def inner(self, v: Weight, w: Weight) -> Scalar:
         return inner_product(v, w, self.form)
+
+    # -- the integer pairing kernel ----------------------------------------------
+    #
+    # (lam, beta) for a root beta is sum_i lam_i * d_i * beta_i.  Each root
+    # keeps its form-weighted vector d_i * beta_i as two integer vectors,
+    # the rational part and the a-part of the diagonal; a queried weight
+    # becomes two integer vectors over one common denominator.  A pairing
+    # is then two integer dot products, split as (rational part, a-part).
+
+    @cached_property
+    def _weighted_roots(self) -> dict:
+        """root -> its form-weighted vector, as (rational part, a-part)."""
+        return {
+            r: (tuple(d * x for d, x in zip(self._diag_r, r.ivec)),
+                tuple(d * x for d, x in zip(self._diag_s, r.ivec)))
+            for r in self.delta0 + self.delta1
+        }
+
+    def _scaled(self, lam: Weight) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(r, s, den): den times the rational part and the a-part of lam,
+        as integers, with den the least common denominator."""
+        if lam.rank != self.rank:
+            raise RankMismatch(f"weight of rank {lam.rank} against rank {self.rank}")
+        coords = lam.coords
+        den = lcm(*(c.r.denominator for c in coords), *(c.s.denominator for c in coords))
+        return (tuple(c.r.numerator * (den // c.r.denominator) for c in coords),
+                tuple(c.s.numerator * (den // c.s.denominator) for c in coords),
+                den)
+
+    def _pair(self, lam_r, lam_s, root: Root) -> tuple[int, int]:
+        """(lam, root) times lam's denominator, as (rational part, a-part).
+
+        Raises DegreeOverflow where the Scalar product does: an a-carrying
+        coordinate of lam meets an a-carrying diagonal entry on a nonzero
+        root coordinate."""
+        wr, ws = self._weighted_roots[root]
+        r = sum(map(mul, lam_r, wr))
+        s = sum(map(mul, lam_r, ws))
+        if any(lam_s):
+            if any(x and y for x, y in zip(lam_s, ws)):
+                raise DegreeOverflow(
+                    f"pairing {self.root_name(root)} with an a-carrying weight "
+                    "leaves the degree-1 space")
+            s += sum(map(mul, lam_s, wr))
+        return r, s
+
+    def _pair_is_zero(self, r, s) -> bool:
+        """Is r + s*a zero, under the specialization of a if there is one?"""
+        alpha = self.alpha_value
+        if alpha is None:
+            return r == 0 and s == 0
+        return r * alpha.denominator + s * alpha.numerator == 0
+
+    def pairing(self, lam: Weight, root: Root) -> tuple[int, int, int]:
+        """(r, s, den) with (lam, root) = (r + s*a) / den, den > 0."""
+        lam_r, lam_s, den = self._scaled(lam)
+        return (*self._pair(lam_r, lam_s, root), den)
+
+    def pairing_sum_is_zero(self, p: tuple[int, int, int],
+                            q: tuple[int, int, int]) -> bool:
+        """Is the sum of the two pairing values p and q zero?"""
+        (r1, s1, d1), (r2, s2, d2) = p, q
+        return self._pair_is_zero(r1 * d2 + r2 * d1, s1 * d2 + s2 * d1)
+
+    def orthogonal_roots(self, lam: Weight, roots) -> frozenset[Root]:
+        """The roots among roots that pair to zero with lam."""
+        lam_r, lam_s, _ = self._scaled(lam)
+        return frozenset(r for r in roots
+                         if self._pair_is_zero(*self._pair(lam_r, lam_s, r)))
+
+    def roots_orthogonal(self, a: Root, b: Root) -> bool:
+        """(a, b) = 0; root vectors are integral and carry no a-part."""
+        return self._pair_is_zero(
+            sum(x * d * y for x, d, y in zip(a.ivec, self._diag_r, b.ivec)),
+            sum(x * d * y for x, d, y in zip(a.ivec, self._diag_s, b.ivec)))
 
     def root_from_vector(self, v: Weight) -> Root | None:
         return self._by_vector.get(v)

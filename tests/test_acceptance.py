@@ -102,6 +102,29 @@ def test_criterion_2(builds):
     assert claim_ok
 
 
+def test_criterion_2_structure(builds):
+    # the computed half of criterion 2, which must keep passing
+    rs, borels, og = builds.get("d21alpha", None, None)
+    degree = {v: 0 for v in og.graph.vertices}
+    for u, v, _ in og.graph.edges:
+        degree[u] += 1
+        degree[v] += 1
+    assert len(borels) == 4
+    assert sorted(degree.values()) == [1, 1, 1, 3]
+    assert weyl_vector(rs, borels[0]) == parse_weight("-1,1,1", 3)
+    assert weyl_vector(rs, borels[1]) == zero_weight(3)
+    pure = [rs.root_name(r) for r in borels[1].odd_positive
+            if r.isotropic and all(r in b.odd_set() for b in borels)]
+    assert pure == ["d+e1+e2"]
+
+
+def test_criterion_2_bounded_search_finds_no_witness(builds):
+    rs, _, _ = builds.get("d21alpha", None, None)
+    beta = rs.root_by_name("d+e1+e2")
+    assert simple_even_witness(rs, beta, zero_weight(3),
+                               gamma_bound=manifest.GAMMA_BOUND) is None
+
+
 def test_criterion_3(builds):
     t0 = time.perf_counter()
     ex = suite_exchange(builds)
@@ -167,6 +190,31 @@ def test_criterion_5(builds):
     assert probe_ok
     # claimed value; five PBW monomials land on that weight
     assert got == 1
+
+
+def test_criterion_5_numerators_and_multiplicities(builds):
+    # the computed parts of criterion 5, which must keep passing
+    assert all(e.status == "pass" for e in suite_characters(builds))
+
+
+def test_criterion_5_truncated_series_probe(builds):
+    rs, borels, _ = builds.get("gl", 2, 2)
+    b = borels[0]
+    num = verma_character(rs, set(b.odd_positive), zero_weight(4))
+    table = truncated_terms(rs, num, manifest.PHI_DEPTH)
+    for r in list(rs.even_positive) + list(b.odd_positive):
+        mu = zero_weight(4) - r.vector
+        assert character_weight_multiplicity(rs, num, mu) == table.get(mu, 0)
+
+
+def test_criterion_5_dimension_computes_to_five(builds):
+    rs, borels, _ = builds.get("d21alpha", None, None)
+    b1 = borels[0]
+    top = zero_weight(3) - weyl_vector(rs, b1)
+    free = frozenset(rs.negate(r) for r in b1.odd_positive)
+    got = weight_multiplicity(
+        rs, MultiplicityQuery(free, top, top - parse_weight("2,0,0", 3)))
+    assert got == 5
 
 
 def test_criterion_6(builds):

@@ -219,15 +219,3 @@ def test_default_borel_is_rank_zero(command, extra, system, mu):
 def test_usage_errors_exit_two(argv):
     code, _ = cap(argv)
     assert code == 2
-
-
-def test_threads_env(monkeypatch):
-    monkeypatch.setenv("ORTK_THREADS", "3")
-    code, _ = cap(["quiver", "--preset", "preprojective_a2"])
-    assert code == 0
-    monkeypatch.setenv("ORTK_THREADS", "0")
-    code, _ = cap(["quiver", "--preset", "preprojective_a2"])
-    assert code == 2
-    monkeypatch.setenv("ORTK_THREADS", "soon")
-    code, _ = cap(["quiver", "--preset", "preprojective_a2"])
-    assert code == 2
