@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .characters import MultiplicityQuery, cone_membership, weight_multiplicity
-from .numerics import Weight, zero_weight
+from .manifest import GAMMA_BOUND
+from .numerics import Weight
 from .rootsys import (
     Borel,
     PreconditionViolated,
@@ -52,26 +53,25 @@ def is_typical(rs: RootSystem, b: Borel, lam: Weight) -> bool:
     return not rs.orthogonal_roots(lam + weyl_vector(rs, b), rs.delta_iso)
 
 
-def _gamma_grid(rs: RootSystem, bound):
-    """Nonnegative combinations of even positive roots with height up to
-    bound, in (height, coordinates) order."""
-    zero = zero_weight(len(rs.basis_names))
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for gamma in rs.even_positive:
-                u = v + gamma.vector
-                if u not in seen and rs.sort_height(u) <= bound:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return sorted(seen, key=lambda v: (rs.sort_height(v), v.sort_key()))
+def _check_gamma_bound(bound):
+    if bound < 0:
+        raise ValueError(f"gamma bound must be >= 0, got {bound}")
+
+
+def _gamma_grid(rs: RootSystem, bound: int):
+    """Nonnegative integer combinations of the even simple roots with
+    coefficient sum (height) up to bound, in (height, coordinates) order."""
+    layer = {(0,) * rs.rank}
+    grid = sorted(layer)
+    for _ in range(bound):
+        layer = {tuple(a + b for a, b in zip(v, r.ivec))
+                 for v in layer for r in rs.even_simple}
+        grid += sorted(layer)
+    return [Weight(v) for v in grid]
 
 
 def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
-                        gamma_bound: int = 4):
+                        gamma_bound: int = GAMMA_BOUND):
     """Search for (bbar, gamma) certifying the pure root beta.
 
     lam is the shift-free weight: the module in question is
@@ -80,8 +80,10 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
       gamma - beta outside the positive cone of bbar,
       (beta, rho^bbar + gamma) = 0,
       weight multiplicity one at lam - rho^bbar - beta - gamma;
-    or None when the bounded search is exhausted.
+    or None when the bounded search is exhausted.  A gamma_bound below 0
+    raises ValueError.
     """
+    _check_gamma_bound(gamma_bound)
     borels, _ = enumerate_borels(rs)
     _, pure_iso = pure_positive_roots(rs, borels)
     if beta not in pure_iso:
@@ -112,8 +114,10 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
 
 
 def s1_classify(rs: RootSystem, b: Borel, lam: Weight,
-                gamma_bound: int = 4) -> S1Classification:
-    """Certified bounds for S1 of the module with highest weight lam."""
+                gamma_bound: int = GAMMA_BOUND) -> S1Classification:
+    """Certified bounds for S1 of the module with highest weight lam.
+    A gamma_bound below 0 raises ValueError."""
+    _check_gamma_bound(gamma_bound)
     rho = weyl_vector(rs, b)
     shifted = lam + rho
     pos = {r for r in b.odd_positive if r.isotropic}

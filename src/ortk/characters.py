@@ -18,18 +18,9 @@ from __future__ import annotations
 import itertools
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
-from .numerics import (
-    NotInSpan,
-    Scalar,
-    SingularBasis,
-    Weight,
-    expand_in_basis,
-    render_weight,
-)
-from .rootsys import Borel, Root, RootSystem
+from .numerics import Scalar, SingularBasis, Weight, render_weight
+from .rootsys import Borel, Root, RootSystem, _apply_rows, _indecomposables, basis_inverse
 
 __all__ = [
     "UnboundedCone",
@@ -229,75 +220,39 @@ def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,
                for w, coeff in c.terms.items())
 
 
-def _scalar_value(x: Scalar, alpha_value) -> Fraction | None:
-    """Numeric value of a coefficient; None when it stays symbolic."""
-    if x.s == 0:
-        return x.r
-    if alpha_value is not None:
-        return x.r + x.s * alpha_value
-    return None
-
-
-def _specialized_ints(v: Weight, alpha_value) -> tuple[int, ...] | None:
-    """v with a = alpha_value as an integer vector; None when no integer
-    vector equals it under that specialization."""
-    out = []
-    for c in v.coords:
-        x = _scalar_value(c, alpha_value)
-        if x is None or x.denominator != 1:
-            return None
-        out.append(int(x))
-    return tuple(out)
-
-
 def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool:
     """Is v a nonnegative integer combination of the given roots?
 
     With pbw=True the odd roots are capped at multiplicity one, matching
     PBW monomials.  The root set must admit a positive height functional
-    (built from its own indecomposable elements); otherwise the search
-    could run forever and UnboundedCone is raised.
+    (the coefficient sum over its own indecomposable elements); otherwise
+    the search could run forever and UnboundedCone is raised.
     """
     roots = sorted(set(roots), key=Root.sort_key, reverse=True)
     if not roots:
         return v.is_zero(rs.alpha_value)
-    vecset = {r.ivec for r in roots}
-    # roots are nonzero, so w - u lands in vecset only for a real split
-    indec = [r.vector for r in roots
-             if not any(tuple(a - b for a, b in zip(r.ivec, u)) in vecset
-                        for u in vecset)]
-
-    def phi(u: Weight) -> Fraction | None:
-        try:
-            coeffs = expand_in_basis(u, indec)
-        except (NotInSpan, SingularBasis):
-            return None
-        total = Fraction(0)
-        for c in coeffs:
-            val = _scalar_value(c, rs.alpha_value)
-            if val is None:
-                return None
-            total += val
-        return total
-
-    heights = []
+    # the search runs in coordinates over the indecomposable roots (scaled
+    # by the inverse's denominator), where the height is the coordinate sum
+    indec = _indecomposables(roots)
+    n = len(indec)
+    try:
+        rows, _ = basis_inverse([r.ivec for r in indec], rs.rank)
+    except SingularBasis:
+        rows = None
+    vecs = []
     for r in roots:
-        h = phi(r.vector)
-        if h is None or h <= 0:
+        x = None if rows is None else _apply_rows(rows, r.ivec)
+        if x is None or any(x[n:]) or sum(x[:n]) <= 0:
             raise UnboundedCone(
                 f"no positive height functional: root {rs.root_name(r)}")
-        heights.append(h)
+        vecs.append(x[:n])
     if v.is_zero(rs.alpha_value):
         return True
-    # phi is linear, so the height of v minus a combination of roots is
-    # phi(v) minus the same combination of root heights
-    h0 = phi(v)
-    target = _specialized_ints(v, rs.alpha_value)
-    if h0 is None or h0 < 0 or target is None:
+    target = rs.specialized_coords(v, rows)
+    if target is None or any(target[n:]) or any(x.denominator != 1 for x in target):
         return False
-    scale = lcm(h0.denominator, *(h.denominator for h in heights))
-    steps = [int(h * scale) for h in heights]
-    vecs = [r.ivec for r in roots]
+    target = tuple(int(x) for x in target[:n])
+    steps = [sum(x) for x in vecs]
     caps = [1 if pbw and r.parity == "odd" else None for r in roots]
     memo = {}
 
@@ -325,7 +280,7 @@ def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool
         memo[state] = ok
         return ok
 
-    return search(target, int(h0 * scale), 0)
+    return search(target, sum(target), 0)
 
 
 def kac_flag_constituents(rs: RootSystem, b: Borel, lam: Weight):

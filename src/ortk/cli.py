@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 when a verify run reports failures, 2 on
-usage or parse errors.  JSON output is emitted with sorted keys so that
+usage or parse errors, including a weight whose a-part leaves the
+degree-1 space.  JSON output is emitted with sorted keys so that
 identical inputs produce byte-identical exports.
 """
 
@@ -27,7 +28,8 @@ from .characters import (
     weight_multiplicity,
 )
 from .ecgraph import graph_to_dot, graph_to_json, make_walk
-from .numerics import parse_weight, render_weight
+from .manifest import GAMMA_BOUND
+from .numerics import DegreeOverflow, parse_weight, render_weight
 from .orgraph import build_or_graph, build_or_lambda, walk_hom_oracle
 from .quiver import build_quiver, path_normal_forms, render_path
 from .rootsys import build_root_system, enumerate_borels, standard_borel
@@ -397,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("s1", help="classify pure isotropic roots for S1")
     _add_system_flags(p, need_lambda=True, with_borel=True)
-    p.add_argument("--gamma-bound", type=int, default=4)
+    p.add_argument("--gamma-bound", type=int, default=GAMMA_BOUND,
+                   help="height bound of the witness shifts gamma, >= 0")
     _add_out_flag(p, choices=("text", "json"))
     p.set_defaults(handler=_cmd_s1)
 
@@ -432,10 +435,7 @@ def run_command(argv, print_fn=print) -> int:
         return int(e.code or 0)
     try:
         return args.handler(args, print_fn)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (ValueError, DegreeOverflow) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -146,10 +146,6 @@ def make_walk(g: ColoredGraph, vertices, colors=None) -> Walk:
     return Walk(g, vertices, colors)
 
 
-def validate_walk(w: Walk) -> None:
-    make_walk(w.graph, w.walk_vertices, w.walk_colors)
-
-
 def is_rainbow(w: Walk) -> bool:
     return len(set(w.walk_colors)) == len(w.walk_colors)
 

@@ -194,11 +194,6 @@ class Weight:
     def is_rational(self) -> bool:
         return all(c.s == 0 for c in self.coords)
 
-    def rational_coords(self) -> tuple[Fraction, ...]:
-        if not self.is_rational():
-            raise DegreeOverflow(f"weight {render_weight(self)} carries the parameter a")
-        return tuple(c.r for c in self.coords)
-
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
 

@@ -13,17 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .numerics import (
     BilinearForm,
     DegreeOverflow,
-    NotInSpan,
     RankMismatch,
     Scalar,
+    SingularBasis,
     Weight,
-    expand_in_basis,
     inner_product,
     scalar,
 )
@@ -36,6 +35,7 @@ __all__ = [
     "RootSystem",
     "Borel",
     "build_root_system",
+    "basis_inverse",
     "standard_borel",
     "odd_reflect",
     "enumerate_borels",
@@ -131,9 +131,8 @@ class RootSystem:
             sorted((mk_root(v, "odd") for v in odd_vectors), key=Root.sort_key)
         )
         self.delta_iso = tuple(r for r in self.delta1 if r.isotropic)
-        self._by_vector = {r.vector: r for r in self.delta0 + self.delta1}
         self._by_ivec = {r.ivec: r for r in self.delta0 + self.delta1}
-        if len(self._by_vector) != len(self.delta0) + len(self.delta1):
+        if len(self._by_ivec) != len(self.delta0) + len(self.delta1):
             raise UnsupportedFamily("duplicate root vectors in family data")
 
         pos_set = set(standard_odd_positive)
@@ -146,7 +145,6 @@ class RootSystem:
         if len(self.standard_odd_positive) != len(pos_set):
             raise UnsupportedFamily("standard odd positives are not all roots")
         self.even_simple = _indecomposables(self.even_positive)
-        self._height_matrix = self._build_height_extension()
         self._names = {self.root_name(r): r for r in self.delta0 + self.delta1}
         self._kostant_memo: dict = {}
         self._borel_cache: tuple | None = None
@@ -156,24 +154,7 @@ class RootSystem:
     def _is_standard_positive_even(self, r: Root) -> bool:
         return r.ivec > (0,) * self.rank
 
-    def _build_height_extension(self):
-        """Complete even_simple to a basis by greedily appending unit vectors."""
-        ext: list[Weight] = [r.vector for r in self.even_simple]
-        n_simple = len(ext)
-        for i in range(self.rank):
-            unit = Weight(
-                tuple(scalar(1 if j == i else 0) for j in range(self.rank))
-            )
-            try:
-                expand_in_basis(unit, ext)
-            except NotInSpan:
-                ext.append(unit)
-        return (ext, n_simple)
-
     # -- basic queries ---------------------------------------------------------
-
-    def scalar_is_zero(self, x: Scalar) -> bool:
-        return x.is_zero(self.alpha_value)
 
     def inner(self, v: Weight, w: Weight) -> Scalar:
         return inner_product(v, w, self.form)
@@ -253,12 +234,6 @@ class RootSystem:
             sum(x * d * y for x, d, y in zip(a.ivec, self._diag_r, b.ivec)),
             sum(x * d * y for x, d, y in zip(a.ivec, self._diag_s, b.ivec)))
 
-    def root_from_vector(self, v: Weight) -> Root | None:
-        return self._by_vector.get(v)
-
-    def is_root(self, v: Weight) -> bool:
-        return v in self._by_vector
-
     def root_from_ivec(self, v: tuple[int, ...]) -> Root | None:
         return self._by_ivec.get(v)
 
@@ -300,8 +275,8 @@ class RootSystem:
     # -- the integer coordinate layer -------------------------------------------
     #
     # Coordinates in the height-extension basis (even simple roots first,
-    # then unit vectors) come from one inverse of that basis, stored as
-    # integer rows scaled by a common denominator.  Every change to
+    # then unit vectors) come from one basis_inverse of that basis, stored
+    # as integer rows scaled by a common denominator.  Every change to
     # even-simple coordinates goes through it, so the fixed basis is
     # never solved again.
 
@@ -309,17 +284,9 @@ class RootSystem:
     def _inverse_height(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
         """(rows, den, height_row): den times the inverse of the extension
         basis as integer rows, and the sum of its first n_simple rows."""
-        ext, n_simple = self._height_matrix
-        rank = self.rank
-        # column j of the inverse: unit vector j expanded in the basis
-        cols = [
-            [c.r for c in expand_in_basis(
-                Weight(tuple(scalar(1 if k == j else 0) for k in range(rank))), ext)]
-            for j in range(rank)
-        ]
-        den = lcm(*(x.denominator for col in cols for x in col))
-        rows = tuple(tuple(int(cols[j][i] * den) for j in range(rank)) for i in range(rank))
-        height_row = tuple(sum(row[j] for row in rows[:n_simple]) for j in range(rank))
+        rows, den = basis_inverse([r.ivec for r in self.even_simple], self.rank)
+        height_row = tuple(sum(row[j] for row in rows[:len(self.even_simple)])
+                           for j in range(self.rank))
         return rows, den, height_row
 
     @property
@@ -331,38 +298,70 @@ class RootSystem:
         """coord_denominator times the coordinates of the rational vector v
         (a tuple of ints or Fractions) in the height-extension basis; the
         first len(even_simple) entries are the even simple coordinates."""
-        rows = self._inverse_height[0]
-        return tuple(sum(a * x for a, x in zip(row, v)) for row in rows)
+        return _apply_rows(self._inverse_height[0], v)
 
-    def _split_coords(self, v: Weight):
-        """height_coords of the rational part and of the a-part of v."""
-        return (self.height_coords([c.r for c in v.coords]),
-                self.height_coords([c.s for c in v.coords]))
+    def specialized_coords(self, v: Weight, rows) -> tuple | None:
+        """The integer rows applied to v with its a-part specialized at
+        alpha_value; None when v carries an a-part and a stays symbolic."""
+        if v.rank != self.rank:
+            raise RankMismatch(f"weight of rank {v.rank} against rank {self.rank}")
+        if any(c.s for c in v.coords):
+            if self.alpha_value is None:
+                return None
+            return _apply_rows(rows, [c.r + c.s * self.alpha_value for c in v.coords])
+        return _apply_rows(rows, [c.r for c in v.coords])
 
     def lattice_coords(self, v: Weight) -> tuple | None:
         """height_coords of v with the a-part specialized at alpha_value;
-        None when the a-part leaves the even simple span or stays symbolic."""
-        r, s = self._split_coords(v)
-        if any(s[len(self.even_simple):]):
-            return None
-        if any(s):
-            if self.alpha_value is None:
-                return None
-            r = tuple(a + b * self.alpha_value for a, b in zip(r, s))
-        return r
-
-    def even_height(self, v: Weight) -> Fraction | None:
-        """Sum of even-simple coefficients, or None outside their span."""
-        r, s = self._split_coords(v)
-        n = len(self.even_simple)
-        if any(r[n:]) or any(s):
-            return None
-        return Fraction(sum(r), self.coord_denominator)
+        None when v carries an a-part and a stays symbolic."""
+        return self.specialized_coords(v, self._inverse_height[0])
 
     def sort_height(self, v: Weight) -> Fraction:
-        """even_height extended by zero on a fixed complement basis."""
+        """The even-simple height, extended by zero on a fixed complement basis."""
         _, den, height_row = self._inverse_height
         return Fraction(sum(a * c.r for a, c in zip(height_row, v.coords)), den)
+
+
+def basis_inverse(basis_ivecs, rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den): den times the inverse of the basis completed by unit vectors.
+
+    One Gauss-Jordan pass over [basis | I], with the integer vectors of
+    basis_ivecs as columns.  The pivot columns of the identity block are
+    the unit vectors that complete the basis, greedily in index order, and
+    the identity block ends as the inverse of the completed basis: row i
+    gives coordinate i, the basis vectors first.  den > 0 is the least
+    common denominator.  Raises SingularBasis when the basis is dependent.
+    """
+    k = len(basis_ivecs)
+    m = [[b[i] for b in basis_ivecs] + [int(i == j) for j in range(rank)]
+         for i in range(rank)]
+    pivots = []
+    for col in range(k + rank):
+        p = len(pivots)
+        pivot = next((i for i in range(p, rank) if m[i][col]), None)
+        if pivot is None:
+            if col < k:
+                raise SingularBasis(f"basis vector {col} is dependent on earlier ones")
+            continue
+        m[p], m[pivot] = m[pivot], m[p]
+        a = m[p][col]
+        for i in range(rank):
+            c = m[i][col]
+            if i != p and c:
+                row = [a * x - c * y for x, y in zip(m[i], m[p])]
+                g = gcd(*row)
+                m[i] = [x // g for x in row]
+        pivots.append(col)
+    # row i is zero on every pivot column but its own, where it holds d_i;
+    # every row keeps gcd 1, so the lcm of the d_i is the least denominator
+    diag = [m[i][col] for i, col in enumerate(pivots)]
+    den = lcm(*diag)
+    return tuple(tuple(x * (den // d) for x in m[i][k:]) for i, d in enumerate(diag)), den
+
+
+def _apply_rows(rows, v) -> tuple:
+    """The integer rows applied to the vector v (ints or Fractions)."""
+    return tuple(sum(map(mul, row, v)) for row in rows)
 
 
 def _indecomposables(roots) -> tuple[Root, ...]:
@@ -403,10 +402,6 @@ class Borel:
 
 def _canonical_odd(roots) -> tuple[Root, ...]:
     return tuple(sorted(roots, key=Root.sort_key))
-
-
-def _simples_by_indecomposability(rs: RootSystem, odd_positive) -> tuple[Root, ...]:
-    return _indecomposables(rs.even_positive + tuple(odd_positive))
 
 
 def build_root_system(
@@ -532,8 +527,7 @@ def _unit_builder(rank: int):
 
 def standard_borel(rs: RootSystem) -> Borel:
     odd = _canonical_odd(rs.standard_odd_positive)
-    simples = _simples_by_indecomposability(rs, odd)
-    return Borel(odd, simples)
+    return Borel(odd, _indecomposables(rs.even_positive + odd))
 
 
 def odd_reflect(rs: RootSystem, b: Borel, i: int) -> Borel:
@@ -561,7 +555,7 @@ def odd_reflect(rs: RootSystem, b: Borel, i: int) -> Borel:
     new_odd.discard(alpha)
     new_odd.add(rs.negate(alpha))
     out = Borel(_canonical_odd(new_odd), tuple(new_simple))
-    expected = set(_simples_by_indecomposability(rs, out.odd_positive))
+    expected = set(_indecomposables(rs.even_positive + out.odd_positive))
     if set(out.simple) != expected:
         raise AssertionError(
             "inherited simple system disagrees with indecomposables at "
@@ -684,7 +678,7 @@ def borel_from_partition(rs: RootSystem, parts: tuple[int, ...]) -> Borel:
                 v = _unit_difference(rs.rank, i - 1, m + j - 1)
             odd.append(rs.root_from_ivec(v))
     odd = _canonical_odd(odd)
-    return Borel(odd, _simples_by_indecomposability(rs, odd))
+    return Borel(odd, _indecomposables(rs.even_positive + odd))
 
 
 def partition_of_borel(rs: RootSystem, b: Borel) -> tuple[int, ...]:

@@ -105,7 +105,7 @@ def test_s1_invariant_under_typical_reflection():
     lam = parse_weight("0,1,0,0", 4)
     alpha = b.simple[1]
     assert alpha.isotropic
-    assert not rs.scalar_is_zero(rs.inner(lam, alpha.vector))
+    assert not rs.inner(lam, alpha.vector).is_zero(rs.alpha_value)
     rb = odd_reflect(rs, b, 2)
     cls1 = s1_classify(rs, b, lam)
     cls2 = s1_classify(rs, rb, lam - alpha.vector)
@@ -127,6 +127,17 @@ def test_witness_preconditions():
     beta = rsd.root_by_name("d+e1+e2")
     with pytest.raises(PreconditionViolated):
         simple_even_witness(rsd, beta, parse_weight("1,0,0", 3), 4)
+
+
+def test_negative_gamma_bound_rejected():
+    rs = build_root_system("d21alpha")
+    b = standard_borel(rs)
+    with pytest.raises(ValueError, match="gamma bound"):
+        s1_classify(rs, b, zero_weight(3), gamma_bound=-1)
+    with pytest.raises(ValueError, match="gamma bound"):
+        simple_even_witness(rs, rs.root_by_name("d+e1+e2"), zero_weight(3), -1)
+    # 0 is allowed: the grid is gamma = 0 alone
+    s1_classify(rs, b, zero_weight(3), gamma_bound=0)
 
 
 def test_witness_d21_exhausted():

@@ -205,6 +205,12 @@ def test_cone_membership_d21():
     roots = list(rs.even_positive) + list(b3.odd_positive)
     assert not cone_membership(rs, parse_weight("-1,-1,-1", 3), roots)
     assert cone_membership(rs, rank_zero(rs), roots)
+    # at a = 2/3, (2, 0, -2+3a) is 2d, although its a-part alone leaves
+    # the span of the cone root 2d; with a generic it is no root sum
+    v = parse_weight("2,0,-2+3a", 3)
+    assert not cone_membership(rs, v, [rs.root_by_name("2d")])
+    rs23 = build_root_system("d21alpha", alpha=Fraction(2, 3))
+    assert cone_membership(rs23, v, [rs23.root_by_name("2d")])
 
 
 def test_cone_membership_gl22():
@@ -220,6 +226,10 @@ def test_cone_membership_gl22():
     assert cone_membership(rs, parse_weight("0,2,-2,0", 4), roots)
     assert not cone_membership(rs, parse_weight("0,2,-2,0", 4), roots, pbw=True)
     assert not cone_membership(rs, parse_weight("-1,0,1,0", 4), roots)
+    # e1 and 2e1-e2 leave the root span, where the coordinates over the
+    # indecomposable roots alone would read 0 and once e1-e2
+    assert not cone_membership(rs, parse_weight("1,0,0,0", 4), roots)
+    assert not cone_membership(rs, parse_weight("2,-1,0,0", 4), roots)
 
 
 def test_cone_membership_unbounded():

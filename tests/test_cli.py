@@ -215,7 +215,22 @@ def test_default_borel_is_rank_zero(command, extra, system, mu):
      "--lambda", "0,0,0,0", "--alpha", "1/2"],
     ["verify", "nothing"],
     ["no-such-command"],
+    # an a-part that leaves the degree-1 space when paired with a root
+    ["typical", "--family", "d21", "--lambda", "a,0,0"],
+    ["s1", "--family", "d21", "--lambda", "a,1,1"],
+    ["quotient", "--family", "d21", "--lambda", "a,0,0"],
+    ["hypercubic", "--family", "d21", "--lambda", "a,1,1"],
+    ["s1", "--family", "gl", "--m", "2", "--n", "1", "--lambda", "0,0,0",
+     "--gamma-bound", "-1"],
 ])
 def test_usage_errors_exit_two(argv):
     code, _ = cap(argv)
     assert code == 2
+
+
+def test_degree_overflow_is_reported_on_stderr(capsys):
+    code, out = cap(["typical", "--family", "d21", "--lambda", "a,0,0"])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "degree-1 space" in err
+    assert "Traceback" not in err

@@ -3,7 +3,8 @@
 Each kernel is checked on random weights against reference code written
 in plain Weight/Scalar arithmetic (and, for coordinates, against sympy as
 an independent rational solver).  The references share no code path with
-the kernels beyond the root data itself.
+the kernels beyond the root data itself.  The S1 classifier, which runs
+on these kernels, is checked against a brute-force witness search.
 """
 
 import functools
@@ -11,10 +12,12 @@ import itertools
 
 from fractions import Fraction
 
+import pytest
 import sympy
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ortk.atypicality import Emptiness, _gamma_grid, s1_classify, simple_even_witness
 from ortk.characters import (
     MultiplicityQuery,
     cone_membership,
@@ -22,8 +25,10 @@ from ortk.characters import (
     verma_character,
     weight_multiplicity,
 )
-from ortk.numerics import NotInSpan, Scalar, Weight, expand_in_basis, zero_weight
-from ortk.rootsys import build_root_system, enumerate_borels
+from ortk.numerics import NotInSpan, Scalar, SingularBasis, Weight, expand_in_basis, zero_weight
+from ortk.rootsys import basis_inverse, build_root_system, enumerate_borels
+
+from test_characters import truncated_terms
 
 SYSTEMS = {
     "gl(2|1)": ("gl", 2, 1, None),
@@ -237,15 +242,15 @@ def test_cone_membership_matches_bounded_enumeration(data, key):
     b = data.draw(st.sampled_from(borels))
     roots = list(rs.even_positive) + list(b.odd_positive)
     # a sum of a few cone roots, an odd one twice now and then (which pbw
-    # forbids), sometimes minus a root, sometimes with a non-integral or
-    # a-carrying coordinate
+    # forbids), sometimes minus a root, sometimes with a non-integral,
+    # off-span or a-carrying coordinate
     combo = data.draw(st.lists(st.sampled_from(roots), max_size=3))
     if data.draw(st.booleans()):
         combo += [data.draw(st.sampled_from(b.odd_positive))] * 2
     v = total((r.vector for r in combo), zero_weight(rs.rank))
     if data.draw(st.booleans()):
         v = v - data.draw(st.sampled_from(roots)).vector
-    drift = [Scalar(data.draw(st.sampled_from([0, 0, 0, 0, Fraction(1, 2)])),
+    drift = [Scalar(data.draw(st.sampled_from([0, 0, 0, 0, Fraction(1, 2), 1])),
                     data.draw(st.sampled_from([0, 0, 0, 0, 3])))
              for _ in range(rs.rank)]
     v = v + Weight(tuple(drift))
@@ -253,13 +258,39 @@ def test_cone_membership_matches_bounded_enumeration(data, key):
         assert cone_membership(rs, v, roots, pbw=pbw) == ref_cone(rs, b, v, roots, pbw)
 
 
+def greedy_extension(rs):
+    """even_simple completed to a basis by unit vectors, each appended
+    when elimination finds it outside the span of the vectors so far."""
+    ext = [r.vector for r in rs.even_simple]
+    for i in range(rs.rank):
+        unit = Weight(tuple(Scalar(int(j == i), 0) for j in range(rs.rank)))
+        try:
+            expand_in_basis(unit, ext)
+        except NotInSpan:
+            ext.append(unit)
+    return ext
+
+
+def even_height(rs, v):
+    """The even-simple height of v read off the kernel's coordinate rows;
+    None when v leaves the even simple span or carries an a-part."""
+    n = len(rs.even_simple)
+    r = rs.height_coords([c.r for c in v.coords])
+    s = rs.height_coords([c.s for c in v.coords])
+    if any(r[n:]) or any(s):
+        return None
+    return Fraction(sum(r), rs.coord_denominator)
+
+
 @FUZZ
 @given(data=st.data(), key=systems)
 def test_heights_match_elimination_and_sympy(data, key):
     rs, _ = system(key)
     v = data.draw(weights(rs))
-    ext, n_simple = rs._height_matrix
+    ext, n_simple = greedy_extension(rs), len(rs.even_simple)
     coeffs = expand_in_basis(v, ext)
+    assert rs.height_coords([c.r for c in v.coords]) == tuple(
+        c.r * rs.coord_denominator for c in coeffs)
     assert rs.sort_height(v) == sum(c.r for c in coeffs[:n_simple])
     sol = sympy_solve(ext, [c.r for c in v.coords])
     assert rs.sort_height(v) == sum(sol[:n_simple])
@@ -270,21 +301,220 @@ def test_heights_match_elimination_and_sympy(data, key):
         ref_height = None if any(c.s != 0 for c in ref) else sum(c.r for c in ref)
     except NotInSpan:
         ref_height = None
-    assert rs.even_height(v) == ref_height
+    assert even_height(rs, v) == ref_height
     r_sol = sympy_solve(even, [c.r for c in v.coords])
     s_sol = sympy_solve(even, [c.s for c in v.coords])
     in_span = r_sol is not None and s_sol is not None
     sympy_height = sum(r_sol) if in_span and not any(s_sol) else None
-    assert rs.even_height(v) == sympy_height
+    assert even_height(rs, v) == sympy_height
 
 
 @FUZZ
 @given(data=st.data(), key=systems)
 def test_even_height_on_the_even_lattice(data, key):
-    # weights in the even root span, where even_height is defined
+    # weights in the even root span, where the even height is defined
     rs, _ = system(key)
     coeffs = [data.draw(rationals) for _ in rs.even_simple]
     v = total((r.vector.scaled(c) for r, c in zip(rs.even_simple, coeffs)),
               zero_weight(rs.rank))
-    assert rs.even_height(v) == sum(coeffs, Fraction(0))
+    assert even_height(rs, v) == sum(coeffs, Fraction(0))
     assert rs.sort_height(v) == sum(coeffs, Fraction(0))
+
+
+@FUZZ
+@given(data=st.data())
+def test_basis_inverse_matches_sympy(data):
+    rank = data.draw(st.integers(1, 5))
+    basis = data.draw(st.lists(
+        st.tuples(*[st.integers(-2, 2)] * rank).filter(any), max_size=rank + 1))
+    if sympy.Matrix(basis).rank() < len(basis):
+        try:
+            basis_inverse(basis, rank)
+        except SingularBasis:
+            return
+        raise AssertionError("a dependent basis was inverted")
+    # greedy completion by unit vectors, in index order
+    ext = [list(b) for b in basis]
+    for i in range(rank):
+        unit = [int(j == i) for j in range(rank)]
+        if sympy.Matrix(ext + [unit]).rank() > len(ext):
+            ext.append(unit)
+    rows, den = basis_inverse(basis, rank)
+    assert den > 0
+    assert sympy.gcd_list([den] + [x for row in rows for x in row]) == 1
+    assert sympy.Matrix(rows) / den == sympy.Matrix(ext).T.inv()
+
+
+# -- S1 against a brute-force witness search ---------------------------------------
+#
+# simple_even_witness and s1_classify re-derived from their definitions:
+# the gamma grid by breadth-first search over even positive roots, cone
+# membership by bounded enumeration, multiplicities from the truncated
+# character series, and every pairing through rs.inner.
+
+S1_SYSTEMS = {
+    "gl(2|1)": ("gl", 2, 1, None),
+    "gl(2|2)": ("gl", 2, 2, None),
+    "ospB(1|1)": ("ospB", 1, 1, None),
+    "d21@2/3": ("d21alpha", None, None, Fraction(2, 3)),
+}
+S1_FUZZ = settings(FUZZ, max_examples=24)
+
+
+@functools.cache
+def s1_system(key):
+    family, m, n, alpha = S1_SYSTEMS[key]
+    rs = build_root_system(family, m, n, alpha)
+    borels, _ = enumerate_borels(rs)
+    pure = set(rs.delta_iso).intersection(*(b.odd_positive for b in borels))
+    return rs, borels, pure
+
+
+def orthogonal(rs, v, root):
+    return rs.inner(v, root.vector).is_zero(rs.alpha_value)
+
+
+def ref_height(rs, v):
+    """Even-simple height of v, or None off the even simple lattice."""
+    coords = ref_even_coords(rs, v)
+    if coords is None or any(c.denominator != 1 for c in coords):
+        return None
+    return sum(coords, Fraction(0))
+
+
+def ref_rho(rs, b):
+    half = Fraction(1, 2)
+    return total((r.vector.scaled(half) for r in rs.even_positive),
+                 total((r.vector.scaled(-half) for r in b.odd_positive),
+                       zero_weight(rs.rank)))
+
+
+def ref_gamma_grid(rs, bound):
+    zero = zero_weight(rs.rank)
+    seen, frontier = {zero}, [zero]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for gamma in rs.even_positive:
+                u = v + gamma.vector
+                if u not in seen and ref_height(rs, u) <= bound:
+                    seen.add(u)
+                    nxt.append(u)
+        frontier = nxt
+    return sorted(seen, key=lambda v: (ref_height(rs, v), v.sort_key()))
+
+
+def ref_cells(rs, borels, beta, lam, bound):
+    """(bbar, gamma, multiplicity) for each cell of the witness search that
+    passes the pairing and cone conditions, in search order."""
+    grid = ref_gamma_grid(rs, bound)
+    for bbar in borels:
+        rho = ref_rho(rs, bbar)
+        base = lam - rho
+        cone = list(rs.even_positive) + list(bbar.odd_positive)
+        num = verma_character(rs, set(bbar.odd_positive), base)
+        for gamma in grid:
+            if not orthogonal(rs, rho + gamma, beta):
+                continue
+            if ref_cone(rs, bbar, gamma - beta.vector, cone, False):
+                continue
+            target = base - beta.vector - gamma
+            # each even positive root has height at least one, so a
+            # partition of a term minus target uses a root at most
+            # height-many times and the series truncated there is exact
+            depth = max((h for w in num.terms
+                         if (h := ref_height(rs, w - target)) is not None), default=0)
+            yield bbar, gamma, truncated_terms(rs, num, int(max(depth, 0))).get(target, 0)
+
+
+def ref_witness(rs, borels, beta, lam, bound):
+    return next(((bbar, gamma) for bbar, gamma, mult in ref_cells(rs, borels, beta, lam, bound)
+                 if mult == 1), None)
+
+
+def ref_s1(rs, borels, pure, b, lam, bound):
+    shifted = lam + ref_rho(rs, b)
+    pos = {r for r in b.odd_positive if r.isotropic}
+    simples = {b.simple[i - 1] for i in b.isotropic_simple_indices()}
+    cin, cout = set(), set()
+    for r in rs.delta_iso:
+        if r not in pos:
+            cout.add(r)
+        elif r in simples:
+            (cin if orthogonal(rs, shifted, r) else cout).add(r)
+        elif orthogonal(rs, shifted, r) and (
+                r not in pure or ref_witness(rs, borels, r, shifted, bound)):
+            cin.add(r)
+    if cin:
+        verdict = Emptiness.NONEMPTY
+    elif rs.type_one or rs.family == "d21alpha":
+        typical = not any(orthogonal(rs, shifted, r) for r in rs.delta_iso)
+        verdict = Emptiness.EMPTY if typical else Emptiness.NONEMPTY
+    else:
+        verdict = Emptiness.UNDETERMINED
+    return cin, cout, set(rs.delta_iso) - cin - cout, verdict
+
+
+@st.composite
+def integral_weights(draw, rs):
+    return Weight(tuple(Scalar(draw(st.integers(-2, 2)), 0) for _ in range(rs.rank)))
+
+
+def made_orthogonal(rs, v, root):
+    """v moved along one coordinate until (v, root) = 0."""
+    k = next(i for i, x in enumerate(root.ivec) if x)
+    d = rs.form.diagonal[k]
+    d = d.r if rs.alpha_value is None else d.r + d.s * rs.alpha_value
+    p = rs.inner(v, root.vector)
+    p = p.r if rs.alpha_value is None else p.r + p.s * rs.alpha_value
+    shift = [Scalar(0, 0)] * rs.rank
+    shift[k] = Scalar(-p / (d * root.ivec[k]), 0)
+    out = v + Weight(tuple(shift))
+    assert orthogonal(rs, out, root)
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(set(SYSTEMS) | set(S1_SYSTEMS)))
+def test_gamma_grid_matches_breadth_first_search(key):
+    rs = s1_system(key)[0] if key in S1_SYSTEMS else system(key)[0]
+    for bound in range(4):
+        assert _gamma_grid(rs, bound) == ref_gamma_grid(rs, bound)
+
+
+@S1_FUZZ
+@given(data=st.data(), key=st.sampled_from(["ospB(1|1)", "d21@2/3"]))
+def test_simple_even_witness_matches_brute_force(data, key):
+    # the gl systems have no pure isotropic root to search for
+    rs, borels, pure = s1_system(key)
+    beta = data.draw(st.sampled_from(sorted(pure, key=lambda r: r.sort_key())))
+    lam = data.draw(integral_weights(rs))
+    if data.draw(st.booleans()):
+        lam = lam + ref_rho(rs, data.draw(st.sampled_from(borels)))
+    lam = made_orthogonal(rs, lam, beta)
+    bound = data.draw(st.integers(0, 4))
+    cells = list(ref_cells(rs, borels, beta, lam, bound))
+    # the multiplicity of every cell the search reaches, not only the first
+    for bbar, gamma, mult in cells:
+        base = lam - ref_rho(rs, bbar)
+        free = frozenset(rs.negate(r) for r in bbar.odd_positive)
+        query = MultiplicityQuery(free, base, base - beta.vector - gamma)
+        assert weight_multiplicity(rs, query) == mult
+    expected = next(((bbar, gamma) for bbar, gamma, mult in cells if mult == 1), None)
+    assert simple_even_witness(rs, beta, lam, bound) == expected
+
+
+@S1_FUZZ
+@given(data=st.data(), key=st.sampled_from(sorted(S1_SYSTEMS)))
+def test_s1_classify_matches_brute_force(data, key):
+    rs, borels, pure = s1_system(key)
+    b = data.draw(st.sampled_from(borels))
+    lam = data.draw(integral_weights(rs))
+    # half the time lam + rho meets an isotropic root, so that the
+    # orthogonality and witness branches are reached
+    if data.draw(st.booleans()):
+        root = data.draw(st.sampled_from(rs.delta_iso))
+        lam = made_orthogonal(rs, lam + ref_rho(rs, b), root) - ref_rho(rs, b)
+    bound = data.draw(st.integers(0, 4))
+    cls = s1_classify(rs, b, lam, bound)
+    got = (cls.certified_in, cls.certified_out, cls.unknown, cls.emptiness_verdict)
+    assert got == ref_s1(rs, borels, pure, b, lam, bound)
