@@ -70,7 +70,7 @@ def is_lambda_adjusted(rs: RootSystem, delta_a, lam: Weight) -> bool:
     if stray:
         raise ValueError(
             f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
-    pool = [r.ivec for r in rs.even_positive] + [r.ivec for r in delta_a]
+    pool = [r.vector.r for r in rs.even_positive] + [r.vector.r for r in delta_a]
     allowed = set(pool)
     for u, v in itertools.combinations_with_replacement(pool, 2):
         s = tuple(a + b for a, b in zip(u, v))
@@ -141,7 +141,7 @@ def brick_decomposition_check(rs: RootSystem, b: Borel, lam: Weight,
     # sigma_{J_2} over all 4^|J| pairs are the exponents of
     # prod_{beta in J} (1 + e^-beta)(1 + e^beta)
     lhs = _numerator(rs, meet_a.delta_a)
-    shifts = [r.ivec for r in coll.roots] + [rs.negate(r).ivec for r in coll.roots]
+    shifts = [r.vector.r for r in coll.roots] + [rs.negate(r).vector.r for r in coll.roots]
     total = _times_factors(_numerator(rs, join_a.delta_a), shifts)
     return lhs == total
 
@@ -160,8 +160,8 @@ def split_criterion(rs: RootSystem, b: Borel, lam: Weight, i: int) -> SplitVerdi
     # M^{rb}(lam) and against M^b(lam + alpha) + M^b(lam)
     c_meet = _numerator(rs, meet)
     rb = odd_reflect(rs, b, i)
-    down = _times_factors(_numerator(rs, rb.odd_positive), [rs.negate(alpha).ivec])
-    up = _times_factors(_numerator(rs, b.odd_positive), [alpha.ivec])
+    down = _times_factors(_numerator(rs, rb.odd_positive), [rs.negate(alpha).vector.r])
+    up = _times_factors(_numerator(rs, b.odd_positive), [alpha.vector.r])
     assert c_meet == down
     assert c_meet == up
     if alpha in rs.orthogonal_roots(lam, (alpha,)):

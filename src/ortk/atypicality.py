@@ -64,10 +64,10 @@ def _gamma_grid(rs: RootSystem, bound: int):
     layer = {(0,) * rs.rank}
     grid = sorted(layer)
     for _ in range(bound):
-        layer = {tuple(a + b for a, b in zip(v, r.ivec))
+        layer = {tuple(a + b for a, b in zip(v, r.vector.r))
                  for v in layer for r in rs.even_simple}
         grid += sorted(layer)
-    return [Weight(v) for v in grid]
+    return [Weight.of(v) for v in grid]
 
 
 def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
@@ -93,16 +93,13 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
         raise PreconditionViolated(
             f"lambda is not orthogonal to {rs.root_name(beta)}")
     grid = _gamma_grid(rs, gamma_bound)
-    # (beta, rho + gamma) as (beta, rho) + (beta, gamma)
-    grid_pairings = [rs.pairing(gamma, beta) for gamma in grid]
     for bbar in borels:
         rho = weyl_vector(rs, bbar)
-        rho_pairing = rs.pairing(rho, beta)
         cone_roots = list(rs.even_positive) + list(bbar.odd_positive)
         free = frozenset(rs.negate(r) for r in bbar.odd_positive)
         base = lam - rho
-        for gamma, gamma_pairing in zip(grid, grid_pairings):
-            if not rs.pairing_sum_is_zero(rho_pairing, gamma_pairing):
+        for gamma in grid:
+            if not rs.orthogonal_roots(rho + gamma, (beta,)):
                 continue
             if cone_membership(rs, gamma - beta.vector, cone_roots):
                 continue

@@ -15,11 +15,11 @@ RootSystem integer layer.  Weights are built only for the caller.
 
 from __future__ import annotations
 
-import itertools
-
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
-from .numerics import Scalar, SingularBasis, Weight, render_weight
+from .numerics import SingularBasis, Weight, render_weight
 from .rootsys import Borel, Root, RootSystem, _apply_rows, _indecomposables, basis_inverse
 
 __all__ = [
@@ -40,7 +40,9 @@ __all__ = [
 
 
 class UnboundedCone(ValueError):
-    """The given root set admits no positive height functional."""
+    """The root set fails the precondition of the cone search: linearly
+    independent indecomposable roots, in whose span every root of the set
+    has a positive coefficient sum."""
 
 
 @dataclass
@@ -76,23 +78,15 @@ def _numerator(rs: RootSystem, delta_a) -> dict:
     if stray:
         raise ValueError(
             f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
-    factors = [r.ivec for r in rs.delta1 if r not in delta_a]
+    factors = [r.vector.r for r in rs.delta1 if r not in delta_a]
     return _times_factors({(0,) * rs.rank: 1}, factors)
 
 
 def _as_weights(lam: Weight, offsets: dict) -> dict:
     """{lam + offset: coefficient} for integer offsets."""
-    shifted = [{} for _ in lam.coords]  # one Scalar per coordinate value
-    out = {}
-    for off, c in offsets.items():
-        coords = []
-        for cache, base, k in zip(shifted, lam.coords, off):
-            x = cache.get(k)
-            if x is None:
-                x = cache[k] = Scalar(base.r + k, base.s)
-            coords.append(x)
-        out[Weight(tuple(coords))] = c
-    return out
+    r, s, den = lam.r, lam.s, lam.den
+    return {Weight.of([x + den * k for x, k in zip(r, off)], s, den): c
+            for off, c in offsets.items()}
 
 
 def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
@@ -123,7 +117,7 @@ def _even_root_table(rs: RootSystem):
         table = []
         n, den = len(rs.even_simple), rs.coord_denominator
         for gamma in rs.even_positive:
-            coords = rs.height_coords(gamma.ivec)
+            coords = rs.height_coords(gamma.vector.r)
             assert not any(coords[n:])
             assert all(c % den == 0 for c in coords[:n])
             ints = tuple(c // den for c in coords[:n])
@@ -167,7 +161,7 @@ def _kostant_scaled(rs: RootSystem, x) -> int:
     n, den = len(rs.even_simple), rs.coord_denominator
     if any(x[n:]) or any(c < 0 or c % den for c in x[:n]):
         return 0
-    return _kostant_count(rs, tuple(int(c // den) for c in x[:n]))
+    return _kostant_count(rs, tuple(c // den for c in x[:n]))
 
 
 def kostant_partitions(rs: RootSystem, v: Weight) -> int:
@@ -205,11 +199,11 @@ def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:
         raise ValueError("free_odd must consist of odd roots")
     head = rs.lattice_coords(q.base - q.target)
     # root sums have integer scaled coordinates, so a fractional head
-    # coordinate rules out every subset
-    if head is None or any(x.denominator != 1 for x in head):
+    # coordinate (head None) rules out every subset
+    if head is None:
         return 0
-    keys = _times_factors({tuple(int(x) for x in head): 1},
-                          [rs.height_coords(r.ivec) for r in q.free_odd])
+    keys = _times_factors({head: 1},
+                          [rs.height_coords(r.vector.r) for r in q.free_odd])
     return sum(subsets * _kostant_scaled(rs, x) for x, subsets in keys.items())
 
 
@@ -224,9 +218,12 @@ def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool
     """Is v a nonnegative integer combination of the given roots?
 
     With pbw=True the odd roots are capped at multiplicity one, matching
-    PBW monomials.  The root set must admit a positive height functional
-    (the coefficient sum over its own indecomposable elements); otherwise
-    the search could run forever and UnboundedCone is raised.
+    PBW monomials.  The search counts height as the coefficient sum over
+    the indecomposable roots of the set.  So these must be linearly
+    independent, and every root must lie in their span with a positive
+    coefficient sum; otherwise UnboundedCone is raised.  A pointed cone
+    can fail this: on gl(2|2), e1-e2, d1-d2, e1-d1 and e2-d2 are all
+    positive, but (e1-e2) + (e2-d2) = (e1-d1) + (d1-d2).
     """
     roots = sorted(set(roots), key=Root.sort_key, reverse=True)
     if not roots:
@@ -236,22 +233,25 @@ def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool
     indec = _indecomposables(roots)
     n = len(indec)
     try:
-        rows, _ = basis_inverse([r.ivec for r in indec], rs.rank)
+        rows, _ = basis_inverse([r.vector.r for r in indec], rs.rank)
     except SingularBasis:
-        rows = None
+        raise UnboundedCone(
+            "the indecomposable roots "
+            + ", ".join(rs.root_name(r) for r in indec)
+            + " are linearly dependent") from None
     vecs = []
     for r in roots:
-        x = None if rows is None else _apply_rows(rows, r.ivec)
-        if x is None or any(x[n:]) or sum(x[:n]) <= 0:
+        x = _apply_rows(rows, r.vector.r)
+        if any(x[n:]) or sum(x[:n]) <= 0:
             raise UnboundedCone(
                 f"no positive height functional: root {rs.root_name(r)}")
         vecs.append(x[:n])
     if v.is_zero(rs.alpha_value):
         return True
     target = rs.specialized_coords(v, rows)
-    if target is None or any(target[n:]) or any(x.denominator != 1 for x in target):
+    if target is None or any(target[n:]):
         return False
-    target = tuple(int(x) for x in target[:n])
+    target = target[:n]
     steps = [sum(x) for x in vecs]
     caps = [1 if pbw and r.parity == "odd" else None for r in roots]
     memo = {}
@@ -286,16 +286,9 @@ def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool
 def kac_flag_constituents(rs: RootSystem, b: Borel, lam: Weight):
     """Highest weights of the Verma flag of Ind M_0(lam), with
     multiplicity, ordered by height then coordinates."""
-    odd_pos = sorted(b.odd_positive, key=lambda r: r.sort_key())
-    out = []
-    for take in range(len(odd_pos) + 1):
-        for combo in itertools.combinations(odd_pos, take):
-            w = lam
-            for r in combo:
-                w = w + r.vector
-            out.append(w)
-    out.sort(key=lambda w: (rs.sort_height(w), w.sort_key()))
-    return out
+    # lam plus every subset sum of the odd positive roots, one per subset
+    sums = _times_factors({(0,) * rs.rank: 1}, [r.vector.r for r in b.odd_positive])
+    return _height_sorted(rs, [w for w, c in _as_weights(lam, sums).items() for _ in range(c)])
 
 
 def total_dimension(c: NumeratorCharacter, rs: RootSystem):
@@ -306,7 +299,20 @@ def total_dimension(c: NumeratorCharacter, rs: RootSystem):
     return sum(c.terms.values())
 
 
+def _height_sorted(rs: RootSystem, weights) -> list:
+    """weights in (rs.sort_height, sort_key) order, compared as integers
+    over their common denominator."""
+    den = lcm(*(w.den for w in weights))
+    height_row = rs._inverse_height[2]
+
+    def key(w):
+        k = den // w.den
+        return (sum(map(mul, height_row, w.r)) * k,
+                [x * k for pair in zip(w.r, w.s) for x in pair])
+
+    return sorted(weights, key=key)
+
+
 def character_to_json(rs: RootSystem, c: NumeratorCharacter):
-    items = sorted(c.terms.items(),
-                   key=lambda kv: (rs.sort_height(kv[0]), kv[0].sort_key()))
-    return [{"weight": render_weight(w), "coeff": coeff} for w, coeff in items]
+    return [{"weight": render_weight(w), "coeff": c.terms[w]}
+            for w in _height_sorted(rs, c.terms)]

@@ -3,9 +3,10 @@
 Every quantity lives in the degree <= 1 space Q + Q*a, where a is the
 deformation parameter of the exceptional family.  There is no silent
 promotion to a larger ring: a product that would reach degree 2 raises
-DegreeOverflow.  Weights are coordinate vectors over these scalars; all
-root coordinates in practice are plain rationals, the a-part exists so
-that user-supplied weights can carry the parameter.
+DegreeOverflow.  Weights are coordinate vectors over these scalars,
+stored as integers over one common denominator; all root coordinates in
+practice are integers, the a-part exists so that user-supplied weights
+can carry the parameter.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "DegreeOverflow",
@@ -70,15 +72,6 @@ class Scalar:
     def __post_init__(self):
         object.__setattr__(self, "r", _rat(self.r))
         object.__setattr__(self, "s", _rat(self.s))
-
-    def __hash__(self):
-        # cached on first use: Fraction hashing is slow, and many scalars
-        # are built but never hashed
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash((self.r, self.s))
-            object.__setattr__(self, "_hash", h)
-        return h
 
     def is_zero(self, alpha: Fraction | None = None) -> bool:
         """Zero test, under the optional specialization a = alpha."""
@@ -168,49 +161,84 @@ def _coerce_coord(x) -> Scalar:
     return scalar(_rat(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Weight:
-    """A coordinate vector in the fixed orthogonal-ish basis of h*."""
+    """A coordinate vector in the fixed orthogonal-ish basis of h*.
 
-    coords: tuple[Scalar, ...]
+    Coordinate i is (r[i] + s[i]*a) / den, with den > 0 and
+    gcd(den, *r, *s) = 1, so equal weights have equal fields.
+    Weight(coords) takes Scalars, ints or Fractions, Weight.of the
+    integers; Scalar coordinates are built only on demand.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(_coerce_coord(c) for c in self.coords))
+    r: tuple[int, ...]
+    s: tuple[int, ...]
+    den: int
 
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = hash(self.coords)
-            object.__setattr__(self, "_hash", h)
-        return h
+    def __init__(self, coords):
+        coords = tuple(map(_coerce_coord, coords))
+        # the least common denominator leaves the fields in lowest terms
+        den = lcm(*(c.r.denominator for c in coords), *(c.s.denominator for c in coords))
+        self._set(tuple(c.r.numerator * (den // c.r.denominator) for c in coords),
+                  tuple(c.s.numerator * (den // c.s.denominator) for c in coords), den)
+
+    def _set(self, r, s, den) -> "Weight":
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "den", den)
+        return self
+
+    @classmethod
+    def of(cls, r, s=None, den: int = 1) -> "Weight":
+        """The weight with coordinates (r[i] + s[i]*a) / den, for integers
+        r, s (zero when omitted) and den > 0, in lowest terms."""
+        r = tuple(r)
+        s = (0,) * len(r) if s is None else tuple(s)
+        if len(s) != len(r) or den <= 0:
+            raise ValueError(f"not a weight: {len(r)} r, {len(s)} s, den {den}")
+        g = 1 if den == 1 else gcd(den, *r, *s)
+        if g != 1:
+            r, s, den = tuple(x // g for x in r), tuple(x // g for x in s), den // g
+        return object.__new__(cls)._set(r, s, den)
+
+    @property
+    def coords(self) -> tuple[Scalar, ...]:
+        return tuple(Scalar(Fraction(x, self.den), Fraction(y, self.den))
+                     for x, y in zip(self.r, self.s))
 
     @property
     def rank(self) -> int:
-        return len(self.coords)
+        return len(self.r)
 
     def is_zero(self, alpha: Fraction | None = None) -> bool:
-        return all(c.is_zero(alpha) for c in self.coords)
+        if alpha is None:
+            return not any(self.r + self.s)
+        return not any(x * alpha.denominator + y * alpha.numerator
+                       for x, y in zip(self.r, self.s))
 
     def is_rational(self) -> bool:
-        return all(c.s == 0 for c in self.coords)
+        return not any(self.s)
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
 
-    def _check(self, other: "Weight"):
-        if self.rank != other.rank:
-            raise RankMismatch(f"rank {self.rank} vs {other.rank}")
+    def _combine(self, other: "Weight", sign: int) -> "Weight":
+        """self + sign * other."""
+        if len(self.r) != len(other.r):
+            raise RankMismatch(f"rank {len(self.r)} vs {len(other.r)}")
+        den = lcm(self.den, other.den)
+        p, q = den // self.den, sign * (den // other.den)
+        return Weight.of(tuple(p * x + q * y for x, y in zip(self.r, other.r)),
+                         tuple(p * x + q * y for x, y in zip(self.s, other.s)), den)
 
     def __add__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        self._check(other)
-        return Weight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+        return Weight.of(tuple(-x for x in self.r), tuple(-x for x in self.s), self.den)
 
     def scaled(self, c) -> "Weight":
         c = _coerce_coord(c)
@@ -225,7 +253,7 @@ def weight(*coords) -> Weight:
 
 
 def zero_weight(rank: int) -> Weight:
-    return Weight((SCALAR_ZERO,) * rank)
+    return Weight.of((0,) * rank)
 
 
 def render_weight(w: Weight) -> str:

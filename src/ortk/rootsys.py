@@ -63,22 +63,19 @@ class Root:
     vector: Weight
     parity: str  # "even" or "odd"
     isotropic: bool
-    # the vector as integers in the standard basis; every family's roots
-    # have integer coordinates
-    ivec: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        coords = self.vector.coords
-        if any(c.s != 0 or c.r.denominator != 1 for c in coords):
+        # every family's roots have integer coordinates, so vector.r is
+        # the root as an integer vector
+        if self.vector.den != 1 or any(self.vector.s):
             raise UnsupportedFamily(f"root {self.vector!r} is not integral")
-        object.__setattr__(self, "ivec", tuple(int(c.r) for c in coords))
 
     def __hash__(self):
-        return hash(self.ivec)
+        return hash(self.vector.r)
 
     def sort_key(self):
         # the order of vector.sort_key(), whose a-parts are all zero
-        return self.ivec
+        return self.vector.r
 
     def __repr__(self):
         return f"Root({self.parity}, {self.vector!r})"
@@ -113,10 +110,10 @@ class RootSystem:
         self.type_one = type_one
         self.rank = len(basis_names)
         # the form's diagonal split into its rational part and its a-part
-        if any(c.r.denominator != 1 or c.s.denominator != 1 for c in form.diagonal):
+        diag = Weight(form.diagonal)
+        if diag.den != 1:
             raise UnsupportedFamily("the form's diagonal is not integral")
-        self._diag_r = tuple(int(c.r) for c in form.diagonal)
-        self._diag_s = tuple(int(c.s) for c in form.diagonal)
+        self._diag_r, self._diag_s = diag.r, diag.s
 
         def mk_root(v: Weight, parity: str) -> Root:
             root = Root(v, parity, False)
@@ -131,14 +128,13 @@ class RootSystem:
             sorted((mk_root(v, "odd") for v in odd_vectors), key=Root.sort_key)
         )
         self.delta_iso = tuple(r for r in self.delta1 if r.isotropic)
-        self._by_ivec = {r.ivec: r for r in self.delta0 + self.delta1}
+        self._by_ivec = {r.vector.r: r for r in self.delta0 + self.delta1}
         if len(self._by_ivec) != len(self.delta0) + len(self.delta1):
             raise UnsupportedFamily("duplicate root vectors in family data")
 
         pos_set = set(standard_odd_positive)
-        self.even_positive = tuple(
-            r for r in self.delta0 if self._is_standard_positive_even(r)
-        )
+        # the standard even Borel: the lexicographically positive even roots
+        self.even_positive = tuple(r for r in self.delta0 if r.vector.r > (0,) * self.rank)
         self.standard_odd_positive = tuple(
             r for r in self.delta1 if r.vector in pos_set
         )
@@ -149,11 +145,6 @@ class RootSystem:
         self._kostant_memo: dict = {}
         self._borel_cache: tuple | None = None
 
-    # -- construction helpers -------------------------------------------------
-
-    def _is_standard_positive_even(self, r: Root) -> bool:
-        return r.ivec > (0,) * self.rank
-
     # -- basic queries ---------------------------------------------------------
 
     def inner(self, v: Weight, w: Weight) -> Scalar:
@@ -163,32 +154,21 @@ class RootSystem:
     #
     # (lam, beta) for a root beta is sum_i lam_i * d_i * beta_i.  Each root
     # keeps its form-weighted vector d_i * beta_i as two integer vectors,
-    # the rational part and the a-part of the diagonal; a queried weight
-    # becomes two integer vectors over one common denominator.  A pairing
-    # is then two integer dot products, split as (rational part, a-part).
+    # the rational part and the a-part of the diagonal, and a weight is two
+    # integer vectors over its denominator.  A pairing is then two integer
+    # dot products, split as (rational part, a-part).
 
     @cached_property
     def _weighted_roots(self) -> dict:
         """root -> its form-weighted vector, as (rational part, a-part)."""
         return {
-            r: (tuple(d * x for d, x in zip(self._diag_r, r.ivec)),
-                tuple(d * x for d, x in zip(self._diag_s, r.ivec)))
+            r: (tuple(d * x for d, x in zip(self._diag_r, r.vector.r)),
+                tuple(d * x for d, x in zip(self._diag_s, r.vector.r)))
             for r in self.delta0 + self.delta1
         }
 
-    def _scaled(self, lam: Weight) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """(r, s, den): den times the rational part and the a-part of lam,
-        as integers, with den the least common denominator."""
-        if lam.rank != self.rank:
-            raise RankMismatch(f"weight of rank {lam.rank} against rank {self.rank}")
-        coords = lam.coords
-        den = lcm(*(c.r.denominator for c in coords), *(c.s.denominator for c in coords))
-        return (tuple(c.r.numerator * (den // c.r.denominator) for c in coords),
-                tuple(c.s.numerator * (den // c.s.denominator) for c in coords),
-                den)
-
     def _pair(self, lam_r, lam_s, root: Root) -> tuple[int, int]:
-        """(lam, root) times lam's denominator, as (rational part, a-part).
+        """(lam, root) times lam.den, as (rational part, a-part).
 
         Raises DegreeOverflow where the Scalar product does: an a-carrying
         coordinate of lam meets an a-carrying diagonal entry on a nonzero
@@ -211,34 +191,24 @@ class RootSystem:
             return r == 0 and s == 0
         return r * alpha.denominator + s * alpha.numerator == 0
 
-    def pairing(self, lam: Weight, root: Root) -> tuple[int, int, int]:
-        """(r, s, den) with (lam, root) = (r + s*a) / den, den > 0."""
-        lam_r, lam_s, den = self._scaled(lam)
-        return (*self._pair(lam_r, lam_s, root), den)
-
-    def pairing_sum_is_zero(self, p: tuple[int, int, int],
-                            q: tuple[int, int, int]) -> bool:
-        """Is the sum of the two pairing values p and q zero?"""
-        (r1, s1, d1), (r2, s2, d2) = p, q
-        return self._pair_is_zero(r1 * d2 + r2 * d1, s1 * d2 + s2 * d1)
-
     def orthogonal_roots(self, lam: Weight, roots) -> frozenset[Root]:
         """The roots among roots that pair to zero with lam."""
-        lam_r, lam_s, _ = self._scaled(lam)
+        if lam.rank != self.rank:
+            raise RankMismatch(f"weight of rank {lam.rank} against rank {self.rank}")
         return frozenset(r for r in roots
-                         if self._pair_is_zero(*self._pair(lam_r, lam_s, r)))
+                         if self._pair_is_zero(*self._pair(lam.r, lam.s, r)))
 
     def roots_orthogonal(self, a: Root, b: Root) -> bool:
         """(a, b) = 0; root vectors are integral and carry no a-part."""
         return self._pair_is_zero(
-            sum(x * d * y for x, d, y in zip(a.ivec, self._diag_r, b.ivec)),
-            sum(x * d * y for x, d, y in zip(a.ivec, self._diag_s, b.ivec)))
+            sum(x * d * y for x, d, y in zip(a.vector.r, self._diag_r, b.vector.r)),
+            sum(x * d * y for x, d, y in zip(a.vector.r, self._diag_s, b.vector.r)))
 
     def root_from_ivec(self, v: tuple[int, ...]) -> Root | None:
         return self._by_ivec.get(v)
 
     def negate(self, r: Root) -> Root:
-        out = self._by_ivec.get(tuple(-x for x in r.ivec))
+        out = self._by_ivec.get(tuple(-x for x in r.vector.r))
         if out is None:
             raise ValueError(f"negative of {r!r} is not a root")
         return out
@@ -247,24 +217,15 @@ class RootSystem:
         return self.vector_name(r.vector)
 
     def vector_name(self, v: Weight) -> str:
-        parts = []
-        for name, c in zip(self.basis_names, v.coords):
-            if c.is_zero():
-                continue
-            if c.s != 0:
-                raise ValueError("root names are only defined for rational vectors")
-            q = c.r
-            sign = "-" if q < 0 else "+"
-            mag = abs(q)
-            coeff = "" if mag == 1 else str(mag)
-            parts.append((sign, f"{coeff}{name}"))
-        if not parts:
-            return "0"
-        first_sign, first = parts[0]
-        out = (first_sign if first_sign == "-" else "") + first
-        for sign, term in parts[1:]:
-            out += sign + term
-        return out
+        if any(v.s):
+            raise ValueError("root names are only defined for rational vectors")
+        out = ""
+        for name, x in zip(self.basis_names, v.r):
+            if x:
+                mag = abs(Fraction(x, v.den))
+                sign = "-" if x < 0 else "+" if out else ""
+                out += sign + ("" if mag == 1 else str(mag)) + name
+        return out or "0"
 
     def root_by_name(self, name: str) -> Root:
         try:
@@ -284,7 +245,7 @@ class RootSystem:
     def _inverse_height(self) -> tuple[tuple[tuple[int, ...], ...], int, tuple[int, ...]]:
         """(rows, den, height_row): den times the inverse of the extension
         basis as integer rows, and the sum of its first n_simple rows."""
-        rows, den = basis_inverse([r.ivec for r in self.even_simple], self.rank)
+        rows, den = basis_inverse([r.vector.r for r in self.even_simple], self.rank)
         height_row = tuple(sum(row[j] for row in rows[:len(self.even_simple)])
                            for j in range(self.rank))
         return rows, den, height_row
@@ -300,26 +261,31 @@ class RootSystem:
         first len(even_simple) entries are the even simple coordinates."""
         return _apply_rows(self._inverse_height[0], v)
 
-    def specialized_coords(self, v: Weight, rows) -> tuple | None:
+    def specialized_coords(self, v: Weight, rows) -> tuple[int, ...] | None:
         """The integer rows applied to v with its a-part specialized at
-        alpha_value; None when v carries an a-part and a stays symbolic."""
+        alpha_value; None when v carries an a-part and a stays symbolic,
+        or when a result is not an integer."""
         if v.rank != self.rank:
             raise RankMismatch(f"weight of rank {v.rank} against rank {self.rank}")
-        if any(c.s for c in v.coords):
-            if self.alpha_value is None:
-                return None
-            return _apply_rows(rows, [c.r + c.s * self.alpha_value for c in v.coords])
-        return _apply_rows(rows, [c.r for c in v.coords])
+        if any(v.s) and self.alpha_value is None:
+            return None
+        alpha = self.alpha_value or 0  # without alpha the a-part is zero
+        q, den = alpha.denominator, v.den * alpha.denominator
+        out = _apply_rows(rows, [x * q + y * alpha.numerator for x, y in zip(v.r, v.s)])
+        if any(x % den for x in out):
+            return None
+        return tuple(x // den for x in out)
 
-    def lattice_coords(self, v: Weight) -> tuple | None:
+    def lattice_coords(self, v: Weight) -> tuple[int, ...] | None:
         """height_coords of v with the a-part specialized at alpha_value;
-        None when v carries an a-part and a stays symbolic."""
+        None when v carries an a-part and a stays symbolic, or when a
+        result is not an integer."""
         return self.specialized_coords(v, self._inverse_height[0])
 
     def sort_height(self, v: Weight) -> Fraction:
         """The even-simple height, extended by zero on a fixed complement basis."""
         _, den, height_row = self._inverse_height
-        return Fraction(sum(a * c.r for a, c in zip(height_row, v.coords)), den)
+        return Fraction(sum(map(mul, height_row, v.r)), den * v.den)
 
 
 def basis_inverse(basis_ivecs, rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -366,10 +332,10 @@ def _apply_rows(rows, v) -> tuple:
 
 def _indecomposables(roots) -> tuple[Root, ...]:
     """Roots not expressible as a sum of two members (repeats allowed)."""
-    vecset = {r.ivec for r in roots}
+    vecset = {r.vector.r for r in roots}
     result = []
     for r in roots:
-        v = r.ivec
+        v = r.vector.r
         # roots are nonzero, so v - w lands in vecset only for a real split
         if not any(tuple(a - b for a, b in zip(v, w)) in vecset for w in vecset):
             result.append(r)
@@ -467,7 +433,7 @@ def build_root_system(
             for j in range(i + 1, m):
                 for s1 in (1, -1):
                     for s2 in (1, -1):
-                        evens.append(ge(i).scaled(s1) + ge(j).scaled(s2))
+                        evens.append(ge(i, s1) + ge(j, s2))
         if family == "ospB":
             for i in range(m):
                 evens.append(ge(i))
@@ -476,17 +442,17 @@ def build_root_system(
             for j in range(i + 1, n):
                 for s1 in (1, -1):
                     for s2 in (1, -1):
-                        evens.append(ge(m + i).scaled(s1) + ge(m + j).scaled(s2))
+                        evens.append(ge(m + i, s1) + ge(m + j, s2))
         for i in range(n):
-            evens.append(ge(m + i).scaled(2))
-            evens.append(ge(m + i).scaled(-2))
+            evens.append(ge(m + i, 2))
+            evens.append(ge(m + i, -2))
         odds = []
         std = []
         for i in range(m):
             for j in range(n):
                 for s1 in (1, -1):
                     for s2 in (1, -1):
-                        v = ge(i).scaled(s1) + ge(m + j).scaled(s2)
+                        v = ge(i, s1) + ge(m + j, s2)
                         odds.append(v)
                         if s1 == 1:
                             std.append(v)
@@ -504,14 +470,14 @@ def build_root_system(
     ge = _unit_builder(3)
     evens = []
     for i in range(3):
-        evens.append(ge(i).scaled(2))
-        evens.append(ge(i).scaled(-2))
+        evens.append(ge(i, 2))
+        evens.append(ge(i, -2))
     odds = []
     std = []
     for s0 in (1, -1):
         for s1 in (1, -1):
             for s2 in (1, -1):
-                v = ge(0).scaled(s0) + ge(1).scaled(s1) + ge(2).scaled(s2)
+                v = ge(0, s0) + ge(1, s1) + ge(2, s2)
                 odds.append(v)
                 if s0 == 1:
                     std.append(v)
@@ -519,8 +485,8 @@ def build_root_system(
 
 
 def _unit_builder(rank: int):
-    def ge(i: int) -> Weight:
-        return Weight(tuple(scalar(1 if j == i else 0) for j in range(rank)))
+    def ge(i: int, c: int = 1) -> Weight:
+        return Weight.of(c if j == i else 0 for j in range(rank))
 
     return ge
 
@@ -549,7 +515,7 @@ def odd_reflect(rs: RootSystem, b: Borel, i: int) -> Borel:
         if beta == alpha:
             new_simple.append(rs.negate(alpha))
             continue
-        summed = rs.root_from_ivec(tuple(a + c for a, c in zip(alpha.ivec, beta.ivec)))
+        summed = rs.root_from_ivec(tuple(a + c for a, c in zip(alpha.vector.r, beta.vector.r)))
         new_simple.append(beta if summed is None else summed)
     new_odd = set(b.odd_positive)
     new_odd.discard(alpha)
@@ -636,10 +602,10 @@ def pure_positive_roots(
 def weyl_vector(rs: RootSystem, b: Borel) -> Weight:
     total = [0] * rs.rank
     for r in rs.even_positive:
-        total = [t + x for t, x in zip(total, r.ivec)]
+        total = [t + x for t, x in zip(total, r.vector.r)]
     for r in b.odd_positive:
-        total = [t - x for t, x in zip(total, r.ivec)]
-    return Weight(tuple(scalar(Fraction(t, 2)) for t in total))
+        total = [t - x for t, x in zip(total, r.vector.r)]
+    return Weight.of(total, den=2)
 
 
 # -- gl Borel <-> Young diagram dictionary -------------------------------------
@@ -685,7 +651,7 @@ def partition_of_borel(rs: RootSystem, b: Borel) -> tuple[int, ...]:
     _require_gl(rs)
     m, n = rs.params
     flipped = set()
-    pos = {r.ivec for r in b.odd_positive}
+    pos = {r.vector.r for r in b.odd_positive}
     for i in range(1, m + 1):
         for j in range(1, n + 1):
             if _unit_difference(rs.rank, m + j - 1, i - 1) in pos:

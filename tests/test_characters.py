@@ -19,7 +19,7 @@ from ortk.characters import (
     verma_character,
     weight_multiplicity,
 )
-from ortk.numerics import parse_weight, weight, zero_weight
+from ortk.numerics import parse_weight, render_weight, weight, zero_weight
 from ortk.orgraph import HypercubicImage, image_intersection_kind
 from ortk.rootsys import (
     borel_from_partition,
@@ -240,6 +240,18 @@ def test_cone_membership_unbounded():
     assert cone_membership(rs, rank_zero(rs), [])
 
 
+def test_cone_membership_needs_independent_indecomposables():
+    # a pointed cone: all four roots are positive for the standard Borel,
+    # but (e1-e2) + (e2-d2) = (e1-d1) + (d1-d2), so its indecomposable
+    # roots are dependent and the search's precondition fails
+    rs = build_root_system("gl", m=2, n=2)
+    standard = set(rs.even_positive) | set(borel_from_partition(rs, ()).odd_positive)
+    cone = [rs.root_by_name(nm) for nm in ("e1-e2", "d1-d2", "e1-d1", "e2-d2")]
+    assert set(cone) <= standard
+    with pytest.raises(UnboundedCone, match="linearly dependent"):
+        cone_membership(rs, parse_weight("1,0,0,-1", 4), cone)
+
+
 def test_kac_flag_constituents():
     rs = build_root_system("gl", m=2, n=1)
     b = standard_borel(rs)
@@ -303,6 +315,19 @@ def test_character_json():
     keys = [(rs.sort_height(parse_weight(e["weight"], 2)),
              parse_weight(e["weight"], 2).sort_key()) for e in payload]
     assert keys == sorted(keys)
+    # weights over different denominators and with a-parts keep the
+    # (sort_height, sort_key) order
+    for rs, lams in [
+            (build_root_system("gl", m=1, n=1), ["1/2,0", "1/3,1"]),
+            (build_root_system("gl", m=2, n=2), ["1/2,0,1/3,0", "0,1/5,0,-1", "-1/6,0,0,0"]),
+            (build_root_system("d21alpha"), ["1/2-a,1/3+2a,a", "a,0,-1/4", "0,-a,1"])]:
+        c = NumeratorCharacter({})
+        for k, text in enumerate(lams):
+            b = enumerate_borels(rs)[0][k]
+            c = char_add(c, verma_character(rs, set(b.odd_positive), parse_weight(text)))
+        order = sorted(c.terms, key=lambda w: (rs.sort_height(w), w.sort_key()))
+        assert character_to_json(rs, c) == [
+            {"weight": render_weight(w), "coeff": c.terms[w]} for w in order]
 
 
 def test_forced_hom_dimension_is_one():

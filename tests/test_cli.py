@@ -1,8 +1,11 @@
 """Command line behavior: exit codes, output formats, round trips."""
 
 import json
+import pathlib
 
 import pytest
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ortk.cli import run_command
 from ortk.ecgraph import graph_from_json, graph_to_json
@@ -234,3 +237,152 @@ def test_degree_overflow_is_reported_on_stderr(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree-1 space" in err
     assert "Traceback" not in err
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# each query's --out json output is pinned byte for byte in tests/data/cli/
+GOLDEN_QUERIES = {
+    "character_gl21_fractional": [
+        "character", "--family", "gl", "--m", "2", "--n", "1",
+        "--lambda", "1/2,-1/3,2/3"],
+    "character_d21_a_part": [
+        "character", "--family", "d21", "--lambda", "a,1/2,-1"],
+    "character_d21_alpha_2_3_a_part": [
+        "character", "--family", "d21", "--alpha", "2/3", "--lambda", "a,1/2,-1"],
+    "multiplicity_gl21_fractional": [
+        "multiplicity", "--family", "gl", "--m", "2", "--n", "1",
+        "--lambda", "1/2,-1/3,2/3", "--mu=-3/2,2/3,5/3"],
+    "s1_ospB21": [
+        "s1", "--family", "ospB", "--m", "2", "--n", "1", "--lambda", "1/2,0,1"],
+    "hypercubic_gl22": [
+        "hypercubic", "--family", "gl", "--m", "2", "--n", "2",
+        "--lambda", "1,0,0,-1"],
+    "quotient_gl22": [
+        "quotient", "--family", "gl", "--m", "2", "--n", "2",
+        "--lambda", "1/2,0,0,-1/2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_QUERIES))
+def test_query_json_matches_golden_file(name):
+    code, out = cap(GOLDEN_QUERIES[name] + ["--out", "json"])
+    assert code == 0
+    assert (out + "\n").encode("utf-8") == (DATA / "cli" / f"{name}.json").read_bytes()
+
+
+def test_verify_all_matches_golden_files(tmp_path):
+    report = tmp_path / "verify.json"
+    code, out = cap(["verify", "all", "--report", str(report)])
+    assert code == 0
+    assert report.read_bytes() == (DATA / "verify_all.json").read_bytes()
+    assert (out + "\n").encode("utf-8") == (DATA / "verify_all.txt").read_bytes()
+
+
+# -- random argv: exit code 0, 1 or 2 and never a traceback --------------------
+
+JUNK = ["--bogus", "extra", "-", "--", "--out", "#", ",", "1,,2"]
+FAMILIES = ["gl", "gl11n", "ospB", "ospD", "d21"]
+COORDS = ["0", "1", "-1", "2", "1/2", "-2/3"]
+A_COORDS = ["a", "-a", "1+a", "1/2-2/3a"]
+BAD_COORDS = ["x", "", "a*a", "1/0"]
+
+
+def sometimes(draw, chance=5):
+    """True but about one time in chance."""
+    return draw(st.sampled_from([True] * (chance - 1) + [False]))
+
+
+@st.composite
+def system_flags(draw):
+    """(argv, rank): --family with the sizes it takes, at most 3, mostly
+    well formed; rank is None where the flags name no root system.
+    ospB and ospD stay at m + n <= 4 so that each example runs briefly."""
+    if not sometimes(draw, 20):
+        return ["--family", "sl", "--m", "1", "--n", "1"], None
+    family = draw(st.sampled_from(FAMILIES))
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if family in ("ospB", "ospD") and m + n > 4:
+        m, n = 2, 2
+    sizes = {"gl": {"--m": m, "--n": n}, "ospB": {"--m": m, "--n": n},
+             "ospD": {"--m": m, "--n": n}, "gl11n": {"--n": n}, "d21": {}}[family]
+    rank = {"gl11n": 2 * n, "d21": 3}.get(family, m + n)
+    argv = ["--family", family]
+    for flag, value in sizes.items():
+        argv += [flag, str(value)]
+    if not sometimes(draw, 8):
+        # a size missing, out of range or given where the family takes none
+        argv += draw(st.sampled_from([["--m", "0"], ["--n", "4"], ["--m", "x"],
+                                      ["--m", "1"], ["--n", "-1"]]))
+        rank = None
+    if family == "d21" and draw(st.booleans()):
+        argv += ["--alpha", draw(st.sampled_from(["2/3", "1/2", "-1", "0", "x"]))]
+    elif not sometimes(draw, 20):
+        argv += ["--alpha", "2/3"]
+    return argv, rank
+
+
+@st.composite
+def weight_texts(draw, rank, family):
+    """A weight of the given rank, with a-parts on d21; now and then one of
+    the wrong rank or with a bad coordinate."""
+    size = rank if rank and sometimes(draw, 10) else draw(st.integers(1, 7))
+    pool = COORDS + (A_COORDS if family == "d21" else [])
+    coords = [draw(st.sampled_from(pool)) for _ in range(size)]
+    if not sometimes(draw, 10):
+        coords[draw(st.integers(0, size - 1))] = draw(st.sampled_from(BAD_COORDS))
+    return ",".join(coords)
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(["or-graph", "quotient", "verify", "character",
+                                    "multiplicity", "typical", "s1", "walk",
+                                    "hypercubic", "quiver"]))
+    if command == "verify":
+        # iso and exchange only, always with a family, so each run stays short
+        argv = [command, draw(st.sampled_from(["iso", "exchange"])),
+                "--family", draw(st.sampled_from(FAMILIES))]
+    elif command == "quiver":
+        argv = [command, "--preset", draw(st.sampled_from(
+            ["preprojective_a2", "zigzag_window", "zigzag_window(2)", "chain3",
+             "square4", "pentagon"]))]
+        for flag in ("--w", "--max-len"):
+            if draw(st.booleans()):
+                argv += [flag, draw(st.sampled_from(["0", "1", "2", "3", "-1", "x"]))]
+    else:
+        flags, rank = draw(system_flags())
+        argv = [command] + flags
+        family = flags[1]
+        if command != "or-graph" and sometimes(draw, 20):
+            argv += ["--lambda=" + draw(weight_texts(rank, family))]
+        if command in ("character", "multiplicity", "typical", "s1", "hypercubic") \
+                and draw(st.booleans()):
+            argv += ["--borel", draw(st.sampled_from(
+                ["#0", "#1", "#2", "#9", "#x", "∅", "1", "2", "e1-d1", "e1-d1,e2-d1",
+                 "zz", ""]))]
+        if command == "multiplicity" and sometimes(draw, 20):
+            argv += ["--mu=" + draw(weight_texts(rank, family))]
+        if command == "s1" and draw(st.booleans()):
+            argv += ["--gamma-bound", draw(st.sampled_from(["0", "1", "2", "3", "-1", "x"]))]
+        if command == "character" and draw(st.booleans()):
+            argv += ["--induced"]
+        if command == "walk" and sometimes(draw, 20):
+            labels = {"gl": ["∅", "1", "2", "11", "21"],
+                      "gl11n": ["00", "10", "01", "000", "100"]}.get(family, ["#0", "#1", "#2"])
+            argv += ["--path", ",".join(draw(st.lists(st.sampled_from(labels + ["zz"]),
+                                                       min_size=1, max_size=3)))]
+    if draw(st.booleans()):
+        argv += ["--out", draw(st.sampled_from(["text", "json", "json", "dot", "bogus"]))]
+    if not sometimes(draw, 8):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(JUNK)))
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(argv=argvs())
+def test_random_argv_exits_cleanly(argv, capsys):
+    code = run_command(argv, print_fn=lambda *a: None)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -462,13 +462,13 @@ def integral_weights(draw, rs):
 
 def made_orthogonal(rs, v, root):
     """v moved along one coordinate until (v, root) = 0."""
-    k = next(i for i, x in enumerate(root.ivec) if x)
+    k = next(i for i, x in enumerate(root.vector.r) if x)
     d = rs.form.diagonal[k]
     d = d.r if rs.alpha_value is None else d.r + d.s * rs.alpha_value
     p = rs.inner(v, root.vector)
     p = p.r if rs.alpha_value is None else p.r + p.s * rs.alpha_value
     shift = [Scalar(0, 0)] * rs.rank
-    shift[k] = Scalar(-p / (d * root.ivec[k]), 0)
+    shift[k] = Scalar(-p / (d * root.vector.r[k]), 0)
     out = v + Weight(tuple(shift))
     assert orthogonal(rs, out, root)
     return out
@@ -518,3 +518,38 @@ def test_s1_classify_matches_brute_force(data, key):
     cls = s1_classify(rs, b, lam, bound)
     got = (cls.certified_in, cls.certified_out, cls.unknown, cls.emptiness_verdict)
     assert got == ref_s1(rs, borels, pure, b, lam, bound)
+
+
+# -- numerators agree across Borels --------------------------------------------
+
+NUMERATOR_SYSTEMS = {
+    "gl(2|2)": ("gl", 2, 2, None),
+    "gl(1|1)^3": ("gl11n", None, 3, None),
+    "ospB(1|2)": ("ospB", 1, 2, None),
+    "ospD(2|1)": ("ospD", 2, 1, None),
+    "d21": ("d21alpha", None, None, None),
+    "d21@2/3": ("d21alpha", None, None, Fraction(2, 3)),
+}
+
+
+@functools.cache
+def numerator_system(key):
+    family, m, n, alpha = NUMERATOR_SYSTEMS[key]
+    rs = build_root_system(family, m, n, alpha)
+    return rs, enumerate_borels(rs)[0]
+
+
+@pytest.mark.parametrize("key", sorted(NUMERATOR_SYSTEMS))
+@settings(FUZZ, max_examples=25)
+@given(data=st.data())
+def test_numerators_agree_across_borels(data, key):
+    # ch M^b(lam - rho_b) does not depend on the Borel b: every numerator
+    # e^(lam - rho_b) prod_{odd beta negative for b} (1 + e^beta) is the same
+    rs, borels = numerator_system(key)
+    thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    a_part = thirds if rs.family == "d21alpha" else st.just(0)
+    lam = Weight(tuple(Scalar(data.draw(thirds), data.draw(a_part)) for _ in range(rs.rank)))
+    chars = [verma_character(rs, b.odd_positive, lam - ref_rho(rs, b)) for b in borels]
+    assert all(c.terms == chars[0].terms for c in chars[1:])
+    assert chars[0].terms == ref_numerator(rs, set(borels[0].odd_positive),
+                                           lam - ref_rho(rs, borels[0]))

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import pytest
+
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ortk.numerics import (
     BilinearForm,
@@ -14,6 +18,7 @@ from ortk.numerics import (
     RankMismatch,
     SingularBasis,
     Scalar,
+    Weight,
     expand_in_basis,
     inner_product,
     parse_scalar,
@@ -158,3 +163,142 @@ def test_weight_text_format():
         parse_weight("1,2", rank=3)
     with pytest.raises(ValueError):
         parse_weight("1,x")
+
+
+# -- the integer Weight against a Scalar-tuple reference ----------------------
+
+
+@dataclass(frozen=True)
+class RefWeight:
+    """The Scalar-tuple Weight that the integer one replaced, kept as the
+    reference: every operation works coordinate by coordinate on Scalars."""
+
+    coords: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(
+            c if isinstance(c, Scalar) else scalar(c) for c in self.coords))
+
+    def is_zero(self, alpha=None):
+        return all(c.is_zero(alpha) for c in self.coords)
+
+    def is_rational(self):
+        return all(c.s == 0 for c in self.coords)
+
+    def sort_key(self):
+        return tuple(c.sort_key() for c in self.coords)
+
+    def _check(self, other):
+        if len(self.coords) != len(other.coords):
+            raise RankMismatch(f"rank {len(self.coords)} vs {len(other.coords)}")
+
+    def __add__(self, other):
+        self._check(other)
+        return RefWeight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other):
+        self._check(other)
+        return RefWeight(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self):
+        return RefWeight(tuple(-a for a in self.coords))
+
+    def scaled(self, c):
+        c = c if isinstance(c, Scalar) else scalar(c)
+        return RefWeight(tuple(a * c for a in self.coords))
+
+    def render(self):
+        return ",".join(render_scalar(c) for c in self.coords)
+
+
+WEIGHT_FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None,
+                       suppress_health_check=[HealthCheck.too_slow])
+small_rationals = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+
+
+@st.composite
+def coordinate_lists(draw, rank):
+    """Scalar coordinates with denominators up to 6 and a-parts on none,
+    some or all of them."""
+    carriers = draw(st.sampled_from(["none", "some", "all"]))
+    coords = []
+    for _ in range(rank):
+        has_a = carriers == "all" or (carriers == "some" and draw(st.booleans()))
+        coords.append(Scalar(draw(small_rationals), draw(small_rationals) if has_a else 0))
+    return coords
+
+
+def outcome(fn, *args):
+    """fn(*args), or the class of the ArithmeticError or ValueError it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as e:
+        return type(e)
+
+
+def agrees(w, ref):
+    """w is the integer Weight of the reference weight ref."""
+    assert isinstance(w, Weight)
+    assert w.coords == ref.coords
+    assert w.den > 0 and gcd(w.den, *w.r, *w.s) == 1
+    fresh = Weight(ref.coords)
+    assert w == fresh and hash(w) == hash(fresh)
+    return True
+
+
+@WEIGHT_FUZZ
+@given(data=st.data())
+def test_integer_weight_matches_scalar_reference(data):
+    rank = data.draw(st.integers(1, 4))
+    ca, cb = data.draw(coordinate_lists(rank)), data.draw(coordinate_lists(rank))
+    a, b = Weight(ca), Weight(cb)
+    ra, rb = RefWeight(tuple(ca)), RefWeight(tuple(cb))
+    assert agrees(a, ra) and agrees(b, rb)
+    assert agrees(a + b, ra + rb)
+    assert agrees(a - b, ra - rb)
+    assert agrees(-a, -ra)
+    # equality and hashing, also for a weight rebuilt from unreduced integers
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    k = data.draw(st.integers(1, 5))
+    rebuilt = Weight.of([k * x for x in a.r], [k * x for x in a.s], k * a.den)
+    assert rebuilt == a and hash(rebuilt) == hash(a)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    # scaling by an int, a Fraction and an a-carrying Scalar
+    for c in (data.draw(st.integers(-3, 3)), data.draw(small_rationals),
+              Scalar(data.draw(small_rationals), data.draw(small_rationals))):
+        got, expected = outcome(a.scaled, c), outcome(ra.scaled, c)
+        if isinstance(expected, RefWeight):
+            assert agrees(got, expected)
+        else:
+            assert got is expected is DegreeOverflow
+    alpha = data.draw(small_rationals)
+    assert a.is_zero() == ra.is_zero()
+    assert a.is_zero(alpha) == ra.is_zero(alpha)
+    # a weight that vanishes at a = alpha only
+    on_alpha = [Scalar(-c.s * alpha, c.s) for c in cb]
+    assert Weight(on_alpha).is_zero(alpha) and RefWeight(tuple(on_alpha)).is_zero(alpha)
+    assert Weight(on_alpha).is_zero() == RefWeight(tuple(on_alpha)).is_zero()
+    assert a.is_rational() == ra.is_rational()
+    assert a.sort_key() == ra.sort_key()
+    assert (a.sort_key() < b.sort_key()) == (ra.sort_key() < rb.sort_key())
+    text = render_weight(a)
+    assert text == ra.render()
+    assert parse_weight(text, rank) == a
+    # a weight of another rank
+    other = Weight(data.draw(coordinate_lists(rank + 1)))
+    for op in (lambda x, y: x + y, lambda x, y: x - y):
+        assert outcome(op, a, other) is RankMismatch
+        assert outcome(op, ra, RefWeight(other.coords)) is RankMismatch
+
+
+def test_weight_of_reduces_and_validates():
+    w = Weight.of((2, -4), (6, 0), 4)
+    assert (w.r, w.s, w.den) == ((1, -2), (3, 0), 2)
+    assert w == weight(scalar(Fraction(1, 2), Fraction(3, 2)), -1)
+    assert Weight.of((3, 0)) == weight(3, 0)
+    with pytest.raises(ValueError):
+        Weight.of((1, 2), (1,))
+    with pytest.raises(ValueError):
+        Weight.of((1, 2), den=0)
