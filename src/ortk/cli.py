@@ -48,15 +48,8 @@ def _internal_family(flag: str) -> str:
     return "d21alpha" if flag == "d21" else flag
 
 
-def _json_default(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    raise TypeError(f"not JSON serializable: {type(x).__name__}")
-
-
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2,
-                      default=_json_default)
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False, indent=2)
 
 
 def _build_system(args):

@@ -13,6 +13,7 @@ import itertools
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class InvalidWalk(ValueError):
@@ -68,6 +69,12 @@ class ColoredGraph:
         object.__setattr__(self, "colors", cs)
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "_adj", {v: tuple(ns) for v, ns in adj.items()})
+
+    @cached_property
+    def _walk_index(self) -> "_WalkIndex":
+        # built on first use, not at construction: build_or_lambda and the
+        # walk oracle make many graphs that never count walks
+        return _build_walk_index(self)
 
     def neighbors(self, v):
         return self._adj[v]
@@ -399,6 +406,115 @@ def _match_vertices(g1, g2, psi, order):
 
 
 @dataclass(frozen=True)
+class _WalkIndex:
+    """Integer form of a graph, shared by the walk counters.
+
+    Vertex k is g.vertices[k].  Color k is the bit 1 << (shift + k) with
+    shift = len(vertices).bit_length(), so a walk state (end vertex x,
+    color set) packs into the int x | colorbits, and x = state & low.
+    adj[x] lists (y, bit) in the order of g.neighbors; dist[u][x] is the
+    BFS distance, -1 when x is not reachable from u, and geodesics[u][x]
+    the number of shortest walks u -> x.
+    """
+
+    low: int
+    adj: tuple
+    color_of: dict
+    dist: tuple
+    geodesics: tuple
+
+
+def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
+    vid = {v: k for k, v in enumerate(g.vertices)}
+    shift = len(g.vertices).bit_length()
+    bit = {c: 1 << (shift + k) for k, c in enumerate(g.colors)}
+    adj = tuple(tuple((vid[w], bit[c]) for w, c in g.neighbors(v))
+                for v in g.vertices)
+    dist, geodesics = [], []
+    for u in range(len(adj)):
+        du = [-1] * len(adj)
+        du[u] = 0
+        geo = [0] * len(adj)
+        geo[u] = 1
+        queue = [u]
+        for x in queue:  # BFS order: geo[x] is complete when x is reached
+            for y, _ in adj[x]:
+                if du[y] < 0:
+                    du[y] = du[x] + 1
+                    queue.append(y)
+                if du[y] == du[x] + 1:
+                    geo[y] += geo[x]
+        dist.append(tuple(du))
+        geodesics.append(tuple(geo))
+    return _WalkIndex((1 << shift) - 1, adj, {b: c for c, b in bit.items()},
+                      tuple(dist), tuple(geodesics))
+
+
+def _rainbow_layers(ix: _WalkIndex, u: int) -> list:
+    """Rainbow walks from u, counted per state: layers[k][x | colors] is
+    the number of rainbow walks of length k from u that end at x and use
+    exactly those colors."""
+    low, adj = ix.low, ix.adj
+    layers = [{u: 1}]
+    while True:
+        nxt = {}
+        for state, count in layers[-1].items():
+            x = state & low
+            used = state ^ x
+            for y, b in adj[x]:
+                if not used & b:
+                    key = used | b | y
+                    nxt[key] = nxt.get(key, 0) + count
+        if not nxt:
+            return layers
+        layers.append(nxt)
+
+
+def _as_walk(g: ColoredGraph, ix: _WalkIndex, path: list, bits: list) -> Walk:
+    return Walk(g, tuple(g.vertices[x] for x in path),
+                tuple(ix.color_of[b] for b in bits))
+
+
+def _rainbow_dfs(ix: _WalkIndex, u: int):
+    """Every rainbow walk from u in depth-first preorder, as (path, bits);
+    both lists are reused, so copy what you keep."""
+    path, bits = [u], []
+
+    def grow(x, used):
+        yield path, bits
+        for y, b in ix.adj[x]:
+            if not used & b:
+                path.append(y)
+                bits.append(b)
+                yield from grow(y, used | b)
+                path.pop()
+                bits.pop()
+
+    return grow(u, 0)
+
+
+def _geodesic_dfs(ix: _WalkIndex, u: int, v: int):
+    """Every shortest walk u -> v in depth-first order, as (path, bits)."""
+    du, dv = ix.dist[u], ix.dist[v]
+    total = du[v]
+    path, bits = [u], []
+
+    def grow(x):
+        if x == v:
+            yield path, bits
+            return
+        for y, b in ix.adj[x]:
+            if du[y] == du[x] + 1 and dv[y] == total - du[x] - 1:
+                path.append(y)
+                bits.append(b)
+                yield from grow(y)
+                path.pop()
+                bits.pop()
+
+    return grow(u)
+
+
+@dataclass(frozen=True)
 class ExchangeReport:
     shortest_not_rainbow: tuple
     rainbow_not_shortest: tuple
@@ -410,68 +526,50 @@ class ExchangeReport:
         return not self.shortest_not_rainbow and not self.rainbow_not_shortest
 
 
-def _all_geodesics(g: ColoredGraph, dist_from: dict, u, v):
-    """All shortest walks u -> v, via the two BFS layerings."""
-    du, dv = dist_from[u], dist_from[v]
-    total = du[v]
-    walks = []
-
-    def grow(path_v, path_c, x):
-        if x == v:
-            walks.append((tuple(path_v), tuple(path_c)))
-            return
-        for y, c in g.neighbors(x):
-            if du.get(y) == du[x] + 1 and dv.get(y) == total - du[x] - 1:
-                path_v.append(y)
-                path_c.append(c)
-                grow(path_v, path_c, y)
-                path_v.pop()
-                path_c.pop()
-
-    grow([u], [], u)
-    return walks
-
-
 def verify_exchange(g: ColoredGraph) -> ExchangeReport:
-    """Exhaustively test: shortest <=> rainbow, over all walks of g."""
-    dist_from = {v: bfs_distances(g, v) for v in g.vertices}
-    for v in g.vertices:
-        if len(dist_from[v]) != len(g.vertices):
-            raise DisconnectedEndpoints("graph is not connected")
+    """Exhaustively test: shortest <=> rainbow, over all walks of g.
+
+    Walks are counted per (vertex, color set) state.  A walk from u to
+    v of length dist(u, v) is a geodesic, so u -> v has a geodesic that
+    is not rainbow exactly when it has more geodesics than rainbow walks
+    of that length; a rainbow walk is not shortest when its length, the
+    size of its color set, exceeds the distance to its end.  Only when
+    the counts show a failure are the offending walks listed, in the
+    depth-first order of the walk-by-walk search.
+    """
+    ix = g._walk_index
+    if ix.dist and -1 in ix.dist[0]:
+        raise DisconnectedEndpoints("graph is not connected")
+    low = ix.low
+    n_shortest = n_rainbow = 0
+    bad_pairs, bad_sources = [], []
+    for u, (du, geo) in enumerate(zip(ix.dist, ix.geodesics)):
+        rainbow_geo = [0] * len(du)
+        all_shortest = True
+        for k, layer in enumerate(_rainbow_layers(ix, u)[1:], 1):
+            for state, count in layer.items():
+                x = state & low
+                n_rainbow += count
+                if du[x] == k:
+                    rainbow_geo[x] += count
+                else:
+                    all_shortest = False
+        if not all_shortest:
+            bad_sources.append(u)
+        for v in range(u + 1, len(du)):
+            n_shortest += geo[v]
+            if geo[v] != rainbow_geo[v]:
+                bad_pairs.append((u, v))
 
     bad_shortest = []
-    n_shortest = 0
-    vs = list(g.vertices)
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            for path_v, path_c in _all_geodesics(g, dist_from, u, v):
-                n_shortest += 1
-                if len(set(path_c)) != len(path_c):
-                    bad_shortest.append(Walk(g, path_v, path_c))
-
-    bad_rainbow = []
-    n_rainbow = 0
-
-    def grow(path_v, path_c, colors_left, x, source):
-        nonlocal n_rainbow
-        for y, c in g.neighbors(x):
-            if c not in colors_left:
-                continue
-            path_v.append(y)
-            path_c.append(c)
-            n_rainbow += 1
-            if dist_from[source][y] != len(path_c):
-                bad_rainbow.append(Walk(g, tuple(path_v), tuple(path_c)))
-            colors_left.discard(c)
-            grow(path_v, path_c, colors_left, y, source)
-            colors_left.add(c)
-            path_v.pop()
-            path_c.pop()
-
-    all_colors = set(g.colors)
-    for u in vs:
-        grow([u], [], set(all_colors), u, u)
-
+    for u, v in bad_pairs:
+        for path, bits in _geodesic_dfs(ix, u, v):
+            if len(set(bits)) != len(bits):
+                bad_shortest.append(_as_walk(g, ix, path, bits))
+    bad_rainbow = [_as_walk(g, ix, path, bits)
+                   for u in bad_sources
+                   for path, bits in _rainbow_dfs(ix, u)
+                   if ix.dist[u][path[-1]] != len(bits)]
     return ExchangeReport(tuple(bad_shortest), tuple(bad_rainbow),
                           n_shortest, n_rainbow)
 
@@ -486,60 +584,60 @@ class ExtensionReport:
         return not self.violations
 
 
-def _rainbow_reach(g: ColoredGraph, start, target, colorset, memo) -> bool:
-    """Is there a walk start -> target using each color of colorset once?"""
-    key = (start, colorset)
-    if key in memo:
-        return memo[key]
-    if not colorset:
-        memo[key] = start == target
-        return memo[key]
-    ok = False
-    for y, c in g.neighbors(start):
-        if c in colorset and _rainbow_reach(g, y, target,
-                                            colorset - {c}, memo):
-            ok = True
-            break
-    memo[key] = ok
-    return ok
-
-
 def verify_rainbow_extension(g: ColoredGraph) -> ExtensionReport:
     """Test the rainbow-extension property.
 
     For each rainbow walk v_0 c_0 v_1 ... c_k v_{k+1} with k > 0 and each
     edge v_{k+1} -- v_{k+2} of the starting color c_0, a rainbow walk
     from v_{k+2} back to v_0 using exactly {c_1, ..., c_k} must exist.
+
+    The walks v_1 ... v_{k+1} are counted per (end vertex, color set)
+    state of the rainbow walks from v_1.  The reach test is a lookup in
+    the states of the rainbow walks from v_0, keyed on (v_{k+2}, color
+    set).  Violations are listed, in the depth-first order of the
+    walk-by-walk search, only from the v_0 the counts show failing.
     """
-    violations = []
+    ix = g._walk_index
+    low, adj = ix.low, ix.adj
+    reached = []
+    for u in range(len(adj)):
+        states = {}
+        for layer in _rainbow_layers(ix, u)[1:]:
+            states.update(layer)
+        reached.append(states)
+    by_color = []
+    for nbrs in adj:
+        ends = {}
+        for y, b in nbrs:
+            ends.setdefault(b, []).append(y)
+        by_color.append(ends)
+
     n_conf = 0
-    memo = {}
+    failing = set()
+    for v1, states in enumerate(reached):
+        for state, count in states.items():
+            x = state & low
+            inner = state ^ x
+            ends = by_color[x]
+            for v0, b0 in adj[v1]:
+                ys = ends.get(b0)
+                if ys and not inner & b0:
+                    n_conf += count * len(ys)
+                    back = reached[v0]
+                    for y in ys:
+                        if inner | y not in back:
+                            failing.add(v0)
 
-    def grow(path_v, path_c, colors_used, x):
-        nonlocal n_conf
-        if len(path_c) >= 2:
-            c0 = path_c[0]
-            for y, c in g.neighbors(x):
-                if c != c0:
-                    continue
-                n_conf += 1
-                inner = frozenset(path_c[1:])
-                if not _rainbow_reach(g, y, path_v[0], inner, memo):
-                    violations.append(
-                        (Walk(g, tuple(path_v), tuple(path_c)), y))
-        for y, c in g.neighbors(x):
-            if c in colors_used:
+    violations = []
+    for v0 in sorted(failing):
+        back = reached[v0]
+        for path, bits in _rainbow_dfs(ix, v0):
+            if len(bits) < 2:
                 continue
-            path_v.append(y)
-            path_c.append(c)
-            colors_used.add(c)
-            grow(path_v, path_c, colors_used, y)
-            colors_used.discard(c)
-            path_v.pop()
-            path_c.pop()
-
-    for u in g.vertices:
-        grow([u], [], set(), u)
+            inner = sum(bits[1:])  # distinct bits: the sum is the union
+            for y, b in adj[path[-1]]:
+                if b == bits[0] and inner | y not in back:
+                    violations.append((_as_walk(g, ix, path, bits), g.vertices[y]))
     return ExtensionReport(tuple(violations), n_conf)
 
 

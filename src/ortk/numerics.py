@@ -117,14 +117,26 @@ SCALAR_ZERO = scalar(0)
 SCALAR_ONE = scalar(1)
 
 
+def _ratio(p: int, q: int) -> str:
+    """p/q (q > 0) in lowest terms, written as str(Fraction(p, q))."""
+    g = gcd(p, q)
+    return str(p // g) if g == q else f"{p // g}/{q // g}"
+
+
+def _render_coord(x: int, y: int, den: int) -> str:
+    """The scalar (x + y*a)/den, for den > 0."""
+    if y == 0:
+        return _ratio(x, den)
+    if x == 0:
+        return _ratio(y, den) + "a"
+    sign = "+" if y > 0 else "-"
+    return f"{_ratio(x, den)}{sign}{_ratio(abs(y), den)}a"
+
+
 def render_scalar(x: Scalar) -> str:
-    if x.s == 0:
-        return str(x.r)
-    a_part = f"{x.s}a"
-    if x.r == 0:
-        return a_part
-    sign = "+" if x.s > 0 else "-"
-    return f"{x.r}{sign}{abs(x.s)}a"
+    den = lcm(x.r.denominator, x.s.denominator)
+    return _render_coord(x.r.numerator * (den // x.r.denominator),
+                         x.s.numerator * (den // x.s.denominator), den)
 
 
 _ALPHA_RE = re.compile(
@@ -257,7 +269,7 @@ def zero_weight(rank: int) -> Weight:
 
 
 def render_weight(w: Weight) -> str:
-    return ",".join(render_scalar(c) for c in w.coords)
+    return ",".join(_render_coord(x, y, w.den) for x, y in zip(w.r, w.s))
 
 
 def parse_weight(text: str, rank: int | None = None) -> Weight:

@@ -2,13 +2,19 @@
 
 import json
 import random
+from math import factorial
 
 import pytest
+
+from hypothesis import given, settings, strategies as st
 
 from ortk.ecgraph import (
     ColoredGraph,
     DisconnectedEndpoints,
+    ExchangeReport,
+    ExtensionReport,
     InvalidWalk,
+    Walk,
     bfs_distances,
     build_reference_graph,
     colored_isomorphic,
@@ -328,3 +334,173 @@ def test_rainbow_walk_length_cap():
     # indirectly checked through the geodesic diameter
     assert max(bfs_distances(g, v).get("22", 0) for v in g.vertices) <= 4
     assert report.n_rainbow_walks > 0
+
+
+def test_rainbow_extension_reach_is_keyed_on_the_target():
+    # the rainbow walk c 0 a 1 b with the edge b-0-e needs a walk e -> c
+    # using exactly {1}; e's only neighbour is b, so there is none
+    g = ColoredGraph(("a", "b", "c", "e"), ("0", "1"),
+                     (("a", "b", "0"), ("a", "b", "1"), ("a", "c", "0"),
+                      ("a", "c", "1"), ("b", "e", "0"), ("b", "e", "1")))
+    report = verify_rainbow_extension(g)
+    assert not report.passed
+    walks = [(v.walk_vertices, v.walk_colors, y) for v, y in report.violations]
+    assert (("c", "a", "b"), ("0", "1"), "e") in walks
+    assert report == reference_extension(g)
+
+
+# -- walk-by-walk references ----------------------------------------------------
+
+
+def reference_exchange(g):
+    """Every geodesic and every rainbow walk, listed one at a time."""
+    dist_from = {v: bfs_distances(g, v) for v in g.vertices}
+    if any(len(d) != len(g.vertices) for d in dist_from.values()):
+        raise DisconnectedEndpoints("graph is not connected")
+
+    def geodesics(u, v):
+        du, dv = dist_from[u], dist_from[v]
+        total = du[v]
+
+        def grow(path_v, path_c, x):
+            if x == v:
+                yield tuple(path_v), tuple(path_c)
+                return
+            for y, c in g.neighbors(x):
+                if du[y] == du[x] + 1 and dv[y] == total - du[x] - 1:
+                    yield from grow(path_v + [y], path_c + [c], y)
+
+        return grow([u], [], u)
+
+    bad_shortest, n_shortest = [], 0
+    vs = list(g.vertices)
+    for i, u in enumerate(vs):
+        for v in vs[i + 1:]:
+            for path_v, path_c in geodesics(u, v):
+                n_shortest += 1
+                if len(set(path_c)) != len(path_c):
+                    bad_shortest.append(Walk(g, path_v, path_c))
+
+    bad_rainbow, n_rainbow = [], 0
+
+    def grow(path_v, path_c, x, source):
+        nonlocal n_rainbow
+        for y, c in g.neighbors(x):
+            if c in path_c:
+                continue
+            n_rainbow += 1
+            if dist_from[source][y] != len(path_c) + 1:
+                bad_rainbow.append(Walk(g, tuple(path_v + [y]), tuple(path_c + [c])))
+            grow(path_v + [y], path_c + [c], y, source)
+
+    for u in vs:
+        grow([u], [], u, u)
+    return ExchangeReport(tuple(bad_shortest), tuple(bad_rainbow), n_shortest, n_rainbow)
+
+
+def reference_reach(g, start, target, colorset):
+    """A walk start -> target using each color of colorset once, unmemoised."""
+    if not colorset:
+        return start == target
+    return any(c in colorset and reference_reach(g, y, target, colorset - {c})
+               for y, c in g.neighbors(start))
+
+
+def reference_extension(g):
+    violations, n_conf = [], 0
+
+    def grow(path_v, path_c, x):
+        nonlocal n_conf
+        if len(path_c) >= 2:
+            for y, c in g.neighbors(x):
+                if c != path_c[0]:
+                    continue
+                n_conf += 1
+                if not reference_reach(g, y, path_v[0], frozenset(path_c[1:])):
+                    violations.append((Walk(g, tuple(path_v), tuple(path_c)), y))
+        for y, c in g.neighbors(x):
+            if c not in path_c:
+                grow(path_v + [y], path_c + [c], y)
+
+    for u in g.vertices:
+        grow([u], [], u)
+    return ExtensionReport(tuple(violations), n_conf)
+
+
+@st.composite
+def connected_graphs(draw):
+    """Connected graphs on 2-7 vertices and 1-4 colors, parallel edges of
+    distinct colors allowed; a share are relabeled reference graphs,
+    which pass both checks."""
+    if draw(st.integers(0, 4)) == 0:
+        kind = draw(st.sampled_from([("young", 2, 2), ("young", 2, 1), ("young", 3, 1),
+                                     ("hypercube", None, 1), ("hypercube", None, 2)]))
+        ref = build_reference_graph(*kind)
+        names = draw(st.permutations([f"v{k}" for k in range(len(ref.vertices))]))
+        rename = dict(zip(ref.vertices, names))
+        return ColoredGraph(tuple(names), tuple(str(c) for c in ref.colors),
+                            tuple((rename[u], rename[v], str(c)) for u, v, c in ref.edges))
+    n = draw(st.integers(2, 7))
+    colors = tuple(str(c) for c in range(draw(st.integers(1, 4))))
+    verts = tuple(draw(st.permutations([f"v{k}" for k in range(n)])))
+    color = st.sampled_from(colors)
+    # a spanning tree on k -> an earlier vertex, then extra edges
+    edges = {(verts[draw(st.integers(0, k - 1))], verts[k], draw(color)) for k in range(1, n)}
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), color)
+    for a, b, c in draw(st.lists(pair, max_size=2 * n)):
+        if a != b:
+            edges.add((verts[min(a, b)], verts[max(a, b)], c))
+    return ColoredGraph(verts, colors, tuple(edges))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(g=connected_graphs())
+def test_state_counting_matches_walk_by_walk_reference(g):
+    assert verify_exchange(g) == reference_exchange(g)
+    assert verify_rainbow_extension(g) == reference_extension(g)
+    apart = ColoredGraph(g.vertices + ("isolated",), g.colors, g.edges)
+    with pytest.raises(DisconnectedEndpoints):
+        verify_exchange(apart)
+    assert verify_rainbow_extension(apart) == reference_extension(apart)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_hypercube_walk_counts(n):
+    g = build_reference_graph("hypercube", n=n)
+    geodesics = 2 ** (n - 1) * sum(factorial(n) // factorial(n - d) for d in range(1, n + 1))
+    exchange = verify_exchange(g)
+    extension = verify_rainbow_extension(g)
+    assert exchange.passed and extension.passed
+    assert exchange.n_shortest_walks == geodesics
+    assert exchange.n_rainbow_walks == 2 * geodesics
+    assert extension.n_configurations == 2 ** n * sum(
+        factorial(n) // factorial(n - k) for k in range(2, n + 1))
+
+
+json_ids = st.one_of(st.text(max_size=4), st.integers(-5, 50))
+json_colors = st.one_of(
+    st.text(max_size=3), st.integers(-5, 50),
+    st.tuples(st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.text(max_size=2), st.integers(0, 9), st.text(max_size=2)))
+
+
+@st.composite
+def json_graphs(draw):
+    verts = draw(st.lists(json_ids, min_size=1, max_size=6, unique=True))
+    colors = draw(st.lists(json_colors, max_size=4, unique=True))
+    edges = set()
+    if colors and len(verts) > 1:
+        for _ in range(draw(st.integers(0, 8))):
+            u, v = draw(st.lists(st.sampled_from(verts), min_size=2, max_size=2, unique=True))
+            edges.add((u, v, draw(st.sampled_from(colors))))
+    # one triple per edge, whichever way round it was drawn
+    edges = {frozenset((u, v)) | {("c", c)}: (u, v, c) for u, v, c in edges}
+    return ColoredGraph(tuple(verts), tuple(colors), tuple(edges.values()))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(g=json_graphs())
+def test_json_round_trip_random_graphs(g):
+    h = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
+    assert h == g
+    assert [type(c) for c in h.colors] == [type(c) for c in g.colors]

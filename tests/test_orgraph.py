@@ -9,6 +9,7 @@ from ortk.ecgraph import (
     is_shortest,
     make_walk,
     verify_exchange,
+    verify_rainbow_extension,
 )
 from ortk.numerics import parse_weight, weight, zero_weight
 from ortk.orgraph import (
@@ -52,6 +53,21 @@ def test_or_gl11n_matches_hypercube():
     assert "000" in og.graph.vertices
     cube = build_reference_graph("hypercube", n=3)
     assert colored_isomorphic(og.graph, cube) is not None
+
+
+@pytest.mark.parametrize("family, m, n, counts", [
+    ("gl", 4, 3, (9_943, 19_886, 1_096)),
+    ("gl11n", None, 6, (62_592, 125_184, 124_800)),
+])
+def test_or_walk_counts(family, m, n, counts):
+    # geodesics, rainbow walks and extension configurations, as the
+    # walk-by-walk enumeration counted them
+    g = build_or_graph(build_root_system(family, m, n)).graph
+    exchange = verify_exchange(g)
+    extension = verify_rainbow_extension(g)
+    assert exchange.passed and extension.passed
+    assert (exchange.n_shortest_walks, exchange.n_rainbow_walks,
+            extension.n_configurations) == counts
 
 
 def test_or_ospB_matches_young():
