@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
-from .characters import MultiplicityQuery, cone_membership, weight_multiplicity
+from .characters import _kostant_sum, _subset_sums, cone_membership
 from .manifest import GAMMA_BOUND
 from .numerics import Weight
 from .rootsys import (
@@ -81,7 +82,8 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
       (beta, rho^bbar + gamma) = 0,
       weight multiplicity one at lam - rho^bbar - beta - gamma;
     or None when the bounded search is exhausted.  A gamma_bound below 0
-    raises ValueError.
+    raises ValueError.  That weight lies beta + gamma below the top, so
+    lam enters only through the precondition (beta, lam) = 0.
     """
     _check_gamma_bound(gamma_bound)
     borels, _ = enumerate_borels(rs)
@@ -96,16 +98,15 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
     for bbar in borels:
         rho = weyl_vector(rs, bbar)
         cone_roots = list(rs.even_positive) + list(bbar.odd_positive)
-        free = frozenset(rs.negate(r) for r in bbar.odd_positive)
-        base = lam - rho
+        sums = _subset_sums(rs, (0,) * rs.rank, [rs.negate(r) for r in bbar.odd_positive])
         for gamma in grid:
             if not rs.orthogonal_roots(rho + gamma, (beta,)):
                 continue
             if cone_membership(rs, gamma - beta.vector, cone_roots):
                 continue
-            target = base - beta.vector - gamma
-            if weight_multiplicity(
-                    rs, MultiplicityQuery(free, base, target)) == 1:
+            head = rs.lattice_coords(beta.vector + gamma)
+            if _kostant_sum(rs, {tuple(map(add, head, x)): subsets
+                                 for x, subsets in sums.items()}) == 1:
                 return bbar, gamma
     return None
 

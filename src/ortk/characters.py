@@ -189,11 +189,7 @@ class MultiplicityQuery:
 
 def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:
     """Sum over the subsets S of free_odd of the Kostant count of
-    base - target + sum(S).
-
-    base - target goes to lattice coordinates once; the subset sums
-    are merged into distinct integer keys (coordinates scaled by
-    rs.coord_denominator) before Kostant counting, once per key."""
+    base - target + sum(S), counted once per distinct sum."""
     stray = set(q.free_odd) - set(rs.delta1)
     if stray:
         raise ValueError("free_odd must consist of odd roots")
@@ -202,9 +198,17 @@ def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:
     # coordinate (head None) rules out every subset
     if head is None:
         return 0
-    keys = _times_factors({head: 1},
-                          [rs.height_coords(r.vector.r) for r in q.free_odd])
-    return sum(subsets * _kostant_scaled(rs, x) for x, subsets in keys.items())
+    return _kostant_sum(rs, _subset_sums(rs, head, q.free_odd))
+
+
+def _subset_sums(rs: RootSystem, head: tuple, free_odd) -> dict:
+    """{head + sum(S): number of subsets S of free_odd}, in height_coords."""
+    return _times_factors({head: 1}, [rs.height_coords(r.vector.r) for r in free_odd])
+
+
+def _kostant_sum(rs: RootSystem, sums: dict) -> int:
+    """Sum of the Kostant counts of the keys of sums, with multiplicity."""
+    return sum(subsets * _kostant_scaled(rs, x) for x, subsets in sums.items())
 
 
 def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,

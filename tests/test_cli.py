@@ -255,6 +255,9 @@ GOLDEN_QUERIES = {
         "--lambda", "1/2,-1/3,2/3", "--mu=-3/2,2/3,5/3"],
     "s1_ospB21": [
         "s1", "--family", "ospB", "--m", "2", "--n", "1", "--lambda", "1/2,0,1"],
+    # reaches simple_even_witness: four pure roots pair to zero with lam + rho
+    "s1_ospB22": [
+        "s1", "--family", "ospB", "--m", "2", "--n", "2", "--lambda=1,2,-1,0"],
     "hypercubic_gl22": [
         "hypercubic", "--family", "gl", "--m", "2", "--n", "2",
         "--lambda", "1,0,0,-1"],

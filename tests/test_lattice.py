@@ -553,3 +553,62 @@ def test_numerators_agree_across_borels(data, key):
     assert all(c.terms == chars[0].terms for c in chars[1:])
     assert chars[0].terms == ref_numerator(rs, set(borels[0].odd_positive),
                                            lam - ref_rho(rs, borels[0]))
+
+
+# -- lambda cancels: the checks that depend only on the Borels ------------------
+
+SHIFT_SYSTEMS = ("d21", "d21@2/3", "gl(2|2)", "ospB(1|2)", "ospD(2|1)")
+
+
+def projected_orthogonal(rs, v, root):
+    """v moved along a coordinate with a rational diagonal entry until
+    (v, root) = 0, a-part included."""
+    k = next(i for i, (x, d) in enumerate(zip(root.vector.r, rs.form.diagonal))
+             if x and d.s == 0)
+    p = rs.inner(v, root.vector)
+    q = rs.form.diagonal[k].r * root.vector.r[k]
+    shift = [Scalar(0, 0)] * rs.rank
+    shift[k] = Scalar(-p.r / q, -p.s / q)
+    out = v + Weight(tuple(shift))
+    assert rs.inner(out, root.vector).is_zero()
+    return out
+
+
+@pytest.mark.parametrize("key", SHIFT_SYSTEMS)
+@settings(FUZZ, max_examples=25)
+@given(data=st.data())
+def test_borel_checks_are_shift_invariant(data, key):
+    # verma_character(b, lam - rho_b) is e^lam times its value at lam = 0,
+    # the multiplicity of lam - rho in M^b2(lam - rho2) does not depend on
+    # lam, and the witness search sees lam only through (beta, lam) = 0
+    rs, borels = numerator_system(key)
+    thirds = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    a_part = thirds if rs.family == "d21alpha" else st.just(0)
+
+    def draw_weight(paired=False):
+        # a weight paired with a root keeps its a-parts off the coordinates
+        # where the form carries a, so that the pairing stays of degree one
+        return Weight(tuple(
+            Scalar(data.draw(thirds), 0 if paired and d.s else data.draw(a_part))
+            for d in rs.form.diagonal))
+
+    lam = draw_weight()
+    rhos = [ref_rho(rs, b) for b in borels]
+    for b, rho in zip(borels, rhos):
+        at_zero = verma_character(rs, b.odd_positive, -rho).terms
+        assert verma_character(rs, b.odd_positive, lam - rho).terms == {
+            w + lam: c for w, c in at_zero.items()}
+    for b2, rho2 in zip(borels, rhos):
+        free = frozenset(rs.negate(r) for r in b2.odd_positive)
+        for rho in rhos:
+            assert (weight_multiplicity(rs, MultiplicityQuery(free, lam - rho2, lam - rho))
+                    == weight_multiplicity(rs, MultiplicityQuery(free, -rho2, -rho)))
+    pure = sorted(set(rs.delta_iso).intersection(*(b.odd_positive for b in borels)),
+                  key=lambda r: r.sort_key())
+    if pure:
+        beta = data.draw(st.sampled_from(pure))
+        bound = data.draw(st.integers(0, 3))
+        first, second = (projected_orthogonal(rs, draw_weight(paired=True), beta)
+                         for _ in range(2))
+        assert (simple_even_witness(rs, beta, first, bound)
+                == simple_even_witness(rs, beta, second, bound))

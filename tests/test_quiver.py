@@ -1,10 +1,16 @@
 """Path algebra quotients: preset shapes, frozen dimensions, reduction oracle."""
 
+from fractions import Fraction
+
 import pytest
+import sympy
+
+from hypothesis import given, settings, strategies as st
 
 from ortk.quiver import (
     BasisNotStabilized,
     PathClass,
+    _rref,
     Quiver,
     build_quiver,
     hom_dimensions,
@@ -329,3 +335,46 @@ def test_oracle_agreement():
             for t in q.vertices:
                 assert len(nf[(s, t)]) == _oracle_dim(q, s, t, max_len), (preset, s, t)
                 assert _oracle_degree_dim(q, s, t, max_len + 1) == 0, (preset, s, t)
+
+
+# -- _rref against sympy ---------------------------------------------------------
+
+
+@st.composite
+def sparse_rows(draw):
+    """Sparse rational rows over a few columns, some of them zero and some
+    rational combinations of earlier rows."""
+    width = draw(st.integers(1, 7))
+    entry = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                      st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["free", "free", "zero", "combination"]))
+        if kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            ka, kb = (draw(st.fractions(min_value=-2, max_value=2, max_denominator=3))
+                      for _ in range(2))
+            row = [ka * x + kb * y for x, y in zip(a, b)]
+        elif kind == "zero":
+            row = [Fraction(0)] * width
+        else:
+            row = [draw(entry) for _ in range(width)]
+        rows.append(row)
+    return width, rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(sparse_rows())
+def test_rref_matches_sympy(case):
+    width, rows = case
+    # _rref takes rows as {column: value}, with zero entries left out or not
+    got = _rref([{c: v for c, v in enumerate(row) if v or c % 2} for row in rows])
+    matrix = sympy.Matrix(len(rows), width,
+                          [sympy.Rational(v.numerator, v.denominator)
+                           for row in rows for v in row])
+    reduced, pivots = matrix.rref()
+    assert sorted(got) == list(pivots)
+    for k, p in enumerate(pivots):
+        want = {c: Fraction(int(x.p), int(x.q))
+                for c, x in enumerate(reduced.row(k)) if x != 0}
+        assert got[p] == want

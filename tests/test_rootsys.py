@@ -120,14 +120,22 @@ def test_odd_reflect_rejects_non_isotropic():
 
 
 def test_odd_reflect_involution_everywhere():
-    for family, kw in [("gl", dict(m=2, n=2)), ("gl11n", dict(n=3)),
-                       ("ospB", dict(m=2, n=1)), ("ospD", dict(m=1, n=2)),
-                       ("d21alpha", dict())]:
+    # Borel equality ignores .simple, so its order is compared on its own
+    reflections = 0
+    for family, kw in [("gl", dict(m=2, n=2)), ("gl", dict(m=3, n=2)),
+                       ("gl11n", dict(n=3)), ("ospB", dict(m=2, n=1)),
+                       ("ospB", dict(m=2, n=2)), ("ospB", dict(m=1, n=2)),
+                       ("ospD", dict(m=1, n=2)), ("ospD", dict(m=2, n=2)),
+                       ("d21alpha", dict()), ("d21alpha", dict(alpha=Fraction(2, 3)))]:
         rs = build_root_system(family, **kw)
         borels, _ = enumerate_borels(rs)
         for b in borels:
             for i in b.isotropic_simple_indices():
-                assert odd_reflect(rs, odd_reflect(rs, b, i), i) == b
+                back = odd_reflect(rs, odd_reflect(rs, b, i), i)
+                assert back == b
+                assert back.simple == b.simple
+                reflections += 1
+    assert reflections == 120
 
 
 def test_enumerate_borels_counts():

@@ -9,7 +9,9 @@ import json
 
 import pytest
 
-from ortk import manifest
+from ortk import manifest, verify
+from ortk.characters import NumeratorCharacter
+from ortk.rootsys import standard_borel
 from ortk.verify import ReportEntry, VerificationReport, run_suite
 
 
@@ -88,3 +90,44 @@ def test_d21_worked_example_entries():
     assert by_check["d21-pure-roots"].payload["pure"] == [
         "2d", "2e1", "2e2", "d+e1+e2"]
     assert by_check["d21-tree-shape"].payload["degrees"] == [1, 1, 1, 3]
+
+
+# -- the characters suite decides each family once: a planted fault in one
+# family must fail every grid weight of that family and no other -------------
+
+
+def planted_in(rs):
+    # gl(2|2) is the only gl family of rank 4 on the grid
+    return rs.family == "gl" and rs.rank == 4
+
+
+def assert_only_gl22_fails(report):
+    assert len(report.entries) == manifest.grid_size()
+    for e in report.entries:
+        p = e.parameters
+        faulty = (p["family"], p["m"], p["n"]) == ("gl", 2, 2)
+        assert e.status == ("fail" if faulty else "pass"), p
+    assert sum(e.status == "fail" for e in report.entries) == 5
+
+
+def test_characters_multiplicity_fault_fails_its_whole_family(monkeypatch):
+    real = verify.weight_multiplicity
+
+    def planted(rs, query):
+        return 2 if planted_in(rs) else real(rs, query)
+
+    monkeypatch.setattr(verify, "weight_multiplicity", planted)
+    assert_only_gl22_fails(run_suite("characters"))
+
+
+def test_characters_numerator_fault_fails_its_whole_family(monkeypatch):
+    real = verify.verma_character
+
+    def planted(rs, delta_a, lam):
+        ch = real(rs, delta_a, lam)
+        if planted_in(rs) and set(delta_a) == set(standard_borel(rs).odd_positive):
+            return NumeratorCharacter({**ch.terms, lam: ch.coefficient(lam) + 1})
+        return ch
+
+    monkeypatch.setattr(verify, "verma_character", planted)
+    assert_only_gl22_fails(run_suite("characters"))
