@@ -97,12 +97,11 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
     grid = _gamma_grid(rs, gamma_bound)
     for bbar in borels:
         rho = weyl_vector(rs, bbar)
-        cone_roots = list(rs.even_positive) + list(bbar.odd_positive)
         sums = _subset_sums(rs, (0,) * rs.rank, [rs.negate(r) for r in bbar.odd_positive])
         for gamma in grid:
             if not rs.orthogonal_roots(rho + gamma, (beta,)):
                 continue
-            if cone_membership(rs, gamma - beta.vector, cone_roots):
+            if cone_membership(rs, gamma - beta.vector, bbar.simple):
                 continue
             head = rs.lattice_coords(beta.vector + gamma)
             if _kostant_sum(rs, {tuple(map(add, head, x)): subsets

@@ -6,11 +6,12 @@ prod_{gamma in Delta_0^+} (1 - e^{-gamma}).  All identities the package
 checks are then finite polynomial identities between numerators.
 
 Weight multiplicities are computed independently through Kostant
-partition counts, which also back the cone-membership tests.
+partition counts.  Cone membership is a coordinate test over the
+indecomposable roots of the cone.
 
 The kernels run on integer vectors: numerators as offsets from their
-leading weight, Kostant and cone searches in the coordinates of the
-RootSystem integer layer.  Weights are built only for the caller.
+leading weight, Kostant searches and cone tests in the coordinates of
+the RootSystem integer layer.  Weights are built only for the caller.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
 
 
 class UnboundedCone(ValueError):
-    """The root set fails the precondition of the cone search: linearly
+    """The root set fails the precondition of the cone test: linearly
     independent indecomposable roots, in whose span every root of the set
     has a positive coefficient sum."""
 
@@ -218,73 +219,40 @@ def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,
                for w, coeff in c.terms.items())
 
 
-def cone_membership(rs: RootSystem, v: Weight, roots, pbw: bool = False) -> bool:
+def cone_membership(rs: RootSystem, v: Weight, roots) -> bool:
     """Is v a nonnegative integer combination of the given roots?
 
-    With pbw=True the odd roots are capped at multiplicity one, matching
-    PBW monomials.  The search counts height as the coefficient sum over
-    the indecomposable roots of the set.  So these must be linearly
-    independent, and every root must lie in their span with a positive
-    coefficient sum; otherwise UnboundedCone is raised.  A pointed cone
-    can fail this: on gl(2|2), e1-e2, d1-d2, e1-d1 and e2-d2 are all
-    positive, but (e1-e2) + (e2-d2) = (e1-d1) + (d1-d2).
+    The indecomposable roots of the set must be linearly independent, and
+    every root must lie in their span with a positive coefficient sum;
+    otherwise UnboundedCone is raised.  A pointed cone can fail this: on
+    gl(2|2), e1-e2, d1-d2, e1-d1 and e2-d2 are all positive, but
+    (e1-e2) + (e2-d2) = (e1-d1) + (d1-d2).
+
+    Under that check every root of the set is a nonnegative integer
+    combination of the indecomposables, by induction on the coefficient
+    sum: a decomposable root is a + b with a and b in the set, each of
+    smaller sum.  So v lies in the cone exactly when its coordinates over
+    the indecomposables are nonnegative integers.
     """
     roots = sorted(set(roots), key=Root.sort_key, reverse=True)
-    if not roots:
-        return v.is_zero(rs.alpha_value)
-    # the search runs in coordinates over the indecomposable roots (scaled
-    # by the inverse's denominator), where the height is the coordinate sum
+    # coordinates over the indecomposable roots, scaled by den
     indec = _indecomposables(roots)
     n = len(indec)
     try:
-        rows, _ = basis_inverse([r.vector.r for r in indec], rs.rank)
+        rows, den = basis_inverse([r.vector.r for r in indec], rs.rank)
     except SingularBasis:
         raise UnboundedCone(
             "the indecomposable roots "
             + ", ".join(rs.root_name(r) for r in indec)
             + " are linearly dependent") from None
-    vecs = []
     for r in roots:
         x = _apply_rows(rows, r.vector.r)
         if any(x[n:]) or sum(x[:n]) <= 0:
             raise UnboundedCone(
                 f"no positive height functional: root {rs.root_name(r)}")
-        vecs.append(x[:n])
-    if v.is_zero(rs.alpha_value):
-        return True
-    target = rs.specialized_coords(v, rows)
-    if target is None or any(target[n:]):
-        return False
-    target = target[:n]
-    steps = [sum(x) for x in vecs]
-    caps = [1 if pbw and r.parity == "odd" else None for r in roots]
-    memo = {}
-
-    def search(rem: tuple, h: int, i: int) -> bool:
-        if not any(rem):
-            return True
-        if i == len(vecs):
-            return False
-        state = (rem, i)
-        hit = memo.get(state)
-        if hit is not None:
-            return hit
-        ok = search(rem, h, i + 1)
-        cur, hc, k = rem, h, 0
-        root, step, cap = vecs[i], steps[i], caps[i]
-        while not ok:
-            k += 1
-            if cap is not None and k > cap:
-                break
-            hc -= step
-            if hc < 0:
-                break
-            cur = tuple(a - b for a, b in zip(cur, root))
-            ok = search(cur, hc, i + 1)
-        memo[state] = ok
-        return ok
-
-    return search(target, sum(target), 0)
+    x = rs.specialized_coords(v, rows)
+    return (x is not None and not any(x[n:])
+            and all(c >= 0 and c % den == 0 for c in x[:n]))
 
 
 def kac_flag_constituents(rs: RootSystem, b: Borel, lam: Weight):

@@ -204,20 +204,17 @@ def suite_d21(builds: _Builds, family=None) -> list:
     entries = []
     p = _params("d21alpha", None, None)
 
-    degree = {v: 0 for v in og.graph.vertices}
-    for u, v, _ in og.graph.edges:
-        degree[u] += 1
-        degree[v] += 1
+    degrees = sorted(og.graph.degree(v) for v in og.graph.vertices)
     tree_ok = (
         len(og.graph.vertices) == 4
         and len(og.graph.edges) == 3
-        and sorted(degree.values()) == [1, 1, 1, 3]
+        and degrees == [1, 1, 1, 3]
     )
     entries.append(ReportEntry(
         check="d21-tree-shape",
         parameters=p,
         status="pass" if tree_ok else "fail",
-        payload={"vertices": len(og.graph.vertices), "degrees": sorted(degree.values())},
+        payload={"vertices": len(og.graph.vertices), "degrees": degrees},
     ))
 
     rho1 = weyl_vector(rs, borels[0])
@@ -291,7 +288,6 @@ def _projection_nonzero(quotient, walk) -> bool:
 def _geodesic_walks(graph):
     """One BFS-shortest walk per ordered vertex pair."""
     for u in graph.vertices:
-        dist = bfs_distances(graph, u)
         parent = {u: None}
         order = [u]
         k = 0
@@ -325,35 +321,30 @@ def suite_walks(builds: _Builds, family=None) -> list:
             continue
         rs, borels, og = builds.get(entry.family, entry.m, entry.n)
         rho = weyl_vector(rs, borels[0])
+        # the walks depend on the family only, not on lambda
+        walks = list(_geodesic_walks(og.graph))
+        rng = random.Random(manifest.WALK_SEED + idx)
+        verts = list(og.graph.vertices)
+        for _ in range(manifest.WALKS_PER_PAIR):
+            at = rng.choice(verts)
+            path = [at]
+            for _ in range(rng.randrange(1, 9)):
+                nbrs = og.graph.neighbors(at)
+                if not nbrs:
+                    break
+                at, _c = rng.choice(sorted(nbrs, key=str))
+                path.append(at)
+            walks.append(make_walk(og.graph, path))
         for lam_text in entry.weights:
             lam = parse_weight(lam_text, rs.rank) + rho
             quotient = build_or_lambda(rs, og, lam)
             mismatch = None
-            checked = 0
-
-            def probe(w):
-                nonlocal mismatch, checked
-                checked += 1
+            for w in walks:
                 got = walk_hom_oracle(rs, og, lam, w).nonzero
                 want = _projection_nonzero(quotient, w)
                 if got != want and mismatch is None:
                     mismatch = _walk_payload(w) | {"oracle": got, "shortest": want}
-
-            for w in _geodesic_walks(og.graph):
-                probe(w)
-            rng = random.Random(manifest.WALK_SEED + idx)
-            verts = list(og.graph.vertices)
-            for _ in range(manifest.WALKS_PER_PAIR):
-                at = rng.choice(verts)
-                path = [at]
-                for _ in range(rng.randrange(1, 9)):
-                    nbrs = og.graph.neighbors(at)
-                    if not nbrs:
-                        break
-                    at, _c = rng.choice(sorted(nbrs, key=str))
-                    path.append(at)
-                probe(make_walk(og.graph, path))
-            payload = {"walks": checked}
+            payload = {"walks": len(walks)}
             if mismatch:
                 payload["counterexample"] = mismatch
             entries.append(ReportEntry(

@@ -205,6 +205,10 @@ def test_cone_membership_d21():
     roots = list(rs.even_positive) + list(b3.odd_positive)
     assert not cone_membership(rs, parse_weight("-1,-1,-1", 3), roots)
     assert cone_membership(rs, rank_zero(rs), roots)
+    # d is half of (d+e1-e2) + (d-e1+e2): nonnegative coordinates over the
+    # indecomposable roots, but not integers; 2d is a cone root
+    assert not cone_membership(rs, parse_weight("1,0,0", 3), roots)
+    assert cone_membership(rs, parse_weight("2,0,0", 3), roots)
     # at a = 2/3, (2, 0, -2+3a) is 2d, although its a-part alone leaves
     # the span of the cone root 2d; with a generic it is no root sum
     v = parse_weight("2,0,-2+3a", 3)
@@ -217,14 +221,21 @@ def test_cone_membership_gl22():
     rs = build_root_system("gl", m=2, n=2)
     b = borel_from_partition(rs, ())
     roots = list(rs.even_positive) + list(b.odd_positive)
+    free = frozenset(rs.negate(r) for r in b.odd_positive)
+
+    def pbw_reachable(text):
+        # a PBW monomial uses each odd root at most once
+        q = MultiplicityQuery(free, rank_zero(rs), -parse_weight(text, 4))
+        return weight_multiplicity(rs, q) > 0
+
     assert cone_membership(rs, parse_weight("1,0,0,-1", 4), roots)
     assert cone_membership(rs, parse_weight("1,1,-1,-1", 4), roots)
-    assert cone_membership(rs, parse_weight("1,1,-1,-1", 4), roots, pbw=True)
+    assert pbw_reachable("1,1,-1,-1")
     # 2e1-2d1 = (e1-d1)+(e2-d1)+(e1-e2) stays reachable with the odd cap
-    assert cone_membership(rs, parse_weight("2,0,-2,0", 4), roots, pbw=True)
+    assert pbw_reachable("2,0,-2,0")
     # 2e2-2d1 needs e2-d1 twice
     assert cone_membership(rs, parse_weight("0,2,-2,0", 4), roots)
-    assert not cone_membership(rs, parse_weight("0,2,-2,0", 4), roots, pbw=True)
+    assert not pbw_reachable("0,2,-2,0")
     assert not cone_membership(rs, parse_weight("-1,0,1,0", 4), roots)
     # e1 and 2e1-e2 leave the root span, where the coordinates over the
     # indecomposable roots alone would read 0 and once e1-e2

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from ortk.atypicality import Emptiness, _gamma_grid, s1_classify, simple_even_witness
 from ortk.characters import (
     MultiplicityQuery,
+    UnboundedCone,
     cone_membership,
     kostant_partitions,
     verma_character,
@@ -241,10 +242,13 @@ def test_cone_membership_matches_bounded_enumeration(data, key):
     rs, borels = system(key)
     b = data.draw(st.sampled_from(borels))
     roots = list(rs.even_positive) + list(b.odd_positive)
-    # a sum of a few cone roots, an odd one twice now and then (which pbw
-    # forbids), sometimes minus a root, sometimes with a non-integral,
-    # off-span or a-carrying coordinate
-    combo = data.draw(st.lists(st.sampled_from(roots), max_size=3))
+    # a partial cone: a random nonempty subset of b's positive roots
+    cone = data.draw(st.lists(st.sampled_from(roots), min_size=1, unique=True))
+    # a sum of a few roots of the full or the partial cone, an odd one twice
+    # now and then (which PBW forbids), sometimes minus a root, sometimes
+    # with a non-integral, off-span or a-carrying coordinate
+    combo = data.draw(st.lists(st.sampled_from(data.draw(st.sampled_from([roots, cone]))),
+                               max_size=3))
     if data.draw(st.booleans()):
         combo += [data.draw(st.sampled_from(b.odd_positive))] * 2
     v = total((r.vector for r in combo), zero_weight(rs.rank))
@@ -254,8 +258,19 @@ def test_cone_membership_matches_bounded_enumeration(data, key):
                     data.draw(st.sampled_from([0, 0, 0, 0, 3])))
              for _ in range(rs.rank)]
     v = v + Weight(tuple(drift))
-    for pbw in (False, True):
-        assert cone_membership(rs, v, roots, pbw=pbw) == ref_cone(rs, b, v, roots, pbw)
+    inside = cone_membership(rs, v, roots)
+    assert inside == ref_cone(rs, b, v, roots, False)
+    # the simple roots span the same cone over the nonnegative integers
+    assert cone_membership(rs, v, b.simple) == inside
+    # PBW monomials, odd roots at most once: a nonzero weight multiplicity
+    free = frozenset(rs.negate(r) for r in b.odd_positive)
+    q = MultiplicityQuery(free, zero_weight(rs.rank), -v)
+    assert (weight_multiplicity(rs, q) > 0) == ref_cone(rs, b, v, roots, True)
+    try:
+        inside = cone_membership(rs, v, cone)
+    except UnboundedCone:
+        return
+    assert inside == ref_cone(rs, b, v, cone, False)
 
 
 def greedy_extension(rs):
