@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from math import comb
 
-from .characters import _kostant_sum, _subset_sums, cone_membership
-from .manifest import GAMMA_BOUND
+from .characters import _shifted_kostant_sum, _subset_sums, cone_membership
+from .manifest import GAMMA_BOUND, GAMMA_GRID_MAX
 from .numerics import Weight
 from .rootsys import (
     Borel,
@@ -54,9 +54,17 @@ def is_typical(rs: RootSystem, b: Borel, lam: Weight) -> bool:
     return not rs.orthogonal_roots(lam + weyl_vector(rs, b), rs.delta_iso)
 
 
-def _check_gamma_bound(bound):
+def _check_gamma_bound(rs: RootSystem, bound: int):
+    """Reject a negative bound, and a bound whose grid would have more than
+    GAMMA_GRID_MAX points, before any grid is built."""
     if bound < 0:
         raise ValueError(f"gamma bound must be >= 0, got {bound}")
+    # one point per composition of a height up to bound into k parts
+    points = comb(bound + len(rs.even_simple), len(rs.even_simple))
+    if points > GAMMA_GRID_MAX:
+        raise ValueError(
+            f"gamma bound {bound} gives {points} grid points, "
+            f"over the cap of {GAMMA_GRID_MAX}")
 
 
 def _gamma_grid(rs: RootSystem, bound: int):
@@ -81,11 +89,12 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
       gamma - beta outside the positive cone of bbar,
       (beta, rho^bbar + gamma) = 0,
       weight multiplicity one at lam - rho^bbar - beta - gamma;
-    or None when the bounded search is exhausted.  A gamma_bound below 0
-    raises ValueError.  That weight lies beta + gamma below the top, so
-    lam enters only through the precondition (beta, lam) = 0.
+    or None when the bounded search is exhausted.  A gamma_bound below 0,
+    or one whose grid would pass GAMMA_GRID_MAX points, raises ValueError.
+    That weight lies beta + gamma below the top, so lam enters only
+    through the precondition (beta, lam) = 0.
     """
-    _check_gamma_bound(gamma_bound)
+    _check_gamma_bound(rs, gamma_bound)
     borels, _ = enumerate_borels(rs)
     _, pure_iso = pure_positive_roots(rs, borels)
     if beta not in pure_iso:
@@ -103,9 +112,7 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
                 continue
             if cone_membership(rs, gamma - beta.vector, bbar.simple):
                 continue
-            head = rs.lattice_coords(beta.vector + gamma)
-            if _kostant_sum(rs, {tuple(map(add, head, x)): subsets
-                                 for x, subsets in sums.items()}) == 1:
+            if _shifted_kostant_sum(rs, rs.lattice_coords(beta.vector + gamma), sums) == 1:
                 return bbar, gamma
     return None
 
@@ -113,8 +120,9 @@ def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
 def s1_classify(rs: RootSystem, b: Borel, lam: Weight,
                 gamma_bound: int = GAMMA_BOUND) -> S1Classification:
     """Certified bounds for S1 of the module with highest weight lam.
-    A gamma_bound below 0 raises ValueError."""
-    _check_gamma_bound(gamma_bound)
+    A gamma_bound below 0, or one whose grid would pass GAMMA_GRID_MAX
+    points, raises ValueError."""
+    _check_gamma_bound(rs, gamma_bound)
     rho = weyl_vector(rs, b)
     shifted = lam + rho
     pos = {r for r in b.odd_positive if r.isotropic}

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .numerics import SingularBasis, Weight, render_weight
 from .rootsys import Borel, Root, RootSystem, _apply_rows, _indecomposables, basis_inverse
@@ -210,6 +210,16 @@ def _subset_sums(rs: RootSystem, head: tuple, free_odd) -> dict:
 def _kostant_sum(rs: RootSystem, sums: dict) -> int:
     """Sum of the Kostant counts of the keys of sums, with multiplicity."""
     return sum(subsets * _kostant_scaled(rs, x) for x, subsets in sums.items())
+
+
+def _shifted_kostant_sum(rs: RootSystem, head, sums: dict) -> int:
+    """_kostant_sum of sums with every key moved by head, for sums built
+    once at head 0 and read at many heads; 0 when head is None, as in
+    weight_multiplicity."""
+    if head is None:
+        return 0
+    return sum(subsets * _kostant_scaled(rs, tuple(map(add, head, x)))
+               for x, subsets in sums.items())
 
 
 def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,

@@ -16,6 +16,7 @@ __all__ = [
     "LAMBDA_GRID",
     "ISO_SUITE",
     "GAMMA_BOUND",
+    "GAMMA_GRID_MAX",
     "PHI_DEPTH",
     "QUIVER_MAX_LEN",
     "WALK_SEED",
@@ -77,6 +78,11 @@ ISO_SUITE = (
 
 # bound on the even-cone height of witness shifts gamma
 GAMMA_BOUND = 4
+
+# cap on the points of the gamma grid, C(bound + k, k) for k even simple
+# roots: 126 at the default bound on ospB(3|2); a bound over the cap raises
+# ValueError (exit code 2 from the CLI) and the grid is never truncated
+GAMMA_GRID_MAX = 10_000
 
 # truncation depth for the brute-force character expansion oracle
 PHI_DEPTH = 4

@@ -20,10 +20,7 @@ __all__ = [
     "DegreeOverflow",
     "RankMismatch",
     "SingularBasis",
-    "NotInSpan",
     "Scalar",
-    "SCALAR_ZERO",
-    "SCALAR_ONE",
     "scalar",
     "render_scalar",
     "parse_scalar",
@@ -33,8 +30,6 @@ __all__ = [
     "render_weight",
     "parse_weight",
     "BilinearForm",
-    "inner_product",
-    "expand_in_basis",
 ]
 
 
@@ -48,10 +43,6 @@ class RankMismatch(ValueError):
 
 class SingularBasis(ValueError):
     """The proposed basis is linearly dependent."""
-
-
-class NotInSpan(ValueError):
-    """The vector is not a combination of the given basis."""
 
 
 def _rat(x) -> Fraction:
@@ -111,10 +102,6 @@ class Scalar:
 
 def scalar(r=0, s=0) -> Scalar:
     return Scalar(_rat(r), _rat(s))
-
-
-SCALAR_ZERO = scalar(0)
-SCALAR_ONE = scalar(1)
 
 
 def _ratio(p: int, q: int) -> str:
@@ -294,59 +281,3 @@ class BilinearForm:
     @property
     def rank(self) -> int:
         return len(self.diagonal)
-
-
-def inner_product(v: Weight, w: Weight, form: BilinearForm) -> Scalar:
-    if v.rank != w.rank or v.rank != form.rank:
-        raise RankMismatch(
-            f"ranks {v.rank}, {w.rank} against form of rank {form.rank}"
-        )
-    total = SCALAR_ZERO
-    for a, b, d in zip(v.coords, w.coords, form.diagonal):
-        total = total + a * b * d
-    return total
-
-
-def expand_in_basis(v: Weight, basis: list[Weight]) -> list[Scalar]:
-    """Coefficients of v in the given basis, solved exactly over Q.
-
-    The basis vectors must have rational coordinates; v may carry an
-    a-part, which is solved for separately (the system is Q-linear).
-    Raises SingularBasis if the basis is dependent, NotInSpan if v has
-    no solution.
-    """
-    rank = v.rank
-    for b in basis:
-        if b.rank != rank:
-            raise RankMismatch(f"basis vector rank {b.rank}, expected {rank}")
-        if not b.is_rational():
-            raise DegreeOverflow("basis vectors must have rational coordinates")
-    ncols = len(basis)
-    # augmented columns: rational part of v, then a-part of v
-    rows = [
-        [basis[j].coords[i].r for j in range(ncols)]
-        + [v.coords[i].r, v.coords[i].s]
-        for i in range(rank)
-    ]
-    pivot_of_col: list[int | None] = [None] * ncols
-    prow = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(prow, rank) if rows[i][col] != 0), None)
-        if pivot is None:
-            raise SingularBasis(f"basis vector {col} is dependent on earlier ones")
-        rows[prow], rows[pivot] = rows[pivot], rows[prow]
-        inv = 1 / rows[prow][col]
-        rows[prow] = [x * inv for x in rows[prow]]
-        for i in range(rank):
-            if i != prow and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[prow])]
-        pivot_of_col[col] = prow
-        prow += 1
-    for i in range(prow, rank):
-        if rows[i][ncols] != 0 or rows[i][ncols + 1] != 0:
-            raise NotInSpan(f"{render_weight(v)} is outside the span")
-    return [
-        Scalar(rows[pivot_of_col[j]][ncols], rows[pivot_of_col[j]][ncols + 1])
-        for j in range(ncols)
-    ]

@@ -20,10 +20,8 @@ from .numerics import (
     BilinearForm,
     DegreeOverflow,
     RankMismatch,
-    Scalar,
     SingularBasis,
     Weight,
-    inner_product,
     scalar,
 )
 
@@ -144,11 +142,6 @@ class RootSystem:
         self._names = {self.root_name(r): r for r in self.delta0 + self.delta1}
         self._kostant_memo: dict = {}
         self._borel_cache: tuple | None = None
-
-    # -- basic queries ---------------------------------------------------------
-
-    def inner(self, v: Weight, w: Weight) -> Scalar:
-        return inner_product(v, w, self.form)
 
     # -- the integer pairing kernel ----------------------------------------------
     #

@@ -15,12 +15,12 @@ from . import manifest
 from .adjusted import brick_decomposition_check, hypercubic_collections
 from .atypicality import Emptiness, is_typical, s1_classify
 from .characters import (
-    MultiplicityQuery,
+    _shifted_kostant_sum,
+    _subset_sums,
     characters_equal,
     kac_flag_constituents,
     total_dimension,
     verma_character,
-    weight_multiplicity,
 )
 from .ecgraph import (
     bfs_distances,
@@ -259,10 +259,13 @@ def suite_characters(builds: _Builds, family=None) -> list:
         rhos = [weyl_vector(rs, b) for b in borels]
         chars = [verma_character(rs, b.odd_positive, -rho) for b, rho in zip(borels, rhos)]
         agree = all(characters_equal(chars[0], ch) for ch in chars[1:])
-        mult_ok = all(
-            weight_multiplicity(rs, MultiplicityQuery(
-                frozenset(rs.negate(r) for r in b2.odd_positive), -rho2, -rho)) == 1
-            for b2, rho2 in zip(borels, rhos) for rho in rhos)
+        # the multiplicity of -rho in M^b2(-rho2): b2's odd-subset sums,
+        # built once per b2, shifted by rho - rho2
+        zero = (0,) * rs.rank
+        sums = [_subset_sums(rs, zero, [rs.negate(r) for r in b2.odd_positive])
+                for b2 in borels]
+        mult_ok = all(_shifted_kostant_sum(rs, rs.lattice_coords(rho - rho2), s) == 1
+                      for s, rho2 in zip(sums, rhos) for rho in rhos)
         for lam_text in entry.weights:
             entries.append(ReportEntry(
                 check="character-agreement",

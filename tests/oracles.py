@@ -1,0 +1,132 @@
+"""Reference implementations that the tests compare the library against.
+
+Each one reaches its verdict along a second code path, apart from the
+one in src/: pairings through the Scalar product on the form's diagonal
+in place of the integer pairing kernel, coordinates by Gaussian
+elimination over Q in place of one basis inverse, the trivial quotient
+by its direct criterion, and the semibrick index sets by an exhaustive
+rainbow search in place of BFS distances.  The package never calls them.
+"""
+
+from __future__ import annotations
+
+from ortk.numerics import (
+    BilinearForm,
+    DegreeOverflow,
+    RankMismatch,
+    Scalar,
+    SingularBasis,
+    Weight,
+    render_weight,
+    scalar,
+)
+from ortk.orgraph import build_or_lambda
+from ortk.rootsys import odd_reflect
+
+
+class NotInSpan(ValueError):
+    """The vector is not a combination of the given basis."""
+
+
+def inner_product(v: Weight, w: Weight, form: BilinearForm) -> Scalar:
+    """(v, w) in Scalar arithmetic; raises DegreeOverflow where a product
+    of two a-carrying scalars leaves the degree-1 space."""
+    if v.rank != w.rank or v.rank != form.rank:
+        raise RankMismatch(
+            f"ranks {v.rank}, {w.rank} against form of rank {form.rank}"
+        )
+    total = scalar(0)
+    for a, b, d in zip(v.coords, w.coords, form.diagonal):
+        total = total + a * b * d
+    return total
+
+
+def ref_orthogonal(rs, v: Weight, root) -> bool:
+    """(v, root) = 0 by the Scalar inner product; raises as it does."""
+    return inner_product(v, root.vector, rs.form).is_zero(rs.alpha_value)
+
+
+def expand_in_basis(v: Weight, basis: list[Weight]) -> list[Scalar]:
+    """Coefficients of v in the given basis, solved exactly over Q.
+
+    The basis vectors must have rational coordinates; v may carry an
+    a-part, which is solved for separately (the system is Q-linear).
+    Raises SingularBasis if the basis is dependent, NotInSpan if v has
+    no solution.
+    """
+    rank = v.rank
+    for b in basis:
+        if b.rank != rank:
+            raise RankMismatch(f"basis vector rank {b.rank}, expected {rank}")
+        if not b.is_rational():
+            raise DegreeOverflow("basis vectors must have rational coordinates")
+    ncols = len(basis)
+    # augmented columns: rational part of v, then a-part of v
+    rows = [
+        [basis[j].coords[i].r for j in range(ncols)]
+        + [v.coords[i].r, v.coords[i].s]
+        for i in range(rank)
+    ]
+    pivot_of_col: list[int | None] = [None] * ncols
+    prow = 0
+    for col in range(ncols):
+        pivot = next((i for i in range(prow, rank) if rows[i][col] != 0), None)
+        if pivot is None:
+            raise SingularBasis(f"basis vector {col} is dependent on earlier ones")
+        rows[prow], rows[pivot] = rows[pivot], rows[prow]
+        inv = 1 / rows[prow][col]
+        rows[prow] = [x * inv for x in rows[prow]]
+        for i in range(rank):
+            if i != prow and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[prow])]
+        pivot_of_col[col] = prow
+        prow += 1
+    for i in range(prow, rank):
+        if rows[i][ncols] != 0 or rows[i][ncols + 1] != 0:
+            raise NotInSpan(f"{render_weight(v)} is outside the span")
+    return [
+        Scalar(rows[pivot_of_col[j]][ncols], rows[pivot_of_col[j]][ncols + 1])
+        for j in range(ncols)
+    ]
+
+
+def ref_rbtriv(rs, og, lam: Weight) -> bool:
+    """OR(g, lambda) is a single point by the direct criterion: lambda
+    pairs nonzero with every non-pure isotropic positive root.  Every
+    root is paired before the verdict, so this raises DegreeOverflow
+    exactly when one of the pairings does."""
+    pairings = [inner_product(lam, root.vector, rs.form)
+                for root in og.root_of_color.values()]
+    return all(not p.is_zero(rs.alpha_value) for p in pairings)
+
+
+def ref_semibrick_index_sets(rs, og, lam: Weight, bbar) -> dict:
+    """semibrick_index_sets by exhaustive search: i is in I_b when some
+    rainbow walk in OR(g, lambda) starts at the class of r_i b, visits the
+    class of b, and ends at the class of bbar."""
+    quotient = build_or_lambda(rs, og, lam)
+    q = quotient.graph
+    vmap = quotient.vertex_map
+    t = vmap[og.vertex_of_borel(bbar)]
+
+    def rainbow_through(x, via, used) -> bool:
+        # a rainbow walk x -> t, avoiding the colors in used, that visits
+        # via unless via is None (already visited)
+        if via == x:
+            via = None
+        if x == t and via is None:
+            return True
+        for y, c in q.neighbors(x):
+            if c not in used and rainbow_through(y, via, used | {c}):
+                return True
+        return False
+
+    out = {}
+    for vid, b in og.borel_of_vertex.items():
+        v = vmap[vid]
+        out[b] = frozenset(
+            i for i in b.isotropic_simple_indices()
+            if rainbow_through(vmap[og.vertex_of_borel(odd_reflect(rs, b, i))], v,
+                               frozenset()))
+    return out

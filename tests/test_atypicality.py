@@ -2,6 +2,7 @@
 
 import pytest
 
+from ortk import atypicality
 from ortk.atypicality import (
     Emptiness,
     is_typical,
@@ -15,9 +16,12 @@ from ortk.rootsys import (
     build_root_system,
     enumerate_borels,
     odd_reflect,
+    pure_positive_roots,
     standard_borel,
     weyl_vector,
 )
+
+from oracles import ref_orthogonal
 
 
 def test_is_typical_gl11():
@@ -105,7 +109,7 @@ def test_s1_invariant_under_typical_reflection():
     lam = parse_weight("0,1,0,0", 4)
     alpha = b.simple[1]
     assert alpha.isotropic
-    assert not rs.inner(lam, alpha.vector).is_zero(rs.alpha_value)
+    assert not ref_orthogonal(rs, lam, alpha)
     rb = odd_reflect(rs, b, 2)
     cls1 = s1_classify(rs, b, lam)
     cls2 = s1_classify(rs, rb, lam - alpha.vector)
@@ -138,6 +142,26 @@ def test_negative_gamma_bound_rejected():
         simple_even_witness(rs, rs.root_by_name("d+e1+e2"), zero_weight(3), -1)
     # 0 is allowed: the grid is gamma = 0 alone
     s1_classify(rs, b, zero_weight(3), gamma_bound=0)
+
+
+def test_gamma_grid_cap_is_checked_before_the_grid(monkeypatch):
+    # ospB(3|2) has 5 even simple roots, so bound b gives C(b + 5, 5) points
+    rs = build_root_system("ospB", m=3, n=2)
+    atypicality._check_gamma_bound(rs, 13)  # 8 568 points
+    with pytest.raises(ValueError, match="11628 grid points, over the cap of 10000"):
+        atypicality._check_gamma_bound(rs, 14)
+
+    def no_grid(*args):
+        raise AssertionError("the gamma grid was built")
+
+    monkeypatch.setattr(atypicality, "_gamma_grid", no_grid)
+    _, pure_iso = pure_positive_roots(rs, enumerate_borels(rs)[0])
+    beta = min(pure_iso, key=lambda r: r.sort_key())
+    cap_error = "gamma bound 50 gives 3478761 grid points, over the cap of 10000"
+    with pytest.raises(ValueError, match=cap_error):
+        s1_classify(rs, standard_borel(rs), zero_weight(5), gamma_bound=50)
+    with pytest.raises(ValueError, match=cap_error):
+        simple_even_witness(rs, beta, zero_weight(5), 50)
 
 
 def test_witness_d21_exhausted():

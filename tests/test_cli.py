@@ -7,6 +7,7 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ortk import atypicality
 from ortk.cli import run_command
 from ortk.ecgraph import graph_from_json, graph_to_json
 
@@ -229,6 +230,19 @@ def test_default_borel_is_rank_zero(command, extra, system, mu):
 def test_usage_errors_exit_two(argv):
     code, _ = cap(argv)
     assert code == 2
+
+
+def test_gamma_bound_over_the_cap_exits_two(monkeypatch, capsys):
+    # the cap is checked before any grid is built
+    def no_grid(*args):
+        raise AssertionError("the gamma grid was built")
+
+    monkeypatch.setattr(atypicality, "_gamma_grid", no_grid)
+    code, out = cap(["s1", "--family", "ospB", "--m", "3", "--n", "2",
+                     "--lambda", "0,0,0,0,0", "--gamma-bound", "50"])
+    assert (code, out) == (2, "")
+    err = capsys.readouterr().err
+    assert err == "error: gamma bound 50 gives 3478761 grid points, over the cap of 10000\n"
 
 
 def test_degree_overflow_is_reported_on_stderr(capsys):

@@ -26,9 +26,10 @@ from ortk.characters import (
     verma_character,
     weight_multiplicity,
 )
-from ortk.numerics import NotInSpan, Scalar, SingularBasis, Weight, expand_in_basis, zero_weight
+from ortk.numerics import Scalar, SingularBasis, Weight, zero_weight
 from ortk.rootsys import basis_inverse, build_root_system, enumerate_borels
 
+from oracles import NotInSpan, expand_in_basis, inner_product, ref_orthogonal
 from test_characters import truncated_terms
 
 SYSTEMS = {
@@ -365,7 +366,7 @@ def test_basis_inverse_matches_sympy(data):
 # simple_even_witness and s1_classify re-derived from their definitions:
 # the gamma grid by breadth-first search over even positive roots, cone
 # membership by bounded enumeration, multiplicities from the truncated
-# character series, and every pairing through rs.inner.
+# character series, and every pairing through the Scalar inner product.
 
 S1_SYSTEMS = {
     "gl(2|1)": ("gl", 2, 1, None),
@@ -383,10 +384,6 @@ def s1_system(key):
     borels, _ = enumerate_borels(rs)
     pure = set(rs.delta_iso).intersection(*(b.odd_positive for b in borels))
     return rs, borels, pure
-
-
-def orthogonal(rs, v, root):
-    return rs.inner(v, root.vector).is_zero(rs.alpha_value)
 
 
 def ref_height(rs, v):
@@ -429,7 +426,7 @@ def ref_cells(rs, borels, beta, lam, bound):
         cone = list(rs.even_positive) + list(bbar.odd_positive)
         num = verma_character(rs, set(bbar.odd_positive), base)
         for gamma in grid:
-            if not orthogonal(rs, rho + gamma, beta):
+            if not ref_orthogonal(rs, rho + gamma, beta):
                 continue
             if ref_cone(rs, bbar, gamma - beta.vector, cone, False):
                 continue
@@ -456,14 +453,14 @@ def ref_s1(rs, borels, pure, b, lam, bound):
         if r not in pos:
             cout.add(r)
         elif r in simples:
-            (cin if orthogonal(rs, shifted, r) else cout).add(r)
-        elif orthogonal(rs, shifted, r) and (
+            (cin if ref_orthogonal(rs, shifted, r) else cout).add(r)
+        elif ref_orthogonal(rs, shifted, r) and (
                 r not in pure or ref_witness(rs, borels, r, shifted, bound)):
             cin.add(r)
     if cin:
         verdict = Emptiness.NONEMPTY
     elif rs.type_one or rs.family == "d21alpha":
-        typical = not any(orthogonal(rs, shifted, r) for r in rs.delta_iso)
+        typical = not any(ref_orthogonal(rs, shifted, r) for r in rs.delta_iso)
         verdict = Emptiness.EMPTY if typical else Emptiness.NONEMPTY
     else:
         verdict = Emptiness.UNDETERMINED
@@ -480,12 +477,12 @@ def made_orthogonal(rs, v, root):
     k = next(i for i, x in enumerate(root.vector.r) if x)
     d = rs.form.diagonal[k]
     d = d.r if rs.alpha_value is None else d.r + d.s * rs.alpha_value
-    p = rs.inner(v, root.vector)
+    p = inner_product(v, root.vector, rs.form)
     p = p.r if rs.alpha_value is None else p.r + p.s * rs.alpha_value
     shift = [Scalar(0, 0)] * rs.rank
     shift[k] = Scalar(-p / (d * root.vector.r[k]), 0)
     out = v + Weight(tuple(shift))
-    assert orthogonal(rs, out, root)
+    assert ref_orthogonal(rs, out, root)
     return out
 
 
@@ -580,12 +577,12 @@ def projected_orthogonal(rs, v, root):
     (v, root) = 0, a-part included."""
     k = next(i for i, (x, d) in enumerate(zip(root.vector.r, rs.form.diagonal))
              if x and d.s == 0)
-    p = rs.inner(v, root.vector)
+    p = inner_product(v, root.vector, rs.form)
     q = rs.form.diagonal[k].r * root.vector.r[k]
     shift = [Scalar(0, 0)] * rs.rank
     shift[k] = Scalar(-p.r / q, -p.s / q)
     out = v + Weight(tuple(shift))
-    assert rs.inner(out, root.vector).is_zero()
+    assert inner_product(out, root.vector, rs.form).is_zero()
     return out
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ortk import manifest
 from ortk.ecgraph import (
     build_reference_graph,
     colored_isomorphic,
@@ -28,7 +29,10 @@ from ortk.rootsys import (
     build_root_system,
     enumerate_borels,
     standard_borel,
+    weyl_vector,
 )
+
+from oracles import ref_rbtriv, ref_semibrick_index_sets
 
 
 def test_or_gl22_matches_young():
@@ -165,6 +169,28 @@ def test_rbtriv_check():
     rsd = build_root_system("d21alpha")
     ogd = build_or_graph(rsd)
     assert not rbtriv_check(rsd, ogd, zero_weight(3))
+
+
+def grid_weights(family, m, n):
+    """The LAMBDA_GRID weights of one family, each as given and shifted
+    by the Weyl vector of the standard Borel."""
+    rs = build_root_system(family, m, n)
+    rho = weyl_vector(rs, standard_borel(rs))
+    lams = [parse_weight(text, rs.rank)
+            for entry in manifest.LAMBDA_GRID
+            if (entry.family, entry.m, entry.n) == (family, m, n)
+            for text in entry.weights]
+    return rs, lams + [lam + rho for lam in lams]
+
+
+@pytest.mark.parametrize("family, m, n", [
+    key for key in manifest.grid_families()
+    if build_root_system(*key).type_one])
+def test_rbtriv_check_matches_direct_criterion_on_grid(family, m, n):
+    rs, lams = grid_weights(family, m, n)
+    og = build_or_graph(rs)
+    verdicts = [rbtriv_check(rs, og, lam) for lam in lams]
+    assert verdicts == [ref_rbtriv(rs, og, lam) for lam in lams]
 
 
 def test_walk_hom_oracle_gl22():
@@ -327,3 +353,17 @@ def test_semibrick_index_sets_atypical():
     sets = semibrick_index_sets(rs, og, weight(1, 0), borels[0])
     assert sets[borels[0]] == {1}
     assert sets[borels[1]] == {1}
+
+
+@pytest.mark.parametrize("family, m, n",
+                         manifest.grid_families() + (("gl11n", None, 4),))
+def test_semibrick_index_sets_match_rainbow_search(family, m, n):
+    # the distance criterion against an exhaustive rainbow search, at
+    # every grid weight and for every bbar; gl(1|1)^4 is off the grid
+    # and runs at lambda = 0, where no edge is contracted
+    rs, lams = grid_weights(family, m, n)
+    og = build_or_graph(rs)
+    for lam in lams or [zero_weight(rs.rank)]:
+        for bbar in og.borel_of_vertex.values():
+            assert (semibrick_index_sets(rs, og, lam, bbar)
+                    == ref_semibrick_index_sets(rs, og, lam, bbar))

@@ -2,9 +2,10 @@
 
 Every verdict of the kernel (RootSystem._pair, orthogonal_roots,
 roots_orthogonal) and of the library code on top of it (atypical colors,
-typicality, the OR(g, lambda) class map) is checked on random weights
-against references built only on RootSystem.inner, the Scalar inner
-product, including where that product raises DegreeOverflow.
+typicality, the OR(g, lambda) class map and the trivial quotient) is
+checked on random weights against references built only on the Scalar
+inner product of tests/oracles.py, including where that product raises
+DegreeOverflow.
 """
 
 import functools
@@ -17,8 +18,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ortk.atypicality import is_typical
 from ortk.numerics import DegreeOverflow, Scalar, Weight
-from ortk.orgraph import atypical_colors, build_or_graph, build_or_lambda
+from ortk.orgraph import atypical_colors, build_or_graph, build_or_lambda, rbtriv_check
 from ortk.rootsys import build_root_system, enumerate_borels, weyl_vector
+
+from oracles import inner_product, ref_orthogonal, ref_rbtriv
 
 SYSTEMS = {
     "gl(2|1)": ("gl", 2, 1, None),
@@ -64,7 +67,7 @@ def weights(draw, rs):
         # shift one coordinate of lam until it pairs to zero with beta
         beta = draw(st.sampled_from(rs.delta1))
         try:
-            num = rs.inner(lam, beta.vector)
+            num = inner_product(lam, beta.vector, rs.form)
         except DegreeOverflow:
             return lam
         diag = rs.form.diagonal
@@ -78,11 +81,6 @@ def weights(draw, rs):
         shift[i] = Scalar(num.r / unit, num.s / unit)
         lam = lam - Weight(tuple(shift))
     return lam
-
-
-def ref_orthogonal(rs, lam, root):
-    """(lam, root) = 0 by the Scalar inner product; raises as it does."""
-    return rs.inner(lam, root.vector).is_zero(rs.alpha_value)
 
 
 def outcome(fn, *args):
@@ -105,7 +103,7 @@ def test_kernel_matches_inner(data, key):
     lam = data.draw(weights(rs))
     # every root's verdict and pairing value, DegreeOverflow included
     for root in roots:
-        expected = outcome(rs.inner, lam, root.vector)
+        expected = outcome(inner_product, lam, root.vector, rs.form)
         got = outcome(rs._pair, lam.r, lam.s, root)
         if expected == "overflow":
             assert got == "overflow"
@@ -146,7 +144,7 @@ def test_root_pairs_and_isotropy_match_inner(key):
             assert rs.roots_orthogonal(a, b) == ref_orthogonal(rs, a.vector, b)
 
 
-# -- library call sites against references on inner ---------------------------
+# -- library call sites against references on the Scalar product --------------
 
 
 def ref_atypical_colors(rs, og, lam):
@@ -194,3 +192,14 @@ def test_call_sites_match_inner(data, key):
         return
     assert atypical_colors(rs, og, lam).colors == d
     assert build_or_lambda(rs, og, lam).vertex_map == ref_class_map(og, d)
+
+
+@pytest.mark.parametrize("key", KEYS)
+@FUZZ
+@given(data=st.data())
+def test_rbtriv_check_matches_direct_criterion(data, key):
+    # the quotient test against the direct pairing criterion; both raise
+    # DegreeOverflow where a color root does not pair in degree one
+    rs, _, og = system(key)
+    lam = data.draw(weights(rs))
+    assert outcome(rbtriv_check, rs, og, lam) == outcome(ref_rbtriv, rs, og, lam)

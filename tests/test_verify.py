@@ -111,12 +111,14 @@ def assert_only_gl22_fails(report):
 
 
 def test_characters_multiplicity_fault_fails_its_whole_family(monkeypatch):
-    real = verify.weight_multiplicity
+    # every multiplicity of the suite is one Kostant sum over shifted
+    # odd-subset sums
+    real = verify._shifted_kostant_sum
 
-    def planted(rs, query):
-        return 2 if planted_in(rs) else real(rs, query)
+    def planted(rs, head, sums):
+        return 2 if planted_in(rs) else real(rs, head, sums)
 
-    monkeypatch.setattr(verify, "weight_multiplicity", planted)
+    monkeypatch.setattr(verify, "_shifted_kostant_sum", planted)
     assert_only_gl22_fails(run_suite("characters"))
 
 
