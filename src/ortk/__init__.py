@@ -19,16 +19,13 @@ from .atypicality import (
     S1Classification,
     is_typical,
     s1_classify,
-    simple_even_witness,
 )
 from .characters import (
     MultiplicityQuery,
     NumeratorCharacter,
-    UnboundedCone,
     character_to_json,
     character_weight_multiplicity,
     characters_equal,
-    cone_membership,
     kac_flag_constituents,
     kostant_partitions,
     total_dimension,

@@ -1,37 +1,26 @@
 """Typicality tests and the S1 singleton classifier.
 
 The classifier reports three certified sets over the isotropic roots:
-members forced in by the simple-root and non-pure criteria (plus the
-even-root witness route for pure roots), members forced out by the
-positivity bound, and the undecided remainder.  Emptiness of S1 is
-settled exactly for type I families and for D(2,1;alpha).
+members forced in by the simple-root and non-pure criteria, members
+forced out by the positivity bound, and the undecided remainder, which
+holds every pure root.  Emptiness of S1 is settled exactly for type I
+families and for D(2,1;alpha).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
 
-from .characters import _shifted_kostant_sum, _subset_sums, cone_membership
-from .manifest import GAMMA_BOUND, GAMMA_GRID_MAX
+from .manifest import GAMMA_BOUND
 from .numerics import Weight
-from .rootsys import (
-    Borel,
-    PreconditionViolated,
-    Root,
-    RootSystem,
-    enumerate_borels,
-    pure_positive_roots,
-    weyl_vector,
-)
+from .rootsys import Borel, RootSystem, enumerate_borels, pure_positive_roots, weyl_vector
 
 __all__ = [
     "Emptiness",
     "S1Classification",
     "is_typical",
     "s1_classify",
-    "simple_even_witness",
 ]
 
 
@@ -54,75 +43,31 @@ def is_typical(rs: RootSystem, b: Borel, lam: Weight) -> bool:
     return not rs.orthogonal_roots(lam + weyl_vector(rs, b), rs.delta_iso)
 
 
-def _check_gamma_bound(rs: RootSystem, bound: int):
-    """Reject a negative bound, and a bound whose grid would have more than
-    GAMMA_GRID_MAX points, before any grid is built."""
-    if bound < 0:
-        raise ValueError(f"gamma bound must be >= 0, got {bound}")
-    # one point per composition of a height up to bound into k parts
-    points = comb(bound + len(rs.even_simple), len(rs.even_simple))
-    if points > GAMMA_GRID_MAX:
-        raise ValueError(
-            f"gamma bound {bound} gives {points} grid points, "
-            f"over the cap of {GAMMA_GRID_MAX}")
-
-
-def _gamma_grid(rs: RootSystem, bound: int):
-    """Nonnegative integer combinations of the even simple roots with
-    coefficient sum (height) up to bound, in (height, coordinates) order."""
-    layer = {(0,) * rs.rank}
-    grid = sorted(layer)
-    for _ in range(bound):
-        layer = {tuple(a + b for a, b in zip(v, r.vector.r))
-                 for v in layer for r in rs.even_simple}
-        grid += sorted(layer)
-    return [Weight.of(v) for v in grid]
-
-
-def simple_even_witness(rs: RootSystem, beta: Root, lam: Weight,
-                        gamma_bound: int = GAMMA_BOUND):
-    """Search for (bbar, gamma) certifying the pure root beta.
-
-    lam is the shift-free weight: the module in question is
-    M^bbar(lam - rho^bbar).  Returns the first pair, in Borel
-    enumeration order then gamma order, with
-      gamma - beta outside the positive cone of bbar,
-      (beta, rho^bbar + gamma) = 0,
-      weight multiplicity one at lam - rho^bbar - beta - gamma;
-    or None when the bounded search is exhausted.  A gamma_bound below 0,
-    or one whose grid would pass GAMMA_GRID_MAX points, raises ValueError.
-    That weight lies beta + gamma below the top, so lam enters only
-    through the precondition (beta, lam) = 0.
-    """
-    _check_gamma_bound(rs, gamma_bound)
-    borels, _ = enumerate_borels(rs)
-    _, pure_iso = pure_positive_roots(rs, borels)
-    if beta not in pure_iso:
-        raise PreconditionViolated(
-            f"{rs.root_name(beta)} is not a pure positive isotropic root")
-    if beta not in rs.orthogonal_roots(lam, (beta,)):
-        raise PreconditionViolated(
-            f"lambda is not orthogonal to {rs.root_name(beta)}")
-    grid = _gamma_grid(rs, gamma_bound)
-    for bbar in borels:
-        rho = weyl_vector(rs, bbar)
-        sums = _subset_sums(rs, (0,) * rs.rank, [rs.negate(r) for r in bbar.odd_positive])
-        for gamma in grid:
-            if not rs.orthogonal_roots(rho + gamma, (beta,)):
-                continue
-            if cone_membership(rs, gamma - beta.vector, bbar.simple):
-                continue
-            if _shifted_kostant_sum(rs, rs.lattice_coords(beta.vector + gamma), sums) == 1:
-                return bbar, gamma
-    return None
-
-
 def s1_classify(rs: RootSystem, b: Borel, lam: Weight,
                 gamma_bound: int = GAMMA_BOUND) -> S1Classification:
     """Certified bounds for S1 of the module with highest weight lam.
-    A gamma_bound below 0, or one whose grid would pass GAMMA_GRID_MAX
-    points, raises ValueError."""
-    _check_gamma_bound(rs, gamma_bound)
+
+    A positive isotropic root is in when it is simple and orthogonal to
+    lam, or not pure and orthogonal to lam + rho; it is out when it is
+    negative, or simple and not orthogonal to lam.  A pure isotropic root
+    beta always stays unknown.  The even-root route would certify it by a
+    Borel bbar and a gamma in the even cone with a one-dimensional weight
+    space beta + gamma below the top of M^bbar.  On the Borels that
+    enumerate_borels gives, that space has dimension at least 2:
+
+    * Never simple.  beta is not in bbar.simple: enumerate_borels
+      reflects at every isotropic simple root, which would give an
+      enumerated Borel where -beta is positive.
+    * Two monomials at gamma = 0.  So _indecomposables splits beta = a + c
+      over the positive roots of bbar, with a != c, because every odd
+      root vector has a +-1 coordinate.  f_-beta and f_-a f_-c are two
+      PBW monomials at top - beta.
+    * Monotone in gamma.  Appending a fixed even-simple decomposition of
+      gamma maps the partitions of beta injectively into those of
+      beta + gamma.
+
+    gamma_bound is unused; it bounded the search this proof replaces.
+    """
     rho = weyl_vector(rs, b)
     shifted = lam + rho
     pos = {r for r in b.odd_positive if r.isotropic}
@@ -141,14 +86,9 @@ def s1_classify(rs: RootSystem, b: Borel, lam: Weight,
                 cin.add(r)
             else:
                 cout.add(r)
-        elif r in pure_iso:
-            if r in orthogonal and simple_even_witness(
-                    rs, r, shifted, gamma_bound) is not None:
-                cin.add(r)
-        elif r in orthogonal:
+        elif r in orthogonal and r not in pure_iso:
             cin.add(r)
     unknown = set(rs.delta_iso) - cin - cout
-    assert not (cin & cout)
     if cin:
         verdict = Emptiness.NONEMPTY
     elif rs.type_one or rs.family == "d21alpha":

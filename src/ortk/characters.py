@@ -6,12 +6,11 @@ prod_{gamma in Delta_0^+} (1 - e^{-gamma}).  All identities the package
 checks are then finite polynomial identities between numerators.
 
 Weight multiplicities are computed independently through Kostant
-partition counts.  Cone membership is a coordinate test over the
-indecomposable roots of the cone.
+partition counts.
 
 The kernels run on integer vectors: numerators as offsets from their
-leading weight, Kostant searches and cone tests in the coordinates of
-the RootSystem integer layer.  Weights are built only for the caller.
+leading weight, Kostant searches in the coordinates of the RootSystem
+integer layer.  Weights are built only for the caller.
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ from dataclasses import dataclass
 from math import lcm
 from operator import add, mul
 
-from .numerics import SingularBasis, Weight, render_weight
-from .rootsys import Borel, Root, RootSystem, _apply_rows, _indecomposables, basis_inverse
+from .numerics import Weight, render_weight
+from .rootsys import Borel, RootSystem
 
 __all__ = [
-    "UnboundedCone",
     "NumeratorCharacter",
     "MultiplicityQuery",
     "verma_character",
@@ -33,17 +31,10 @@ __all__ = [
     "kostant_partitions",
     "weight_multiplicity",
     "character_weight_multiplicity",
-    "cone_membership",
     "kac_flag_constituents",
     "total_dimension",
     "character_to_json",
 ]
-
-
-class UnboundedCone(ValueError):
-    """The root set fails the precondition of the cone test: linearly
-    independent indecomposable roots, in whose span every root of the set
-    has a positive coefficient sum."""
 
 
 @dataclass
@@ -227,42 +218,6 @@ def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,
     """Coefficient of e^mu in the expanded character numerator/denominator."""
     return sum(coeff * kostant_partitions(rs, w - mu)
                for w, coeff in c.terms.items())
-
-
-def cone_membership(rs: RootSystem, v: Weight, roots) -> bool:
-    """Is v a nonnegative integer combination of the given roots?
-
-    The indecomposable roots of the set must be linearly independent, and
-    every root must lie in their span with a positive coefficient sum;
-    otherwise UnboundedCone is raised.  A pointed cone can fail this: on
-    gl(2|2), e1-e2, d1-d2, e1-d1 and e2-d2 are all positive, but
-    (e1-e2) + (e2-d2) = (e1-d1) + (d1-d2).
-
-    Under that check every root of the set is a nonnegative integer
-    combination of the indecomposables, by induction on the coefficient
-    sum: a decomposable root is a + b with a and b in the set, each of
-    smaller sum.  So v lies in the cone exactly when its coordinates over
-    the indecomposables are nonnegative integers.
-    """
-    roots = sorted(set(roots), key=Root.sort_key, reverse=True)
-    # coordinates over the indecomposable roots, scaled by den
-    indec = _indecomposables(roots)
-    n = len(indec)
-    try:
-        rows, den = basis_inverse([r.vector.r for r in indec], rs.rank)
-    except SingularBasis:
-        raise UnboundedCone(
-            "the indecomposable roots "
-            + ", ".join(rs.root_name(r) for r in indec)
-            + " are linearly dependent") from None
-    for r in roots:
-        x = _apply_rows(rows, r.vector.r)
-        if any(x[n:]) or sum(x[:n]) <= 0:
-            raise UnboundedCone(
-                f"no positive height functional: root {rs.root_name(r)}")
-    x = rs.specialized_coords(v, rows)
-    return (x is not None and not any(x[n:])
-            and all(c >= 0 and c % den == 0 for c in x[:n]))
 
 
 def kac_flag_constituents(rs: RootSystem, b: Borel, lam: Weight):

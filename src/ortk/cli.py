@@ -28,7 +28,6 @@ from .characters import (
     weight_multiplicity,
 )
 from .ecgraph import graph_to_dot, graph_to_json, make_walk
-from .manifest import GAMMA_BOUND
 from .numerics import DegreeOverflow, parse_weight, render_weight
 from .orgraph import build_or_graph, build_or_lambda, walk_hom_oracle
 from .quiver import build_quiver, path_normal_forms, render_path
@@ -219,7 +218,7 @@ def _cmd_s1(args, print_fn) -> int:
     rs = _build_system(args)
     b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
-    cls = s1_classify(rs, b, lam, gamma_bound=args.gamma_bound)
+    cls = s1_classify(rs, b, lam)
     names = lambda roots: sorted(rs.root_name(r) for r in roots)
     if args.out == "json":
         print_fn(_dump({
@@ -392,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("s1", help="classify pure isotropic roots for S1")
     _add_system_flags(p, need_lambda=True, with_borel=True)
-    p.add_argument("--gamma-bound", type=int, default=GAMMA_BOUND,
-                   help="height bound of the witness shifts gamma, >= 0")
     _add_out_flag(p, choices=("text", "json"))
     p.set_defaults(handler=_cmd_s1)
 

@@ -16,7 +16,6 @@ __all__ = [
     "LAMBDA_GRID",
     "ISO_SUITE",
     "GAMMA_BOUND",
-    "GAMMA_GRID_MAX",
     "PHI_DEPTH",
     "QUIVER_MAX_LEN",
     "WALK_SEED",
@@ -76,13 +75,9 @@ ISO_SUITE = (
     IsoCheck("ospB", 2, 2, "young", 6),
 )
 
-# bound on the even-cone height of witness shifts gamma
+# the default of s1_classify's unused gamma_bound, which bounded the
+# even-root witness search; kept while callers still pass or read it
 GAMMA_BOUND = 4
-
-# cap on the points of the gamma grid, C(bound + k, k) for k even simple
-# roots: 126 at the default bound on ospB(3|2); a bound over the cap raises
-# ValueError (exit code 2 from the CLI) and the grid is never truncated
-GAMMA_GRID_MAX = 10_000
 
 # truncation depth for the brute-force character expansion oracle
 PHI_DEPTH = 4

@@ -252,28 +252,22 @@ class RootSystem:
         """coord_denominator times the coordinates of the rational vector v
         (a tuple of ints or Fractions) in the height-extension basis; the
         first len(even_simple) entries are the even simple coordinates."""
-        return _apply_rows(self._inverse_height[0], v)
+        return tuple(sum(map(mul, row, v)) for row in self._inverse_height[0])
 
-    def specialized_coords(self, v: Weight, rows) -> tuple[int, ...] | None:
-        """The integer rows applied to v with its a-part specialized at
-        alpha_value; None when v carries an a-part and a stays symbolic,
-        or when a result is not an integer."""
+    def lattice_coords(self, v: Weight) -> tuple[int, ...] | None:
+        """height_coords of v with the a-part specialized at alpha_value;
+        None when v carries an a-part and a stays symbolic, or when a
+        result is not an integer."""
         if v.rank != self.rank:
             raise RankMismatch(f"weight of rank {v.rank} against rank {self.rank}")
         if any(v.s) and self.alpha_value is None:
             return None
         alpha = self.alpha_value or 0  # without alpha the a-part is zero
         q, den = alpha.denominator, v.den * alpha.denominator
-        out = _apply_rows(rows, [x * q + y * alpha.numerator for x, y in zip(v.r, v.s)])
+        out = self.height_coords([x * q + y * alpha.numerator for x, y in zip(v.r, v.s)])
         if any(x % den for x in out):
             return None
         return tuple(x // den for x in out)
-
-    def lattice_coords(self, v: Weight) -> tuple[int, ...] | None:
-        """height_coords of v with the a-part specialized at alpha_value;
-        None when v carries an a-part and a stays symbolic, or when a
-        result is not an integer."""
-        return self.specialized_coords(v, self._inverse_height[0])
 
     def sort_height(self, v: Weight) -> Fraction:
         """The even-simple height, extended by zero on a fixed complement basis."""
@@ -316,11 +310,6 @@ def basis_inverse(basis_ivecs, rank: int) -> tuple[tuple[tuple[int, ...], ...], 
     diag = [m[i][col] for i, col in enumerate(pivots)]
     den = lcm(*diag)
     return tuple(tuple(x * (den // d) for x in m[i][k:]) for i, d in enumerate(diag)), den
-
-
-def _apply_rows(rows, v) -> tuple:
-    """The integer rows applied to the vector v (ints or Fractions)."""
-    return tuple(sum(map(mul, row, v)) for row in rows)
 
 
 def _indecomposables(roots) -> tuple[Root, ...]:

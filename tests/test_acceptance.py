@@ -16,10 +16,10 @@ import time
 import pytest
 
 from test_characters import truncated_terms
+from test_lattice import ref_witness
 from test_quiver import _oracle_degree_dim, _oracle_dim
 
 from ortk import manifest
-from ortk.atypicality import simple_even_witness
 from ortk.characters import (
     MultiplicityQuery,
     character_weight_multiplicity,
@@ -87,8 +87,7 @@ def test_criterion_2(builds):
             == ["d+e1+e2"]
     )
     beta = rs.root_by_name("d+e1+e2")
-    w = simple_even_witness(rs, beta, zero_weight(3),
-                            gamma_bound=manifest.GAMMA_BOUND)
+    w = ref_witness(rs, borels, beta, zero_weight(3), manifest.GAMMA_BOUND)
     found = "(%s, gamma=0)" % og.vertex_of_borel(w[0]) if w else "no witness"
     claim_ok = w is not None and w[0] == borels[1] and w[1] == zero_weight(3)
     ok = structure_ok and claim_ok
@@ -97,8 +96,9 @@ def test_criterion_2(builds):
           "(claimed: the rho=0 Borel with gamma=0)"
           % ("PASS" if ok else "FAIL", found))
     assert structure_ok
-    # claimed witness; the search is exhaustive to the gamma bound and the
-    # dimension condition rules every candidate out (the value there is 5)
+    # claimed witness; the brute-force search is exhaustive to the gamma
+    # bound and the dimension condition rules every candidate out (the
+    # value there is 5), as s1_classify proves for every bound
     assert claim_ok
 
 
@@ -119,10 +119,9 @@ def test_criterion_2_structure(builds):
 
 
 def test_criterion_2_bounded_search_finds_no_witness(builds):
-    rs, _, _ = builds.get("d21alpha", None, None)
+    rs, borels, _ = builds.get("d21alpha", None, None)
     beta = rs.root_by_name("d+e1+e2")
-    assert simple_even_witness(rs, beta, zero_weight(3),
-                               gamma_bound=manifest.GAMMA_BOUND) is None
+    assert ref_witness(rs, borels, beta, zero_weight(3), manifest.GAMMA_BOUND) is None
 
 
 def test_criterion_3(builds):

@@ -1,18 +1,17 @@
-"""Typicality, S1 classification, even-root witness search."""
+"""Typicality, S1 classification, and why pure roots stay unknown."""
+
+import functools
 
 import pytest
 
-from ortk import atypicality
-from ortk.atypicality import (
-    Emptiness,
-    is_typical,
-    s1_classify,
-    simple_even_witness,
-)
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from ortk import manifest
+from ortk.atypicality import Emptiness, is_typical, s1_classify
+from ortk.characters import MultiplicityQuery, weight_multiplicity
 from ortk.numerics import parse_weight, zero_weight
 from ortk.orgraph import build_or_graph, build_or_lambda, rbtriv_check
 from ortk.rootsys import (
-    PreconditionViolated,
     build_root_system,
     enumerate_borels,
     odd_reflect,
@@ -61,8 +60,8 @@ def test_s1_d21_at_b3():
     cls = s1_classify(rs, b3, zero_weight(3))
     in_names = {rs.root_name(r) for r in cls.certified_in}
     assert in_names == {"-d+e1+e2", "d+e1-e2", "d-e1+e2"}
-    # the pure root stays unknown: the bounded witness search fails, the
-    # candidate cell (b_3, gamma=0) has weight-space dimension 5
+    # the pure root stays unknown: at gamma = 0 its weight space in the
+    # Verma module of b_3 has dimension 5
     assert {rs.root_name(r) for r in cls.unknown} == {"d+e1+e2"}
     assert len(cls.certified_out) == 4
     assert cls.emptiness_verdict is Emptiness.NONEMPTY
@@ -122,61 +121,75 @@ def test_s1_invariant_under_typical_reflection():
     assert not cls2.certified_in & cls1.certified_out
 
 
-def test_witness_preconditions():
-    rs = build_root_system("gl", m=2, n=2)
-    with pytest.raises(PreconditionViolated):
-        simple_even_witness(rs, rs.root_by_name("e1-d1"), zero_weight(4), 4)
-
-    rsd = build_root_system("d21alpha")
-    beta = rsd.root_by_name("d+e1+e2")
-    with pytest.raises(PreconditionViolated):
-        simple_even_witness(rsd, beta, parse_weight("1,0,0", 3), 4)
+def pbw_count(rs, b, v):
+    """PBW monomials of weight -v in the Verma module of b."""
+    free = frozenset(rs.negate(r) for r in b.odd_positive)
+    zero = zero_weight(rs.rank)
+    return weight_multiplicity(rs, MultiplicityQuery(free, zero, zero - v))
 
 
-def test_negative_gamma_bound_rejected():
-    rs = build_root_system("d21alpha")
-    b = standard_borel(rs)
-    with pytest.raises(ValueError, match="gamma bound"):
-        s1_classify(rs, b, zero_weight(3), gamma_bound=-1)
-    with pytest.raises(ValueError, match="gamma bound"):
-        simple_even_witness(rs, rs.root_by_name("d+e1+e2"), zero_weight(3), -1)
-    # 0 is allowed: the grid is gamma = 0 alone
-    s1_classify(rs, b, zero_weight(3), gamma_bound=0)
+def system_id(family, m, n):
+    return {"gl11n": f"gl(1|1)^{n}", "d21alpha": "d21"}.get(family, f"{family}({m}|{n})")
 
 
-def test_gamma_grid_cap_is_checked_before_the_grid(monkeypatch):
-    # ospB(3|2) has 5 even simple roots, so bound b gives C(b + 5, 5) points
-    rs = build_root_system("ospB", m=3, n=2)
-    atypicality._check_gamma_bound(rs, 13)  # 8 568 points
-    with pytest.raises(ValueError, match="11628 grid points, over the cap of 10000"):
-        atypicality._check_gamma_bound(rs, 14)
-
-    def no_grid(*args):
-        raise AssertionError("the gamma grid was built")
-
-    monkeypatch.setattr(atypicality, "_gamma_grid", no_grid)
-    _, pure_iso = pure_positive_roots(rs, enumerate_borels(rs)[0])
-    beta = min(pure_iso, key=lambda r: r.sort_key())
-    cap_error = "gamma bound 50 gives 3478761 grid points, over the cap of 10000"
-    with pytest.raises(ValueError, match=cap_error):
-        s1_classify(rs, standard_borel(rs), zero_weight(5), gamma_bound=50)
-    with pytest.raises(ValueError, match=cap_error):
-        simple_even_witness(rs, beta, zero_weight(5), 50)
+@functools.cache
+def system(family, m, n):
+    rs = build_root_system(family, m, n)
+    borels, _ = enumerate_borels(rs)
+    return rs, borels, pure_positive_roots(rs, borels)[1]
 
 
-def test_witness_d21_exhausted():
-    # the candidate cell (b_3, gamma = 0) passes the cone and pairing
-    # conditions but its weight space has dimension 5, and every other
-    # cell in the bounded grid fails earlier
-    rs = build_root_system("d21alpha")
-    beta = rs.root_by_name("d+e1+e2")
-    assert simple_even_witness(rs, beta, zero_weight(3), 4) is None
+# the fewest PBW monomials at top - beta over the pure isotropic roots beta
+# and the Borels; None where the family has no pure isotropic root
+FEWEST_AT_BETA = {
+    ("gl", 1, 1): None, ("gl", 2, 1): None, ("gl", 2, 2): None, ("gl", 3, 2): None,
+    ("gl11n", None, 1): None, ("gl11n", None, 2): None, ("gl11n", None, 3): None,
+    ("ospB", 1, 1): 3, ("ospB", 2, 1): 3, ("ospB", 2, 2): 3, ("ospB", 3, 2): 3,
+    ("ospB", 2, 3): 3,
+    ("ospD", 1, 2): None, ("ospD", 2, 2): 4, ("ospD", 3, 2): 4, ("ospD", 2, 3): 4,
+    ("d21alpha", None, None): 4,
+}
+PAST_THE_GRID = (("ospB", 3, 2), ("ospB", 2, 3), ("ospD", 3, 2), ("ospD", 2, 3))
 
 
-def test_witness_ospB11_exhausted():
-    rs = build_root_system("ospB", m=1, n=1)
-    beta = rs.root_by_name("e1+d1")
-    assert simple_even_witness(rs, beta, zero_weight(2), 4) is None
+@pytest.mark.parametrize("key", [pytest.param(k, id=system_id(*k))
+                                 for k in manifest.grid_families() + PAST_THE_GRID])
+def test_pure_roots_split_in_every_borel(key):
+    # the three steps of the proof in s1_classify that the even-root
+    # witness never fires: a pure root is positive but never simple, it
+    # splits into two distinct positive roots, so the weight space beta
+    # below the top holds at least two PBW monomials
+    rs, borels, pure = system(*key)
+    fewest = None
+    for beta in pure:
+        for b in borels:
+            assert beta in b.odd_positive
+            assert beta not in b.simple
+            positive = {r.vector for r in rs.even_positive + b.odd_positive}
+            splits = [(a, beta.vector - a) for a in positive if beta.vector - a in positive]
+            assert any(a != c for a, c in splits)
+            count = pbw_count(rs, b, beta.vector)
+            fewest = count if fewest is None else min(fewest, count)
+    assert fewest == FEWEST_AT_BETA[key]
+
+
+MONOTONE_SYSTEMS = [("gl", 2, 2), ("ospB", 1, 2), ("ospB", 2, 2), ("ospD", 2, 2),
+                    ("d21alpha", None, None)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data(), key=st.sampled_from(MONOTONE_SYSTEMS))
+def test_multiplicity_is_monotone_in_gamma(data, key):
+    # adding an even-cone gamma below a positive root beta never lowers
+    # the weight multiplicity
+    rs, borels, _ = system(*key)
+    b = data.draw(st.sampled_from(borels))
+    beta = data.draw(st.sampled_from(rs.even_positive + b.odd_positive))
+    gamma = zero_weight(rs.rank)
+    for r in data.draw(st.lists(st.sampled_from(rs.even_simple), max_size=4)):
+        gamma = gamma + r.vector
+    assert pbw_count(rs, b, beta.vector + gamma) >= pbw_count(rs, b, beta.vector) >= 1
 
 
 def test_graph_consistency():

@@ -7,7 +7,6 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ortk import atypicality
 from ortk.cli import run_command
 from ortk.ecgraph import graph_from_json, graph_to_json
 
@@ -182,7 +181,7 @@ def test_borel_addressing():
     ("character", ["--induced"]),
     ("multiplicity", ["--mu={mu}"]),
     ("typical", []),
-    ("s1", ["--gamma-bound", "2"]),
+    ("s1", []),
 ])
 @pytest.mark.parametrize("system, mu", [
     (["--family", "gl", "--m", "3", "--n", "2", "--lambda", "1,0,0,0,-1"],
@@ -224,25 +223,13 @@ def test_default_borel_is_rank_zero(command, extra, system, mu):
     ["s1", "--family", "d21", "--lambda", "a,1,1"],
     ["quotient", "--family", "d21", "--lambda", "a,0,0"],
     ["hypercubic", "--family", "d21", "--lambda", "a,1,1"],
+    # a removed flag
     ["s1", "--family", "gl", "--m", "2", "--n", "1", "--lambda", "0,0,0",
-     "--gamma-bound", "-1"],
+     "--gamma-bound", "2"],
 ])
 def test_usage_errors_exit_two(argv):
     code, _ = cap(argv)
     assert code == 2
-
-
-def test_gamma_bound_over_the_cap_exits_two(monkeypatch, capsys):
-    # the cap is checked before any grid is built
-    def no_grid(*args):
-        raise AssertionError("the gamma grid was built")
-
-    monkeypatch.setattr(atypicality, "_gamma_grid", no_grid)
-    code, out = cap(["s1", "--family", "ospB", "--m", "3", "--n", "2",
-                     "--lambda", "0,0,0,0,0", "--gamma-bound", "50"])
-    assert (code, out) == (2, "")
-    err = capsys.readouterr().err
-    assert err == "error: gamma bound 50 gives 3478761 grid points, over the cap of 10000\n"
 
 
 def test_degree_overflow_is_reported_on_stderr(capsys):
@@ -269,7 +256,7 @@ GOLDEN_QUERIES = {
         "--lambda", "1/2,-1/3,2/3", "--mu=-3/2,2/3,5/3"],
     "s1_ospB21": [
         "s1", "--family", "ospB", "--m", "2", "--n", "1", "--lambda", "1/2,0,1"],
-    # reaches simple_even_witness: four pure roots pair to zero with lam + rho
+    # four pure roots pair to zero with lam + rho and stay unknown
     "s1_ospB22": [
         "s1", "--family", "ospB", "--m", "2", "--n", "2", "--lambda=1,2,-1,0"],
     "hypercubic_gl22": [
@@ -380,8 +367,6 @@ def argvs(draw):
                  "zz", ""]))]
         if command == "multiplicity" and sometimes(draw, 20):
             argv += ["--mu=" + draw(weight_texts(rank, family))]
-        if command == "s1" and draw(st.booleans()):
-            argv += ["--gamma-bound", draw(st.sampled_from(["0", "1", "2", "3", "-1", "x"]))]
         if command == "character" and draw(st.booleans()):
             argv += ["--induced"]
         if command == "walk" and sometimes(draw, 20):
