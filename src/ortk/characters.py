@@ -182,35 +182,27 @@ class MultiplicityQuery:
 def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:
     """Sum over the subsets S of free_odd of the Kostant count of
     base - target + sum(S), counted once per distinct sum."""
-    stray = set(q.free_odd) - set(rs.delta1)
-    if stray:
-        raise ValueError("free_odd must consist of odd roots")
+    sums = _subset_sums(rs, q.free_odd)
     head = rs.lattice_coords(q.base - q.target)
     # root sums have integer scaled coordinates, so a fractional head
     # coordinate (head None) rules out every subset
     if head is None:
         return 0
-    return _kostant_sum(rs, _subset_sums(rs, head, q.free_odd))
-
-
-def _subset_sums(rs: RootSystem, head: tuple, free_odd) -> dict:
-    """{head + sum(S): number of subsets S of free_odd}, in height_coords."""
-    return _times_factors({head: 1}, [rs.height_coords(r.vector.r) for r in free_odd])
-
-
-def _kostant_sum(rs: RootSystem, sums: dict) -> int:
-    """Sum of the Kostant counts of the keys of sums, with multiplicity."""
-    return sum(subsets * _kostant_scaled(rs, x) for x, subsets in sums.items())
-
-
-def _shifted_kostant_sum(rs: RootSystem, head, sums: dict) -> int:
-    """_kostant_sum of sums with every key moved by head, for sums built
-    once at head 0 and read at many heads; 0 when head is None, as in
-    weight_multiplicity."""
-    if head is None:
-        return 0
     return sum(subsets * _kostant_scaled(rs, tuple(map(add, head, x)))
                for x, subsets in sums.items())
+
+
+def _subset_sums(rs: RootSystem, free_odd: frozenset) -> dict:
+    """{sum(S): number of subsets S of free_odd}, in height_coords; built
+    once per free set and kept in rs._kostant_memo, read at every head."""
+    sums = rs._kostant_memo.get(free_odd)
+    if sums is None:
+        if not free_odd <= set(rs.delta1):
+            raise ValueError("free_odd must consist of odd roots")
+        sums = _times_factors({(0,) * rs.rank: 1},
+                              [rs.height_coords(r.vector.r) for r in free_odd])
+        rs._kostant_memo[free_odd] = sums
+    return sums
 
 
 def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,

@@ -15,12 +15,12 @@ from . import manifest
 from .adjusted import brick_decomposition_check, hypercubic_collections
 from .atypicality import Emptiness, is_typical, s1_classify
 from .characters import (
-    _shifted_kostant_sum,
-    _subset_sums,
+    MultiplicityQuery,
     characters_equal,
     kac_flag_constituents,
     total_dimension,
     verma_character,
+    weight_multiplicity,
 )
 from .ecgraph import (
     bfs_distances,
@@ -256,16 +256,14 @@ def suite_characters(builds: _Builds, family=None) -> list:
         if not _want(family, entry.family):
             continue
         rs, borels, og = builds.get(entry.family, entry.m, entry.n)
-        rhos = [weyl_vector(rs, b) for b in borels]
-        chars = [verma_character(rs, b.odd_positive, -rho) for b, rho in zip(borels, rhos)]
+        # the top of M^b(-rho_b)
+        tops = [-weyl_vector(rs, b) for b in borels]
+        chars = [verma_character(rs, b.odd_positive, top) for b, top in zip(borels, tops)]
         agree = all(characters_equal(chars[0], ch) for ch in chars[1:])
-        # the multiplicity of -rho in M^b2(-rho2): b2's odd-subset sums,
-        # built once per b2, shifted by rho - rho2
-        zero = (0,) * rs.rank
-        sums = [_subset_sums(rs, zero, [rs.negate(r) for r in b2.odd_positive])
-                for b2 in borels]
-        mult_ok = all(_shifted_kostant_sum(rs, rs.lattice_coords(rho - rho2), s) == 1
-                      for s, rho2 in zip(sums, rhos) for rho in rhos)
+        # the multiplicity of -rho in M^b2(-rho2)
+        frees = [frozenset(rs.negate(r) for r in b2.odd_positive) for b2 in borels]
+        mult_ok = all(weight_multiplicity(rs, MultiplicityQuery(free, top2, top)) == 1
+                      for free, top2 in zip(frees, tops) for top in tops)
         for lam_text in entry.weights:
             entries.append(ReportEntry(
                 check="character-agreement",

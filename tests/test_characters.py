@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ortk import characters
 from ortk.characters import (
     MultiplicityQuery,
     NumeratorCharacter,
@@ -145,9 +146,42 @@ def test_multiplicity_d21_below_2delta():
 def test_multiplicity_rejects_even_roots():
     rs = build_root_system("gl", m=2, n=1)
     even = rs.root_by_name("e1-e2")
-    with pytest.raises(ValueError):
-        weight_multiplicity(
-            rs, MultiplicityQuery(frozenset([even]), rank_zero(rs), rank_zero(rs)))
+    # a failed product build is not kept, so every call raises
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            weight_multiplicity(
+                rs, MultiplicityQuery(frozenset([even]), rank_zero(rs), rank_zero(rs)))
+
+
+def test_multiplicity_builds_each_free_sets_product_once(monkeypatch):
+    rs = build_root_system("gl", m=2, n=2)
+    borels, _ = enumerate_borels(rs)
+    tops = [rank_zero(rs), parse_weight("1,0,-1/2,0", 4)]
+    # the last target is off the root lattice, so its multiplicity is 0
+    targets = [parse_weight(t, 4)
+               for t in ("0,0,0,0", "-1,1,0,0", "-1,0,0,1", "-2,1,1,0", "1/2,0,0,-1/2")]
+    cases = []
+    for b in borels[:2]:
+        free = frozenset(rs.negate(r) for r in b.odd_positive)
+        for top in tops:
+            num = verma_character(rs, b.odd_positive, top)
+            for t in targets:
+                mu = top + t
+                cases.append((MultiplicityQuery(free, top, mu),
+                              character_weight_multiplicity(rs, num, mu)))
+    real = characters._times_factors
+    calls = []
+
+    def counted(terms, factors):
+        calls.append(1)
+        return real(terms, factors)
+
+    monkeypatch.setattr(characters, "_times_factors", counted)
+    # the first half of the queries share borels[0]'s free set, the second
+    # half borels[1]'s
+    for k, (q, mult) in enumerate(cases):
+        assert weight_multiplicity(rs, q) == mult
+        assert len(calls) == 1 + k // (len(cases) // 2)
 
 
 def truncated_terms(rs, numerator, depth):

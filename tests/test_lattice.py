@@ -477,9 +477,14 @@ def test_s1_classify_matches_brute_force(data, key):
     b = data.draw(st.sampled_from(borels))
     lam = data.draw(integral_weights(rs))
     # half the time lam + rho meets an isotropic root, so that the
-    # orthogonality and witness branches are reached
+    # orthogonality and witness branches are reached; on systems with pure
+    # roots, half of those times the root is pure, so that an orthogonal
+    # pure root reaches the witness branch
     if data.draw(st.booleans()):
-        root = data.draw(st.sampled_from(rs.delta_iso))
+        pool = rs.delta_iso
+        if pure and data.draw(st.booleans()):
+            pool = sorted(pure, key=lambda r: r.sort_key())
+        root = data.draw(st.sampled_from(pool))
         lam = made_orthogonal(rs, lam + ref_rho(rs, b), root) - ref_rho(rs, b)
     bound = data.draw(st.integers(0, 4))
     cls = s1_classify(rs, b, lam, bound)

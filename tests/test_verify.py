@@ -111,14 +111,13 @@ def assert_only_gl22_fails(report):
 
 
 def test_characters_multiplicity_fault_fails_its_whole_family(monkeypatch):
-    # every multiplicity of the suite is one Kostant sum over shifted
-    # odd-subset sums
-    real = verify._shifted_kostant_sum
+    # every multiplicity of the suite is one weight_multiplicity query
+    real = verify.weight_multiplicity
 
-    def planted(rs, head, sums):
-        return 2 if planted_in(rs) else real(rs, head, sums)
+    def planted(rs, q):
+        return 2 if planted_in(rs) else real(rs, q)
 
-    monkeypatch.setattr(verify, "_shifted_kostant_sum", planted)
+    monkeypatch.setattr(verify, "weight_multiplicity", planted)
     assert_only_gl22_fails(run_suite("characters"))
 
 
