@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .manifest import GAMMA_BOUND
 from .numerics import Weight
 from .rootsys import Borel, RootSystem, enumerate_borels, pure_positive_roots, weyl_vector
 
@@ -44,7 +43,7 @@ def is_typical(rs: RootSystem, b: Borel, lam: Weight) -> bool:
 
 
 def s1_classify(rs: RootSystem, b: Borel, lam: Weight,
-                gamma_bound: int = GAMMA_BOUND) -> S1Classification:
+                gamma_bound: int | None = None) -> S1Classification:
     """Certified bounds for S1 of the module with highest weight lam.
 
     A positive isotropic root is in when it is simple and orthogonal to

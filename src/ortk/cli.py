@@ -2,37 +2,18 @@
 
 Exit codes: 0 on success, 1 when a verify run reports failures, 2 on
 usage or parse errors, including a weight whose a-part leaves the
-degree-1 space.  JSON output is emitted with sorted keys so that
-identical inputs produce byte-identical exports.
+degree-1 space or a report file that cannot be opened.  JSON output is
+emitted with sorted keys so that identical inputs produce byte-identical
+exports.  Each command imports only the layers it runs, so start-up
+(and ``--help``) does not pay for the rest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
-
-from fractions import Fraction
-
-from .adjusted import (
-    borel_meet_join,
-    brick_decomposition_check,
-    hypercubic_collections,
-    split_criterion,
-)
-from .atypicality import is_typical, s1_classify
-from .characters import (
-    MultiplicityQuery,
-    character_to_json,
-    verma_character,
-    weight_multiplicity,
-)
-from .ecgraph import graph_to_dot, graph_to_json, make_walk
-from .numerics import DegreeOverflow, parse_weight, render_weight
-from .orgraph import build_or_graph, build_or_lambda, walk_hom_oracle
-from .quiver import build_quiver, path_normal_forms, render_path
-from .rootsys import build_root_system, enumerate_borels, standard_borel
-from .verify import run_suite
 
 __all__ = ["main", "run_command"]
 
@@ -52,6 +33,10 @@ def _dump(obj) -> str:
 
 
 def _build_system(args):
+    from fractions import Fraction
+
+    from .rootsys import build_root_system
+
     family = _internal_family(args.family)
     alpha = None
     if getattr(args, "alpha", None) is not None:
@@ -106,14 +91,20 @@ def _resolve_borel(rs, og, borels, text):
 def _borel_arg(rs, text):
     """The Borel named by --borel; the standard Borel (borels[0]) when it
     is omitted, without building the graph or enumerating Borels."""
+    from .rootsys import enumerate_borels, standard_borel
+
     if text is None:
         return standard_borel(rs)
+    from .orgraph import build_or_graph
+
     og = build_or_graph(rs)
     borels, _ = enumerate_borels(rs)
     return _resolve_borel(rs, og, borels, text)
 
 
 def _parse_lambda(rs, text):
+    from .numerics import parse_weight
+
     if text is None:
         raise UsageError("--lambda is required here")
     try:
@@ -123,6 +114,8 @@ def _parse_lambda(rs, text):
 
 
 def _emit_graph(graph, out, name, print_fn):
+    from .ecgraph import graph_to_dot, graph_to_json
+
     if out == "dot":
         print_fn(graph_to_dot(graph, name=name))
     elif out == "json":
@@ -137,6 +130,8 @@ def _emit_graph(graph, out, name, print_fn):
 
 
 def _cmd_or_graph(args, print_fn) -> int:
+    from .orgraph import build_or_graph
+
     rs = _build_system(args)
     og = build_or_graph(rs)
     _emit_graph(og.graph, args.out, "OR", print_fn)
@@ -144,6 +139,8 @@ def _cmd_or_graph(args, print_fn) -> int:
 
 
 def _cmd_quotient(args, print_fn) -> int:
+    from .orgraph import build_or_graph, build_or_lambda
+
     rs = _build_system(args)
     og = build_or_graph(rs)
     lam = _parse_lambda(rs, args.lam)
@@ -155,22 +152,37 @@ def _cmd_quotient(args, print_fn) -> int:
     return 0
 
 
+def _open_report(path):
+    """The --report file, opened before the suite runs so that a path
+    that cannot be written costs no run; a null context when omitted."""
+    if not path:
+        return contextlib.nullcontext()
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as e:
+        raise UsageError(f"cannot write the report: {e}")
+
+
 def _cmd_verify(args, print_fn) -> int:
+    from .verify import run_suite
+
     family = _internal_family(args.family) if args.family else None
-    report = run_suite(args.mode, family)
-    for e in report.entries:
-        params = " ".join(f"{k}={v}" for k, v in e.parameters.items() if v is not None)
-        print_fn(f"{e.status.upper():7s} {e.check} {params}".rstrip())
-    n_fail = sum(e.status == "fail" for e in report.entries)
-    print_fn(f"overall {'pass' if report.passed else 'fail'} "
-             f"({len(report.entries)} checks, {n_fail} failed)")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
+    with _open_report(args.report) as fh:
+        report = run_suite(args.mode, family)
+        for e in report.entries:
+            params = " ".join(f"{k}={v}" for k, v in e.parameters.items() if v is not None)
+            print_fn(f"{e.status.upper():7s} {e.check} {params}".rstrip())
+        n_fail = sum(e.status == "fail" for e in report.entries)
+        print_fn(f"overall {'pass' if report.passed else 'fail'} "
+                 f"({len(report.entries)} checks, {n_fail} failed)")
+        if fh is not None:
             fh.write(_dump(report.to_json()) + "\n")
     return 0 if report.passed else 1
 
 
 def _cmd_character(args, print_fn) -> int:
+    from .characters import character_to_json, verma_character
+
     rs = _build_system(args)
     b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
@@ -187,6 +199,8 @@ def _cmd_character(args, print_fn) -> int:
 
 
 def _cmd_multiplicity(args, print_fn) -> int:
+    from .characters import MultiplicityQuery, weight_multiplicity
+
     rs = _build_system(args)
     b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
@@ -203,6 +217,8 @@ def _cmd_multiplicity(args, print_fn) -> int:
 
 
 def _cmd_typical(args, print_fn) -> int:
+    from .atypicality import is_typical
+
     rs = _build_system(args)
     b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
@@ -215,6 +231,8 @@ def _cmd_typical(args, print_fn) -> int:
 
 
 def _cmd_s1(args, print_fn) -> int:
+    from .atypicality import s1_classify
+
     rs = _build_system(args)
     b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
@@ -236,6 +254,9 @@ def _cmd_s1(args, print_fn) -> int:
 
 
 def _cmd_walk(args, print_fn) -> int:
+    from .ecgraph import make_walk
+    from .orgraph import build_or_graph, walk_hom_oracle
+
     rs = _build_system(args)
     og = build_or_graph(rs)
     lam = _parse_lambda(rs, args.lam)
@@ -262,6 +283,16 @@ def _cmd_walk(args, print_fn) -> int:
 
 
 def _cmd_hypercubic(args, print_fn) -> int:
+    from .adjusted import (
+        borel_meet_join,
+        brick_decomposition_check,
+        hypercubic_collections,
+        split_criterion,
+    )
+    from .numerics import render_weight
+    from .orgraph import build_or_graph
+    from .rootsys import enumerate_borels
+
     rs = _build_system(args)
     og = build_or_graph(rs)
     borels, _ = enumerate_borels(rs)
@@ -300,6 +331,8 @@ def _cmd_hypercubic(args, print_fn) -> int:
 
 
 def _cmd_quiver(args, print_fn) -> int:
+    from .quiver import build_quiver, path_normal_forms, render_path
+
     try:
         q = build_quiver(args.preset, args.w)
         nf = path_normal_forms(q, args.max_len)
@@ -423,6 +456,8 @@ def run_command(argv, print_fn=print) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    from .numerics import DegreeOverflow
+
     try:
         return args.handler(args, print_fn)
     except (ValueError, DegreeOverflow) as e:

@@ -75,8 +75,8 @@ ISO_SUITE = (
     IsoCheck("ospB", 2, 2, "young", 6),
 )
 
-# the default of s1_classify's unused gamma_bound, which bounded the
-# even-root witness search; kept while callers still pass or read it
+# bounded the even-root witness search that s1_classify's proof replaced;
+# the tests' brute-force witness oracle and the benchmark still read it
 GAMMA_BOUND = 4
 
 # truncation depth for the brute-force character expansion oracle

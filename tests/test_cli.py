@@ -1,12 +1,16 @@
 """Command line behavior: exit codes, output formats, round trips."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import ortk
 from ortk.cli import run_command
 from ortk.ecgraph import graph_from_json, graph_to_json
 
@@ -226,6 +230,8 @@ def test_default_borel_is_rank_zero(command, extra, system, mu):
     # a removed flag
     ["s1", "--family", "gl", "--m", "2", "--n", "1", "--lambda", "0,0,0",
      "--gamma-bound", "2"],
+    # a report path that cannot be opened, found before the suite runs
+    ["verify", "iso", "--family", "gl", "--report", "/nonexistent/dir/r.json"],
 ])
 def test_usage_errors_exit_two(argv):
     code, _ = cap(argv)
@@ -238,6 +244,61 @@ def test_degree_overflow_is_reported_on_stderr(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "degree-1 space" in err
     assert "Traceback" not in err
+
+
+# -- each command imports only the layers it runs -------------------------------
+
+GL21 = ["--family", "gl", "--m", "2", "--n", "1", "--lambda", "0,0,0"]
+GRAPH_ONLY = {"characters", "atypicality", "adjusted", "quiver", "verify"}
+NOT_LOADED = [
+    (["quiver", "--preset", "chain3"],
+     {"rootsys", "characters", "ecgraph", "orgraph", "adjusted", "verify", "manifest"}),
+    (["typical"] + GL21,
+     {"ecgraph", "orgraph", "characters", "adjusted", "quiver", "verify", "manifest"}),
+    (["s1"] + GL21,
+     {"ecgraph", "orgraph", "characters", "adjusted", "quiver", "verify", "manifest"}),
+    (["multiplicity"] + GL21 + ["--mu", "0,0,0"],
+     {"ecgraph", "orgraph", "atypicality", "adjusted", "quiver", "verify", "manifest"}),
+    (["character"] + GL21,
+     {"ecgraph", "orgraph", "atypicality", "adjusted", "quiver", "verify", "manifest"}),
+    (["walk", "--family", "gl", "--m", "2", "--n", "2", "--lambda", "0,0,0,0",
+      "--path", "∅,1"], GRAPH_ONLY),
+    (["quotient"] + GL21, GRAPH_ONLY),
+    (["or-graph", "--family", "gl", "--m", "2", "--n", "1"], GRAPH_ONLY),
+]
+
+# run main() with the given argv, then print its exit code and the ortk
+# modules loaded, as JSON on the last line of stdout
+PROBE = """
+import contextlib, io, json, sys
+from ortk.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main()
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ortk")]))
+"""
+
+
+def loaded_by(argv):
+    """Exit code and ortk modules after `ortk ARGV` in a fresh interpreter."""
+    src = str(pathlib.Path(ortk.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", PROBE] + argv, env=env,
+                         capture_output=True, encoding="utf-8", check=True)
+    code, modules = json.loads(out.stdout.splitlines()[-1])
+    return code, set(modules)
+
+
+def test_help_loads_no_layer():
+    assert loaded_by(["--help"]) == (0, {"ortk", "ortk.cli"})
+
+
+@pytest.mark.parametrize("argv, absent", NOT_LOADED, ids=[argv[0] for argv, _ in NOT_LOADED])
+def test_command_loads_only_its_layers(argv, absent):
+    code, modules = loaded_by(argv)
+    assert code == 0
+    assert "ortk.cli" in modules
+    assert modules.isdisjoint(f"ortk.{m}" for m in absent)
 
 
 DATA = pathlib.Path(__file__).parent / "data"
