@@ -57,7 +57,8 @@ def s1_classify(rs: RootSystem, b: Borel, lam: Weight,
     * Never simple.  beta is not in bbar.simple: enumerate_borels
       reflects at every isotropic simple root, which would give an
       enumerated Borel where -beta is positive.
-    * Two monomials at gamma = 0.  So _indecomposables splits beta = a + c
+    * Two monomials at gamma = 0.  bbar.simple holds the positive roots
+      that are no sum of two (a test oracle checks this), so beta = a + c
       over the positive roots of bbar, with a != c, because every odd
       root vector has a +-1 coordinate.  f_-beta and f_-a f_-c are two
       PBW monomials at top - beta.

@@ -303,7 +303,7 @@ def hom_dimensions(q: Quiver, max_len: int = 4) -> list:
     return [[len(nf[(s, t)]) for t in q.vertices] for s in q.vertices]
 
 
-def word_normal_form(q: Quiver, word, max_len: int | None = None) -> dict:
+def word_normal_form(q: Quiver, word) -> dict:
     """Expand an arrow word over the basis of its degree.
 
     Returns a map from basis words to rational coefficients; the empty

@@ -3,9 +3,11 @@
 Each one reaches its verdict along a second code path, apart from the
 one in src/: pairings through the Scalar product on the form's diagonal
 in place of the integer pairing kernel, coordinates by Gaussian
-elimination over Q in place of one basis inverse, the trivial quotient
-by its direct criterion, and the semibrick index sets by an exhaustive
-rainbow search in place of BFS distances.  The package never calls them.
+elimination over Q in place of one basis inverse, a Borel's simple
+roots by a search over all pairwise sums in place of the simple system
+inherited along odd reflections, the trivial quotient by its direct
+criterion, and the semibrick index sets by an exhaustive rainbow search
+in place of BFS distances.  The package never calls them.
 """
 
 from __future__ import annotations
@@ -89,6 +91,15 @@ def expand_in_basis(v: Weight, basis: list[Weight]) -> list[Scalar]:
         Scalar(rows[pivot_of_col[j]][ncols], rows[pivot_of_col[j]][ncols + 1])
         for j in range(ncols)
     ]
+
+
+def ref_simple_roots(rs, odd_positive) -> set:
+    """The simple roots of the Borel with these positive odd roots: the
+    positive roots (even and odd) that are not the sum of two positive
+    roots, a root added to itself included."""
+    positive = list(rs.even_positive) + list(odd_positive)
+    sums = {a.vector + b.vector for a in positive for b in positive}
+    return {r for r in positive if r.vector not in sums}
 
 
 def ref_rbtriv(rs, og, lam: Weight) -> bool:

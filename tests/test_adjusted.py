@@ -2,6 +2,7 @@
 
 import pytest
 
+from ortk import manifest
 from ortk.adjusted import (
     SplitVerdict,
     borel_meet_join,
@@ -19,6 +20,7 @@ from ortk.rootsys import (
     NotIsotropicSimple,
     build_root_system,
     enumerate_borels,
+    odd_reflect,
     standard_borel,
 )
 
@@ -200,6 +202,34 @@ def test_split_criterion_gl22():
         split_criterion(rs, std, zero_weight(4), 1)
     with pytest.raises(NotIsotropicSimple):
         split_criterion(rs, b, zero_weight(4), 7)
+
+
+def test_split_exact_sequence_identities():
+    # the two character identities behind split_criterion, for every
+    # isotropic simple alpha of every Borel b of the type-one grid:
+    #   M^{b cap r b}(lam) = M^{rb}(lam - alpha) + M^{rb}(lam)
+    #                      = M^b(lam + alpha) + M^b(lam)
+    checked = 0
+    for entry in manifest.LAMBDA_GRID:
+        rs = build_root_system(entry.family, entry.m, entry.n)
+        if not rs.type_one:
+            continue
+        borels, _ = enumerate_borels(rs)
+        for text in entry.weights:
+            lam = parse_weight(text, rs.rank)
+            for b in borels:
+                for i in b.isotropic_simple_indices():
+                    alpha = b.simple[i - 1]
+                    rb = odd_reflect(rs, b, i)
+                    meet = verma_character(rs, set(b.odd_positive) - {alpha}, lam)
+                    down = char_add(verma_character(rs, rb.odd_positive, lam - alpha.vector),
+                                    verma_character(rs, rb.odd_positive, lam))
+                    up = char_add(verma_character(rs, b.odd_positive, lam + alpha.vector),
+                                  verma_character(rs, b.odd_positive, lam))
+                    assert characters_equal(meet, down), (entry.family, b, i)
+                    assert characters_equal(meet, up), (entry.family, b, i)
+                    checked += 1
+    assert checked == 342
 
 
 def test_semibrick_window_gl11():

@@ -323,6 +323,11 @@ GOLDEN_QUERIES = {
     "hypercubic_gl22": [
         "hypercubic", "--family", "gl", "--m", "2", "--n", "2",
         "--lambda", "1,0,0,-1"],
+    # split indices and J sets at a Borel whose inherited simple order
+    # differs from the order of its indecomposable roots
+    "hypercubic_gl32_borel21": [
+        "hypercubic", "--family", "gl", "--m", "3", "--n", "2",
+        "--lambda", "1,0,0,0,-1", "--borel", "21"],
     "quotient_gl22": [
         "quotient", "--family", "gl", "--m", "2", "--n", "2",
         "--lambda", "1/2,0,0,-1/2"],

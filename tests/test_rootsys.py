@@ -1,12 +1,15 @@
 """Root systems, Borel enumeration, odd reflections."""
 
+import itertools
 import random
 
 from fractions import Fraction
 
 import pytest
 
+from ortk import manifest
 from ortk.numerics import Weight, scalar, weight, zero_weight, render_weight
+from ortk.orgraph import build_or_graph
 from ortk.rootsys import (
     Borel,
     NotIsotropicSimple,
@@ -21,7 +24,7 @@ from ortk.rootsys import (
     weyl_vector,
 )
 
-from oracles import ref_orthogonal
+from oracles import ref_orthogonal, ref_simple_roots
 
 
 def names(rs, roots):
@@ -172,6 +175,51 @@ def test_gl22_borel_partitions():
     assert parts == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
     for p, b in zip(parts, borels):
         assert borel_from_partition(rs, p) == b
+
+
+@pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (3, 2), (4, 3)])
+def test_partition_borel_is_the_enumerated_borel(m, n):
+    # simple orders included: Borel equality ignores .simple
+    rs = build_root_system("gl", m=m, n=n)
+    borels, _ = enumerate_borels(rs)
+    by_partition = {partition_of_borel(rs, b): b for b in borels}
+    # the partitions in the n x m box, row lengths bottom-up
+    parts = {tuple(x for x in rows if x)
+             for rows in itertools.combinations_with_replacement(range(m, -1, -1), n)}
+    assert set(by_partition) == parts
+    for p in parts:
+        b = borel_from_partition(rs, p)
+        assert b == by_partition[p]
+        assert b.simple == by_partition[p].simple, p
+
+
+def test_partition_borel_reflects_as_its_vertex():
+    # the partition (2, 1) Borel of gl(3|2) has simple system
+    # e1-d1, -e2+d1, e2-d2, -e3+d2, so index 2 reflects at -e2+d1
+    rs = build_root_system("gl", m=3, n=2)
+    og = build_or_graph(rs)
+    b = borel_from_partition(rs, (2, 1))
+    assert odd_reflect(rs, b, 2) == odd_reflect(rs, og.borel_of_vertex["21"], 2)
+    assert names(rs, b.simple) == ["e1-d1", "-e2+d1", "e2-d2", "-e3+d2"]
+
+
+SIMPLE_ORACLE_FAMILIES = [
+    (family, dict(m=m, n=n)) for family, m, n in manifest.grid_families()
+] + [("gl", dict(m=4, n=3)), ("gl11n", dict(n=6)), ("ospB", dict(m=3, n=2)),
+     ("ospB", dict(m=2, n=3)), ("ospD", dict(m=3, n=2)), ("ospD", dict(m=2, n=3)),
+     ("d21alpha", dict(alpha=Fraction(2, 3)))]
+
+
+@pytest.mark.parametrize("family, kw", SIMPLE_ORACLE_FAMILIES,
+                         ids=["-".join([f] + [f"{k}{v}" for k, v in kw.items() if v])
+                              for f, kw in SIMPLE_ORACLE_FAMILIES])
+def test_inherited_simple_system_matches_brute_force(family, kw):
+    rs = build_root_system(family, **kw)
+    borels, _ = enumerate_borels(rs)
+    for b in borels:
+        expected = ref_simple_roots(rs, b.odd_positive)
+        assert set(b.simple) == expected, names(rs, b.simple)
+        assert len(b.simple) == len(expected)
 
 
 def test_partition_validation():
