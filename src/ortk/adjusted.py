@@ -16,7 +16,13 @@ from enum import Enum
 
 from .characters import _numerator, _times_factors, character_weight_multiplicity
 from .numerics import Weight, zero_weight
-from .rootsys import Borel, NotIsotropicSimple, Root, RootSystem, odd_reflect
+from .rootsys import (
+    Borel,
+    NotIsotropicSimple,
+    PreconditionViolated,
+    RootSystem,
+    odd_reflect,
+)
 
 __all__ = [
     "AdjustedBorel",
@@ -106,7 +112,8 @@ def hypercubic_collections(rs: RootSystem, b: Borel, lam: Weight):
 
 def reflect_along(rs: RootSystem, b: Borel, coll: HypercubicCollection) -> Borel:
     """r_J b: reflect at each collection root in turn.  Orthogonality keeps
-    every remaining root simple along the way."""
+    every remaining root simple along the way; a root that is not simple
+    in the Borel reached raises PreconditionViolated."""
     cur = b
     for r in coll.roots:
         idx = None
@@ -114,22 +121,27 @@ def reflect_along(rs: RootSystem, b: Borel, coll: HypercubicCollection) -> Borel
             if s.vector == r.vector:
                 idx = k
                 break
-        assert idx is not None, "collection root lost simplicity"
+        if idx is None:
+            raise PreconditionViolated(
+                f"collection root {rs.root_name(r)} is not simple in the Borel reached")
         cur = odd_reflect(rs, cur, idx)
     return cur
 
 
 def borel_meet_join(rs: RootSystem, b: Borel, coll: HypercubicCollection):
-    """Odd parts of b intersect r_J b and b + r_J b."""
+    """Odd parts of b intersect r_J b and b + r_J b.
+
+    Raises PreconditionViolated unless every collection root is simple
+    in b.  For a collection of hypercubic_collections(rs, b, lam) both
+    parts are lam-adjusted; the tests check that on the pinned grid."""
+    stray = set(coll.roots) - set(b.simple)
+    if stray:
+        raise PreconditionViolated(
+            f"collection roots {sorted(map(rs.root_name, stray))} are not simple in b")
     pos = set(b.odd_positive)
-    assert set(coll.roots) <= pos, "collection roots must be simple in b"
     meet = frozenset(pos - set(coll.roots))
     join = frozenset(pos | {rs.negate(r) for r in coll.roots})
-    meet_a = AdjustedBorel(meet, b)
-    join_a = AdjustedBorel(join, b)
-    assert is_lambda_adjusted(rs, meet_a.delta_a, coll.lam)
-    assert is_lambda_adjusted(rs, join_a.delta_a, coll.lam)
-    return meet_a, join_a
+    return AdjustedBorel(meet, b), AdjustedBorel(join, b)
 
 
 def brick_decomposition_check(rs: RootSystem, b: Borel, lam: Weight,

@@ -64,14 +64,21 @@ def _times_factors(terms: dict, factors) -> dict:
 
 
 def _numerator(rs: RootSystem, delta_a) -> dict:
-    """Numerator of ch M^a(0) as {integer offset: coefficient}."""
-    delta_a = set(delta_a)
-    stray = delta_a - set(rs.delta1)
-    if stray:
-        raise ValueError(
-            f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
-    factors = [r.vector.r for r in rs.delta1 if r not in delta_a]
-    return _times_factors({(0,) * rs.rank: 1}, factors)
+    """Numerator of ch M^a(0) as {integer offset: coefficient}; built once
+    per odd set and kept in rs._kostant_memo, so callers only read it."""
+    delta_a = frozenset(delta_a)
+    # the tag keeps the key apart from _subset_sums' bare free-set keys
+    key = ("numerator", delta_a)
+    terms = rs._kostant_memo.get(key)
+    if terms is None:
+        stray = delta_a - set(rs.delta1)
+        if stray:
+            raise ValueError(
+                f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
+        factors = [r.vector.r for r in rs.delta1 if r not in delta_a]
+        terms = _times_factors({(0,) * rs.rank: 1}, factors)
+        rs._kostant_memo[key] = terms
+    return terms
 
 
 def _as_weights(lam: Weight, offsets: dict) -> dict:
@@ -215,8 +222,9 @@ def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,
 def kac_flag_constituents(rs: RootSystem, b: Borel, lam: Weight):
     """Highest weights of the Verma flag of Ind M_0(lam), with
     multiplicity, ordered by height then coordinates."""
-    # lam plus every subset sum of the odd positive roots, one per subset
-    sums = _times_factors({(0,) * rs.rank: 1}, [r.vector.r for r in b.odd_positive])
+    # lam plus every subset sum of the odd positive roots, one per subset:
+    # the numerator whose odd set is their negatives
+    sums = _numerator(rs, map(rs.negate, b.odd_positive))
     return _height_sorted(rs, [w for w, c in _as_weights(lam, sums).items() for _ in range(c)])
 
 

@@ -18,6 +18,7 @@ from ortk.numerics import parse_weight, zero_weight
 from ortk.orgraph import image_intersection_kind
 from ortk.rootsys import (
     NotIsotropicSimple,
+    PreconditionViolated,
     build_root_system,
     enumerate_borels,
     odd_reflect,
@@ -118,6 +119,49 @@ def test_borel_meet_join_gl22():
     assert meet.delta_a == frozenset(
         set(b.odd_positive) - {b.simple[0], b.simple[2]})
     assert len(join.delta_a) == len(b.odd_positive) + 2
+
+
+def test_meet_and_join_are_lambda_adjusted_on_the_grid():
+    # the meet and join of every hypercubic collection of every Borel of
+    # the pinned grid, at every grid weight, are lambda-adjusted
+    checked = 0
+    for entry in manifest.LAMBDA_GRID:
+        rs = build_root_system(entry.family, entry.m, entry.n)
+        borels, _ = enumerate_borels(rs)
+        for text in entry.weights:
+            lam = parse_weight(text, rs.rank)
+            for b in borels:
+                for coll in hypercubic_collections(rs, b, lam):
+                    meet, join = borel_meet_join(rs, b, coll)
+                    assert is_lambda_adjusted(rs, meet.delta_a, lam), (entry, b, coll.j)
+                    assert is_lambda_adjusted(rs, join.delta_a, lam), (entry, b, coll.j)
+                    checked += 1
+    assert checked == 563
+
+
+def foreign_collection():
+    """gl(2|2) Borel 0 with the collection {1, 3} of Borel 1: its roots
+    e1-d1 and e2-d2 are positive in Borel 0 but not simple."""
+    rs = build_root_system("gl", m=2, n=2)
+    borels, _ = enumerate_borels(rs)
+    coll = [c for c in hypercubic_collections(rs, borels[1], zero_weight(4))
+            if c.j == {1, 3}][0]
+    assert set(coll.roots) <= set(borels[0].odd_positive)
+    return rs, borels[0], coll
+
+
+def test_borel_meet_join_rejects_roots_not_simple_in_b():
+    rs, b, coll = foreign_collection()
+    with pytest.raises(PreconditionViolated, match="not simple in b"):
+        borel_meet_join(rs, b, coll)
+    with pytest.raises(PreconditionViolated):
+        brick_decomposition_check(rs, b, coll.lam, coll)
+
+
+def test_reflect_along_rejects_roots_not_simple():
+    rs, b, coll = foreign_collection()
+    with pytest.raises(PreconditionViolated, match="e1-d1 is not simple"):
+        reflect_along(rs, b, coll)
 
 
 def test_reflect_along_matches_pair_reflection():

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from ortk import characters
+from ortk import adjusted, characters
+from ortk.adjusted import brick_decomposition_check, hypercubic_collections
 from ortk.characters import (
     MultiplicityQuery,
     NumeratorCharacter,
@@ -182,6 +183,63 @@ def test_multiplicity_builds_each_free_sets_product_once(monkeypatch):
     for k, (q, mult) in enumerate(cases):
         assert weight_multiplicity(rs, q) == mult
         assert len(calls) == 1 + k // (len(cases) // 2)
+
+
+def test_numerator_builds_each_odd_sets_product_once(monkeypatch):
+    rs = build_root_system("gl", m=2, n=2)
+    b = enumerate_borels(rs)[0][1]
+    lam = parse_weight("1,0,-1/2,0", 4)
+    real = characters._times_factors
+    calls = []
+
+    def counted(terms, factors):
+        calls.append(1)
+        return real(terms, factors)
+
+    monkeypatch.setattr(characters, "_times_factors", counted)
+    first = verma_character(rs, b.odd_positive, lam)
+    assert len(calls) == 1
+    # an equal odd set in any container, at any weight, reads the same product
+    for delta_a in (set(b.odd_positive), list(b.odd_positive),
+                    frozenset(b.odd_positive), tuple(reversed(b.odd_positive))):
+        assert verma_character(rs, delta_a, lam) == first
+        assert verma_character(rs, delta_a, rank_zero(rs)).terms == {
+            w - lam: c for w, c in first.terms.items()}
+    assert len(calls) == 1
+    verma_character(rs, (), lam)
+    assert len(calls) == 2
+    # the Kac flag reads the numerator of the negated odd positives
+    kac_flag_constituents(rs, b, lam)
+    kac_flag_constituents(rs, b, rank_zero(rs))
+    assert len(calls) == 3
+    # a stray root raises on every call, with the cache warm; nothing is kept
+    even = rs.root_by_name("e1-e2")
+    for _ in range(2):
+        with pytest.raises(ValueError, match="non odd roots"):
+            verma_character(rs, set(b.odd_positive) | {even}, lam)
+    assert len(calls) == 3
+    assert verma_character(rs, b.odd_positive, lam) == first
+
+
+def test_brick_checks_build_only_their_shift_product_when_warm(monkeypatch):
+    rs = build_root_system("gl", m=2, n=2)
+    b = enumerate_borels(rs)[0][1]
+    lam = rank_zero(rs)
+    coll = [c for c in hypercubic_collections(rs, b, lam) if c.j == {1, 3}][0]
+    real = characters._times_factors
+    calls = []
+
+    def counted(terms, factors):
+        calls.append(1)
+        return real(terms, factors)
+
+    monkeypatch.setattr(characters, "_times_factors", counted)
+    monkeypatch.setattr(adjusted, "_times_factors", counted)
+    assert brick_decomposition_check(rs, b, lam, coll)
+    # the meet's and the join's numerators, then the J-shift product
+    assert len(calls) == 3
+    assert brick_decomposition_check(rs, b, lam, coll)
+    assert len(calls) == 4
 
 
 def truncated_terms(rs, numerator, depth):

@@ -17,6 +17,7 @@ import sympy
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ortk.adjusted import borel_meet_join, brick_decomposition_check, hypercubic_collections
 from ortk.atypicality import Emptiness, s1_classify
 from ortk.characters import (
     MultiplicityQuery,
@@ -201,6 +202,22 @@ def test_verma_character_matches_product_expansion(data, key):
     b = data.draw(st.sampled_from(borels))
     delta_a = data.draw(st.sampled_from([set(b.odd_positive), set()]))
     assert verma_character(rs, delta_a, lam).terms == ref_numerator(rs, delta_a, lam)
+
+
+@FUZZ
+@given(data=st.data(), key=systems)
+def test_numerators_survive_brick_checks_on_the_same_system(data, key):
+    # brick checks read the meet's and join's numerators from the memo the
+    # Verma characters share; no cached product may change under them
+    rs, borels = system(key)
+    b = data.draw(st.sampled_from(borels))
+    lam = data.draw(weights(rs))
+    for coll in hypercubic_collections(rs, b, zero_weight(rs.rank)):
+        meet, join = borel_meet_join(rs, b, coll)
+        for _ in range(2):
+            assert brick_decomposition_check(rs, b, coll.lam, coll)
+        for delta_a in (meet.delta_a, join.delta_a, set(b.odd_positive)):
+            assert verma_character(rs, delta_a, lam).terms == ref_numerator(rs, delta_a, lam)
 
 
 @FUZZ
