@@ -149,13 +149,26 @@ def brick_decomposition_check(rs: RootSystem, b: Borel, lam: Weight,
     """ch M^{b cap r_J b}(lam) against the 4^|J| brick characters
     M^{b + r_J b}(lam - sigma_{J_1} + sigma_{J_2})."""
     meet_a, join_a = borel_meet_join(rs, b, coll)
-    # both sides as offsets from lam; the brick shifts -sigma_{J_1} +
-    # sigma_{J_2} over all 4^|J| pairs are the exponents of
-    # prod_{beta in J} (1 + e^-beta)(1 + e^beta)
-    lhs = _numerator(rs, meet_a.delta_a)
-    shifts = [r.vector.r for r in coll.roots] + [rs.negate(r).vector.r for r in coll.roots]
-    total = _times_factors(_numerator(rs, join_a.delta_a), shifts)
-    return lhs == total
+    # both sides as offsets from lam, neither depending on lam
+    return _numerator(rs, meet_a.delta_a) == _brick_sum(rs, join_a.delta_a)
+
+
+def _brick_sum(rs: RootSystem, join: frozenset) -> dict:
+    """The 4^|J| brick numerators summed, as offsets from lam; built once
+    per join odd set and kept in rs._kostant_memo.
+
+    The brick shifts -sigma_{J_1} + sigma_{J_2} are the exponents of
+    prod_{beta in J} (1 + e^-beta)(1 + e^beta).  The join roots whose
+    negatives are in the join too are the roots of J and their negatives,
+    and the product is symmetric under beta <-> -beta, so it depends only
+    on the join odd set: b and r_J b share one entry."""
+    key = ("brick", join)
+    total = rs._kostant_memo.get(key)
+    if total is None:
+        shifts = [beta.vector.r for beta in join if rs.negate(beta) in join]
+        total = _times_factors(_numerator(rs, join), shifts)
+        rs._kostant_memo[key] = total
+    return total
 
 
 def split_criterion(rs: RootSystem, b: Borel, lam: Weight, i: int) -> SplitVerdict:

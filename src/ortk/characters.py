@@ -39,12 +39,16 @@ __all__ = [
 
 @dataclass
 class NumeratorCharacter:
-    """Numerator of a character over the fixed even denominator."""
+    """Numerator of a character over the fixed even denominator.
+
+    terms is kept as given, without a copy, unless it holds a zero
+    coefficient; then it is rebuilt without the zeros."""
 
     terms: dict
 
     def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if c != 0}
+        if 0 in self.terms.values():
+            self.terms = {w: c for w, c in self.terms.items() if c != 0}
 
     def coefficient(self, w: Weight) -> int:
         return self.terms.get(w, 0)
@@ -82,9 +86,17 @@ def _numerator(rs: RootSystem, delta_a) -> dict:
 
 
 def _as_weights(lam: Weight, offsets: dict) -> dict:
-    """{lam + offset: coefficient} for integer offsets."""
+    """{lam + offset: coefficient} for integer offsets.
+
+    Each term has the fields (lam.r + lam.den * offset, lam.s, lam.den).
+    Adding multiples of den to r leaves gcd(den, *r, *s) as it is, 1, so
+    the terms are in lowest terms without a reduction."""
     r, s, den = lam.r, lam.s, lam.den
-    return {Weight.of([x + den * k for x, k in zip(r, off)], s, den): c
+    new = object.__new__
+    if den == 1:
+        return {new(Weight)._set(tuple(map(add, r, off)), s, 1): c
+                for off, c in offsets.items()}
+    return {new(Weight)._set(tuple([x + den * k for x, k in zip(r, off)]), s, den): c
             for off, c in offsets.items()}
 
 

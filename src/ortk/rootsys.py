@@ -140,14 +140,17 @@ class RootSystem:
             raise UnsupportedFamily("standard odd positives are not all roots")
         self.even_simple = _indecomposables(self.even_positive)
         self._names = {self.root_name(r): r for r in self.delta0 + self.delta1}
-        # the character kernels' fixed work, kept per system (characters.py):
+        # the character kernels' fixed work, kept per system (characters.py,
+        # adjusted.py):
         #   "roots"                   -> the even-root table of the Kostant count
         #   (coordinates, index)      -> a Kostant state's partition count
         #   frozenset of odd roots    -> a free set's odd-subset sums
         #   ("numerator", odd set)    -> a numerator prod (1 + e^beta) as offsets
-        # One subset-sum dict per distinct free set and one product per
-        # distinct odd set queried, each with at most 2^|delta1| terms;
-        # the Kostant states grow with the queried coordinates.
+        #   ("brick", join odd set)   -> a brick check's J-shift product
+        # One subset-sum dict per distinct free set, one product per
+        # distinct odd set queried and one brick product per distinct join
+        # odd set, each with at most 2^|delta1| terms; the Kostant states
+        # grow with the queried coordinates.
         self._kostant_memo: dict = {}
         self._borel_cache: tuple | None = None
 

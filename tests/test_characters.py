@@ -1,11 +1,13 @@
 """Character numerators, Kostant partitions, multiplicities, cones."""
 
+import random
+
 from fractions import Fraction
 
 import pytest
 
 from ortk import adjusted, characters
-from ortk.adjusted import brick_decomposition_check, hypercubic_collections
+from ortk.adjusted import brick_decomposition_check, hypercubic_collections, reflect_along
 from ortk.characters import (
     MultiplicityQuery,
     NumeratorCharacter,
@@ -19,7 +21,7 @@ from ortk.characters import (
     verma_character,
     weight_multiplicity,
 )
-from ortk.numerics import parse_weight, render_weight, weight, zero_weight
+from ortk.numerics import Weight, parse_weight, render_weight, weight, zero_weight
 from ortk.orgraph import HypercubicImage, image_intersection_kind
 from ortk.rootsys import (
     borel_from_partition,
@@ -221,11 +223,14 @@ def test_numerator_builds_each_odd_sets_product_once(monkeypatch):
     assert verma_character(rs, b.odd_positive, lam) == first
 
 
-def test_brick_checks_build_only_their_shift_product_when_warm(monkeypatch):
+def test_brick_checks_build_nothing_when_warm(monkeypatch):
     rs = build_root_system("gl", m=2, n=2)
     b = enumerate_borels(rs)[0][1]
     lam = rank_zero(rs)
     coll = [c for c in hypercubic_collections(rs, b, lam) if c.j == {1, 3}][0]
+    rjb = reflect_along(rs, b, coll)
+    back = {rs.negate(r) for r in coll.roots}
+    coll_back = [c for c in hypercubic_collections(rs, rjb, lam) if set(c.roots) == back][0]
     real = characters._times_factors
     calls = []
 
@@ -239,7 +244,69 @@ def test_brick_checks_build_only_their_shift_product_when_warm(monkeypatch):
     # the meet's and the join's numerators, then the J-shift product
     assert len(calls) == 3
     assert brick_decomposition_check(rs, b, lam, coll)
-    assert len(calls) == 4
+    assert len(calls) == 3
+    # r_J b has the same meet and join, so it reads the same two entries
+    assert brick_decomposition_check(rs, rjb, lam, coll_back)
+    assert len(calls) == 3
+
+
+# the families of the benchmark's algebra-batch workload
+ALGEBRA_BATCH_FAMILIES = {
+    "gl(3|2)": ("gl", 3, 2, None),
+    "ospB(2|1)": ("ospB", 2, 1, None),
+    "ospB(2|2)": ("ospB", 2, 2, None),
+    "ospD(1|2)": ("ospD", 1, 2, None),
+    "ospD(2|2)": ("ospD", 2, 2, None),
+    "d21": ("d21alpha", None, None, None),
+    "d21@2/3": ("d21alpha", None, None, Fraction(2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", ALGEBRA_BATCH_FAMILIES)
+def test_character_terms_match_their_weight_of_rebuild(name):
+    # terms are built as lam + den * offset without a reduction; each must
+    # have the fields Weight.of gives, and equal lam plus its offset
+    rs = build_root_system(*ALGEBRA_BATCH_FAMILIES[name])
+    borels, _ = enumerate_borels(rs)
+    zero = rank_zero(rs)
+    rng = random.Random(name)
+    for den in (1, 2, 3, 6):
+        for with_a in (False, True):
+            while True:
+                r = [rng.randint(-2 * den, 2 * den) for _ in range(rs.rank)]
+                s = [rng.randint(-2, 2) if with_a else 0 for _ in range(rs.rank)]
+                lam = Weight.of(r, s, den)
+                if lam.den == den and any(lam.s) == with_a:
+                    break
+            b = rng.choice(borels)
+            terms = []
+            for delta_a in (b.odd_positive, ()):
+                c = verma_character(rs, delta_a, lam)
+                assert c.terms == {lam + w: k
+                                   for w, k in verma_character(rs, delta_a, zero).terms.items()}
+                terms += c.terms
+            flag = kac_flag_constituents(rs, b, lam)
+            assert flag == [lam + w for w in kac_flag_constituents(rs, b, zero)]
+            for w in terms + flag:
+                v = Weight.of(w.r, w.s, w.den)
+                assert (w.r, w.s, w.den) == (v.r, v.s, v.den)
+
+
+def test_zero_coefficients_are_dropped():
+    rs = build_root_system("gl", m=2, n=1)
+    lam = parse_weight("1/2,0,-1/3", 3)
+    c = verma_character(rs, standard_borel(rs).odd_positive, lam)
+    assert c.coefficient(lam) == 1
+    assert NumeratorCharacter({lam: 0}).terms == {}
+    assert NumeratorCharacter({lam: 0, zero_weight(3): 2}).terms == {zero_weight(3): 2}
+    # a dict without zeros is kept as given
+    terms = {lam: 1}
+    assert NumeratorCharacter(terms).terms is terms
+    # cancellations in char_add drop out, in full or in part
+    assert char_add(c, NumeratorCharacter({w: -k for w, k in c.terms.items()})).terms == {}
+    part = char_add(c, NumeratorCharacter({lam: -1}))
+    assert part.terms == {w: k for w, k in c.terms.items() if w != lam}
+    assert 0 not in part.terms.values()
 
 
 def truncated_terms(rs, numerator, depth):

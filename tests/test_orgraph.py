@@ -6,6 +6,7 @@ from ortk import manifest
 from ortk.ecgraph import (
     build_reference_graph,
     colored_isomorphic,
+    is_color_isomorphism,
     is_rainbow,
     is_shortest,
     make_walk,
@@ -72,6 +73,17 @@ def test_or_walk_counts(family, m, n, counts):
     assert exchange.passed and extension.passed
     assert (exchange.n_shortest_walks, exchange.n_rainbow_walks,
             extension.n_configurations) == counts
+
+
+@pytest.mark.parametrize("family, m, n, reference", [
+    (chk.family, chk.m, chk.n, chk.reference) for chk in manifest.ISO_SUITE] + [
+    ("gl", 4, 3, "young"), ("gl11n", None, 6, "hypercube")])
+def test_iso_witness_is_a_color_isomorphism(family, m, n, reference):
+    g = build_or_graph(build_root_system(family, m, n)).graph
+    ref = build_reference_graph(reference, m, n)
+    witness = colored_isomorphic(g, ref)
+    assert witness is not None
+    assert is_color_isomorphism(g, ref, witness.vertex_bijection, witness.color_bijection)
 
 
 def test_or_ospB_matches_young():
