@@ -6,7 +6,10 @@ prod_{gamma in Delta_0^+} (1 - e^{-gamma}).  All identities the package
 checks are then finite polynomial identities between numerators.
 
 Weight multiplicities are computed independently through Kostant
-partition counts.
+partition counts: the odd-subset sums of each free set are kept grouped
+by lattice class, so a multiplicity reads only the class of its head,
+the one class whose sums can land on the even-root lattice, and skips
+the sums with a negative even-simple coordinate.
 
 The kernels run on integer vectors: numerators as offsets from their
 leading weight, Kostant searches in the coordinates of the RootSystem
@@ -91,12 +94,13 @@ def _as_weights(lam: Weight, offsets: dict) -> dict:
     Each term has the fields (lam.r + lam.den * offset, lam.s, lam.den).
     Adding multiples of den to r leaves gcd(den, *r, *s) as it is, 1, so
     the terms are in lowest terms without a reduction."""
-    r, s, den = lam.r, lam.s, lam.den
-    new = object.__new__
+    r, s, den = lam
+    new = tuple.__new__
     if den == 1:
-        return {new(Weight)._set(tuple(map(add, r, off)), s, 1): c
+        return {new(Weight, (tuple(map(add, r, off)), s, 1)): c
                 for off, c in offsets.items()}
-    return {new(Weight)._set(tuple([x + den * k for x, k in zip(r, off)]), s, den): c
+    scale = den.__mul__
+    return {new(Weight, (tuple(map(add, r, map(scale, off))), s, den)): c
             for off, c in offsets.items()}
 
 
@@ -200,28 +204,52 @@ class MultiplicityQuery:
 
 def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:
     """Sum over the subsets S of free_odd of the Kostant count of
-    base - target + sum(S), counted once per distinct sum."""
-    sums = _subset_sums(rs, q.free_odd)
+    base - target + sum(S), counted once per distinct sum.
+
+    Only the sums in the lattice class of -head, head = base - target,
+    make head + sum(S) an integer vector of the even-simple cone's span,
+    and of those only the ones with no negative coordinate count."""
+    classes = _subset_sums(rs, q.free_odd)
     head = rs.lattice_coords(q.base - q.target)
     # root sums have integer scaled coordinates, so a fractional head
     # coordinate (head None) rules out every subset
     if head is None:
         return 0
-    return sum(subsets * _kostant_scaled(rs, tuple(map(add, head, x)))
-               for x, subsets in sums.items())
+    n, den = len(rs.even_simple), rs.coord_denominator
+    lead = head[:n]
+    sums = classes.get((tuple(-c for c in head[n:]), tuple(-c % den for c in lead)))
+    if sums is None:
+        return 0
+    # in this class (lead + x) / den = ceil(lead / den) + x // den
+    up = tuple(-(-c // den) for c in lead)
+    total = 0
+    for x, subsets in sums.items():
+        key = tuple(map(add, up, x))
+        if min(key, default=0) >= 0:
+            total += subsets * _kostant_count(rs, key)
+    return total
 
 
 def _subset_sums(rs: RootSystem, free_odd: frozenset) -> dict:
-    """{sum(S): number of subsets S of free_odd}, in height_coords; built
-    once per free set and kept in rs._kostant_memo, read at every head."""
-    sums = rs._kostant_memo.get(free_odd)
-    if sums is None:
+    """The sums sum(S) over the subsets S of free_odd, in height_coords,
+    grouped by lattice class: {(x[n:], x[:n] mod den): {x[:n] // den:
+    number of subsets S with sum x}}, n even simple roots and den the
+    coord_denominator.  Built once per free set and kept in
+    rs._kostant_memo; a head reads only its own class."""
+    classes = rs._kostant_memo.get(free_odd)
+    if classes is None:
         if not free_odd <= set(rs.delta1):
             raise ValueError("free_odd must consist of odd roots")
         sums = _times_factors({(0,) * rs.rank: 1},
                               [rs.height_coords(r.vector.r) for r in free_odd])
-        rs._kostant_memo[free_odd] = sums
-    return sums
+        n, den = len(rs.even_simple), rs.coord_denominator
+        classes = {}
+        for x, subsets in sums.items():
+            lead = x[:n]
+            key = (x[n:], tuple(c % den for c in lead))
+            classes.setdefault(key, {})[tuple(c // den for c in lead)] = subsets
+        rs._kostant_memo[free_odd] = classes
+    return classes
 
 
 def character_weight_multiplicity(rs: RootSystem, c: NumeratorCharacter,

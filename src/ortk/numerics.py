@@ -12,6 +12,7 @@ can carry the parameter.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -160,32 +161,29 @@ def _coerce_coord(x) -> Scalar:
     return scalar(_rat(x))
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Weight:
+class Weight(namedtuple("_WeightFields", "r s den")):
     """A coordinate vector in the fixed orthogonal-ish basis of h*.
 
     Coordinate i is (r[i] + s[i]*a) / den, with den > 0 and
     gcd(den, *r, *s) = 1, so equal weights have equal fields.
     Weight(coords) takes Scalars, ints or Fractions, Weight.of the
     integers; Scalar coordinates are built only on demand.
+
+    A Weight is the immutable tuple (r, s, den): its field reads,
+    construction, hash and == run in C, and it equals the plain tuple of
+    its fields.  It has no order (<, <=, > and >= raise TypeError), and
+    w * c raises TypeError where a tuple would repeat: use scaled(c).
     """
 
-    r: tuple[int, ...]
-    s: tuple[int, ...]
-    den: int
+    __slots__ = ()
 
-    def __init__(self, coords):
+    def __new__(cls, coords):
         coords = tuple(map(_coerce_coord, coords))
         # the least common denominator leaves the fields in lowest terms
         den = lcm(*(c.r.denominator for c in coords), *(c.s.denominator for c in coords))
-        self._set(tuple(c.r.numerator * (den // c.r.denominator) for c in coords),
-                  tuple(c.s.numerator * (den // c.s.denominator) for c in coords), den)
-
-    def _set(self, r, s, den) -> "Weight":
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "den", den)
-        return self
+        return tuple.__new__(cls, (
+            tuple(c.r.numerator * (den // c.r.denominator) for c in coords),
+            tuple(c.s.numerator * (den // c.s.denominator) for c in coords), den))
 
     @classmethod
     def of(cls, r, s=None, den: int = 1) -> "Weight":
@@ -198,7 +196,22 @@ class Weight:
         g = 1 if den == 1 else gcd(den, *r, *s)
         if g != 1:
             r, s, den = tuple(x // g for x in r), tuple(x // g for x in s), den // g
-        return object.__new__(cls)._set(r, s, den)
+        return tuple.__new__(cls, (r, s, den))
+
+    def __reduce__(self):
+        # the inherited __getnewargs__ would call __new__ with the fields
+        return (Weight.of, tuple(self))
+
+    def _no_order(self, other):
+        return NotImplemented
+
+    __lt__ = __le__ = __gt__ = __ge__ = _no_order
+
+    def __mul__(self, other):
+        # raised, not NotImplemented, which would fall back to tuple repetition
+        raise TypeError("a Weight is multiplied through scaled(c)")
+
+    __rmul__ = __mul__
 
     @property
     def coords(self) -> tuple[Scalar, ...]:

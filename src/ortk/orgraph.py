@@ -109,7 +109,6 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
         else:
             rep = rs.negate(alpha)
         assert rep in ref.odd_set(), "reflection root missing a reference sign"
-        assert rep not in pure, "pure roots must never be simple"
         graph_edges.append((vertex_of[u], vertex_of[v], rs.root_name(rep)))
     graph = ColoredGraph(tuple(labels), colors, tuple(graph_edges))
     borel_of_vertex = {labels[k]: b for k, b in enumerate(borels)}

@@ -144,7 +144,7 @@ class RootSystem:
         # adjusted.py):
         #   "roots"                   -> the even-root table of the Kostant count
         #   (coordinates, index)      -> a Kostant state's partition count
-        #   frozenset of odd roots    -> a free set's odd-subset sums
+        #   frozenset of odd roots    -> a free set's odd-subset sums, by lattice class
         #   ("numerator", odd set)    -> a numerator prod (1 + e^beta) as offsets
         #   ("brick", join odd set)   -> a brick check's J-shift product
         # One subset-sum dict per distinct free set, one product per

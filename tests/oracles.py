@@ -6,12 +6,17 @@ in place of the integer pairing kernel, coordinates by Gaussian
 elimination over Q in place of one basis inverse, a Borel's simple
 roots by a search over all pairwise sums in place of the simple system
 inherited along odd reflections, the trivial quotient by its direct
-criterion, and the semibrick index sets by an exhaustive rainbow search
-in place of BFS distances.  The package never calls them.
+criterion, the semibrick index sets by an exhaustive rainbow search
+in place of BFS distances, and a weight multiplicity as one Kostant
+lookup per subset sum in place of the sums of the head's lattice class.
+The package never calls them.
 """
 
 from __future__ import annotations
 
+from operator import add
+
+from ortk.characters import _kostant_scaled, _times_factors
 from ortk.numerics import (
     BilinearForm,
     DegreeOverflow,
@@ -141,3 +146,16 @@ def ref_semibrick_index_sets(rs, og, lam: Weight, bbar) -> dict:
             if rainbow_through(vmap[og.vertex_of_borel(odd_reflect(rs, b, i))], v,
                                frozenset()))
     return out
+
+
+def ref_weight_multiplicity(rs, q) -> int:
+    """weight_multiplicity without the lattice-class index: the Kostant
+    count of head + x for every distinct subset sum x of q.free_odd,
+    head = base - target, each weighted by its number of subsets."""
+    head = rs.lattice_coords(q.base - q.target)
+    if head is None:
+        return 0
+    sums = _times_factors({(0,) * rs.rank: 1},
+                          [rs.height_coords(r.vector.r) for r in q.free_odd])
+    return sum(subsets * _kostant_scaled(rs, tuple(map(add, head, x)))
+               for x, subsets in sums.items())

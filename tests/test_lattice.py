@@ -28,7 +28,13 @@ from ortk.characters import (
 from ortk.numerics import Scalar, SingularBasis, Weight, zero_weight
 from ortk.rootsys import basis_inverse, build_root_system, enumerate_borels
 
-from oracles import NotInSpan, expand_in_basis, inner_product, ref_orthogonal
+from oracles import (
+    NotInSpan,
+    expand_in_basis,
+    inner_product,
+    ref_orthogonal,
+    ref_weight_multiplicity,
+)
 from test_characters import truncated_terms
 
 SYSTEMS = {
@@ -39,6 +45,8 @@ SYSTEMS = {
     "d21": ("d21alpha", None, None, None),
     "d21@2/3": ("d21alpha", None, None, Fraction(2, 3)),
 }
+# no even simple root: drawn only where a test names it
+GL11 = {"gl(1|1)^3": ("gl11n", None, 3, None)}
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -46,7 +54,7 @@ FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None,
 
 @functools.cache
 def system(key):
-    family, m, n, alpha = SYSTEMS[key]
+    family, m, n, alpha = {**SYSTEMS, **GL11}[key]
     rs = build_root_system(family, m, n, alpha)
     borels, _ = enumerate_borels(rs)
     return rs, borels
@@ -249,6 +257,31 @@ def test_weight_multiplicity_matches_subset_sum(data, key):
     q = MultiplicityQuery(free, base, target)
     assert weight_multiplicity(rs, q) == ref_multiplicity(rs, free, base, target)
 
+
+
+@pytest.mark.parametrize("key", sorted(SYSTEMS) + sorted(GL11))
+@FUZZ
+@given(data=st.data())
+def test_weight_multiplicity_matches_unindexed_loop(key, data):
+    # the lattice-class index against one Kostant lookup per subset sum:
+    # gl(1|1)^3 has no even simple root, osp and D(2,1;a) scale their
+    # coordinates by 2, and a generic D(2,1;a) head with an a-part is 0
+    rs, _ = system(key)
+    free = frozenset(data.draw(st.sets(st.sampled_from(rs.delta1), max_size=6)))
+    base = data.draw(weights(rs))
+    pool = sorted(free, key=lambda r: r.sort_key()) + list(rs.even_positive)
+    lower = data.draw(st.lists(st.sampled_from(pool), max_size=4)) if pool else []
+    drift = [Scalar(0, 0)] * rs.rank
+    drift[data.draw(st.integers(0, rs.rank - 1))] = data.draw(st.sampled_from(
+        [Scalar(0, 0)] * 4 + [Scalar(Fraction(1, 2), 0), Scalar(0, 1), Scalar(0, 3)]))
+    target = base + Weight(tuple(drift))
+    for r in lower:
+        target = target + (r.vector if r in free else -r.vector)
+    q = MultiplicityQuery(free, base, target)
+    got = weight_multiplicity(rs, q)
+    assert got == ref_weight_multiplicity(rs, q)
+    if rs.alpha_value is None and not (base - target).is_rational():
+        assert got == 0
 
 def greedy_extension(rs):
     """even_simple completed to a basis by unit vectors, each appended

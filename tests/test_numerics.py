@@ -3,6 +3,8 @@ exact solver that tests/oracles.py keeps as references."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -12,6 +14,7 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ortk.characters import verma_character
 from ortk.numerics import (
     BilinearForm,
     DegreeOverflow,
@@ -27,6 +30,7 @@ from ortk.numerics import (
     weight,
     zero_weight,
 )
+from ortk.rootsys import build_root_system
 
 from oracles import NotInSpan, expand_in_basis, inner_product
 
@@ -302,3 +306,34 @@ def test_weight_of_reduces_and_validates():
         Weight.of((1, 2), (1,))
     with pytest.raises(ValueError):
         Weight.of((1, 2), den=0)
+
+
+def test_weight_value_contract():
+    # a Weight is the immutable tuple (r, s, den): it survives pickle and
+    # copy, refuses assignment, has no order and no tuple repetition, and
+    # every way of building one gives an equal value with an equal hash
+    lam = weight(Fraction(1, 2), Fraction(-1, 3), scalar(Fraction(2, 3), 1))
+    assert lam.den == 6
+    assert lam == (lam.r, lam.s, lam.den) and hash(lam) == hash((lam.r, lam.s, lam.den))
+    for copied in (pickle.loads(pickle.dumps(lam)), copy.copy(lam), copy.deepcopy(lam)):
+        assert type(copied) is Weight and copied == lam and hash(copied) == hash(lam)
+    for field in ("r", "s", "den"):
+        with pytest.raises(AttributeError):
+            setattr(lam, field, getattr(lam, field))
+    for op in (lambda x, y: x < y, lambda x, y: x <= y,
+               lambda x, y: x > y, lambda x, y: x >= y):
+        with pytest.raises(TypeError):
+            op(lam, lam)
+    for op in (lambda x: x * 2, lambda x: 2 * x):
+        with pytest.raises(TypeError):
+            op(lam)
+    rs = build_root_system("gl", 2, 1)
+    terms = verma_character(rs, set(), lam).terms
+    assert len(terms) > 1
+    for w in terms:
+        assert w.den == 6
+        by_coords = Weight(w.coords)
+        by_of = Weight.of([3 * x for x in w.r], [3 * y for y in w.s], 3 * w.den)
+        for other in (by_coords, by_of, pickle.loads(pickle.dumps(w))):
+            assert other == w and hash(other) == hash(w)
+            assert other in terms
