@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from .characters import _numerator, _times_factors, character_weight_multiplicity
@@ -38,29 +38,22 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdjustedBorel:
+class AdjustedBorel(namedtuple("_AdjustedBorelFields", "delta_a base_borel")):
     """Odd part of an adjusted subalgebra, kept with its base Borel."""
 
-    delta_a: frozenset
-    base_borel: Borel
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta_a", frozenset(self.delta_a))
+    def __new__(cls, delta_a, base_borel: Borel):
+        return tuple.__new__(cls, (frozenset(delta_a), base_borel))
 
 
-@dataclass(frozen=True)
-class HypercubicCollection:
+class HypercubicCollection(namedtuple("_HypercubicCollectionFields", "j sigma roots lam")):
     """Orthogonal family of isotropic simple roots, orthogonal to lam."""
 
-    j: frozenset
-    sigma: Weight
-    roots: tuple
-    lam: Weight
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "j", frozenset(self.j))
-        object.__setattr__(self, "roots", tuple(self.roots))
+    def __new__(cls, j, sigma: Weight, roots, lam: Weight):
+        return tuple.__new__(cls, (frozenset(j), sigma, tuple(roots), lam))
 
 
 class SplitVerdict(Enum):

@@ -18,7 +18,7 @@ integer layer.  Weights are built only for the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 from operator import add, mul
 
@@ -40,18 +40,24 @@ __all__ = [
 ]
 
 
-@dataclass
 class NumeratorCharacter:
     """Numerator of a character over the fixed even denominator.
 
     terms is kept as given, without a copy, unless it holds a zero
-    coefficient; then it is rebuilt without the zeros."""
+    coefficient; then it is rebuilt without the zeros.  Characters with
+    equal terms are equal; a character is mutable, so it has no hash."""
 
-    terms: dict
+    __slots__ = ("terms",)
 
-    def __post_init__(self):
-        if 0 in self.terms.values():
-            self.terms = {w: c for w, c in self.terms.items() if c != 0}
+    def __init__(self, terms: dict):
+        if 0 in terms.values():
+            terms = {w: c for w, c in terms.items() if c != 0}
+        self.terms = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
 
     def coefficient(self, w: Weight) -> int:
         return self.terms.get(w, 0)
@@ -186,20 +192,17 @@ def kostant_partitions(rs: RootSystem, v: Weight) -> int:
     return 0 if x is None else _kostant_scaled(rs, x)
 
 
-@dataclass(frozen=True)
-class MultiplicityQuery:
+class MultiplicityQuery(namedtuple("_MultiplicityQueryFields", "free_odd base target")):
     """Weight multiplicity query for a PBW-style character.
 
     free_odd: the signed odd roots whose root vectors may appear at most
     once; base: the leading exponent; target: the queried weight.
     """
 
-    free_odd: frozenset
-    base: Weight
-    target: Weight
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "free_odd", frozenset(self.free_odd))
+    def __new__(cls, free_odd, base: Weight, target: Weight):
+        return tuple.__new__(cls, (frozenset(free_odd), base, target))
 
 
 def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:

@@ -102,15 +102,15 @@ def _borel_arg(rs, text):
     return _resolve_borel(rs, og, borels, text)
 
 
-def _parse_lambda(rs, text):
+def _parse_lambda(rs, text, flag="--lambda"):
+    """The weight given by flag (--lambda or --mu); a UsageError names the
+    flag."""
     from .numerics import parse_weight
 
-    if text is None:
-        raise UsageError("--lambda is required here")
     try:
         return parse_weight(text, rs.rank)
     except Exception as e:
-        raise UsageError(f"bad --lambda {text!r}: {e}")
+        raise UsageError(f"bad {flag} {text!r}: {e}")
 
 
 def _emit_graph(graph, out, name, print_fn):
@@ -204,9 +204,7 @@ def _cmd_multiplicity(args, print_fn) -> int:
     rs = _build_system(args)
     b = _borel_arg(rs, args.borel)
     lam = _parse_lambda(rs, args.lam)
-    if args.mu is None:
-        raise UsageError("--mu is required")
-    mu = _parse_lambda(rs, args.mu)
+    mu = _parse_lambda(rs, args.mu, "--mu")
     free = frozenset(rs.negate(r) for r in b.odd_positive)
     got = weight_multiplicity(rs, MultiplicityQuery(free, lam, mu))
     if args.out == "json":

@@ -11,8 +11,8 @@ allowed.
 
 import itertools
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
+from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -24,23 +24,20 @@ class DisconnectedEndpoints(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class ColoredGraph:
     """Immutable edge-colored graph.
 
     edges holds normalized triples (u, v, c) with u before v in vertex
     order; construction rejects loops, unknown endpoints or colors, and
-    duplicate triples.
+    duplicate triples.  Graphs with equal vertices, colors and edges are
+    equal and hash equal.
     """
 
-    vertices: tuple
-    colors: tuple
-    edges: tuple
-    _adj: dict = field(init=False, compare=False, repr=False, default=None)
+    # no __slots__: the cached_property _walk_index lives in __dict__
 
-    def __post_init__(self):
-        vs = tuple(self.vertices)
-        cs = tuple(self.colors)
+    def __init__(self, vertices: tuple, colors: tuple, edges: tuple):
+        vs = tuple(vertices)
+        cs = tuple(colors)
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate vertex IDs")
         if len(set(cs)) != len(cs):
@@ -48,7 +45,7 @@ class ColoredGraph:
         vindex = {v: k for k, v in enumerate(vs)}
         cindex = {c: k for k, c in enumerate(cs)}
         normalized = []
-        for u, v, c in self.edges:
+        for u, v, c in edges:
             if u not in vindex or v not in vindex:
                 raise ValueError(f"edge endpoint not a vertex: {(u, v, c)}")
             if u == v:
@@ -69,6 +66,19 @@ class ColoredGraph:
         object.__setattr__(self, "colors", cs)
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "_adj", {v: tuple(ns) for v, ns in adj.items()})
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign or delete {name!r} of an immutable ColoredGraph")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.colors, self.edges) == (other.vertices, other.colors, other.edges)
+
+    def __hash__(self):
+        return hash((self.vertices, self.colors, self.edges))
 
     @cached_property
     def _walk_index(self) -> "_WalkIndex":
@@ -99,17 +109,14 @@ class ColoredGraph:
         return tuple(c for c in self.colors if c in seen)
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(namedtuple("_WalkFields", "graph walk_vertices walk_colors")):
     """Alternating vertex/color sequence inside a fixed graph.
 
     len(colors) = len(vertices) - 1; consecutive vertices are joined by
     an edge of the stated color.
     """
 
-    graph: ColoredGraph
-    walk_vertices: tuple
-    walk_colors: tuple
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -243,14 +250,11 @@ def quotient_by_colors(g: ColoredGraph, d) -> Quotient:
         loops, key=lambda lc: (vindex[lc[0]], str(lc[1])))))
 
 
-@dataclass(frozen=True)
-class IsoWitness:
-    vertex_bijection: dict
-    color_bijection: dict
+class IsoWitness(namedtuple("_IsoWitnessFields", "vertex_bijection color_bijection")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertex_bijection", dict(self.vertex_bijection))
-        object.__setattr__(self, "color_bijection", dict(self.color_bijection))
+    def __new__(cls, vertex_bijection, color_bijection):
+        return tuple.__new__(cls, (dict(vertex_bijection), dict(color_bijection)))
 
     def inverse(self) -> "IsoWitness":
         return IsoWitness(
@@ -402,8 +406,7 @@ def _match_vertices(g1, g2, psi, order):
     return dict(phi) if extend(0) else None
 
 
-@dataclass(frozen=True)
-class _WalkIndex:
+class _WalkIndex(namedtuple("_WalkIndexFields", "low adj color_of dist geodesics")):
     """Integer form of a graph, shared by the walk counters.
 
     Vertex k is g.vertices[k].  Color k is the bit 1 << (shift + k) with
@@ -414,11 +417,7 @@ class _WalkIndex:
     the number of shortest walks u -> x.
     """
 
-    low: int
-    adj: tuple
-    color_of: dict
-    dist: tuple
-    geodesics: tuple
+    __slots__ = ()
 
 
 def _build_walk_index(g: ColoredGraph) -> _WalkIndex:

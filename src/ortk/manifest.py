@@ -8,7 +8,7 @@ no sizes and run with the generic symbolic parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "GridEntry",
@@ -25,21 +25,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GridEntry:
-    family: str
-    m: int | None
-    n: int | None
-    weights: tuple
-
-
-@dataclass(frozen=True)
-class IsoCheck:
-    family: str
-    m: int | None
-    n: int | None
-    reference: str
-    vertices: int
+GridEntry = namedtuple("GridEntry", "family m n weights")
+IsoCheck = namedtuple("IsoCheck", "family m n reference vertices")
 
 
 LAMBDA_GRID = (

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -54,16 +53,16 @@ def _rat(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """An element r + s*a with r, s rational, kept in lowest terms."""
+class Scalar(namedtuple("_ScalarFields", "r s")):
+    """An element r + s*a with r, s rational, kept in lowest terms.
 
-    r: Fraction
-    s: Fraction
+    An immutable tuple (r, s), as Weight is; its + and * are the ring's,
+    not the tuple's."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _rat(self.r))
-        object.__setattr__(self, "s", _rat(self.s))
+    __slots__ = ()
+
+    def __new__(cls, r, s):
+        return tuple.__new__(cls, (_rat(r), _rat(s)))
 
     def is_zero(self, alpha: Fraction | None = None) -> bool:
         """Zero test, under the optional specialization a = alpha."""
@@ -280,16 +279,13 @@ def parse_weight(text: str, rank: int | None = None) -> Weight:
     return w
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(namedtuple("_BilinearFormFields", "diagonal")):
     """Diagonal symmetric form; entry i is the value on the i-th basis vector."""
 
-    diagonal: tuple[Scalar, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "diagonal", tuple(_coerce_coord(c) for c in self.diagonal)
-        )
+    def __new__(cls, diagonal):
+        return tuple.__new__(cls, (tuple(map(_coerce_coord, diagonal)),))
 
     @property
     def rank(self) -> int:

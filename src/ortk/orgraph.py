@@ -12,7 +12,7 @@ M^b(lambda - rho^b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .ecgraph import (
     ColoredGraph,
@@ -50,14 +50,19 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class ORGraph:
-    """OR(g) with the dictionaries linking graph IDs back to root data."""
+    """OR(g) with the dictionaries linking graph IDs back to root data.
 
-    rs: RootSystem
-    graph: ColoredGraph
-    borel_of_vertex: dict
-    root_of_color: dict
+    Compares and hashes by identity."""
+
+    __slots__ = ("rs", "graph", "borel_of_vertex", "root_of_color")
+
+    def __init__(self, rs: RootSystem, graph: ColoredGraph, borel_of_vertex: dict,
+                 root_of_color: dict):
+        self.rs = rs
+        self.graph = graph
+        self.borel_of_vertex = borel_of_vertex
+        self.root_of_color = root_of_color
 
     def vertex_of_borel(self, b: Borel):
         for vid, bb in self.borel_of_vertex.items():
@@ -115,10 +120,8 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
     return ORGraph(rs, graph, borel_of_vertex, root_of_color)
 
 
-@dataclass(frozen=True)
-class AtypicalColorSet:
-    lam: Weight
-    colors: frozenset
+class AtypicalColorSet(namedtuple("_AtypicalColorSetFields", "lam colors")):
+    __slots__ = ()
 
     def __contains__(self, c) -> bool:
         return c in self.colors
@@ -142,16 +145,14 @@ def rbtriv_check(rs: RootSystem, og: ORGraph, lam: Weight) -> bool:
     return len(build_or_lambda(rs, og, lam).graph.vertices) == 1
 
 
-@dataclass(frozen=True)
-class WalkHomVerdict:
+class WalkHomVerdict(namedtuple("_WalkHomVerdictFields", "nonzero monomial")):
     """Outcome for a composition of Verma homomorphisms along a walk.
 
     nonzero=True carries the PBW monomial: the distinct roots of the
     non-contracted steps, oriented into the start Borel's positives.
     """
 
-    nonzero: bool
-    monomial: tuple
+    __slots__ = ()
 
     @staticmethod
     def zero() -> "WalkHomVerdict":
@@ -212,14 +213,20 @@ def walk_hom_oracle(rs: RootSystem, og: ORGraph, lam: Weight,
     return WalkHomVerdict(True, tuple(monomial))
 
 
-@dataclass(frozen=True)
 class TrivialIntersection:
-    pass
+    """The two images meet only in zero; all instances are equal."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return other.__class__ is TrivialIntersection or NotImplemented
+
+    def __hash__(self):
+        return hash(())
 
 
-@dataclass(frozen=True)
-class HypercubicImage:
-    borel: Borel
+class HypercubicImage(namedtuple("_HypercubicImageFields", "borel")):
+    __slots__ = ()
 
 
 def image_intersection_kind(rs: RootSystem, b: Borel, lam: Weight,

@@ -15,7 +15,7 @@ are complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -34,32 +34,29 @@ class BasisNotStabilized(ValueError):
     """Paths of length max_len+1 still contribute new basis classes."""
 
 
-@dataclass(frozen=True)
-class PathClass:
+class PathClass(namedtuple("_PathClassFields", "word source target")):
     """Normal form of a path modulo the quiver's relations.
 
     The representative is the lexicographically smallest word in its
     residue class; the empty word stands for the idempotent at a vertex.
     """
 
-    word: tuple
-    source: object
-    target: object
+    __slots__ = ()
 
 
-@dataclass
 class Quiver:
-    vertices: list
-    arrows: list
-    zero_relations: frozenset
-    commutation_relations: frozenset
+    """Vertices, named arrows (name, source, target) and the two kinds of
+    relations; quivers with equal fields are equal."""
 
-    def __post_init__(self):
-        self.vertices = list(self.vertices)
-        self.arrows = [tuple(a) for a in self.arrows]
-        self.zero_relations = frozenset(tuple(w) for w in self.zero_relations)
+    __slots__ = ("vertices", "arrows", "zero_relations", "commutation_relations")
+
+    def __init__(self, vertices: list, arrows: list, zero_relations: frozenset,
+                 commutation_relations: frozenset):
+        self.vertices = list(vertices)
+        self.arrows = [tuple(a) for a in arrows]
+        self.zero_relations = frozenset(tuple(w) for w in zero_relations)
         self.commutation_relations = frozenset(
-            (tuple(l), tuple(r)) for l, r in self.commutation_relations
+            (tuple(l), tuple(r)) for l, r in commutation_relations
         )
         seen = set()
         for name, src, tgt in self.arrows:
@@ -81,6 +78,12 @@ class Quiver:
                 raise ValueError("commutation relation sides must have equal length")
             if _word_endpoints(amap, lhs) != _word_endpoints(amap, rhs):
                 raise ValueError("commutation relation sides must share source and target")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.arrows, self.zero_relations, self.commutation_relations) \
+            == (other.vertices, other.arrows, other.zero_relations, other.commutation_relations)
 
 
 def _arrow_map(q: Quiver) -> dict:

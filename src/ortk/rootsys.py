@@ -10,7 +10,6 @@ asserted to be path-independent during enumeration).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -56,20 +55,43 @@ class PreconditionViolated(ValueError):
     """Stated hypothesis of the requested operation does not hold."""
 
 
-@dataclass(frozen=True)
 class Root:
-    vector: Weight
-    parity: str  # "even" or "odd"
-    isotropic: bool
+    """A root: its vector, "even" or "odd", and whether it is isotropic.
 
-    def __post_init__(self):
+    Immutable and without order; roots with equal fields are equal, and
+    a root hashes as its integer vector, independently of the hash seed.
+    A __slots__ class, not a namedtuple: the hot loops read its fields,
+    and slot reads are the fastest attribute reads.
+    """
+
+    __slots__ = ("vector", "parity", "isotropic")
+
+    def __init__(self, vector: Weight, parity: str, isotropic: bool):
         # every family's roots have integer coordinates, so vector.r is
         # the root as an integer vector
-        if self.vector.den != 1 or any(self.vector.s):
-            raise UnsupportedFamily(f"root {self.vector!r} is not integral")
+        if vector.den != 1 or any(vector.s):
+            raise UnsupportedFamily(f"root {vector!r} is not integral")
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "isotropic", isotropic)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign or delete {name!r} of an immutable Root")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vector, self.parity, self.isotropic)
+                == (other.vector, other.parity, other.isotropic))
 
     def __hash__(self):
         return hash(self.vector.r)
+
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__
+        return (Root, (self.vector, self.parity, self.isotropic))
 
     def sort_key(self):
         # the order of vector.sort_key(), whose a-parts are all zero
@@ -335,17 +357,39 @@ def _indecomposables(roots) -> tuple[Root, ...]:
     return tuple(sorted(result, key=Root.sort_key, reverse=True))
 
 
-@dataclass(frozen=True)
 class Borel:
     """A Borel over the fixed even Borel: its positive odd roots.
 
     odd_positive is canonically sorted and is the identity of the Borel;
     simple carries the inherited total order on the simple system and is
-    excluded from equality.
+    excluded from equality and hash.  Immutable.
     """
 
-    odd_positive: tuple[Root, ...]
-    simple: tuple[Root, ...] = field(compare=False)
+    __slots__ = ("odd_positive", "simple")
+
+    def __init__(self, odd_positive: tuple[Root, ...], simple: tuple[Root, ...]):
+        object.__setattr__(self, "odd_positive", odd_positive)
+        object.__setattr__(self, "simple", simple)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"cannot assign or delete {name!r} of an immutable Borel")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.odd_positive == other.odd_positive
+
+    def __hash__(self):
+        return hash((self.odd_positive,))
+
+    def __reduce__(self):
+        # the default would restore the slots through __setattr__
+        return (Borel, (self.odd_positive, self.simple))
+
+    def __repr__(self):
+        return f"Borel(odd_positive={self.odd_positive!r}, simple={self.simple!r})"
 
     def odd_set(self) -> frozenset[Root]:
         return frozenset(self.odd_positive)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import random
 
-from dataclasses import dataclass, field
-
 from . import manifest
 from .adjusted import brick_decomposition_check, hypercubic_collections
 from .atypicality import Emptiness, is_typical, s1_classify
@@ -57,12 +55,21 @@ __all__ = [
 ]
 
 
-@dataclass
 class ReportEntry:
-    check: str
-    parameters: dict
-    status: str  # "pass" | "fail" | "skipped"
-    payload: dict = field(default_factory=dict)
+    """One check's outcome; entries with equal fields are equal."""
+
+    __slots__ = ("check", "parameters", "status", "payload")
+
+    def __init__(self, check: str, parameters: dict, status: str, payload: dict | None = None):
+        self.check = check
+        self.parameters = parameters
+        self.status = status  # "pass" | "fail" | "skipped"
+        self.payload = {} if payload is None else payload
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_json() == other.to_json()
 
     def to_json(self) -> dict:
         return {
@@ -73,9 +80,19 @@ class ReportEntry:
         }
 
 
-@dataclass
 class VerificationReport:
-    entries: list
+    """The entries of one suite run, in manifest order; reports with equal
+    entries are equal."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list):
+        self.entries = entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     @property
     def passed(self) -> bool:

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output formats, round trips."""
 
+import ast
 import json
 import os
 import pathlib
@@ -238,6 +239,14 @@ def test_usage_errors_exit_two(argv):
     assert code == 2
 
 
+def test_bad_mu_names_the_mu_flag(capsys):
+    code, out = cap(["multiplicity", "--family", "gl", "--m", "2", "--n", "1",
+                     "--lambda", "0,0,0", "--mu=0,0"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: bad --mu '0,0': expected 3 coordinates, got 2\n")
+
+
 def test_degree_overflow_is_reported_on_stderr(capsys):
     code, out = cap(["typical", "--family", "d21", "--lambda", "a,0,0"])
     assert (code, out) == (2, "")
@@ -267,19 +276,19 @@ NOT_LOADED = [
     (["or-graph", "--family", "gl", "--m", "2", "--n", "1"], GRAPH_ONLY),
 ]
 
-# run main() with the given argv, then print its exit code and the ortk
-# modules loaded, as JSON on the last line of stdout
+# run main() with the given argv, then print its exit code and the modules
+# loaded, as JSON on the last line of stdout
 PROBE = """
 import contextlib, io, json, sys
 from ortk.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main()
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "ortk")]))
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
 
-def loaded_by(argv):
-    """Exit code and ortk modules after `ortk ARGV` in a fresh interpreter."""
+def modules_after(argv):
+    """Exit code and every module loaded after `ortk ARGV` in a fresh interpreter."""
     src = str(pathlib.Path(ortk.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -287,6 +296,12 @@ def loaded_by(argv):
                          capture_output=True, encoding="utf-8", check=True)
     code, modules = json.loads(out.stdout.splitlines()[-1])
     return code, set(modules)
+
+
+def loaded_by(argv):
+    """Exit code and ortk modules after `ortk ARGV` in a fresh interpreter."""
+    code, modules = modules_after(argv)
+    return code, {m for m in modules if m.split(".")[0] == "ortk"}
 
 
 def test_help_loads_no_layer():
@@ -339,6 +354,42 @@ def test_query_json_matches_golden_file(name):
     code, out = cap(GOLDEN_QUERIES[name] + ["--out", "json"])
     assert code == 0
     assert (out + "\n").encode("utf-8") == (DATA / "cli" / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    GOLDEN_QUERIES["character_gl21_fractional"],
+    GOLDEN_QUERIES["multiplicity_gl21_fractional"],
+    ["quiver", "--preset", "chain3"],
+], ids=["character", "multiplicity", "quiver"])
+def test_query_child_does_not_import_dataclasses(argv):
+    # importing dataclasses (and the inspect it pulls in) costs a query child
+    # several milliseconds, and these commands define no dataclass
+    code, modules = modules_after(argv + ["--out", "json"])
+    assert code == 0
+    assert "dataclasses" not in modules
+
+
+def _dataclass_decorated(node) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def test_only_the_replaced_records_are_dataclasses():
+    # records are namedtuples or plain classes, since each @dataclass body
+    # and the dataclasses import cost every query child start-up time.  These
+    # four stay dataclasses because bench/selftest.py, which CI runs, plants
+    # wrong answers in them through dataclasses.replace.
+    src = pathlib.Path(ortk.__file__).parent
+    found = {(path.stem, node.name)
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ClassDef) and _dataclass_decorated(node)}
+    assert found == {("atypicality", "S1Classification"), ("ecgraph", "Quotient"),
+                     ("ecgraph", "ExchangeReport"), ("ecgraph", "ExtensionReport")}
 
 
 def test_verify_all_matches_golden_files(tmp_path):

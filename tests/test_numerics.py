@@ -14,7 +14,10 @@ import pytest
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from ortk.characters import verma_character
+from ortk.adjusted import AdjustedBorel, HypercubicCollection
+from ortk.characters import MultiplicityQuery, NumeratorCharacter, verma_character
+from ortk.ecgraph import ColoredGraph, IsoWitness, Walk
+from ortk.manifest import LAMBDA_GRID, GridEntry
 from ortk.numerics import (
     BilinearForm,
     DegreeOverflow,
@@ -30,7 +33,16 @@ from ortk.numerics import (
     weight,
     zero_weight,
 )
-from ortk.rootsys import build_root_system
+from ortk.orgraph import (
+    AtypicalColorSet,
+    HypercubicImage,
+    TrivialIntersection,
+    WalkHomVerdict,
+    build_or_graph,
+)
+from ortk.quiver import PathClass, Quiver
+from ortk.rootsys import Borel, Root, build_root_system, enumerate_borels
+from ortk.verify import ReportEntry, VerificationReport
 
 from oracles import NotInSpan, expand_in_basis, inner_product
 
@@ -337,3 +349,90 @@ def test_weight_value_contract():
         for other in (by_coords, by_of, pickle.loads(pickle.dumps(w))):
             assert other == w and hash(other) == hash(w)
             assert other in terms
+
+
+def test_frozen_record_value_contract():
+    # the records are namedtuples or plain classes, not dataclasses, and keep
+    # the dataclass contract: equal fields give equal records with equal
+    # hashes, fields cannot be assigned, and Root and Borel, like Weight, have
+    # no order.  Root and Borel hash as their integer data, which keeps set
+    # and dict order, and so every golden byte, independent of the hash seed.
+    rs = build_root_system("gl", 2, 2)
+    b = enumerate_borels(rs)[0][0]
+    root = b.simple[1]
+    lam = weight(Fraction(1, 2), 0, -1, 2)
+    g = ColoredGraph(("a", "b"), ("x",), (("b", "a", "x"),))
+    same_root = Root(Weight.of(root.vector.r), root.parity, root.isotropic)
+    same_borel = Borel(tuple(b.odd_positive), tuple(reversed(b.simple)))
+    pairs = [
+        (root, same_root),
+        (b, same_borel),
+        (scalar(Fraction(1, 2), 1), Scalar(Fraction(2, 4), 1)),
+        (BilinearForm((1, scalar(-1))), BilinearForm([scalar(1), scalar(-1)])),
+        (MultiplicityQuery({root}, lam, lam), MultiplicityQuery(frozenset([same_root]), lam, lam)),
+        (AdjustedBorel({root}, b), AdjustedBorel(frozenset([root]), same_borel)),
+        (HypercubicCollection({2}, lam, [root], lam),
+         HypercubicCollection(frozenset([2]), lam, (same_root,), lam)),
+        (g, ColoredGraph(["a", "b"], ["x"], [("a", "b", "x")])),
+        (Walk(g, ("a", "b"), ("x",)), Walk(ColoredGraph("ab", "x", [("a", "b", "x")]), ("a", "b"), ("x",))),
+        (WalkHomVerdict.zero(), WalkHomVerdict(False, ())),
+        (WalkHomVerdict(True, (root,)), WalkHomVerdict(True, (same_root,))),
+        (AtypicalColorSet(lam, frozenset("x")), AtypicalColorSet(lam, frozenset(["x"]))),
+        (HypercubicImage(b), HypercubicImage(same_borel)),
+        (TrivialIntersection(), TrivialIntersection()),
+        (PathClass(("a",), 0, 1), PathClass(("a",), 0, 1)),
+        (LAMBDA_GRID[0], GridEntry("gl", 1, 1, LAMBDA_GRID[0].weights)),
+    ]
+    for x, y in pairs:
+        assert x is not y and x == y and not x != y and hash(x) == hash(y), type(x)
+    assert IsoWitness({"a": "b"}, {}) == IsoWitness([("a", "b")], {})
+    assert hash(root) == hash(root.vector.r)
+    assert hash(b) == hash((b.odd_positive,))
+    # Borel equality and hash ignore .simple
+    assert same_borel.simple != b.simple
+    assert Borel(b.odd_positive, ()) == b and hash(Borel(b.odd_positive, ())) == hash(b)
+    assert b != enumerate_borels(rs)[0][1] and root != b.simple[0]
+    assert g != ColoredGraph(("a", "b"), ("x", "y"), (("a", "b", "x"),))
+
+    fields = [(b, ("odd_positive", "simple")), (g, ("vertices", "colors", "edges"))]
+    fields += [(x, x._fields) for x, _ in pairs if hasattr(x, "_fields")]
+    for x, names in fields:
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, names[0])
+    for x, y in ((root, same_root), (b, same_borel)):
+        for op in (lambda u, v: u < v, lambda u, v: u <= v,
+                   lambda u, v: u > v, lambda u, v: u >= v):
+            with pytest.raises(TypeError):
+                op(x, y)
+    for x in (b, root, g):
+        for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert type(copied) is type(x) and copied == x and hash(copied) == hash(x)
+    assert copy.copy(b).simple == b.simple
+
+
+def test_mutable_and_identity_record_contract():
+    # the mutable records compare by their fields and have no hash;
+    # an ORGraph compares and hashes by identity
+    w = weight(1, 0)
+    arrows = [("a", 1, 2)]
+    pairs = [
+        (NumeratorCharacter({w: 1, weight(0, 1): 0}), NumeratorCharacter({w: 1})),
+        (Quiver([1, 2], arrows, frozenset(), frozenset()),
+         Quiver((1, 2), [["a", 1, 2]], [], [])),
+        (ReportEntry("x", {}, "pass"), ReportEntry("x", {}, "pass", {})),
+        (VerificationReport([ReportEntry("x", {}, "pass")]),
+         VerificationReport([ReportEntry("x", {}, "pass", {})])),
+    ]
+    for x, y in pairs:
+        assert x == y and not x != y, type(x)
+        with pytest.raises(TypeError):
+            hash(x)
+    assert NumeratorCharacter({w: 1}) != NumeratorCharacter({w: 2})
+    assert ReportEntry("x", {}, "pass") != ReportEntry("x", {}, "fail")
+    rs = build_root_system("gl", 2, 1)
+    og, og2 = build_or_graph(rs), build_or_graph(rs)
+    assert og.graph == og2.graph and og == og and og != og2
+    assert hash(og) == object.__hash__(og)
