@@ -9,10 +9,10 @@ families and for D(2,1;alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
-from .numerics import Weight
+from .numerics import Weight, _DataclassFields
 from .rootsys import Borel, RootSystem, enumerate_borels, pure_positive_roots, weyl_vector
 
 __all__ = [
@@ -29,12 +29,10 @@ class Emptiness(Enum):
     UNDETERMINED = "undetermined"
 
 
-@dataclass(frozen=True)
-class S1Classification:
-    certified_in: frozenset
-    certified_out: frozenset
-    unknown: frozenset
-    emptiness_verdict: Emptiness
+class S1Classification(namedtuple("_S1ClassificationFields",
+                                   "certified_in certified_out unknown emptiness_verdict")):
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
 
 def is_typical(rs: RootSystem, b: Borel, lam: Weight) -> bool:

@@ -12,8 +12,9 @@ allowed.
 import itertools
 
 from collections import deque, namedtuple
-from dataclasses import dataclass
 from functools import cached_property
+
+from .numerics import _DataclassFields
 
 
 class InvalidWalk(ValueError):
@@ -185,21 +186,15 @@ def is_shortest(g: ColoredGraph, w: Walk) -> bool:
     return w.length == dist[w.end]
 
 
-@dataclass(frozen=True)
-class Quotient:
+class Quotient(namedtuple("_QuotientFields", "graph vertex_map loops")):
     """Result of contracting a color set.
 
-    Unpacks as (graph, vertex_map) so callers that only need the pair can
-    destructure directly; loops lists (class representative, color) pairs
-    produced by the contraction.
+    loops lists (class representative, color) pairs produced by the
+    contraction.  The vertex_map dict leaves a quotient unhashable.
     """
 
-    graph: ColoredGraph
-    vertex_map: dict
-    loops: tuple
-
-    def __iter__(self):
-        return iter((self.graph, self.vertex_map))
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
 
 def quotient_by_colors(g: ColoredGraph, d) -> Quotient:
@@ -510,12 +505,11 @@ def _geodesic_dfs(ix: _WalkIndex, u: int, v: int):
     return grow(u)
 
 
-@dataclass(frozen=True)
-class ExchangeReport:
-    shortest_not_rainbow: tuple
-    rainbow_not_shortest: tuple
-    n_shortest_walks: int
-    n_rainbow_walks: int
+class ExchangeReport(namedtuple("_ExchangeReportFields",
+                                 "shortest_not_rainbow rainbow_not_shortest "
+                                 "n_shortest_walks n_rainbow_walks")):
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
     @property
     def passed(self) -> bool:
@@ -570,10 +564,9 @@ def verify_exchange(g: ColoredGraph) -> ExchangeReport:
                           n_shortest, n_rainbow)
 
 
-@dataclass(frozen=True)
-class ExtensionReport:
-    violations: tuple
-    n_configurations: int
+class ExtensionReport(namedtuple("_ExtensionReportFields", "violations n_configurations")):
+    __slots__ = ()
+    __dataclass_fields__ = _DataclassFields()
 
     @property
     def passed(self) -> bool:

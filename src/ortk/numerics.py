@@ -45,6 +45,28 @@ class SingularBasis(ValueError):
     """The proposed basis is linearly dependent."""
 
 
+class _DataclassFields:
+    """The ``__dataclass_fields__`` of a record that is not a dataclass.
+
+    bench/selftest.py plants wrong answers in four records through
+    dataclasses.replace.  replace, fields and is_dataclass read only this
+    class attribute, and replace then calls the record's constructor with
+    its fields (the class's ``_fields``) as keywords.  The first read imports
+    dataclasses, builds the table and caches it on the class, so only a
+    caller of those functions pays for the import.  pprint reads
+    ``__dataclass_params__`` of whatever is_dataclass accepts, so that is
+    cached beside it.
+    """
+
+    def __get__(self, obj, cls):
+        from dataclasses import make_dataclass
+
+        made = make_dataclass(cls.__name__, cls._fields, frozen=True)
+        cls.__dataclass_params__ = made.__dataclass_params__
+        cls.__dataclass_fields__ = made.__dataclass_fields__
+        return cls.__dataclass_fields__
+
+
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, output formats, round trips."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -356,17 +357,30 @@ def test_query_json_matches_golden_file(name):
     assert (out + "\n").encode("utf-8") == (DATA / "cli" / f"{name}.json").read_bytes()
 
 
-@pytest.mark.parametrize("argv", [
-    GOLDEN_QUERIES["character_gl21_fractional"],
-    GOLDEN_QUERIES["multiplicity_gl21_fractional"],
-    ["quiver", "--preset", "chain3"],
-], ids=["character", "multiplicity", "quiver"])
-def test_query_child_does_not_import_dataclasses(argv):
+NO_DATACLASSES = {name: argv + ["--out", "json"] for name, argv in {
+    "character": GOLDEN_QUERIES["character_gl21_fractional"],
+    "multiplicity": GOLDEN_QUERIES["multiplicity_gl21_fractional"],
+    "character-borel": ["character"] + GL21 + ["--borel", "1"],
+    "multiplicity-borel": ["multiplicity"] + GL21 + ["--mu", "0,0,0", "--borel", "1"],
+    "quiver": ["quiver", "--preset", "chain3"],
+    "typical": ["typical"] + GL21,
+    "s1": GOLDEN_QUERIES["s1_ospB21"],
+    "walk": ["walk", "--family", "gl", "--m", "2", "--n", "2", "--lambda", "0,0,0,0",
+             "--path", "∅,1"],
+    "quotient": GOLDEN_QUERIES["quotient_gl22"],
+    "or-graph": ["or-graph", "--family", "gl", "--m", "2", "--n", "1"],
+    "hypercubic": GOLDEN_QUERIES["hypercubic_gl22"],
+}.items()} | {f"verify-{mode}": ["verify", mode, "--family", "d21"]
+              for mode in ("exchange", "extension", "iso")}
+
+
+@pytest.mark.parametrize("name", NO_DATACLASSES)
+def test_query_child_does_not_import_dataclasses(name):
     # importing dataclasses (and the inspect it pulls in) costs a query child
-    # several milliseconds, and these commands define no dataclass
-    code, modules = modules_after(argv + ["--out", "json"])
+    # several milliseconds, and no command uses it
+    code, modules = modules_after(NO_DATACLASSES[name])
     assert code == 0
-    assert "dataclasses" not in modules
+    assert {"dataclasses", "inspect"}.isdisjoint(modules)
 
 
 def _dataclass_decorated(node) -> bool:
@@ -379,17 +393,26 @@ def _dataclass_decorated(node) -> bool:
 
 
 def test_only_the_replaced_records_are_dataclasses():
-    # records are namedtuples or plain classes, since each @dataclass body
-    # and the dataclasses import cost every query child start-up time.  These
-    # four stay dataclasses because bench/selftest.py, which CI runs, plants
-    # wrong answers in them through dataclasses.replace.
+    # no class is decorated with @dataclass, since each @dataclass body and
+    # the dataclasses import cost every query child start-up time.  Only the
+    # four records that bench/selftest.py plants wrong answers in through
+    # dataclasses.replace expose a field table, built on first read, so
+    # dataclasses.is_dataclass accepts exactly these four.
     src = pathlib.Path(ortk.__file__).parent
-    found = {(path.stem, node.name)
-             for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-             if isinstance(node, ast.ClassDef) and _dataclass_decorated(node)}
-    assert found == {("atypicality", "S1Classification"), ("ecgraph", "Quotient"),
-                     ("ecgraph", "ExchangeReport"), ("ecgraph", "ExtensionReport")}
+    paths = sorted(src.glob("*.py"))
+    assert not [(path.stem, node.name)
+                for path in paths
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ClassDef) and _dataclass_decorated(node)]
+    modules = [importlib.import_module(f"ortk.{path.stem}") for path in paths
+               if path.stem != "__init__"]
+    exposed = {(module.__name__, value.__name__)
+               for module in modules
+               for value in vars(module).values()
+               if isinstance(value, type) and value.__module__ == module.__name__
+               and hasattr(value, "__dataclass_fields__")}
+    assert exposed == {("ortk.atypicality", "S1Classification"), ("ortk.ecgraph", "Quotient"),
+                       ("ortk.ecgraph", "ExchangeReport"), ("ortk.ecgraph", "ExtensionReport")}
 
 
 def test_verify_all_matches_golden_files(tmp_path):

@@ -151,7 +151,7 @@ def test_reference_validation():
 def test_quotient_contract_one_edge():
     g = path_graph("abc", ["c1", "c2"])
     q = quotient_by_colors(g, {"c1"})
-    graph, vmap = q
+    graph, vmap = q.graph, q.vertex_map
     assert set(graph.vertices) == {"a", "c"}
     assert vmap == {"a": "a", "b": "a", "c": "c"}
     assert graph.edges == (("a", "c", "c2"),)

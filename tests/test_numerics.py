@@ -4,7 +4,9 @@ exact solver that tests/oracles.py keeps as references."""
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
+import pprint
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,8 +17,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ortk.adjusted import AdjustedBorel, HypercubicCollection
+from ortk.atypicality import Emptiness, S1Classification
 from ortk.characters import MultiplicityQuery, NumeratorCharacter, verma_character
-from ortk.ecgraph import ColoredGraph, IsoWitness, Walk
+from ortk.ecgraph import (
+    ColoredGraph,
+    ExchangeReport,
+    ExtensionReport,
+    IsoWitness,
+    Quotient,
+    Walk,
+)
 from ortk.manifest import LAMBDA_GRID, GridEntry
 from ortk.numerics import (
     BilinearForm,
@@ -364,6 +374,7 @@ def test_frozen_record_value_contract():
     g = ColoredGraph(("a", "b"), ("x",), (("b", "a", "x"),))
     same_root = Root(Weight.of(root.vector.r), root.parity, root.isotropic)
     same_borel = Borel(tuple(b.odd_positive), tuple(reversed(b.simple)))
+    walk = Walk(g, ("a", "b"), ("x",))
     pairs = [
         (root, same_root),
         (b, same_borel),
@@ -374,7 +385,7 @@ def test_frozen_record_value_contract():
         (HypercubicCollection({2}, lam, [root], lam),
          HypercubicCollection(frozenset([2]), lam, (same_root,), lam)),
         (g, ColoredGraph(["a", "b"], ["x"], [("a", "b", "x")])),
-        (Walk(g, ("a", "b"), ("x",)), Walk(ColoredGraph("ab", "x", [("a", "b", "x")]), ("a", "b"), ("x",))),
+        (walk, Walk(ColoredGraph("ab", "x", [("a", "b", "x")]), ("a", "b"), ("x",))),
         (WalkHomVerdict.zero(), WalkHomVerdict(False, ())),
         (WalkHomVerdict(True, (root,)), WalkHomVerdict(True, (same_root,))),
         (AtypicalColorSet(lam, frozenset("x")), AtypicalColorSet(lam, frozenset(["x"]))),
@@ -382,6 +393,10 @@ def test_frozen_record_value_contract():
         (TrivialIntersection(), TrivialIntersection()),
         (PathClass(("a",), 0, 1), PathClass(("a",), 0, 1)),
         (LAMBDA_GRID[0], GridEntry("gl", 1, 1, LAMBDA_GRID[0].weights)),
+        (S1Classification(frozenset([root]), frozenset(), frozenset(), Emptiness.EMPTY),
+         S1Classification(frozenset([same_root]), frozenset(), frozenset(), Emptiness.EMPTY)),
+        (ExchangeReport((walk,), (), 1, 2), ExchangeReport((walk,), (), 1, 2)),
+        (ExtensionReport((), 3), ExtensionReport((), 3)),
     ]
     for x, y in pairs:
         assert x is not y and x == y and not x != y and hash(x) == hash(y), type(x)
@@ -393,9 +408,16 @@ def test_frozen_record_value_contract():
     assert Borel(b.odd_positive, ()) == b and hash(Borel(b.odd_positive, ())) == hash(b)
     assert b != enumerate_borels(rs)[0][1] and root != b.simple[0]
     assert g != ColoredGraph(("a", "b"), ("x", "y"), (("a", "b", "x"),))
+    assert ExchangeReport((), (), 1, 2) != ExchangeReport((), (), 1, 3)
+    # a Quotient compares by its fields, and its vertex_map dict leaves it
+    # unhashable, as the frozen dataclass was
+    q = Quotient(g, {"a": "a", "b": "b"}, ())
+    assert q == Quotient(g, {"a": "a", "b": "b"}, ()) and q != Quotient(g, {"a": "a", "b": "a"}, ())
+    with pytest.raises(TypeError):
+        hash(q)
 
     fields = [(b, ("odd_positive", "simple")), (g, ("vertices", "colors", "edges"))]
-    fields += [(x, x._fields) for x, _ in pairs if hasattr(x, "_fields")]
+    fields += [(x, x._fields) for x, _ in pairs + [(q, q)] if hasattr(x, "_fields")]
     for x, names in fields:
         for name in names:
             with pytest.raises(AttributeError):
@@ -407,10 +429,45 @@ def test_frozen_record_value_contract():
                    lambda u, v: u > v, lambda u, v: u >= v):
             with pytest.raises(TypeError):
                 op(x, y)
-    for x in (b, root, g):
+    replaced = [x for x, _ in pairs[-3:]] + [q]
+    for x in [b, root, g] + replaced:
         for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
-            assert type(copied) is type(x) and copied == x and hash(copied) == hash(x)
+            assert type(copied) is type(x) and copied == x
+            assert x is q or hash(copied) == hash(x)
     assert copy.copy(b).simple == b.simple
+    # the repr the dataclasses gave them
+    for x in replaced:
+        assert repr(x) == f"{type(x).__name__}(" + ", ".join(
+            f"{name}={getattr(x, name)!r}" for name in x._fields) + ")"
+
+
+def test_dataclasses_replace_plants_into_the_four_records():
+    # bench/selftest.py plants wrong answers in these records through
+    # dataclasses.replace; they are not dataclasses, and expose only the
+    # field table that replace, fields and is_dataclass read
+    g = ColoredGraph(("a", "b"), ("x",), (("a", "b", "x"),))
+    cases = [
+        (S1Classification(frozenset("a"), frozenset("b"), frozenset(), Emptiness.NONEMPTY),
+         {"certified_in": frozenset("ab"), "certified_out": frozenset()}),
+        (Quotient(g, {"a": "a", "b": "b"}, ()), {"vertex_map": {"a": "a", "b": "a"}}),
+        (ExchangeReport((), (), 4, 5), {"n_shortest_walks": 5}),
+        (ExtensionReport((), 7), {"violations": (("planted", None),)}),
+    ]
+    for x, changes in cases:
+        cls = type(x)
+        assert dataclasses.is_dataclass(x) and dataclasses.is_dataclass(cls)
+        assert tuple(f.name for f in dataclasses.fields(x)) == cls._fields
+        assert tuple(f.name for f in dataclasses.fields(cls)) == cls._fields
+        y = dataclasses.replace(x, **changes)
+        assert type(y) is cls and y != x
+        for name in cls._fields:
+            assert getattr(y, name) == changes.get(name, getattr(x, name)), (cls, name)
+        assert dataclasses.replace(x) == x
+        with pytest.raises(TypeError):
+            dataclasses.replace(x, not_a_field=1)
+        assert dataclasses.asdict(x) == {name: getattr(x, name) for name in cls._fields}
+        # pprint takes what is_dataclass accepts for a dataclass
+        assert pprint.pformat(x, width=10) == repr(x)
 
 
 def test_mutable_and_identity_record_contract():
