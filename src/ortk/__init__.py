@@ -53,8 +53,6 @@ _EXPORTS = {
         "graph_from_json",
         "graph_to_dot",
         "graph_to_json",
-        "is_rainbow",
-        "is_shortest",
         "make_walk",
         "quotient_by_colors",
         "verify_exchange",

@@ -1,8 +1,8 @@
 """Finite edge-colored graphs.
 
-Walks, rainbow and shortest tests, color-set quotients, edge-colored
-isomorphism, the exchange and rainbow-extension verifiers, and the two
-reference families (Young lattices in a box, hypercubes).
+Walks, BFS distances, color-set quotients, edge-colored isomorphism,
+the exchange and rainbow-extension verifiers, and the two reference
+families (Young lattices in a box, hypercubes).
 
 Vertices and colors are opaque hashable IDs.  Edges are unordered pairs
 with a color; loops are forbidden, parallel edges of distinct colors are
@@ -34,7 +34,8 @@ class ColoredGraph:
     equal and hash equal.
     """
 
-    # no __slots__: the cached_property _walk_index lives in __dict__
+    # no __slots__: the cached properties _walk_index and _quotients live
+    # in __dict__
 
     def __init__(self, vertices: tuple, colors: tuple, edges: tuple):
         vs = tuple(vertices)
@@ -83,9 +84,16 @@ class ColoredGraph:
 
     @cached_property
     def _walk_index(self) -> "_WalkIndex":
-        # built on first use, not at construction: build_or_lambda and the
-        # walk oracle make many graphs that never count walks
+        # built on first use, not at construction: most graphs never count
+        # walks.  A quotient graph is kept in _quotients, so the checks run
+        # on it share one index per contracted color set
         return _build_walk_index(self)
+
+    @cached_property
+    def _quotients(self) -> dict:
+        # contracted color set -> Quotient, filled by _contract; at most one
+        # entry per subset of colors, so 2**len(colors) in all
+        return {}
 
     def neighbors(self, v):
         return self._adj[v]
@@ -161,10 +169,6 @@ def make_walk(g: ColoredGraph, vertices, colors=None) -> Walk:
     return Walk(g, vertices, colors)
 
 
-def is_rainbow(w: Walk) -> bool:
-    return len(set(w.walk_colors)) == len(w.walk_colors)
-
-
 def bfs_distances(g: ColoredGraph, source) -> dict:
     dist = {source: 0}
     queue = deque([source])
@@ -175,15 +179,6 @@ def bfs_distances(g: ColoredGraph, source) -> dict:
                 dist[y] = dist[x] + 1
                 queue.append(y)
     return dist
-
-
-def is_shortest(g: ColoredGraph, w: Walk) -> bool:
-    if w.graph is not g and w.graph != g:
-        raise InvalidWalk("walk belongs to a different graph")
-    dist = bfs_distances(g, w.start)
-    if w.end not in dist:
-        raise DisconnectedEndpoints(f"{w.start!r} and {w.end!r} are disconnected")
-    return w.length == dist[w.end]
 
 
 class Quotient(namedtuple("_QuotientFields", "graph vertex_map loops")):
@@ -198,8 +193,21 @@ class Quotient(namedtuple("_QuotientFields", "graph vertex_map loops")):
 
 
 def quotient_by_colors(g: ColoredGraph, d) -> Quotient:
-    """Contract all d-colored edges; keep the remaining colored edges."""
+    """Contract all d-colored edges; keep the remaining colored edges.
+
+    The contraction is kept on g per color set; each call returns a
+    fresh vertex_map, while the quotient graph and loops are shared."""
+    q = _contract(g, d)
+    return Quotient(q.graph, dict(q.vertex_map), q.loops)
+
+
+def _contract(g: ColoredGraph, d) -> Quotient:
+    """The quotient of g by d as kept in g._quotients; callers only read
+    its vertex_map."""
     d = frozenset(d)
+    q = g._quotients.get(d)
+    if q is not None:
+        return q
     unknown = d - set(g.colors)
     if unknown:
         raise ValueError(f"colors not in graph: {sorted(map(str, unknown))}")
@@ -241,8 +249,9 @@ def quotient_by_colors(g: ColoredGraph, d) -> Quotient:
             new_edges.add((ru, rv, c))
     graph = ColoredGraph(tuple(reps), kept_colors, tuple(sorted(
         new_edges, key=lambda e: (vindex[e[0]], vindex[e[1]], kept_colors.index(e[2])))))
-    return Quotient(graph, vertex_map, tuple(sorted(
+    q = g._quotients[d] = Quotient(graph, vertex_map, tuple(sorted(
         loops, key=lambda lc: (vindex[lc[0]], str(lc[1])))))
+    return q
 
 
 class IsoWitness(namedtuple("_IsoWitnessFields", "vertex_bijection color_bijection")):
@@ -250,11 +259,6 @@ class IsoWitness(namedtuple("_IsoWitnessFields", "vertex_bijection color_bijecti
 
     def __new__(cls, vertex_bijection, color_bijection):
         return tuple.__new__(cls, (dict(vertex_bijection), dict(color_bijection)))
-
-    def inverse(self) -> "IsoWitness":
-        return IsoWitness(
-            {v: u for u, v in self.vertex_bijection.items()},
-            {d: c for c, d in self.color_bijection.items()})
 
 
 def is_color_isomorphism(g1: ColoredGraph, g2: ColoredGraph,

@@ -18,6 +18,7 @@ from .ecgraph import (
     ColoredGraph,
     Quotient,
     Walk,
+    _contract,
     bfs_distances,
     make_walk,
     quotient_by_colors,
@@ -159,31 +160,21 @@ class WalkHomVerdict(namedtuple("_WalkHomVerdictFields", "nonzero monomial")):
         return WalkHomVerdict(False, ())
 
 
-def _project_walk(og: ORGraph, quotient: Quotient, w: Walk):
-    """Image of a walk in the quotient: contracted steps dropped.
-
-    Returns (class vertices, surviving colors).  A surviving step whose
+def _surviving_colors(vmap: dict, contracted: frozenset, w: Walk) -> list:
+    """Colors of the steps of w that survive in the quotient with class
+    map vmap: the contracted steps are dropped.  A surviving step whose
     endpoints fall into one class would be a quotient loop; none occur
     on OR graphs and we refuse to guess.
     """
-    vmap = quotient.vertex_map
-    contracted = _d_colors(og, quotient)
-    verts = [vmap[w.walk_vertices[0]]]
     colors = []
     for a, b, c in zip(w.walk_vertices, w.walk_vertices[1:], w.walk_colors):
-        ca, cb = vmap[a], vmap[b]
-        if ca == cb:
+        if vmap[a] == vmap[b]:
             if c not in contracted:
                 raise AssertionError(
                     f"non-contracted step {a}-{b} collapsed to a loop")
             continue
-        verts.append(cb)
         colors.append(c)
-    return verts, colors
-
-
-def _d_colors(og: ORGraph, quotient: Quotient) -> frozenset:
-    return frozenset(og.graph.colors) - frozenset(quotient.graph.colors)
+    return colors
 
 
 def walk_hom_oracle(rs: RootSystem, og: ORGraph, lam: Weight,
@@ -195,8 +186,9 @@ def walk_hom_oracle(rs: RootSystem, og: ORGraph, lam: Weight,
     verdict (nonzero iff the projection is rainbow).
     """
     w = make_walk(og.graph, w.walk_vertices, w.walk_colors)
-    quotient = build_or_lambda(rs, og, lam)
-    _, colors = _project_walk(og, quotient, w)
+    contracted = atypical_colors(rs, og, lam).colors
+    colors = _surviving_colors(_contract(og.graph, contracted).vertex_map,
+                               contracted, w)
     if len(set(colors)) != len(colors):
         return WalkHomVerdict.zero()
     start = og.borel_of_vertex[w.walk_vertices[0]]

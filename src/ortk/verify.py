@@ -291,15 +291,16 @@ def suite_characters(builds: _Builds, family=None) -> list:
     return entries
 
 
-def _projection_nonzero(quotient, walk) -> bool:
-    """Independent zero test: the projected walk is shortest in the quotient."""
-    vmap = quotient.vertex_map
+def _projection_nonzero(vmap, dist_from, walk) -> bool:
+    """Independent zero test: the projected walk is shortest in the
+    quotient with class map vmap; dist_from[x] holds the BFS distances
+    from class x."""
     surviving = sum(
         1
         for a, b in zip(walk.walk_vertices, walk.walk_vertices[1:])
         if vmap[a] != vmap[b]
     )
-    dist = bfs_distances(quotient.graph, vmap[walk.walk_vertices[0]])
+    dist = dist_from[vmap[walk.walk_vertices[0]]]
     return surviving == dist[vmap[walk.walk_vertices[-1]]]
 
 
@@ -356,10 +357,12 @@ def suite_walks(builds: _Builds, family=None) -> list:
         for lam_text in entry.weights:
             lam = parse_weight(lam_text, rs.rank) + rho
             quotient = build_or_lambda(rs, og, lam)
+            dist_from = {x: bfs_distances(quotient.graph, x)
+                         for x in quotient.graph.vertices}
             mismatch = None
             for w in walks:
                 got = walk_hom_oracle(rs, og, lam, w).nonzero
-                want = _projection_nonzero(quotient, w)
+                want = _projection_nonzero(quotient.vertex_map, dist_from, w)
                 if got != want and mismatch is None:
                     mismatch = _walk_payload(w) | {"oracle": got, "shortest": want}
             payload = {"walks": len(walks)}

@@ -7,9 +7,12 @@ elimination over Q in place of one basis inverse, a Borel's simple
 roots by a search over all pairwise sums in place of the simple system
 inherited along odd reflections, the trivial quotient by its direct
 criterion, the semibrick index sets by an exhaustive rainbow search
-in place of BFS distances, and a weight multiplicity as one Kostant
-lookup per subset sum in place of the sums of the head's lattice class.
-The package never calls them.
+in place of BFS distances, a weight multiplicity as one Kostant
+lookup per subset sum in place of the sums of the head's lattice class,
+and a color-set quotient by BFS components in place of union-find.
+The rainbow and shortest walk tests and the inverse of an isomorphism
+witness live here too: only the tests use them.  The package never
+calls any of these.
 """
 
 from __future__ import annotations
@@ -17,6 +20,13 @@ from __future__ import annotations
 from operator import add
 
 from ortk.characters import _kostant_scaled, _times_factors
+from ortk.ecgraph import (
+    ColoredGraph,
+    DisconnectedEndpoints,
+    InvalidWalk,
+    IsoWitness,
+    bfs_distances,
+)
 from ortk.numerics import (
     BilinearForm,
     DegreeOverflow,
@@ -98,6 +108,13 @@ def expand_in_basis(v: Weight, basis: list[Weight]) -> list[Scalar]:
     ]
 
 
+def ref_atypical_colors(rs, og, lam: Weight) -> frozenset:
+    """D_lambda by the Scalar inner product: the colors whose roots pair
+    nonzero with lambda."""
+    return frozenset(c for c, root in og.root_of_color.items()
+                     if not ref_orthogonal(rs, lam, root))
+
+
 def ref_simple_roots(rs, odd_positive) -> set:
     """The simple roots of the Borel with these positive odd roots: the
     positive roots (even and odd) that are not the sum of two positive
@@ -159,3 +176,64 @@ def ref_weight_multiplicity(rs, q) -> int:
                           [rs.height_coords(r.vector.r) for r in q.free_odd])
     return sum(subsets * _kostant_scaled(rs, tuple(map(add, head, x)))
                for x, subsets in sums.items())
+
+
+def is_rainbow(w) -> bool:
+    """No color repeats along the walk."""
+    return len(set(w.walk_colors)) == len(w.walk_colors)
+
+
+def is_shortest(g, w) -> bool:
+    """The walk is as long as the BFS distance between its ends."""
+    if w.graph is not g and w.graph != g:
+        raise InvalidWalk("walk belongs to a different graph")
+    dist = bfs_distances(g, w.start)
+    if w.end not in dist:
+        raise DisconnectedEndpoints(f"{w.start!r} and {w.end!r} are disconnected")
+    return w.length == dist[w.end]
+
+
+def inverse_witness(w: IsoWitness) -> IsoWitness:
+    """The witness of the inverse isomorphism."""
+    return IsoWitness({v: u for u, v in w.vertex_bijection.items()},
+                      {d: c for c, d in w.color_bijection.items()})
+
+
+def ref_quotient(g, d) -> tuple:
+    """quotient_by_colors by BFS components over the d-colored edges in
+    place of union-find: (graph, vertex_map, set of loops).  A class is
+    named by its first vertex in graph order."""
+    d = frozenset(d)
+    cls = {}
+    for v in g.vertices:
+        if v in cls:
+            continue
+        cls[v] = v
+        queue = [v]
+        for x in queue:
+            for y, c in g.neighbors(x):
+                if c in d and y not in cls:
+                    cls[y] = v
+                    queue.append(y)
+    edges, loops = {}, set()
+    for u, v, c in g.edges:
+        if c in d:
+            continue
+        if cls[u] == cls[v]:
+            loops.add((cls[u], c))
+        else:
+            edges[frozenset((cls[u], cls[v])), c] = (cls[u], cls[v], c)
+    graph = ColoredGraph(tuple(dict.fromkeys(cls[v] for v in g.vertices)),
+                         tuple(c for c in g.colors if c not in d),
+                         tuple(edges.values()))
+    return graph, cls, loops
+
+
+def ref_walk_nonzero(g, d, path) -> tuple:
+    """(nonzero, surviving steps) for the walk through the vertices path,
+    projected to ref_quotient(g, d): the steps that join two classes
+    survive, and the composition is nonzero when they form a shortest
+    walk of the quotient."""
+    graph, cls, _ = ref_quotient(g, d)
+    steps = sum(1 for a, b in zip(path, path[1:]) if cls[a] != cls[b])
+    return steps == bfs_distances(graph, cls[path[0]])[cls[path[-1]]], steps

@@ -1,5 +1,6 @@
 """Edge-colored graph machinery."""
 
+import itertools
 import json
 import random
 from math import factorial
@@ -22,13 +23,15 @@ from ortk.ecgraph import (
     graph_to_dot,
     graph_to_json,
     is_color_isomorphism,
-    is_rainbow,
-    is_shortest,
     make_walk,
     quotient_by_colors,
     verify_exchange,
     verify_rainbow_extension,
 )
+from ortk.orgraph import build_or_graph
+from ortk.rootsys import build_root_system
+
+from oracles import inverse_witness, is_rainbow, is_shortest, ref_quotient
 
 
 def path_graph(labels, colors):
@@ -192,12 +195,66 @@ def test_quotient_rejects_unknown_color():
         quotient_by_colors(g, {"nope"})
 
 
+# OR graphs with 3 to 6 colors: every color set of each is contracted
+MEMO_GRAPHS = [("gl", 2, 2), ("gl", 3, 2), ("gl11n", None, 3), ("ospD", 2, 2)]
+
+
+@pytest.mark.parametrize("family, m, n", MEMO_GRAPHS)
+def test_quotient_memo_matches_bfs_reference_on_every_color_set(family, m, n):
+    og = build_or_graph(build_root_system(family, m=m, n=n)).graph
+    g = ColoredGraph(og.vertices, og.colors, og.edges)  # a fresh, cold memo
+    subsets = [frozenset(d) for k in range(len(g.colors) + 1)
+               for d in itertools.combinations(g.colors, k)]
+    for warm in (False, True):
+        for d in subsets:
+            assert (d in g._quotients) == warm
+            q = quotient_by_colors(g, d)
+            graph, vmap, loops = ref_quotient(g, d)
+            assert q.graph == graph
+            assert q.vertex_map == vmap
+            assert len(q.loops) == len(loops) and set(q.loops) == loops
+    assert len(g._quotients) == len(subsets)
+
+
+def test_quotient_memo_hands_out_copies_of_the_class_map():
+    g = build_reference_graph("young", 2, 2)
+    d = {(1, 1), (1, 2)}
+    first = quotient_by_colors(g, d)
+    want = dict(first.vertex_map)
+    first.vertex_map["∅"] = "22"
+    first.vertex_map.pop("1")
+    again = quotient_by_colors(g, d)
+    assert again.vertex_map == want == ref_quotient(g, d)[1]
+    assert again.vertex_map is not first.vertex_map
+    # the immutable parts are shared, and with them the quotient's walk index
+    assert again.graph is first.graph and again.loops is first.loops
+    assert again.graph._walk_index is first.graph._walk_index
+
+
+def test_quotient_memo_still_rejects_unknown_color():
+    g = path_graph("abc", ["x", "y"])
+    quotient_by_colors(g, {"x"})
+    quotient_by_colors(g, ())
+    for d in ({"nope"}, {"x", "nope"}):
+        with pytest.raises(ValueError, match="nope"):
+            quotient_by_colors(g, d)
+    assert set(g._quotients) == {frozenset({"x"}), frozenset()}
+
+
+def test_quotient_memo_keeps_one_entry_per_color_set():
+    g = build_reference_graph("hypercube", n=3)
+    for d in ([1], (1,), {1}, [2, 1], (1, 2), [], set(), [3, 2, 1], iter([2])):
+        quotient_by_colors(g, d)
+    assert set(g._quotients) == {frozenset(), frozenset({1}), frozenset({2}),
+                                 frozenset({1, 2}), frozenset({1, 2, 3})}
+
+
 def test_colored_isomorphic_young_self():
     g = build_reference_graph("young", 2, 2)
     w = colored_isomorphic(g, g)
     assert w is not None
     assert is_color_isomorphism(g, g, w.vertex_bijection, w.color_bijection)
-    inv = w.inverse()
+    inv = inverse_witness(w)
     assert is_color_isomorphism(g, g, inv.vertex_bijection, inv.color_bijection)
 
 
@@ -237,7 +294,7 @@ def test_colored_isomorphic_symmetry():
     w = colored_isomorphic(g, h)
     back = colored_isomorphic(h, g)
     assert w is not None and back is not None
-    inv = w.inverse()
+    inv = inverse_witness(w)
     assert is_color_isomorphism(h, g, inv.vertex_bijection, inv.color_bijection)
 
 

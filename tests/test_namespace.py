@@ -22,7 +22,7 @@ EXPORTED = {
     "character_weight_multiplicity", "characters_equal", "colored_isomorphic",
     "enumerate_borels", "graph_from_json", "graph_to_dot", "graph_to_json",
     "hom_dimensions", "hypercubic_collections", "image_intersection_kind",
-    "is_lambda_adjusted", "is_rainbow", "is_shortest", "is_typical",
+    "is_lambda_adjusted", "is_typical",
     "kac_flag_constituents", "kostant_partitions", "make_walk", "odd_reflect",
     "parse_weight", "partition_of_borel", "path_normal_forms", "pure_positive_roots",
     "quotient_by_colors", "rbtriv_check", "reflect_along", "render_path",

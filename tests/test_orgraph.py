@@ -1,5 +1,7 @@
 """OR graphs, atypicality quotients, walk homomorphism oracle."""
 
+import random
+
 import pytest
 
 from ortk import manifest
@@ -7,8 +9,6 @@ from ortk.ecgraph import (
     build_reference_graph,
     colored_isomorphic,
     is_color_isomorphism,
-    is_rainbow,
-    is_shortest,
     make_walk,
     verify_exchange,
     verify_rainbow_extension,
@@ -33,7 +33,12 @@ from ortk.rootsys import (
     weyl_vector,
 )
 
-from oracles import ref_rbtriv, ref_semibrick_index_sets
+from oracles import (
+    ref_atypical_colors,
+    ref_rbtriv,
+    ref_semibrick_index_sets,
+    ref_walk_nonzero,
+)
 
 
 def test_or_gl22_matches_young():
@@ -379,3 +384,34 @@ def test_semibrick_index_sets_match_rainbow_search(family, m, n):
         for bbar in og.borel_of_vertex.values():
             assert (semibrick_index_sets(rs, og, lam, bbar)
                     == ref_semibrick_index_sets(rs, og, lam, bbar))
+
+
+@pytest.mark.parametrize("family, m, n, seed", [("gl", 4, 3, 41), ("gl11n", None, 5, 42)])
+def test_walk_oracle_matches_shortest_walk_reference_on_random_input(family, m, n, seed):
+    # random integer weights, zero among them, and random walks; D is
+    # decided by the Scalar pairing and the quotient by BFS components,
+    # both apart from the oracle
+    rs = build_root_system(family, m=m, n=n)
+    og = build_or_graph(rs)
+    g = og.graph
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(60):
+        r = rng.choice((0, 1, 1, 2))
+        lam = weight(*(rng.randint(-r, r) for _ in range(rs.rank)))
+        d = ref_atypical_colors(rs, og, lam)
+        at = rng.choice(g.vertices)
+        path = [at]
+        for _ in range(rng.randrange(0, 9)):
+            at, _c = rng.choice(sorted(g.neighbors(at), key=str))
+            path.append(at)
+        cases.append((lam, d, make_walk(g, path), ref_walk_nonzero(g, d, path)))
+    g.__dict__.pop("_quotients", None)  # the first pass starts from a cold memo
+    for _ in ("cold", "warm"):
+        for lam, d, w, (nonzero, steps) in cases:
+            verdict = walk_hom_oracle(rs, og, lam, w)
+            assert verdict.nonzero == nonzero, (lam, w.walk_vertices)
+            assert len(verdict.monomial) == (steps if nonzero else 0)
+        assert set(g._quotients) == {d for _, d, _, _ in cases}
+    assert len({d for _, d, _, _ in cases}) > 5
+    assert {nonzero for _, _, _, (nonzero, _) in cases} == {True, False}
