@@ -8,17 +8,23 @@ checks are then finite polynomial identities between numerators.
 Weight multiplicities are computed independently through Kostant
 partition counts: the odd-subset sums of each free set are kept grouped
 by lattice class, so a multiplicity reads only the class of its head,
-the one class whose sums can land on the even-root lattice, and skips
-the sums with a negative even-simple coordinate.
+the one class whose sums can land on the even-root lattice.  Each class
+runs by descending coordinate sum, so the scan stops at the first sum
+too low to leave a nonnegative even-simple vector, and skips the others
+with a negative coordinate.
 
 The kernels run on integer vectors: numerators as offsets from their
 leading weight, Kostant searches in the coordinates of the RootSystem
-integer layer.  Weights are built only for the caller.
+integer layer.  Each numerator is also kept as integer columns, one per
+coordinate, for every (odd set, den) a weight has asked for, so a Verma
+character's terms are built by C-level map and zip with no Python loop
+per term.  Weights are built only for the caller.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import lcm
 from operator import add, mul
 
@@ -78,7 +84,8 @@ def _times_factors(terms: dict, factors) -> dict:
 
 def _numerator(rs: RootSystem, delta_a) -> dict:
     """Numerator of ch M^a(0) as {integer offset: coefficient}; built once
-    per odd set and kept in rs._kostant_memo, so callers only read it."""
+    per odd set and kept in rs._kostant_memo, so callers only read it:
+    the brick checks compare it, and _numerator_columns reads it once."""
     delta_a = frozenset(delta_a)
     # the tag keeps the key apart from _subset_sums' bare free-set keys
     key = ("numerator", delta_a)
@@ -94,20 +101,39 @@ def _numerator(rs: RootSystem, delta_a) -> dict:
     return terms
 
 
-def _as_weights(lam: Weight, offsets: dict) -> dict:
-    """{lam + offset: coefficient} for integer offsets.
+def _numerator_columns(rs: RootSystem, delta_a, den: int) -> tuple:
+    """The numerator of delta_a as (columns, coefficients): columns[i] is
+    coordinate i of every offset times den, coefficients the matching
+    coefficients, in the order of _numerator's dict.  Built once per
+    (odd set, den) and kept in rs._kostant_memo; den 1 is the dict's
+    offsets as they are, every other den scales them."""
+    delta_a = frozenset(delta_a)
+    key = ("columns", delta_a, den)
+    entry = rs._kostant_memo.get(key)
+    if entry is None:
+        if den == 1:
+            terms = _numerator(rs, delta_a)
+            entry = (tuple(zip(*terms)), tuple(terms.values()))
+        else:
+            unit, coeffs = _numerator_columns(rs, delta_a, 1)
+            entry = (tuple(tuple(map(den.__mul__, col)) for col in unit), coeffs)
+        rs._kostant_memo[key] = entry
+    return entry
 
-    Each term has the fields (lam.r + lam.den * offset, lam.s, lam.den).
-    Adding multiples of den to r leaves gcd(den, *r, *s) as it is, 1, so
-    the terms are in lowest terms without a reduction."""
+
+def _as_weights(rs: RootSystem, delta_a, lam: Weight) -> dict:
+    """{lam + offset: coefficient} over the numerator of delta_a.
+
+    Each term has the fields (lam.r + lam.den * offset, lam.s, lam.den),
+    built column by column in C: coordinate i of every term is
+    lam.r[i] + column i.  Adding multiples of den to r leaves
+    gcd(den, *r, *s) as it is, 1, so the terms are in lowest terms
+    without a reduction."""
     r, s, den = lam
-    new = tuple.__new__
-    if den == 1:
-        return {new(Weight, (tuple(map(add, r, off)), s, 1)): c
-                for off, c in offsets.items()}
-    scale = den.__mul__
-    return {new(Weight, (tuple(map(add, r, map(scale, off))), s, den)): c
-            for off, c in offsets.items()}
+    cols, coeffs = _numerator_columns(rs, delta_a, den)
+    rows = zip(*[map(add, repeat(x), col) for x, col in zip(r, cols)])
+    return dict(zip(map(tuple.__new__, repeat(Weight), zip(rows, repeat(s), repeat(den))),
+                    coeffs))
 
 
 def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
@@ -117,7 +143,7 @@ def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
     a Borel b uses delta_a = its positive odd roots, induction from the
     even subalgebra uses delta_a = empty set.
     """
-    return NumeratorCharacter(_as_weights(lam, _numerator(rs, delta_a)))
+    return NumeratorCharacter(_as_weights(rs, delta_a, lam))
 
 
 def characters_equal(c1: NumeratorCharacter, c2: NumeratorCharacter) -> bool:
@@ -225,8 +251,13 @@ def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:
         return 0
     # in this class (lead + x) / den = ceil(lead / den) + x // den
     up = tuple(-(-c // den) for c in lead)
+    # a nonnegative up + x has sum(up) + sum(x) >= 0, and the class runs
+    # by descending sum(x), so no later sum can count
+    floor = -sum(up)
     total = 0
-    for x, subsets in sums.items():
+    for x, subsets in sums:
+        if sum(x) < floor:
+            break
         key = tuple(map(add, up, x))
         if min(key, default=0) >= 0:
             total += subsets * _kostant_count(rs, key)
@@ -235,9 +266,10 @@ def weight_multiplicity(rs: RootSystem, q: MultiplicityQuery) -> int:
 
 def _subset_sums(rs: RootSystem, free_odd: frozenset) -> dict:
     """The sums sum(S) over the subsets S of free_odd, in height_coords,
-    grouped by lattice class: {(x[n:], x[:n] mod den): {x[:n] // den:
-    number of subsets S with sum x}}, n even simple roots and den the
-    coord_denominator.  Built once per free set and kept in
+    grouped by lattice class: {(x[n:], x[:n] mod den): ((x[:n] // den,
+    number of subsets S with sum x), ...)}, n even simple roots and den
+    the coord_denominator, each class sorted by descending coordinate
+    sum of x[:n] // den.  Built once per free set and kept in
     rs._kostant_memo; a head reads only its own class."""
     classes = rs._kostant_memo.get(free_odd)
     if classes is None:
@@ -246,11 +278,13 @@ def _subset_sums(rs: RootSystem, free_odd: frozenset) -> dict:
         sums = _times_factors({(0,) * rs.rank: 1},
                               [rs.height_coords(r.vector.r) for r in free_odd])
         n, den = len(rs.even_simple), rs.coord_denominator
-        classes = {}
+        grouped = {}
         for x, subsets in sums.items():
             lead = x[:n]
             key = (x[n:], tuple(c % den for c in lead))
-            classes.setdefault(key, {})[tuple(c // den for c in lead)] = subsets
+            grouped.setdefault(key, []).append((tuple(c // den for c in lead), subsets))
+        classes = {key: tuple(sorted(pairs, key=lambda p: sum(p[0]), reverse=True))
+                   for key, pairs in grouped.items()}
         rs._kostant_memo[free_odd] = classes
     return classes
 
@@ -267,8 +301,8 @@ def kac_flag_constituents(rs: RootSystem, b: Borel, lam: Weight):
     multiplicity, ordered by height then coordinates."""
     # lam plus every subset sum of the odd positive roots, one per subset:
     # the numerator whose odd set is their negatives
-    sums = _numerator(rs, map(rs.negate, b.odd_positive))
-    return _height_sorted(rs, [w for w, c in _as_weights(lam, sums).items() for _ in range(c)])
+    terms = _as_weights(rs, map(rs.negate, b.odd_positive), lam)
+    return _height_sorted(rs, [w for w, c in terms.items() for _ in range(c)])
 
 
 def total_dimension(c: NumeratorCharacter, rs: RootSystem):

@@ -23,7 +23,7 @@ from .ecgraph import (
     make_walk,
     quotient_by_colors,
 )
-from .numerics import Weight
+from .numerics import RankMismatch, Weight
 from .rootsys import (
     Borel,
     PreconditionViolated,
@@ -130,9 +130,12 @@ class AtypicalColorSet(namedtuple("_AtypicalColorSetFields", "lam colors")):
 
 def atypical_colors(rs: RootSystem, og: ORGraph, lam: Weight) -> AtypicalColorSet:
     """D_lambda: the colors whose roots do not pair to zero with lambda."""
-    orthogonal = rs.orthogonal_roots(lam, og.root_of_color.values())
+    if lam.rank != rs.rank:
+        raise RankMismatch(f"weight of rank {lam.rank} against rank {rs.rank}")
+    r, s = lam.r, lam.s
+    pair, is_zero = rs._pair, rs._pair_is_zero
     return AtypicalColorSet(lam, frozenset(
-        c for c, root in og.root_of_color.items() if root not in orthogonal))
+        c for c, root in og.root_of_color.items() if not is_zero(*pair(r, s, root))))
 
 
 def build_or_lambda(rs: RootSystem, og: ORGraph, lam: Weight) -> Quotient:

@@ -168,11 +168,13 @@ class RootSystem:
         #   (coordinates, index)      -> a Kostant state's partition count
         #   frozenset of odd roots    -> a free set's odd-subset sums, by lattice class
         #   ("numerator", odd set)    -> a numerator prod (1 + e^beta) as offsets
+        #   ("columns", odd set, den) -> that numerator as columns scaled by den
         #   ("brick", join odd set)   -> a brick check's J-shift product
         # One subset-sum dict per distinct free set, one product per
-        # distinct odd set queried and one brick product per distinct join
-        # odd set, each with at most 2^|delta1| terms; the Kostant states
-        # grow with the queried coordinates.
+        # distinct odd set queried, one column form per distinct (odd set,
+        # weight denominator) queried and one brick product per distinct
+        # join odd set, each with at most 2^|delta1| terms; the Kostant
+        # states grow with the queried coordinates.
         self._kostant_memo: dict = {}
         self._borel_cache: tuple | None = None
 

@@ -9,7 +9,9 @@ inherited along odd reflections, the trivial quotient by its direct
 criterion, the semibrick index sets by an exhaustive rainbow search
 in place of BFS distances, a weight multiplicity as one Kostant
 lookup per subset sum in place of the sums of the head's lattice class,
-and a color-set quotient by BFS components in place of union-find.
+a Verma numerator's terms built one Weight at a time in place of its
+columns, and a color-set quotient by BFS components in place of
+union-find.
 The rainbow and shortest walk tests and the inverse of an isomorphism
 witness live here too: only the tests use them.  The package never
 calls any of these.
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from operator import add
 
-from ortk.characters import _kostant_scaled, _times_factors
+from ortk.characters import _height_sorted, _kostant_scaled, _numerator, _times_factors
 from ortk.ecgraph import (
     ColoredGraph,
     DisconnectedEndpoints,
@@ -176,6 +178,22 @@ def ref_weight_multiplicity(rs, q) -> int:
                           [rs.height_coords(r.vector.r) for r in q.free_odd])
     return sum(subsets * _kostant_scaled(rs, tuple(map(add, head, x)))
                for x, subsets in sums.items())
+
+
+def ref_as_weights(lam: Weight, offsets: dict) -> dict:
+    """{lam + offset: coefficient} for the integer offsets of a numerator
+    dict, one term at a time: (lam.r + lam.den * offset, lam.s, lam.den)."""
+    r, s, den = lam
+    new = tuple.__new__
+    return {new(Weight, (tuple(map(add, r, map(den.__mul__, off))), s, den)): c
+            for off, c in offsets.items()}
+
+
+def ref_kac_flag_constituents(rs, b, lam: Weight) -> list:
+    """kac_flag_constituents through the numerator dict and ref_as_weights."""
+    sums = _numerator(rs, map(rs.negate, b.odd_positive))
+    return _height_sorted(rs, [w for w, c in ref_as_weights(lam, sums).items()
+                               for _ in range(c)])
 
 
 def is_rainbow(w) -> bool:

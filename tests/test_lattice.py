@@ -11,6 +11,7 @@ import functools
 import itertools
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -21,17 +22,22 @@ from ortk.adjusted import borel_meet_join, brick_decomposition_check, hypercubic
 from ortk.atypicality import Emptiness, s1_classify
 from ortk.characters import (
     MultiplicityQuery,
+    _numerator,
+    _subset_sums,
+    kac_flag_constituents,
     kostant_partitions,
     verma_character,
     weight_multiplicity,
 )
-from ortk.numerics import Scalar, SingularBasis, Weight, zero_weight
+from ortk.numerics import Scalar, SingularBasis, Weight, parse_weight, zero_weight
 from ortk.rootsys import basis_inverse, build_root_system, enumerate_borels
 
 from oracles import (
     NotInSpan,
     expand_in_basis,
     inner_product,
+    ref_as_weights,
+    ref_kac_flag_constituents,
     ref_orthogonal,
     ref_weight_multiplicity,
 )
@@ -226,6 +232,57 @@ def test_numerators_survive_brick_checks_on_the_same_system(data, key):
             assert brick_decomposition_check(rs, b, coll.lam, coll)
         for delta_a in (meet.delta_a, join.delta_a, set(b.odd_positive)):
             assert verma_character(rs, delta_a, lam).terms == ref_numerator(rs, delta_a, lam)
+
+
+def test_numerator_columns_across_denominators():
+    # one system, one odd set, queried at den 1, 2, 3 and 1 again and at an
+    # a-carrying weight: every den gets its own scaled columns, and no query
+    # may see another's scaling or a caller's edits
+    rs = build_root_system("d21alpha", None, None, None)
+    borels, _ = enumerate_borels(rs)
+    delta_a = set(borels[1].odd_positive)
+    lams = [Weight.of((1, 0, -2)), Weight.of((1, 0, 3), None, 2),
+            Weight.of((1, 2, -4), None, 3), Weight.of((0, -1, 1)),
+            Weight.of((1, 0, 0), (1, 0, 0), 2)]
+    assert [lam.den for lam in lams] == [1, 2, 3, 1, 2] and any(lams[-1].s)
+    for lam in lams:
+        first = verma_character(rs, delta_a, lam)
+        ref = ref_numerator(rs, delta_a, lam)
+        assert first.terms == ref
+        assert list(first.terms) == list(ref_as_weights(lam, _numerator(rs, delta_a)))
+        for w in first.terms:
+            assert type(w) is Weight
+            assert (w.s, w.den) == (lam.s, lam.den)
+            assert gcd(w.den, *w.r, *w.s) == 1
+        first.terms.clear()
+        first.terms[lam] = 7
+        assert verma_character(rs, delta_a, lam).terms == ref
+        for b in borels:
+            assert kac_flag_constituents(rs, b, lam) == ref_kac_flag_constituents(rs, b, lam)
+    dens = {key[2] for key in rs._kostant_memo
+            if key[0] == "columns" and key[1] == frozenset(delta_a)}
+    assert dens == {1, 2, 3}
+
+
+def test_multiplicity_scan_stops_below_the_head():
+    # ospB(2|2), Borel 3: the negated odd positives give 2 lattice classes
+    # of 218 sums; the head's class runs by descending coordinate sum, and
+    # only the 37 sums with sum(up) + sum(x) >= 0 can count
+    rs = build_root_system("ospB", 2, 2)
+    free = frozenset(rs.negate(r) for r in enumerate_borels(rs)[0][3].odd_positive)
+    base = parse_weight("1,2,-1,0", rs.rank)
+    q = MultiplicityQuery(free, base, base - parse_weight("1,1,0,0", rs.rank))
+    assert weight_multiplicity(rs, q) == 12 == ref_weight_multiplicity(rs, q)
+    classes = _subset_sums(rs, free)
+    assert sorted(map(len, classes.values())) == [218, 218]
+    for sums in classes.values():
+        totals = [sum(x) for x, _ in sums]
+        assert totals == sorted(totals, reverse=True)
+    n, den = len(rs.even_simple), rs.coord_denominator
+    head = rs.lattice_coords(q.base - q.target)
+    sums = classes[(tuple(-c for c in head[n:]), tuple(-c % den for c in head[:n]))]
+    up = tuple(-(-c // den) for c in head[:n])
+    assert sum(1 for x, _ in sums if sum(up) + sum(x) >= 0) == 37
 
 
 @FUZZ

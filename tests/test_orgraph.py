@@ -13,7 +13,7 @@ from ortk.ecgraph import (
     verify_exchange,
     verify_rainbow_extension,
 )
-from ortk.numerics import parse_weight, weight, zero_weight
+from ortk.numerics import DegreeOverflow, RankMismatch, Weight, parse_weight, weight, zero_weight
 from ortk.orgraph import (
     HypercubicImage,
     TrivialIntersection,
@@ -145,6 +145,43 @@ def test_atypical_colors_gl11():
     og = build_or_graph(rs)
     d = atypical_colors(rs, og, weight(1, 0))
     assert d.colors == {"e1-d1"}
+
+
+@pytest.mark.parametrize("family, m, n", [("gl", 4, 3), ("gl11n", None, 5),
+                                          ("d21alpha", None, None)])
+def test_atypical_colors_match_scalar_pairing(family, m, n):
+    # seeded rational weights, a-carrying ones on D(2,1;a); a pairing that
+    # leaves the degree-1 space raises as the Scalar reference does
+    rs = build_root_system(family, m=m, n=n)
+    og = build_or_graph(rs)
+    rng = random.Random(7)
+    a_parts = (0,) * 9 + (1, -2) if family == "d21alpha" else (0,)
+    raised = 0
+    for _ in range(80):
+        den = rng.choice((1, 1, 2, 3))
+        # small coordinates, so that some color roots pair to zero
+        r = [rng.randint(-1, 1) for _ in range(rs.rank)]
+        s = [rng.choice(a_parts) for _ in range(rs.rank)]
+        lam = Weight.of(r, s, den)
+        try:
+            d = ref_atypical_colors(rs, og, lam)
+        except DegreeOverflow:
+            raised += 1
+            with pytest.raises(DegreeOverflow):
+                atypical_colors(rs, og, lam)
+            continue
+        assert atypical_colors(rs, og, lam).colors == d
+    assert (raised > 0) == (family == "d21alpha")
+    with pytest.raises(RankMismatch):
+        atypical_colors(rs, og, zero_weight(rs.rank + 1))
+
+
+def test_atypical_colors_refuse_an_a_carrying_d21_weight():
+    rs = build_root_system("d21alpha")
+    og = build_or_graph(rs)
+    lam = Weight.of((0, 0, 0), (1, 0, 0))
+    with pytest.raises(DegreeOverflow):
+        atypical_colors(rs, og, lam)
 
 
 def test_build_or_lambda_quotients():
