@@ -32,7 +32,6 @@ _EXPORTS = {
         "NumeratorCharacter",
         "character_to_json",
         "character_weight_multiplicity",
-        "characters_equal",
         "kac_flag_constituents",
         "kostant_partitions",
         "total_dimension",

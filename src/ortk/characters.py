@@ -35,7 +35,6 @@ __all__ = [
     "NumeratorCharacter",
     "MultiplicityQuery",
     "verma_character",
-    "characters_equal",
     "char_add",
     "kostant_partitions",
     "weight_multiplicity",
@@ -144,10 +143,6 @@ def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
     even subalgebra uses delta_a = empty set.
     """
     return NumeratorCharacter(_as_weights(rs, delta_a, lam))
-
-
-def characters_equal(c1: NumeratorCharacter, c2: NumeratorCharacter) -> bool:
-    return c1.terms == c2.terms
 
 
 def char_add(c1: NumeratorCharacter, c2: NumeratorCharacter) -> NumeratorCharacter:

@@ -2,7 +2,8 @@
 
 Each check produces one ReportEntry; a VerificationReport aggregates
 them.  Entry order follows the pinned manifest, so two runs on the same
-build emit identical reports.
+build emit identical reports.  Each suite applies the family filter
+itself, so a check for a filtered-out family never runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from .adjusted import brick_decomposition_check, hypercubic_collections
 from .atypicality import Emptiness, is_typical, s1_classify
 from .characters import (
     MultiplicityQuery,
-    characters_equal,
     kac_flag_constituents,
     total_dimension,
     verma_character,
@@ -129,6 +129,10 @@ def _params(family, m, n, lam_text=None) -> dict:
     return out
 
 
+def _entry(check, parameters, ok, payload) -> ReportEntry:
+    return ReportEntry(check, parameters, "pass" if ok else "fail", payload)
+
+
 def _walk_payload(w) -> dict:
     return {
         "walk_vertices": [str(v) for v in w.walk_vertices],
@@ -140,6 +144,13 @@ def _want(family_filter, family) -> bool:
     return family_filter is None or family == family_filter
 
 
+def _grid(builds: _Builds, family_filter=None):
+    """(row, rs, borels, og) for each LAMBDA_GRID row the filter keeps."""
+    for row in manifest.LAMBDA_GRID:
+        if _want(family_filter, row.family):
+            yield (row, *builds.get(row.family, row.m, row.n))
+
+
 def suite_iso(builds: _Builds, family=None) -> list:
     entries = []
     for chk in manifest.ISO_SUITE:
@@ -147,34 +158,25 @@ def suite_iso(builds: _Builds, family=None) -> list:
             continue
         rs, borels, og = builds.get(chk.family, chk.m, chk.n)
         ref = build_reference_graph(chk.reference, chk.m, chk.n)
-        count_ok = len(og.graph.vertices) == chk.vertices
-        witness = colored_isomorphic(og.graph, ref)
-        ok = count_ok and witness is not None
-        entries.append(ReportEntry(
-            check="reference-iso",
-            parameters=_params(chk.family, chk.m, chk.n) | {"reference": chk.reference},
-            status="pass" if ok else "fail",
-            payload={"vertices": len(og.graph.vertices), "expected": chk.vertices},
-        ))
+        n_vertices = len(og.graph.vertices)
+        ok = n_vertices == chk.vertices and colored_isomorphic(og.graph, ref) is not None
+        entries.append(_entry("reference-iso",
+                              _params(chk.family, chk.m, chk.n) | {"reference": chk.reference},
+                              ok, {"vertices": n_vertices, "expected": chk.vertices}))
     return entries
 
 
 def _quotient_graphs(builds: _Builds, family_filter=None):
     """Every OR(g) of the grid, then every OR(g, lambda) at the shifted weight."""
     for family, m, n in manifest.grid_families():
-        if not _want(family_filter, family):
-            continue
-        rs, borels, og = builds.get(family, m, n)
-        yield family, m, n, None, og.graph
-    for entry in manifest.LAMBDA_GRID:
-        if not _want(family_filter, entry.family):
-            continue
-        rs, borels, og = builds.get(entry.family, entry.m, entry.n)
+        if _want(family_filter, family):
+            yield family, m, n, None, builds.get(family, m, n)[2].graph
+    for row, rs, borels, og in _grid(builds, family_filter):
         rho = weyl_vector(rs, borels[0])
-        for lam_text in entry.weights:
+        for lam_text in row.weights:
             lam = parse_weight(lam_text, rs.rank)
             quotient = build_or_lambda(rs, og, lam + rho)
-            yield entry.family, entry.m, entry.n, lam_text, quotient.graph
+            yield row.family, row.m, row.n, lam_text, quotient.graph
 
 
 def suite_exchange(builds: _Builds, family=None) -> list:
@@ -188,12 +190,7 @@ def suite_exchange(builds: _Builds, family=None) -> list:
         if not report.passed:
             bad = (report.shortest_not_rainbow + report.rainbow_not_shortest)[0]
             payload["counterexample"] = _walk_payload(bad)
-        entries.append(ReportEntry(
-            check="exchange",
-            parameters=_params(fam, m, n, lam_text),
-            status="pass" if report.passed else "fail",
-            payload=payload,
-        ))
+        entries.append(_entry("exchange", _params(fam, m, n, lam_text), report.passed, payload))
     return entries
 
 
@@ -205,12 +202,8 @@ def suite_extension(builds: _Builds, family=None) -> list:
         if not report.passed:
             w, vertex = report.violations[0]
             payload["counterexample"] = _walk_payload(w) | {"extension_vertex": str(vertex)}
-        entries.append(ReportEntry(
-            check="rainbow-extension",
-            parameters=_params(fam, m, n, lam_text),
-            status="pass" if report.passed else "fail",
-            payload=payload,
-        ))
+        entries.append(_entry(
+            "rainbow-extension", _params(fam, m, n, lam_text), report.passed, payload))
     return entries
 
 
@@ -218,50 +211,21 @@ def suite_d21(builds: _Builds, family=None) -> list:
     if not _want(family, "d21alpha"):
         return []
     rs, borels, og = builds.get("d21alpha", None, None)
-    entries = []
     p = _params("d21alpha", None, None)
-
+    n_vertices = len(og.graph.vertices)
     degrees = sorted(og.graph.degree(v) for v in og.graph.vertices)
-    tree_ok = (
-        len(og.graph.vertices) == 4
-        and len(og.graph.edges) == 3
-        and degrees == [1, 1, 1, 3]
-    )
-    entries.append(ReportEntry(
-        check="d21-tree-shape",
-        parameters=p,
-        status="pass" if tree_ok else "fail",
-        payload={"vertices": len(og.graph.vertices), "degrees": degrees},
-    ))
-
     rho1 = weyl_vector(rs, borels[0])
-    ok1 = rho1 == parse_weight("-1,1,1", 3)
-    entries.append(ReportEntry(
-        check="d21-rho-b1",
-        parameters=p,
-        status="pass" if ok1 else "fail",
-        payload={"rho": render_weight(rho1)},
-    ))
-
     rho3 = weyl_vector(rs, borels[1])
-    ok3 = rho3 == zero_weight(3)
-    entries.append(ReportEntry(
-        check="d21-rho-b3",
-        parameters=p,
-        status="pass" if ok3 else "fail",
-        payload={"rho": render_weight(rho3)},
-    ))
-
     pure, _ = pure_positive_roots(rs, borels)
     names = sorted(rs.root_name(r) for r in pure)
-    ok_pure = names == ["2d", "2e1", "2e2", "d+e1+e2"]
-    entries.append(ReportEntry(
-        check="d21-pure-roots",
-        parameters=p,
-        status="pass" if ok_pure else "fail",
-        payload={"pure": names},
-    ))
-    return entries
+    return [
+        _entry("d21-tree-shape", p,
+               n_vertices == 4 and len(og.graph.edges) == 3 and degrees == [1, 1, 1, 3],
+               {"vertices": n_vertices, "degrees": degrees}),
+        _entry("d21-rho-b1", p, rho1 == parse_weight("-1,1,1", 3), {"rho": render_weight(rho1)}),
+        _entry("d21-rho-b3", p, rho3 == zero_weight(3), {"rho": render_weight(rho3)}),
+        _entry("d21-pure-roots", p, names == ["2d", "2e1", "2e2", "d+e1+e2"], {"pure": names}),
+    ]
 
 
 def suite_characters(builds: _Builds, family=None) -> list:
@@ -269,25 +233,19 @@ def suite_characters(builds: _Builds, family=None) -> list:
     once per family at lam = 0: lam translates every numerator by e^lam and
     cancels from base - target."""
     entries = []
-    for entry in manifest.LAMBDA_GRID:
-        if not _want(family, entry.family):
-            continue
-        rs, borels, og = builds.get(entry.family, entry.m, entry.n)
+    for row, rs, borels, og in _grid(builds, family):
         # the top of M^b(-rho_b)
         tops = [-weyl_vector(rs, b) for b in borels]
         chars = [verma_character(rs, b.odd_positive, top) for b, top in zip(borels, tops)]
-        agree = all(characters_equal(chars[0], ch) for ch in chars[1:])
+        agree = all(chars[0] == ch for ch in chars[1:])
         # the multiplicity of -rho in M^b2(-rho2)
         frees = [frozenset(rs.negate(r) for r in b2.odd_positive) for b2 in borels]
         mult_ok = all(weight_multiplicity(rs, MultiplicityQuery(free, top2, top)) == 1
                       for free, top2 in zip(frees, tops) for top in tops)
-        for lam_text in entry.weights:
-            entries.append(ReportEntry(
-                check="character-agreement",
-                parameters=_params(entry.family, entry.m, entry.n, lam_text),
-                status="pass" if agree and mult_ok else "fail",
-                payload={"borels": len(borels), "terms": len(chars[0].terms)},
-            ))
+        for lam_text in row.weights:
+            entries.append(_entry("character-agreement",
+                                  _params(row.family, row.m, row.n, lam_text), agree and mult_ok,
+                                  {"borels": len(borels), "terms": len(chars[0].terms)}))
     return entries
 
 
@@ -335,14 +293,13 @@ def _geodesic_walks(graph):
 def suite_walks(builds: _Builds, family=None) -> list:
     """walk_hom_oracle against the independent shortest-walk test."""
     entries = []
-    for idx, entry in enumerate(manifest.LAMBDA_GRID):
-        if not _want(family, entry.family):
-            continue
-        rs, borels, og = builds.get(entry.family, entry.m, entry.n)
+    for row, rs, borels, og in _grid(builds, family):
         rho = weyl_vector(rs, borels[0])
-        # the walks depend on the family only, not on lambda
+        # the walks depend on the family only, not on lambda; the rows are
+        # distinct, so the seed is the row's index in the unfiltered grid
+        # and a family filter draws the same walks
         walks = list(_geodesic_walks(og.graph))
-        rng = random.Random(manifest.WALK_SEED + idx)
+        rng = random.Random(manifest.WALK_SEED + manifest.LAMBDA_GRID.index(row))
         verts = list(og.graph.vertices)
         for _ in range(manifest.WALKS_PER_PAIR):
             at = rng.choice(verts)
@@ -354,7 +311,7 @@ def suite_walks(builds: _Builds, family=None) -> list:
                 at, _c = rng.choice(sorted(nbrs, key=str))
                 path.append(at)
             walks.append(make_walk(og.graph, path))
-        for lam_text in entry.weights:
+        for lam_text in row.weights:
             lam = parse_weight(lam_text, rs.rank) + rho
             quotient = build_or_lambda(rs, og, lam)
             dist_from = {x: bfs_distances(quotient.graph, x)
@@ -368,57 +325,35 @@ def suite_walks(builds: _Builds, family=None) -> list:
             payload = {"walks": len(walks)}
             if mismatch:
                 payload["counterexample"] = mismatch
-            entries.append(ReportEntry(
-                check="walk-consistency",
-                parameters=_params(entry.family, entry.m, entry.n, lam_text),
-                status="pass" if mismatch is None else "fail",
-                payload=payload,
-            ))
+            entries.append(_entry("walk-consistency",
+                                  _params(row.family, row.m, row.n, lam_text),
+                                  mismatch is None, payload))
     return entries
 
 
 def suite_typicality(builds: _Builds, family=None) -> list:
     """Typicality, trivial quotient, and S1 emptiness agree where decided."""
     entries = []
-    for entry in manifest.LAMBDA_GRID:
-        if not _want(family, entry.family):
-            continue
-        rs, borels, og = builds.get(entry.family, entry.m, entry.n)
+    for row, rs, borels, og in _grid(builds, family):
+        decided = rs.type_one or rs.family == "d21alpha"
         b = borels[0]
         rho = weyl_vector(rs, b)
-        for lam_text in entry.weights:
+        for lam_text in row.weights:
+            params = _params(row.family, row.m, row.n, lam_text)
+            if not decided:
+                entries.append(ReportEntry("typicality-equivalence", params, "skipped", {
+                    "reason": "no unconditional emptiness criterion for this family"}))
+                continue
             lam = parse_weight(lam_text, rs.rank)
-            params = _params(entry.family, entry.m, entry.n, lam_text)
             typical = is_typical(rs, b, lam)
             verdict = s1_classify(rs, b, lam).emptiness_verdict
+            ok = typical == (verdict == Emptiness.EMPTY)
+            payload = {"typical": typical, "emptiness": verdict.value}
             if rs.type_one:
                 trivial = rbtriv_check(rs, og, lam + rho)
-                ok = typical == trivial == (verdict == Emptiness.EMPTY)
-                entries.append(ReportEntry(
-                    check="typicality-equivalence",
-                    parameters=params,
-                    status="pass" if ok else "fail",
-                    payload={
-                        "typical": typical,
-                        "trivial_quotient": trivial,
-                        "emptiness": verdict.value,
-                    },
-                ))
-            elif rs.family == "d21alpha":
-                ok = typical == (verdict == Emptiness.EMPTY)
-                entries.append(ReportEntry(
-                    check="typicality-equivalence",
-                    parameters=params,
-                    status="pass" if ok else "fail",
-                    payload={"typical": typical, "emptiness": verdict.value},
-                ))
-            else:
-                entries.append(ReportEntry(
-                    check="typicality-equivalence",
-                    parameters=params,
-                    status="skipped",
-                    payload={"reason": "no unconditional emptiness criterion for this family"},
-                ))
+                ok = ok and trivial == typical
+                payload["trivial_quotient"] = trivial
+            entries.append(_entry("typicality-equivalence", params, ok, payload))
     return entries
 
 
@@ -433,44 +368,25 @@ _HYPERCUBIC_KEYS = (
 
 def suite_hypercubic(builds: _Builds, family=None) -> list:
     entries = []
-    for entry in manifest.LAMBDA_GRID:
-        if (entry.family, entry.m, entry.n) not in _HYPERCUBIC_KEYS:
+    for row, rs, borels, og in _grid(builds, family):
+        if (row.family, row.m, row.n) not in _HYPERCUBIC_KEYS:
             continue
-        if not _want(family, entry.family):
-            continue
-        rs, borels, og = builds.get(entry.family, entry.m, entry.n)
-        for lam_text in entry.weights:
+        for lam_text in row.weights:
             lam = parse_weight(lam_text, rs.rank)
-            checked = 0
-            ok = True
-            for b in borels:
-                for coll in hypercubic_collections(rs, b, lam):
-                    if len(coll.j) > 3:
-                        continue
-                    if not brick_decomposition_check(rs, b, lam, coll):
-                        ok = False
-                    checked += 1
-            entries.append(ReportEntry(
-                check="brick-decomposition",
-                parameters=_params(entry.family, entry.m, entry.n, lam_text),
-                status="pass" if ok else "fail",
-                payload={"collections": checked},
-            ))
+            verdicts = [brick_decomposition_check(rs, b, lam, coll)
+                        for b in borels for coll in hypercubic_collections(rs, b, lam)
+                        if len(coll.j) <= 3]
+            entries.append(_entry("brick-decomposition",
+                                  _params(row.family, row.m, row.n, lam_text),
+                                  all(verdicts), {"collections": len(verdicts)}))
 
     if not _want(family, "gl"):
         return entries
     rs, borels, og = builds.get("gl", 2, 1)
-    b = borels[0]
-    flag = kac_flag_constituents(rs, b, zero_weight(3))
+    flag = kac_flag_constituents(rs, borels[0], zero_weight(3))
     names = [render_weight(w) for w in flag]
-    want = {"0,0,0", "1,0,-1", "0,1,-1", "1,1,-2"}
-    ok = len(names) == 4 and set(names) == want
-    entries.append(ReportEntry(
-        check="kac-flag",
-        parameters=_params("gl", 2, 1, "0,0,0"),
-        status="pass" if ok else "fail",
-        payload={"constituents": names},
-    ))
+    ok = len(names) == 4 and set(names) == {"0,0,0", "1,0,-1", "0,1,-1", "1,1,-2"}
+    entries.append(_entry("kac-flag", _params("gl", 2, 1, "0,0,0"), ok, {"constituents": names}))
     return entries
 
 
@@ -486,64 +402,43 @@ def suite_gl11n_dimensions(builds: _Builds, family=None) -> list:
             for b in borels
         )
         whole = total_dimension(verma_character(rs, set(rs.delta1), lam), rs)
-        ok = dims_ok and whole == 1 and len(borels) == 2 ** n
-        entries.append(ReportEntry(
-            check="gl11n-dimensions",
-            parameters=_params("gl11n", None, n),
-            status="pass" if ok else "fail",
-            payload={"borels": len(borels), "verma_dim": 2 ** n, "whole_algebra_dim": whole},
-        ))
+        entries.append(_entry(
+            "gl11n-dimensions", _params("gl11n", None, n),
+            dims_ok and whole == 1 and len(borels) == 2 ** n,
+            {"borels": len(borels), "verma_dim": 2 ** n, "whole_algebra_dim": whole}))
     return entries
 
 
 def suite_quiver(builds: _Builds, family=None) -> list:
     if family is not None:
         return []
-    entries = []
-    q = build_quiver("preprojective_a2")
-    dims = hom_dimensions(q, manifest.QUIVER_MAX_LEN)
-    ok = dims == [[1, 1], [1, 1]]
-    entries.append(ReportEntry(
-        check="quiver-preprojective",
-        parameters={"preset": "preprojective_a2"},
-        status="pass" if ok else "fail",
-        payload={"total_dimension": sum(map(sum, dims))},
-    ))
+    dims = hom_dimensions(build_quiver("preprojective_a2"), manifest.QUIVER_MAX_LEN)
 
-    stable = True
-    values_ok = True
     win = {}
     for w in (3, 4):
         qz = build_quiver("zigzag_window", w)
         dz = hom_dimensions(qz, manifest.QUIVER_MAX_LEN)
         idx = {v: k for k, v in enumerate(qz.vertices)}
         win[w] = {(i, j): dz[idx[i]][idx[j]] for i in (-1, 0, 1) for j in (-1, 0, 1)}
-    for (i, j), d in win[3].items():
-        if d != win[4][(i, j)]:
-            stable = False
-        want = 2 if i == j else (1 if abs(i - j) == 1 else 0)
-        if d != want:
-            values_ok = False
-    entries.append(ReportEntry(
-        check="quiver-zigzag-window",
-        parameters={"preset": "zigzag_window", "windows": [3, 4]},
-        status="pass" if (stable and values_ok) else "fail",
-        payload={"interior": {"diagonal": 2, "adjacent": 1, "far": 0}},
-    ))
+    # the interior is the same in both windows: 2 on the diagonal, 1 next to it, 0 beyond
+    zigzag_ok = win[3] == win[4] and all(
+        d == (2 if i == j else (1 if abs(i - j) == 1 else 0)) for (i, j), d in win[3].items()
+    )
 
     q4 = build_quiver("square4")
     sound = all(word_normal_form(q4, z) == {} for z in q4.zero_relations) and all(
         word_normal_form(q4, lhs) == word_normal_form(q4, rhs)
         for lhs, rhs in q4.commutation_relations
     )
-    entries.append(ReportEntry(
-        check="quiver-square4-soundness",
-        parameters={"preset": "square4"},
-        status="pass" if sound else "fail",
-        payload={"zero_relations": len(q4.zero_relations),
-                 "commutation_relations": len(q4.commutation_relations)},
-    ))
-    return entries
+    return [
+        _entry("quiver-preprojective", {"preset": "preprojective_a2"},
+               dims == [[1, 1], [1, 1]], {"total_dimension": sum(map(sum, dims))}),
+        _entry("quiver-zigzag-window", {"preset": "zigzag_window", "windows": [3, 4]},
+               zigzag_ok, {"interior": {"diagonal": 2, "adjacent": 1, "far": 0}}),
+        _entry("quiver-square4-soundness", {"preset": "square4"}, sound,
+               {"zero_relations": len(q4.zero_relations),
+                "commutation_relations": len(q4.commutation_relations)}),
+    ]
 
 
 _SUITES = (
@@ -563,20 +458,13 @@ _SUITES = (
 def run_suite(mode: str = "all", family: str | None = None) -> VerificationReport:
     """Run one verification mode ("exchange", "extension", "iso", or "all").
 
-    family, when given, restricts the report to entries for that family;
-    checks without a family parameter are dropped by the filter.
+    family, when given, restricts the report to entries for that family.
+    Each suite applies the filter itself, so a check for another family
+    never runs; checks without a family parameter (the quiver presets)
+    run only unfiltered.
     """
+    selected = [fn for name, fn in _SUITES if mode in ("all", name)]
+    if not selected:
+        raise ValueError("unknown verify mode: %r" % mode)
     builds = _Builds()
-    if mode == "all":
-        selected = [fn for _, fn in _SUITES]
-    else:
-        matches = [fn for name, fn in _SUITES if name == mode]
-        if not matches:
-            raise ValueError("unknown verify mode: %r" % mode)
-        selected = matches
-    entries = []
-    for fn in selected:
-        entries.extend(fn(builds, family))
-    if family is not None:
-        entries = [e for e in entries if e.parameters.get("family") == family]
-    return VerificationReport(entries)
+    return VerificationReport([e for fn in selected for e in fn(builds, family)])

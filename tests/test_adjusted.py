@@ -13,7 +13,7 @@ from ortk.adjusted import (
     semibrick_character_check,
     split_criterion,
 )
-from ortk.characters import char_add, total_dimension, verma_character, characters_equal
+from ortk.characters import char_add, total_dimension, verma_character
 from ortk.numerics import parse_weight, zero_weight
 from ortk.orgraph import image_intersection_kind
 from ortk.rootsys import (
@@ -205,7 +205,7 @@ def test_character_shift_along_hypercubic():
         rjb = reflect_along(rs, b, coll)
         c1 = verma_character(rs, set(b.odd_positive), lam)
         c2 = verma_character(rs, set(rjb.odd_positive), lam - coll.sigma)
-        assert characters_equal(c1, c2)
+        assert c1 == c2
 
 
 def test_brick_decomposition():
@@ -270,8 +270,8 @@ def test_split_exact_sequence_identities():
                                     verma_character(rs, rb.odd_positive, lam))
                     up = char_add(verma_character(rs, b.odd_positive, lam + alpha.vector),
                                   verma_character(rs, b.odd_positive, lam))
-                    assert characters_equal(meet, down), (entry.family, b, i)
-                    assert characters_equal(meet, up), (entry.family, b, i)
+                    assert meet == down, (entry.family, b, i)
+                    assert meet == up, (entry.family, b, i)
                     checked += 1
     assert checked == 342
 

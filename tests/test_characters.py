@@ -14,7 +14,6 @@ from ortk.characters import (
     char_add,
     character_to_json,
     character_weight_multiplicity,
-    characters_equal,
     kac_flag_constituents,
     kostant_partitions,
     total_dimension,
@@ -77,7 +76,7 @@ def test_gl22_numerators_agree_across_borels():
     chars = [verma_character(rs, set(b.odd_positive), -weyl_vector(rs, b))
              for b in borels]
     for c in chars[1:]:
-        assert characters_equal(chars[0], c)
+        assert chars[0] == c
 
 
 def test_gl11_reflection_shift():
@@ -87,9 +86,9 @@ def test_gl11_reflection_shift():
     alpha = rs.root_by_name("e1-d1").vector
     c1 = verma_character(rs, set(b.odd_positive), rank_zero(rs))
     c2 = verma_character(rs, set(rb.odd_positive), -alpha)
-    assert characters_equal(c1, c2)
+    assert c1 == c2
     c3 = verma_character(rs, set(b.odd_positive), parse_weight("1,0", 2))
-    assert not characters_equal(c1, c3)
+    assert c1 != c3
 
 
 def test_kostant_values():
@@ -406,7 +405,7 @@ def test_kac_flag_character_identity():
                     total = char_add(
                         total, verma_character(rs, set(b.odd_positive), w))
                 induced = verma_character(rs, set(), lam)
-                assert characters_equal(total, induced)
+                assert total == induced
 
 
 def test_total_dimension():

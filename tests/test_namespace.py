@@ -19,7 +19,7 @@ EXPORTED = {
     "Weight", "atypical_colors", "bfs_distances", "borel_from_partition",
     "borel_meet_join", "brick_decomposition_check", "build_or_graph", "build_or_lambda",
     "build_quiver", "build_reference_graph", "build_root_system", "character_to_json",
-    "character_weight_multiplicity", "characters_equal", "colored_isomorphic",
+    "character_weight_multiplicity", "colored_isomorphic",
     "enumerate_borels", "graph_from_json", "graph_to_dot", "graph_to_json",
     "hom_dimensions", "hypercubic_collections", "image_intersection_kind",
     "is_lambda_adjusted", "is_typical",

@@ -1,11 +1,14 @@
 """Report plumbing and the cheap verification suites.
 
-The heavy suites (characters, walks, typicality, hypercubic) run once in
-the acceptance tests; here we exercise the fast ones plus the report
-format and the family filter.
+The heavy suites (characters, walks, typicality, hypercubic) are checked
+in the acceptance tests; here we exercise the fast ones, the report
+format, the family filter that every suite applies itself, and the
+typicality suite's skip and fault paths.
 """
 
 import json
+import operator
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +52,30 @@ def test_family_filter():
     report = run_suite("exchange", "d21alpha")
     assert len(report.entries) == 1 + 4
     assert report.passed
+
+
+FAMILIES = ("gl", "gl11n", "ospB", "ospD", "d21alpha")
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all.json"
+
+
+@pytest.mark.parametrize("name", [name for name, _ in verify._SUITES])
+def test_each_suite_applies_the_family_filter(name):
+    # run_suite does not filter what the suites return, so a filtered run
+    # must give exactly the unfiltered run's entries for that family
+    full = run_suite(name).entries
+    for fam in FAMILIES:
+        want = [e for e in full if e.parameters.get("family") == fam]
+        assert run_suite(name, fam).entries == want, fam
+
+
+def test_filtered_all_matches_the_golden_report():
+    golden = json.loads(GOLDEN_REPORT.read_text(encoding="utf-8"))["entries"]
+    counts = {}
+    for fam in FAMILIES:
+        got = [e.to_json() for e in run_suite("all", fam).entries]
+        assert got == [e for e in golden if e["parameters"].get("family") == fam], fam
+        counts[fam] = len(got)
+    assert counts == {"gl": 118, "gl11n": 76, "ospB": 65, "ospD": 34, "d21alpha": 26}
 
 
 def test_unknown_mode_rejected():
@@ -132,3 +159,52 @@ def test_characters_numerator_fault_fails_its_whole_family(monkeypatch):
 
     monkeypatch.setattr(verify, "verma_character", planted)
     assert_only_gl22_fails(run_suite("characters"))
+
+
+# -- the typicality suite decides "skipped" before it asks is_typical or
+# s1_classify, and a wrong typicality verdict fails every decided weight ----
+
+UNDECIDED = {("ospB", 1, 1), ("ospB", 2, 1), ("ospB", 2, 2), ("ospD", 2, 2)}
+SKIP_REASON = "no unconditional emptiness criterion for this family"
+
+
+def count_calls(monkeypatch, name, wrap=None):
+    """Replace verify.<name> by a wrapper that records each call's system
+    as (family, *params) and passes the result through wrap."""
+    real = getattr(verify, name)
+    calls = []
+
+    def counted(rs, b, lam):
+        calls.append((rs.family, *rs.params))
+        out = real(rs, b, lam)
+        return out if wrap is None else wrap(out)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
+def row_key(entry):
+    p = entry.parameters
+    return p["family"], p["m"], p["n"]
+
+
+def test_typicality_skips_undecided_families_without_deciding_them(monkeypatch):
+    typical_calls = count_calls(monkeypatch, "is_typical")
+    s1_calls = count_calls(monkeypatch, "s1_classify")
+    entries = run_suite("typicality").entries
+    skipped = [e for e in entries if row_key(e) in UNDECIDED]
+    assert len(skipped) == 14
+    for e in skipped:
+        assert e.status == "skipped" and e.payload == {"reason": SKIP_REASON}, e.parameters
+    assert all(e.status == "pass" for e in entries if row_key(e) not in UNDECIDED)
+    assert len(typical_calls) == len(s1_calls) == 36
+    assert not any(key in UNDECIDED for key in typical_calls + s1_calls)
+
+
+def test_typicality_fault_fails_every_decided_weight(monkeypatch):
+    count_calls(monkeypatch, "is_typical", wrap=operator.not_)
+    entries = run_suite("typicality").entries
+    statuses = [(row_key(e) in UNDECIDED, e.status) for e in entries]
+    assert statuses.count((False, "fail")) == 36
+    assert statuses.count((True, "skipped")) == 14
+    assert len(statuses) == 50
