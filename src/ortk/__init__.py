@@ -10,15 +10,12 @@ __version__ = "0.1.0"
 # exported names by defining module; each layer is imported on first use
 _EXPORTS = {
     "adjusted": (
-        "AdjustedBorel",
         "HypercubicCollection",
         "SplitVerdict",
         "borel_meet_join",
         "brick_decomposition_check",
         "hypercubic_collections",
         "is_lambda_adjusted",
-        "reflect_along",
-        "semibrick_character_check",
         "split_criterion",
     ),
     "atypicality": (
@@ -71,7 +68,6 @@ _EXPORTS = {
         "atypical_colors",
         "build_or_graph",
         "build_or_lambda",
-        "image_intersection_kind",
         "rbtriv_check",
         "semibrick_index_sets",
         "walk_hom_oracle",
@@ -93,7 +89,6 @@ _EXPORTS = {
         "Root",
         "RootSystem",
         "UnsupportedFamily",
-        "borel_from_partition",
         "build_root_system",
         "enumerate_borels",
         "odd_reflect",

@@ -1,10 +1,13 @@
-"""Adjusted Borel subalgebras, hypercubic collections, brick windows.
+"""Adjusted Borel subalgebras, hypercubic collections, brick checks.
 
 An adjusted subalgebra is described by its odd root set delta_a, which
 together with the positive even roots must be closed under root sums;
 opposite odd pairs force an orthogonality condition on the weight.
 Hypercubic collections are the orthogonal families of isotropic simple
-roots along which a Borel can be reflected in one step.
+roots along which a Borel can be reflected in one step: r_J b is
+odd_reflect at each root of J in turn.  borel_meet_join gives the odd
+sets of b cap r_J b and b + r_J b as plain frozensets, which the brick
+check and verma_character take as they are.
 """
 
 from __future__ import annotations
@@ -14,46 +17,34 @@ import itertools
 from collections import namedtuple
 from enum import Enum
 
-from .characters import _numerator, _times_factors, character_weight_multiplicity
+from .characters import _numerator, _times_factors
 from .numerics import Weight, zero_weight
 from .rootsys import (
     Borel,
     NotIsotropicSimple,
     PreconditionViolated,
     RootSystem,
-    odd_reflect,
 )
 
 __all__ = [
-    "AdjustedBorel",
     "HypercubicCollection",
     "SplitVerdict",
     "is_lambda_adjusted",
     "hypercubic_collections",
-    "reflect_along",
     "borel_meet_join",
     "brick_decomposition_check",
     "split_criterion",
-    "semibrick_character_check",
 ]
 
 
-class AdjustedBorel(namedtuple("_AdjustedBorelFields", "delta_a base_borel")):
-    """Odd part of an adjusted subalgebra, kept with its base Borel."""
+class HypercubicCollection(namedtuple("_HypercubicCollectionFields", "j sigma roots")):
+    """Orthogonal family of isotropic simple roots: their indices j in the
+    Borel's simple system, the roots, and their sum sigma."""
 
     __slots__ = ()
 
-    def __new__(cls, delta_a, base_borel: Borel):
-        return tuple.__new__(cls, (frozenset(delta_a), base_borel))
-
-
-class HypercubicCollection(namedtuple("_HypercubicCollectionFields", "j sigma roots lam")):
-    """Orthogonal family of isotropic simple roots, orthogonal to lam."""
-
-    __slots__ = ()
-
-    def __new__(cls, j, sigma: Weight, roots, lam: Weight):
-        return tuple.__new__(cls, (frozenset(j), sigma, tuple(roots), lam))
+    def __new__(cls, j, sigma: Weight, roots):
+        return tuple.__new__(cls, (frozenset(j), sigma, tuple(roots)))
 
 
 class SplitVerdict(Enum):
@@ -97,32 +88,13 @@ def hypercubic_collections(rs: RootSystem, b: Borel, lam: Weight):
             out.append(HypercubicCollection(
                 j=frozenset(combo),
                 sigma=sigma,
-                roots=tuple(b.simple[i - 1] for i in combo),
-                lam=lam))
+                roots=tuple(b.simple[i - 1] for i in combo)))
     out.sort(key=lambda c: (len(c.j), tuple(sorted(c.j))))
     return out
 
 
-def reflect_along(rs: RootSystem, b: Borel, coll: HypercubicCollection) -> Borel:
-    """r_J b: reflect at each collection root in turn.  Orthogonality keeps
-    every remaining root simple along the way; a root that is not simple
-    in the Borel reached raises PreconditionViolated."""
-    cur = b
-    for r in coll.roots:
-        idx = None
-        for k, s in enumerate(cur.simple, start=1):
-            if s.vector == r.vector:
-                idx = k
-                break
-        if idx is None:
-            raise PreconditionViolated(
-                f"collection root {rs.root_name(r)} is not simple in the Borel reached")
-        cur = odd_reflect(rs, cur, idx)
-    return cur
-
-
 def borel_meet_join(rs: RootSystem, b: Borel, coll: HypercubicCollection):
-    """Odd parts of b intersect r_J b and b + r_J b.
+    """Odd parts of b intersect r_J b and b + r_J b, as two frozensets.
 
     Raises PreconditionViolated unless every collection root is simple
     in b.  For a collection of hypercubic_collections(rs, b, lam) both
@@ -134,16 +106,16 @@ def borel_meet_join(rs: RootSystem, b: Borel, coll: HypercubicCollection):
     pos = set(b.odd_positive)
     meet = frozenset(pos - set(coll.roots))
     join = frozenset(pos | {rs.negate(r) for r in coll.roots})
-    return AdjustedBorel(meet, b), AdjustedBorel(join, b)
+    return meet, join
 
 
 def brick_decomposition_check(rs: RootSystem, b: Borel, lam: Weight,
                               coll: HypercubicCollection) -> bool:
     """ch M^{b cap r_J b}(lam) against the 4^|J| brick characters
     M^{b + r_J b}(lam - sigma_{J_1} + sigma_{J_2})."""
-    meet_a, join_a = borel_meet_join(rs, b, coll)
+    meet, join = borel_meet_join(rs, b, coll)
     # both sides as offsets from lam, neither depending on lam
-    return _numerator(rs, meet_a.delta_a) == _brick_sum(rs, join_a.delta_a)
+    return _numerator(rs, meet) == _brick_sum(rs, join)
 
 
 def _brick_sum(rs: RootSystem, join: frozenset) -> dict:
@@ -182,14 +154,3 @@ def split_criterion(rs: RootSystem, b: Borel, lam: Weight, i: int) -> SplitVerdi
         return SplitVerdict.INDECOMPOSABLE
     return SplitVerdict.DECOMPOSABLE
 
-
-def semibrick_character_check(rs: RootSystem, bricks) -> bool:
-    """No brick has weight-space overlap at another brick's highest weight."""
-    for lam, c in bricks:
-        if character_weight_multiplicity(rs, c, lam) != 1:
-            raise ValueError("brick character must have multiplicity 1 "
-                             "at its own highest weight")
-    for (la, ca), (lb, cb) in itertools.permutations(bricks, 2):
-        if character_weight_multiplicity(rs, ca, lb) != 0:
-            return False
-    return True

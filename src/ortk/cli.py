@@ -301,13 +301,13 @@ def _cmd_hypercubic(args, print_fn) -> int:
         splits[str(i)] = split_criterion(rs, b, lam, i).value
     colls = []
     for coll in hypercubic_collections(rs, b, lam):
-        meet_a, join_a = borel_meet_join(rs, b, coll)
+        meet, join = borel_meet_join(rs, b, coll)
         colls.append({
             "j": sorted(coll.j),
             "roots": sorted(rs.root_name(r) for r in coll.roots),
             "sigma": render_weight(coll.sigma),
-            "meet": sorted(rs.root_name(r) for r in meet_a.delta_a),
-            "join": sorted(rs.root_name(r) for r in join_a.delta_a),
+            "meet": sorted(rs.root_name(r) for r in meet),
+            "join": sorted(rs.root_name(r) for r in join),
             "brick_identity": brick_decomposition_check(rs, b, lam, coll),
         })
     data = {

@@ -154,26 +154,24 @@ _ALPHA_RE = re.compile(
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse 'p/q', 'p/q+r/s a', 'r/s a', 'a', '-a'."""
+    """Parse 'p/q', 'p/q+r/s a', 'r/s a', 'a', '-a'.  Anything else, a zero
+    denominator included, raises ValueError."""
     t = text.strip()
-    if "a" not in t:
-        try:
+    try:
+        if "a" not in t:
             return scalar(Fraction(t))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"cannot parse scalar {text!r}") from None
-    m = _ALPHA_RE.match(t)
-    if not m:
-        raise ValueError(f"cannot parse scalar {text!r}")
-    lead, sign, coeff = m.groups()
-    if sign is None and coeff is None:
-        # everything before 'a' is the a-coefficient, as in '1/2a' or '-a'
-        s = Fraction(lead) if lead else Fraction(1)
-        return Scalar(Fraction(0), s)
-    r = Fraction(lead) if lead else Fraction(0)
-    s = Fraction(coeff) if coeff else Fraction(1)
-    if sign == "-":
-        s = -s
-    return Scalar(r, s)
+        m = _ALPHA_RE.match(t)
+        if m:
+            lead, sign, coeff = m.groups()
+            if sign is None and coeff is None:
+                # everything before 'a' is the a-coefficient, as in '1/2a' or '-a'
+                return Scalar(Fraction(0), Fraction(lead) if lead else Fraction(1))
+            r = Fraction(lead) if lead else Fraction(0)
+            s = Fraction(coeff) if coeff else Fraction(1)
+            return Scalar(r, -s if sign == "-" else s)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"cannot parse scalar {text!r}")
 
 
 def _coerce_coord(x) -> Scalar:

@@ -5,6 +5,13 @@ simple roots, and the edge color is the reflected root oriented into the
 positive system of the reference (standard) Borel.  Pure roots never
 color an edge.
 
+D_lambda, the colors whose roots pair nonzero with lambda, is a plain
+frozenset of color names (atypical_colors); contracting it gives
+OR(g, lambda).  The images of two reflections at isotropic simple roots
+of b, with lambda orthogonal to both, meet trivially unless the roots
+are orthogonal (rs.roots_orthogonal), and then in the image of the
+double reflection, two odd_reflect calls.
+
 Weight convention: every lambda-indexed operation takes the unshifted
 weight; the walk machinery composes maps between the modules
 M^b(lambda - rho^b).
@@ -26,8 +33,6 @@ from .ecgraph import (
 from .numerics import RankMismatch, Weight
 from .rootsys import (
     Borel,
-    PreconditionViolated,
-    Root,
     RootSystem,
     enumerate_borels,
     odd_reflect,
@@ -37,16 +42,12 @@ from .rootsys import (
 
 __all__ = [
     "ORGraph",
-    "AtypicalColorSet",
     "WalkHomVerdict",
-    "TrivialIntersection",
-    "HypercubicImage",
     "build_or_graph",
     "atypical_colors",
     "build_or_lambda",
     "rbtriv_check",
     "walk_hom_oracle",
-    "image_intersection_kind",
     "semibrick_index_sets",
 ]
 
@@ -56,11 +57,9 @@ class ORGraph:
 
     Compares and hashes by identity."""
 
-    __slots__ = ("rs", "graph", "borel_of_vertex", "root_of_color")
+    __slots__ = ("graph", "borel_of_vertex", "root_of_color")
 
-    def __init__(self, rs: RootSystem, graph: ColoredGraph, borel_of_vertex: dict,
-                 root_of_color: dict):
-        self.rs = rs
+    def __init__(self, graph: ColoredGraph, borel_of_vertex: dict, root_of_color: dict):
         self.graph = graph
         self.borel_of_vertex = borel_of_vertex
         self.root_of_color = root_of_color
@@ -118,30 +117,22 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
         graph_edges.append((vertex_of[u], vertex_of[v], rs.root_name(rep)))
     graph = ColoredGraph(tuple(labels), colors, tuple(graph_edges))
     borel_of_vertex = {labels[k]: b for k, b in enumerate(borels)}
-    return ORGraph(rs, graph, borel_of_vertex, root_of_color)
+    return ORGraph(graph, borel_of_vertex, root_of_color)
 
 
-class AtypicalColorSet(namedtuple("_AtypicalColorSetFields", "lam colors")):
-    __slots__ = ()
-
-    def __contains__(self, c) -> bool:
-        return c in self.colors
-
-
-def atypical_colors(rs: RootSystem, og: ORGraph, lam: Weight) -> AtypicalColorSet:
+def atypical_colors(rs: RootSystem, og: ORGraph, lam: Weight) -> frozenset:
     """D_lambda: the colors whose roots do not pair to zero with lambda."""
     if lam.rank != rs.rank:
         raise RankMismatch(f"weight of rank {lam.rank} against rank {rs.rank}")
     r, s = lam.r, lam.s
     pair, is_zero = rs._pair, rs._pair_is_zero
-    return AtypicalColorSet(lam, frozenset(
-        c for c, root in og.root_of_color.items() if not is_zero(*pair(r, s, root))))
+    return frozenset(
+        c for c, root in og.root_of_color.items() if not is_zero(*pair(r, s, root)))
 
 
 def build_or_lambda(rs: RootSystem, og: ORGraph, lam: Weight) -> Quotient:
     """OR(g, lambda) = OR(g) / D_lambda, with the class map."""
-    d = atypical_colors(rs, og, lam)
-    return quotient_by_colors(og.graph, d.colors)
+    return quotient_by_colors(og.graph, atypical_colors(rs, og, lam))
 
 
 def rbtriv_check(rs: RootSystem, og: ORGraph, lam: Weight) -> bool:
@@ -189,7 +180,7 @@ def walk_hom_oracle(rs: RootSystem, og: ORGraph, lam: Weight,
     verdict (nonzero iff the projection is rainbow).
     """
     w = make_walk(og.graph, w.walk_vertices, w.walk_colors)
-    contracted = atypical_colors(rs, og, lam).colors
+    contracted = atypical_colors(rs, og, lam)
     colors = _surviving_colors(_contract(og.graph, contracted).vertex_map,
                                contracted, w)
     if len(set(colors)) != len(colors):
@@ -206,53 +197,6 @@ def walk_hom_oracle(rs: RootSystem, og: ORGraph, lam: Weight,
     monomial.sort(key=lambda r: r.sort_key())
     assert len(set(monomial)) == len(monomial)
     return WalkHomVerdict(True, tuple(monomial))
-
-
-class TrivialIntersection:
-    """The two images meet only in zero; all instances are equal."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return other.__class__ is TrivialIntersection or NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-
-class HypercubicImage(namedtuple("_HypercubicImageFields", "borel")):
-    __slots__ = ()
-
-
-def image_intersection_kind(rs: RootSystem, b: Borel, lam: Weight,
-                            i: int, j: int):
-    """Intersection of the images of the two reflections r_i, r_j at b.
-
-    For lambda orthogonal to both isotropic simple roots: the images
-    inside M^b(lambda - rho^b) intersect trivially when the roots pair
-    nonzero, and in the image of the double reflection when they are
-    orthogonal.
-    """
-    if i == j:
-        raise PreconditionViolated("need two distinct simple indices")
-    n = len(b.simple)
-    for k in (i, j):
-        if not (1 <= k <= n):
-            raise PreconditionViolated(f"simple index {k} out of range")
-        root = b.simple[k - 1]
-        if root.parity != "odd" or not root.isotropic:
-            raise PreconditionViolated(
-                f"simple root {rs.root_name(root)} is not odd isotropic")
-    ai = b.simple[i - 1]
-    aj = b.simple[j - 1]
-    orthogonal = rs.orthogonal_roots(lam, (ai, aj))
-    for root in (ai, aj):
-        if root not in orthogonal:
-            raise PreconditionViolated(
-                f"lambda pairs nonzero with {rs.root_name(root)}")
-    if rs.roots_orthogonal(ai, aj):
-        return HypercubicImage(odd_reflect(rs, odd_reflect(rs, b, j), i))
-    return TrivialIntersection()
 
 
 def semibrick_index_sets(rs: RootSystem, og: ORGraph, lam: Weight,

@@ -38,7 +38,6 @@ __all__ = [
     "enumerate_borels",
     "pure_positive_roots",
     "weyl_vector",
-    "borel_from_partition",
     "partition_of_borel",
 ]
 
@@ -628,7 +627,7 @@ def weyl_vector(rs: RootSystem, b: Borel) -> Weight:
     return Weight.of(total, den=2)
 
 
-# -- gl Borel <-> Young diagram dictionary -------------------------------------
+# -- gl Borel -> Young diagram ------------------------------------------------
 
 
 def _unit_difference(rank: int, p: int, q: int) -> tuple[int, ...]:
@@ -636,42 +635,15 @@ def _unit_difference(rank: int, p: int, q: int) -> tuple[int, ...]:
     return tuple(1 if k == p else -1 if k == q else 0 for k in range(rank))
 
 
-def _require_gl(rs: RootSystem):
+def partition_of_borel(rs: RootSystem, b: Borel) -> tuple[int, ...]:
+    """The Young diagram of a gl(m|n) Borel, its OR graph vertex label.
+
+    Row j, column c of the m x n box holds the odd root e_{m+1-c} - d_j;
+    the box is in the diagram when b has it flipped to d_j - e_{m+1-c}.
+    Row lengths are listed bottom-up, without trailing zeros.
+    """
     if rs.family != "gl":
         raise UnsupportedFamily("partition addressing is specific to gl(m|n)")
-
-
-def borel_from_partition(rs: RootSystem, parts: tuple[int, ...]) -> Borel:
-    """The enumerated Borel whose flipped odd roots are the boxes of the diagram.
-
-    parts lists row lengths bottom-up; row j, column c holds the root
-    e_{m+1-c} - d_j, flipped to d_j - e_{m+1-c} when the box is present.
-    The Borel comes from enumerate_borels, so its simple order is the
-    inherited one.
-    """
-    _require_gl(rs)
-    m, n = rs.params
-    if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
-        raise ValueError(f"row lengths must be weakly decreasing, got {parts}")
-    if len(parts) > n or any(p < 0 or p > m for p in parts):
-        raise ValueError(f"partition {parts} does not fit the {m}x{n} box")
-    odd = []
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            col = m + 1 - i
-            row_len = parts[j - 1] if j - 1 < len(parts) else 0
-            if col <= row_len:
-                v = _unit_difference(rs.rank, m + j - 1, i - 1)
-            else:
-                v = _unit_difference(rs.rank, i - 1, m + j - 1)
-            odd.append(rs.root_from_ivec(v))
-    odd = _canonical_odd(odd)
-    borels, _ = enumerate_borels(rs)
-    return next(b for b in borels if b.odd_positive == odd)
-
-
-def partition_of_borel(rs: RootSystem, b: Borel) -> tuple[int, ...]:
-    _require_gl(rs)
     m, n = rs.params
     flipped = set()
     pos = {r.vector.r for r in b.odd_positive}

@@ -144,10 +144,13 @@ def _want(family_filter, family) -> bool:
     return family_filter is None or family == family_filter
 
 
-def _grid(builds: _Builds, family_filter=None):
-    """(row, rs, borels, og) for each LAMBDA_GRID row the filter keeps."""
+def _grid(builds: _Builds, family_filter=None, keys=None):
+    """(row, rs, borels, og) for each LAMBDA_GRID row the filter keeps;
+    keys, when given, keeps only the rows whose (family, m, n) it holds,
+    so nothing is built for the others."""
     for row in manifest.LAMBDA_GRID:
-        if _want(family_filter, row.family):
+        if _want(family_filter, row.family) and (
+                keys is None or (row.family, row.m, row.n) in keys):
             yield (row, *builds.get(row.family, row.m, row.n))
 
 
@@ -368,9 +371,7 @@ _HYPERCUBIC_KEYS = (
 
 def suite_hypercubic(builds: _Builds, family=None) -> list:
     entries = []
-    for row, rs, borels, og in _grid(builds, family):
-        if (row.family, row.m, row.n) not in _HYPERCUBIC_KEYS:
-            continue
+    for row, rs, borels, og in _grid(builds, family, _HYPERCUBIC_KEYS):
         for lam_text in row.weights:
             lam = parse_weight(lam_text, rs.rank)
             verdicts = [brick_decomposition_check(rs, b, lam, coll)

@@ -9,13 +9,15 @@ from ortk.adjusted import (
     brick_decomposition_check,
     hypercubic_collections,
     is_lambda_adjusted,
-    reflect_along,
-    semibrick_character_check,
     split_criterion,
 )
-from ortk.characters import char_add, total_dimension, verma_character
+from ortk.characters import (
+    char_add,
+    character_weight_multiplicity,
+    total_dimension,
+    verma_character,
+)
 from ortk.numerics import parse_weight, zero_weight
-from ortk.orgraph import image_intersection_kind
 from ortk.rootsys import (
     NotIsotropicSimple,
     PreconditionViolated,
@@ -101,12 +103,12 @@ def test_borel_meet_join_gl11():
     lam = zero_weight(2)
     coll = [c for c in hypercubic_collections(rs, b, lam) if c.j == {1}][0]
     meet, join = borel_meet_join(rs, b, coll)
-    assert meet.delta_a == frozenset()
-    assert join.delta_a == frozenset(
+    assert meet == frozenset()
+    assert join == frozenset(
         {rs.root_by_name("e1-d1"), rs.root_by_name("-e1+d1")})
     empty = [c for c in hypercubic_collections(rs, b, lam) if not c.j][0]
     meet0, join0 = borel_meet_join(rs, b, empty)
-    assert meet0.delta_a == join0.delta_a == frozenset(b.odd_positive)
+    assert meet0 == join0 == frozenset(b.odd_positive)
 
 
 def test_borel_meet_join_gl22():
@@ -116,9 +118,8 @@ def test_borel_meet_join_gl22():
     lam = zero_weight(4)
     coll = [c for c in hypercubic_collections(rs, b, lam) if c.j == {1, 3}][0]
     meet, join = borel_meet_join(rs, b, coll)
-    assert meet.delta_a == frozenset(
-        set(b.odd_positive) - {b.simple[0], b.simple[2]})
-    assert len(join.delta_a) == len(b.odd_positive) + 2
+    assert meet == frozenset(set(b.odd_positive) - {b.simple[0], b.simple[2]})
+    assert len(join) == len(b.odd_positive) + 2
 
 
 def test_meet_and_join_are_lambda_adjusted_on_the_grid():
@@ -133,8 +134,8 @@ def test_meet_and_join_are_lambda_adjusted_on_the_grid():
             for b in borels:
                 for coll in hypercubic_collections(rs, b, lam):
                     meet, join = borel_meet_join(rs, b, coll)
-                    assert is_lambda_adjusted(rs, meet.delta_a, lam), (entry, b, coll.j)
-                    assert is_lambda_adjusted(rs, join.delta_a, lam), (entry, b, coll.j)
+                    assert is_lambda_adjusted(rs, meet, lam), (entry, b, coll.j)
+                    assert is_lambda_adjusted(rs, join, lam), (entry, b, coll.j)
                     checked += 1
     assert checked == 563
 
@@ -155,26 +156,38 @@ def test_borel_meet_join_rejects_roots_not_simple_in_b():
     with pytest.raises(PreconditionViolated, match="not simple in b"):
         borel_meet_join(rs, b, coll)
     with pytest.raises(PreconditionViolated):
-        brick_decomposition_check(rs, b, coll.lam, coll)
+        brick_decomposition_check(rs, b, zero_weight(4), coll)
 
 
-def test_reflect_along_rejects_roots_not_simple():
-    rs, b, coll = foreign_collection()
-    with pytest.raises(PreconditionViolated, match="e1-d1 is not simple"):
-        reflect_along(rs, b, coll)
+def reflect_along(rs, b, coll):
+    """r_J b: odd_reflect at each root of the collection in turn, each found
+    by value in the simple system reached."""
+    for r in coll.roots:
+        b = odd_reflect(rs, b, b.simple.index(r) + 1)
+    return b
 
 
 def test_reflect_along_matches_pair_reflection():
-    rs = build_root_system("gl", m=2, n=2)
-    borels, _ = enumerate_borels(rs)
-    b = borels[1]
-    lam = zero_weight(4)
-    coll = [c for c in hypercubic_collections(rs, b, lam) if c.j == {1, 3}][0]
-    rjb = reflect_along(rs, b, coll)
-    kind = image_intersection_kind(rs, b, lam, 1, 3)
-    assert rjb == kind.borel
-    empty = [c for c in hypercubic_collections(rs, b, lam) if not c.j][0]
-    assert reflect_along(rs, b, empty) == b
+    # odd reflections at two orthogonal isotropic simple roots commute: each
+    # root stays simple at its index after the other's reflection, and
+    # either order reaches one Borel, r_J b for J = {i, j}
+    pairs = 0
+    for family, kw in [("gl", dict(m=2, n=2)), ("gl", dict(m=3, n=2)), ("gl11n", dict(n=3))]:
+        rs = build_root_system(family, **kw)
+        lam = zero_weight(rs.rank)
+        for b in enumerate_borels(rs)[0]:
+            for coll in hypercubic_collections(rs, b, lam):
+                if not coll.j:
+                    assert reflect_along(rs, b, coll) == b
+                if len(coll.j) != 2:
+                    continue
+                i, j = sorted(coll.j)
+                assert rs.roots_orthogonal(b.simple[i - 1], b.simple[j - 1])
+                ij = odd_reflect(rs, odd_reflect(rs, b, i), j)
+                ji = odd_reflect(rs, odd_reflect(rs, b, j), i)
+                assert ij == ji == reflect_along(rs, b, coll) != b
+                pairs += 1
+    assert pairs == 40
 
 
 def test_sigma_negates_under_reflection():
@@ -216,7 +229,7 @@ def test_brick_decomposition():
             if c.j == {1, 2}][0]
     assert brick_decomposition_check(rsp, bp, lam, full)
     meet, _ = borel_meet_join(rsp, bp, full)
-    assert total_dimension(verma_character(rsp, meet.delta_a, lam), rsp) == 16
+    assert total_dimension(verma_character(rsp, meet, lam), rsp) == 16
 
     empty = [c for c in hypercubic_collections(rsp, bp, lam) if not c.j][0]
     assert brick_decomposition_check(rsp, bp, lam, empty)
@@ -276,41 +289,43 @@ def test_split_exact_sequence_identities():
     assert checked == 342
 
 
+def brick_multiplicities(rs, bricks) -> list:
+    """Row k: the multiplicity of brick k's character at each brick's
+    highest weight."""
+    return [[character_weight_multiplicity(rs, c, top) for top, _ in bricks]
+            for _, c in bricks]
+
+
+def identity(size) -> list:
+    return [[int(k == l) for l in range(size)] for k in range(size)]
+
+
 def test_semibrick_window_gl11():
+    # the bricks M^{b + r_J b}(n alpha), n = -2..2, form a semibrick window:
+    # each has multiplicity one at its own highest weight and zero at the
+    # others'; a repeated brick sees the other copy's highest weight
     rs = build_root_system("gl", m=1, n=1)
     b = standard_borel(rs)
     lam = zero_weight(2)
     coll = [c for c in hypercubic_collections(rs, b, lam) if c.j == {1}][0]
     _, join = borel_meet_join(rs, b, coll)
     alpha = rs.root_by_name("e1-d1").vector
-    bricks = []
-    for n in range(-2, 3):
-        w = alpha.scaled(n)
-        bricks.append((w, verma_character(rs, join.delta_a, w)))
-    assert semibrick_character_check(rs, bricks)
-    dup = [bricks[0], bricks[0]]
-    assert not semibrick_character_check(rs, dup)
+    bricks = [(w, verma_character(rs, join, w))
+              for w in (alpha.scaled(n) for n in range(-2, 3))]
+    assert brick_multiplicities(rs, bricks) == identity(5)
+    assert brick_multiplicities(rs, [bricks[0], bricks[0]]) == [[1, 1], [1, 1]]
 
 
 def test_semibrick_window_gl22():
+    # the 3 x 3 window lam + m1 alpha_1 + m3 alpha_3 of J = {1, 3}
     rs = build_root_system("gl", m=2, n=2)
     b = enumerate_borels(rs)[0][1]
     lam = zero_weight(4)
     coll = [c for c in hypercubic_collections(rs, b, lam) if c.j == {1, 3}][0]
     _, join = borel_meet_join(rs, b, coll)
     a1, a3 = (r.vector for r in coll.roots)
-    bricks = []
-    for m1 in (-1, 0, 1):
-        for m3 in (-1, 0, 1):
-            w = lam + a1.scaled(m1) + a3.scaled(m3)
-            bricks.append((w, verma_character(rs, join.delta_a, w)))
+    bricks = [(w, verma_character(rs, join, w))
+              for w in (lam + a1.scaled(m1) + a3.scaled(m3)
+                        for m1 in (-1, 0, 1) for m3 in (-1, 0, 1))]
     assert len(bricks) == 9
-    assert semibrick_character_check(rs, bricks)
-
-
-def test_semibrick_precondition():
-    rs = build_root_system("gl", m=1, n=1)
-    c = verma_character(rs, set(), zero_weight(2))
-    doubled = char_add(c, c)
-    with pytest.raises(ValueError):
-        semibrick_character_check(rs, [(zero_weight(2), doubled)])
+    assert brick_multiplicities(rs, bricks) == identity(9)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from ortk import adjusted, characters
-from ortk.adjusted import brick_decomposition_check, hypercubic_collections, reflect_along
+from ortk.adjusted import brick_decomposition_check, hypercubic_collections
 from ortk.characters import (
     MultiplicityQuery,
     NumeratorCharacter,
@@ -21,9 +21,7 @@ from ortk.characters import (
     weight_multiplicity,
 )
 from ortk.numerics import Weight, parse_weight, render_weight, weight, zero_weight
-from ortk.orgraph import HypercubicImage, image_intersection_kind
 from ortk.rootsys import (
-    borel_from_partition,
     build_root_system,
     enumerate_borels,
     odd_reflect,
@@ -128,7 +126,7 @@ def test_multiplicity_at_highest_weight():
 
 def test_multiplicity_gl22_even_root_below():
     rs = build_root_system("gl", m=2, n=2)
-    b = borel_from_partition(rs, ())
+    b = standard_borel(rs)  # the partition () Borel
     lam = rank_zero(rs)
     free = frozenset(rs.negate(r) for r in b.odd_positive)
     q = MultiplicityQuery(free, lam, parse_weight("-1,1,0,0", 4))
@@ -227,7 +225,7 @@ def test_brick_checks_build_nothing_when_warm(monkeypatch):
     b = enumerate_borels(rs)[0][1]
     lam = rank_zero(rs)
     coll = [c for c in hypercubic_collections(rs, b, lam) if c.j == {1, 3}][0]
-    rjb = reflect_along(rs, b, coll)
+    rjb = odd_reflect(rs, odd_reflect(rs, b, 1), 3)
     back = {rs.negate(r) for r in coll.roots}
     coll_back = [c for c in hypercubic_collections(rs, rjb, lam) if set(c.roots) == back][0]
     real = characters._times_factors
@@ -357,7 +355,7 @@ def test_multiplicity_matches_truncated_series():
 
 def test_cone_membership_gl22():
     rs = build_root_system("gl", m=2, n=2)
-    b = borel_from_partition(rs, ())
+    b = standard_borel(rs)  # the partition () Borel
     free = frozenset(rs.negate(r) for r in b.odd_positive)
 
     def pbw_reachable(text):
@@ -451,14 +449,16 @@ def test_character_json():
 
 
 def test_forced_hom_dimension_is_one():
-    # weight space of M^{r_J b}(lam - sigma_J) at lam, for hypercubic J
+    # weight space of M^{r_J b}(lam - sigma_J) at lam, for hypercubic J: an
+    # orthogonal pair of isotropic simple roots, orthogonal to lam, whose
+    # reflections' images meet in the image of the double reflection
     rs = build_root_system("gl", m=2, n=2)
     borels, _ = enumerate_borels(rs)
     b = borels[1]
     lam = rank_zero(rs)
-    kind = image_intersection_kind(rs, b, lam, 1, 3)
-    assert isinstance(kind, HypercubicImage)
-    rjb = kind.borel
+    assert rs.orthogonal_roots(lam, (b.simple[0], b.simple[2])) == {b.simple[0], b.simple[2]}
+    assert rs.roots_orthogonal(b.simple[0], b.simple[2])
+    rjb = odd_reflect(rs, odd_reflect(rs, b, 3), 1)
     sigma = b.simple[0].vector + b.simple[2].vector
     free = frozenset(rs.negate(r) for r in rjb.odd_positive)
     assert weight_multiplicity(rs, MultiplicityQuery(free, lam - sigma, lam)) == 1

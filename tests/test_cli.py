@@ -248,6 +248,16 @@ def test_bad_mu_names_the_mu_flag(capsys):
         "error: bad --mu '0,0': expected 3 coordinates, got 2\n")
 
 
+@pytest.mark.parametrize("coord", ["1/0", "1/0a", "1+1/0a", "1/0+a"])
+def test_zero_denominator_is_a_bad_lambda(coord, capsys):
+    # the a-carrying forms are parse errors too, not a ZeroDivisionError text
+    text = f"{coord},0,0"
+    code, out = cap(["typical", "--family", "d21", "--lambda", text])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: bad --lambda '{text}': cannot parse scalar '{coord}'\n")
+
+
 def test_degree_overflow_is_reported_on_stderr(capsys):
     code, out = cap(["typical", "--family", "d21", "--lambda", "a,0,0"])
     assert (code, out) == (2, "")

@@ -226,11 +226,12 @@ def test_numerators_survive_brick_checks_on_the_same_system(data, key):
     rs, borels = system(key)
     b = data.draw(st.sampled_from(borels))
     lam = data.draw(weights(rs))
-    for coll in hypercubic_collections(rs, b, zero_weight(rs.rank)):
+    zero = zero_weight(rs.rank)
+    for coll in hypercubic_collections(rs, b, zero):
         meet, join = borel_meet_join(rs, b, coll)
         for _ in range(2):
-            assert brick_decomposition_check(rs, b, coll.lam, coll)
-        for delta_a in (meet.delta_a, join.delta_a, set(b.odd_positive)):
+            assert brick_decomposition_check(rs, b, zero, coll)
+        for delta_a in (meet, join, set(b.odd_positive)):
             assert verma_character(rs, delta_a, lam).terms == ref_numerator(rs, delta_a, lam)
 
 

@@ -15,20 +15,17 @@ from ortk.ecgraph import (
 )
 from ortk.numerics import DegreeOverflow, RankMismatch, Weight, parse_weight, weight, zero_weight
 from ortk.orgraph import (
-    HypercubicImage,
-    TrivialIntersection,
     atypical_colors,
     build_or_graph,
     build_or_lambda,
-    image_intersection_kind,
     rbtriv_check,
     semibrick_index_sets,
     walk_hom_oracle,
 )
 from ortk.rootsys import (
-    PreconditionViolated,
     build_root_system,
     enumerate_borels,
+    odd_reflect,
     standard_borel,
     weyl_vector,
 )
@@ -128,7 +125,7 @@ def test_atypical_colors_gl32():
     og = build_or_graph(rs)
     lam = parse_weight("1,0,0,-1,0")
     d = atypical_colors(rs, og, lam)
-    assert d.colors == {"e3-d1", "e2-d1", "e1-d2"}
+    assert d == {"e3-d1", "e2-d1", "e1-d2"}
     assert "e3-d1" in d
 
 
@@ -137,14 +134,14 @@ def test_atypical_colors_zero_weight():
         rs = build_root_system(family, **kw)
         og = build_or_graph(rs)
         d = atypical_colors(rs, og, zero_weight(len(rs.basis_names)))
-        assert d.colors == frozenset()
+        assert d == frozenset()
 
 
 def test_atypical_colors_gl11():
     rs = build_root_system("gl", m=1, n=1)
     og = build_or_graph(rs)
     d = atypical_colors(rs, og, weight(1, 0))
-    assert d.colors == {"e1-d1"}
+    assert d == {"e1-d1"}
 
 
 @pytest.mark.parametrize("family, m, n", [("gl", 4, 3), ("gl11n", None, 5),
@@ -170,7 +167,7 @@ def test_atypical_colors_match_scalar_pairing(family, m, n):
             with pytest.raises(DegreeOverflow):
                 atypical_colors(rs, og, lam)
             continue
-        assert atypical_colors(rs, og, lam).colors == d
+        assert atypical_colors(rs, og, lam) == d
     assert (raised > 0) == (family == "d21alpha")
     with pytest.raises(RankMismatch):
         atypical_colors(rs, og, zero_weight(rs.rank + 1))
@@ -336,33 +333,20 @@ def test_walk_hom_concatenation():
 
 
 def test_image_intersection_kind():
+    # the images of the reflections at two isotropic simple roots of b, with
+    # lambda orthogonal to both, meet in the image of the double reflection
+    # when the roots are orthogonal, and only in zero when they pair nonzero
     rs = build_root_system("gl", m=2, n=2)
     borels, _ = enumerate_borels(rs)
     b = borels[1]  # partition (1): simples e1-d1, -e2+d1, e2-d2
     lam = zero_weight(4)
-    kind = image_intersection_kind(rs, b, lam, 1, 3)
-    assert isinstance(kind, HypercubicImage)
-    refl = kind.borel
-    assert refl != b
-    kind2 = image_intersection_kind(rs, b, lam, 1, 2)
-    assert isinstance(kind2, TrivialIntersection)
-
-
-def test_image_intersection_preconditions():
-    rs = build_root_system("gl", m=2, n=2)
-    borels, _ = enumerate_borels(rs)
-    b = borels[1]
-    lam = zero_weight(4)
-    with pytest.raises(PreconditionViolated):
-        image_intersection_kind(rs, b, lam, 1, 1)
-    with pytest.raises(PreconditionViolated):
-        image_intersection_kind(rs, b, lam, 1, 9)
-    with pytest.raises(PreconditionViolated):
-        image_intersection_kind(rs, b, weight(1, 0, 0, 0), 1, 3)
-    # standard Borel of gl(2,2) has even simple roots at 1 and 3
-    std = standard_borel(rs)
-    with pytest.raises(PreconditionViolated):
-        image_intersection_kind(rs, std, lam, 1, 2)
+    a1, a2, a3 = b.simple
+    assert all(a.isotropic for a in b.simple)
+    assert rs.orthogonal_roots(lam, b.simple) == set(b.simple)
+    assert rs.roots_orthogonal(a1, a3)
+    refl = odd_reflect(rs, odd_reflect(rs, b, 3), 1)
+    assert refl != b and refl == odd_reflect(rs, odd_reflect(rs, b, 1), 3)
+    assert not rs.roots_orthogonal(a1, a2)
 
 
 def test_semibrick_index_sets_gl11():

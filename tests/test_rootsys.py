@@ -14,7 +14,6 @@ from ortk.rootsys import (
     Borel,
     NotIsotropicSimple,
     UnsupportedFamily,
-    borel_from_partition,
     build_root_system,
     enumerate_borels,
     odd_reflect,
@@ -173,34 +172,48 @@ def test_gl22_borel_partitions():
     borels, _ = enumerate_borels(rs)
     parts = [partition_of_borel(rs, b) for b in borels]
     assert parts == [(), (1,), (2,), (1, 1), (2, 1), (2, 2)]
-    for p, b in zip(parts, borels):
-        assert borel_from_partition(rs, p) == b
+    # diagrams label the Borels of gl(m|n) only
+    rs2 = build_root_system("d21alpha")
+    with pytest.raises(UnsupportedFamily):
+        partition_of_borel(rs2, standard_borel(rs2))
 
 
 @pytest.mark.parametrize("m, n", [(2, 1), (2, 2), (3, 2), (4, 3)])
 def test_partition_borel_is_the_enumerated_borel(m, n):
-    # simple orders included: Borel equality ignores .simple
+    # partition_of_borel is a bijection from the enumerated Borels onto the
+    # diagrams in the n x m box, and the OR graph vertex of a diagram's label
+    # (the --borel address) is its enumerated Borel, simple order included:
+    # Borel equality ignores .simple
     rs = build_root_system("gl", m=m, n=n)
     borels, _ = enumerate_borels(rs)
+    og = build_or_graph(rs)
     by_partition = {partition_of_borel(rs, b): b for b in borels}
     # the partitions in the n x m box, row lengths bottom-up
     parts = {tuple(x for x in rows if x)
              for rows in itertools.combinations_with_replacement(range(m, -1, -1), n)}
+    assert len(by_partition) == len(borels)
     assert set(by_partition) == parts
-    for p in parts:
-        b = borel_from_partition(rs, p)
-        assert b == by_partition[p]
-        assert b.simple == by_partition[p].simple, p
+    for p, b in by_partition.items():
+        # row j, column c holds e_{m+1-c} - d_j, flipped when the box is present
+        boxes = {(j, c) for j, row in enumerate(p, start=1) for c in range(1, row + 1)}
+        flipped = {(j, m + 1 - i) for i in range(1, m + 1) for j in range(1, n + 1)
+                   if rs.root_by_name(f"-e{i}+d{j}") in b.odd_positive}
+        assert flipped == boxes, p
+        vertex = og.borel_of_vertex["".join(map(str, p)) or "∅"]
+        assert vertex == b and vertex.simple == b.simple, p
 
 
 def test_partition_borel_reflects_as_its_vertex():
-    # the partition (2, 1) Borel of gl(3|2) has simple system
-    # e1-d1, -e2+d1, e2-d2, -e3+d2, so index 2 reflects at -e2+d1
+    # the partition (2, 1) Borel of gl(3|2), which --borel 21 addresses, has
+    # simple system e1-d1, -e2+d1, e2-d2, -e3+d2; index 2 reflects at -e2+d1,
+    # taking the box in row 1, column 2 out along the edge colored e2-d1
     rs = build_root_system("gl", m=3, n=2)
     og = build_or_graph(rs)
-    b = borel_from_partition(rs, (2, 1))
-    assert odd_reflect(rs, b, 2) == odd_reflect(rs, og.borel_of_vertex["21"], 2)
+    b = og.borel_of_vertex["21"]
+    assert partition_of_borel(rs, b) == (2, 1)
     assert names(rs, b.simple) == ["e1-d1", "-e2+d1", "e2-d2", "-e3+d2"]
+    assert partition_of_borel(rs, odd_reflect(rs, b, 2)) == (1, 1)
+    assert ("11", "21", "e2-d1") in og.graph.edges
 
 
 SIMPLE_ORACLE_FAMILIES = [
@@ -220,21 +233,6 @@ def test_inherited_simple_system_matches_brute_force(family, kw):
         expected = ref_simple_roots(rs, b.odd_positive)
         assert set(b.simple) == expected, names(rs, b.simple)
         assert len(b.simple) == len(expected)
-
-
-def test_partition_validation():
-    rs = build_root_system("gl", m=2, n=2)
-    with pytest.raises(ValueError):
-        borel_from_partition(rs, (1, 2))
-    with pytest.raises(ValueError):
-        borel_from_partition(rs, (3,))
-    with pytest.raises(ValueError):
-        borel_from_partition(rs, (1, 1, 1))
-    rs2 = build_root_system("d21alpha")
-    with pytest.raises(UnsupportedFamily):
-        borel_from_partition(rs2, ())
-    with pytest.raises(UnsupportedFamily):
-        partition_of_borel(rs2, standard_borel(rs2))
 
 
 def test_d21_borel_tree():

@@ -6,6 +6,7 @@ format, the family filter that every suite applies itself, and the
 typicality suite's skip and fault paths.
 """
 
+import hashlib
 import json
 import operator
 from pathlib import Path
@@ -208,3 +209,75 @@ def test_typicality_fault_fails_every_decided_weight(monkeypatch):
     assert statuses.count((False, "fail")) == 36
     assert statuses.count((True, "skipped")) == 14
     assert len(statuses) == 50
+
+
+# -- the hypercubic suite builds only its rows -----------------------------------
+
+
+def test_hypercubic_builds_only_its_rows(monkeypatch):
+    # its five grid rows, then gl(2|1) for kac-flag; no other grid family
+    real = verify.build_root_system
+    built = []
+
+    def counted(family, m, n):
+        built.append((family, m, n))
+        return real(family, m, n)
+
+    monkeypatch.setattr(verify, "build_root_system", counted)
+    assert run_suite("hypercubic").passed
+    assert built == [("gl", 2, 2), ("gl", 3, 2), ("gl11n", None, 1), ("gl11n", None, 2),
+                     ("gl11n", None, 3), ("gl", 2, 1)]
+
+
+# -- the walks suite draws the pinned walks ---------------------------------------
+
+# the first 16 hex digits of a sha256 of the vertex sequences of the walks
+# that each grid row's entries check: one BFS geodesic per ordered vertex
+# pair, then WALKS_PER_PAIR random walks seeded by WALK_SEED plus the row's
+# index in the unfiltered grid
+WALK_DIGESTS = {
+    ("gl", 1, 1): "63f8b62c72058e71",
+    ("gl", 2, 1): "542a2f7e999d59eb",
+    ("gl", 2, 2): "4cc8a18a34c166be",
+    ("gl", 3, 2): "6b28c421b1d7ac7d",
+    ("gl11n", None, 1): "38bf7486b785b21c",
+    ("gl11n", None, 2): "52678216ee6cd0fc",
+    ("gl11n", None, 3): "b1d037b848503aa0",
+    ("ospB", 1, 1): "f8aab225d01e8305",
+    ("ospB", 2, 1): "73405af2fd7e25f6",
+    ("ospB", 2, 2): "ff026389e3cdf18a",
+    ("ospD", 1, 2): "c058cb5982d85020",
+    ("ospD", 2, 2): "181f1a4abeb183d6",
+    ("d21alpha", None, None): "fcd05b25ed26d9d2",
+}
+
+
+def drawn_walk_digests(monkeypatch, family=None) -> dict:
+    """Run the walks suite with verify.walk_hom_oracle recording each walk;
+    every weight of a row must see the same walks, and each row maps to the
+    digest of that list."""
+    real = verify.walk_hom_oracle
+    seen = {}
+
+    def recording(rs, og, lam, w):
+        seen.setdefault(og, {}).setdefault(lam, []).append(w.walk_vertices)
+        return real(rs, og, lam, w)
+
+    monkeypatch.setattr(verify, "walk_hom_oracle", recording)
+    assert run_suite("walks", family).passed
+    rows = [(r.family, r.m, r.n) for r in manifest.LAMBDA_GRID if family in (None, r.family)]
+    assert len(seen) == len(rows)
+    digests = {}
+    for row, by_lam in zip(rows, seen.values()):
+        walks = next(iter(by_lam.values()))
+        assert all(other == walks for other in by_lam.values()), row
+        text = "\n".join(",".join(map(str, vertices)) for vertices in walks)
+        digests[row] = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    return digests
+
+
+def test_walks_suite_draws_the_pinned_walks(monkeypatch):
+    assert drawn_walk_digests(monkeypatch) == WALK_DIGESTS
+    # a family filter draws the same walks: the seed is the unfiltered index
+    gl11n = drawn_walk_digests(monkeypatch, "gl11n")
+    assert gl11n == {row: d for row, d in WALK_DIGESTS.items() if row[0] == "gl11n"}
