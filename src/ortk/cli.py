@@ -78,10 +78,8 @@ def _resolve_borel(rs, og, borels, text):
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise UsageError("empty --borel")
-    try:
-        roots = {rs.root_by_name(nm) for nm in names}
-    except Exception as e:
-        raise UsageError(str(e))
+    # an unknown name raises ValueError, which run_command reports with exit 2
+    roots = {rs.root_by_name(nm) for nm in names}
     for b in borels:
         if set(b.odd_positive) == roots:
             return b
@@ -109,7 +107,7 @@ def _parse_lambda(rs, text, flag="--lambda"):
 
     try:
         return parse_weight(text, rs.rank)
-    except Exception as e:
+    except ValueError as e:
         raise UsageError(f"bad {flag} {text!r}: {e}")
 
 
@@ -265,10 +263,8 @@ def _cmd_walk(args, print_fn) -> int:
         if v not in og.borel_of_vertex:
             raise UsageError(f"unknown vertex {v!r}; labels: "
                              + " ".join(str(x) for x in og.graph.vertices))
-    try:
-        w = make_walk(og.graph, verts)
-    except Exception as e:
-        raise UsageError(str(e))
+    # a walk that is not in the graph raises InvalidWalk, a ValueError: exit 2
+    w = make_walk(og.graph, verts)
     verdict = walk_hom_oracle(rs, og, lam, w)
     if args.out == "json":
         print_fn(_dump({

@@ -32,10 +32,15 @@ class ColoredGraph:
     order; construction rejects loops, unknown endpoints or colors, and
     duplicate triples.  Graphs with equal vertices, colors and edges are
     equal and hash equal.
+
+    Tables that depend only on the graph are built on first use and kept
+    for its lifetime: _walk_index (integer adjacency, BFS rows and the
+    rainbow-walk states of every source, read by the exchange and
+    extension checks), _color_degrees (read by the isomorphism search)
+    and _quotients.  The checks' reports are never kept.
     """
 
-    # no __slots__: the cached properties _walk_index and _quotients live
-    # in __dict__
+    # no __slots__: the cached properties live in __dict__
 
     def __init__(self, vertices: tuple, colors: tuple, edges: tuple):
         vs = tuple(vertices)
@@ -95,6 +100,16 @@ class ColoredGraph:
         # entry per subset of colors, so 2**len(colors) in all
         return {}
 
+    @cached_property
+    def _color_degrees(self) -> dict:
+        # vertex -> {color: number of edges of that color at the vertex}
+        table = {}
+        for v, nbrs in self._adj.items():
+            d = table[v] = {}
+            for _, c in nbrs:
+                d[c] = d.get(c, 0) + 1
+        return table
+
     def neighbors(self, v):
         return self._adj[v]
 
@@ -106,12 +121,6 @@ class ColoredGraph:
 
     def degree(self, v) -> int:
         return len(self._adj[v])
-
-    def color_degree(self, v) -> dict:
-        d = {}
-        for _, c in self._adj[v]:
-            d[c] = d.get(c, 0) + 1
-        return d
 
     def used_colors(self) -> tuple:
         seen = {c for _, _, c in self.edges}
@@ -287,18 +296,14 @@ def is_color_isomorphism(g1: ColoredGraph, g2: ColoredGraph,
 
 
 def _color_signature(g: ColoredGraph, c) -> tuple:
-    # degree sequence of the color-c subgraph, zero-degree vertices dropped
-    degs = []
-    for v in g.vertices:
-        k = g.color_degree(v).get(c, 0)
-        if k:
-            degs.append(k)
-    n_edges = sum(1 for e in g.edges if e[2] == c)
-    return (n_edges, tuple(sorted(degs)))
+    # edge count and degree sequence of the color-c subgraph, zero-degree
+    # vertices dropped; each edge adds 2 to the degree sum
+    degs = sorted(cd[c] for cd in g._color_degrees.values() if c in cd)
+    return (sum(degs) // 2, tuple(degs))
 
 
 def _vertex_signature(g: ColoredGraph, v) -> tuple:
-    return (g.degree(v), tuple(sorted(g.color_degree(v).values())))
+    return (g.degree(v), tuple(sorted(g._color_degrees[v].values())))
 
 
 def colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
@@ -367,6 +372,8 @@ def _match_vertices(g1, g2, psi, order):
     phi = {}
     used = set()
 
+    cds1, cds2 = g1._color_degrees, g2._color_degrees
+
     def candidates(v):
         mapped_nbrs = [(w, c) for w, c in g1.neighbors(v) if w in phi]
         if mapped_nbrs:
@@ -374,14 +381,15 @@ def _match_vertices(g1, g2, psi, order):
             pool = [x for x, cc in g2.neighbors(phi[w0]) if cc == psi[c0]]
         else:
             pool = list(g2.vertices)
+        degree = g1.degree(v)
+        cd1 = cds1[v]
         out = []
         for x in pool:
             if x in used:
                 continue
-            if g2.degree(x) != g1.degree(v):
+            if g2.degree(x) != degree:
                 continue
-            cd1 = g1.color_degree(v)
-            cd2 = g2.color_degree(x)
+            cd2 = cds2[x]
             if any(cd2.get(psi[c], 0) != k for c, k in cd1.items()):
                 continue
             if any(not g2.has_edge(x, phi[w], psi[c]) for w, c in mapped_nbrs):
@@ -405,15 +413,17 @@ def _match_vertices(g1, g2, psi, order):
     return dict(phi) if extend(0) else None
 
 
-class _WalkIndex(namedtuple("_WalkIndexFields", "low adj color_of dist geodesics")):
+class _WalkIndex(namedtuple("_WalkIndexFields", "low adj color_of dist geodesics rainbow")):
     """Integer form of a graph, shared by the walk counters.
 
     Vertex k is g.vertices[k].  Color k is the bit 1 << (shift + k) with
     shift = len(vertices).bit_length(), so a walk state (end vertex x,
-    color set) packs into the int x | colorbits, and x = state & low.
+    color set) packs into the int x | colorbits, x = state & low, and
+    (state ^ x).bit_count() is the walk's length when it is rainbow.
     adj[x] lists (y, bit) in the order of g.neighbors; dist[u][x] is the
     BFS distance, -1 when x is not reachable from u, and geodesics[u][x]
-    the number of shortest walks u -> x.
+    the number of shortest walks u -> x.  rainbow[u] maps each state of
+    the rainbow walks of length >= 1 from u to the number of such walks.
     """
 
     __slots__ = ()
@@ -422,6 +432,7 @@ class _WalkIndex(namedtuple("_WalkIndexFields", "low adj color_of dist geodesics
 def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
     vid = {v: k for k, v in enumerate(g.vertices)}
     shift = len(g.vertices).bit_length()
+    low = (1 << shift) - 1
     bit = {c: 1 << (shift + k) for k, c in enumerate(g.colors)}
     adj = tuple(tuple((vid[w], bit[c]) for w, c in g.neighbors(v))
                 for v in g.vertices)
@@ -441,28 +452,28 @@ def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
                     geo[y] += geo[x]
         dist.append(tuple(du))
         geodesics.append(tuple(geo))
-    return _WalkIndex((1 << shift) - 1, adj, {b: c for c, b in bit.items()},
-                      tuple(dist), tuple(geodesics))
+    rainbow = tuple(_rainbow_states(low, adj, u) for u in range(len(adj)))
+    return _WalkIndex(low, adj, {b: c for c, b in bit.items()},
+                      tuple(dist), tuple(geodesics), rainbow)
 
 
-def _rainbow_layers(ix: _WalkIndex, u: int) -> list:
-    """Rainbow walks from u, counted per state: layers[k][x | colors] is
-    the number of rainbow walks of length k from u that end at x and use
-    exactly those colors."""
-    low, adj = ix.low, ix.adj
-    layers = [{u: 1}]
-    while True:
+def _rainbow_states(low: int, adj: tuple, u: int) -> dict:
+    """Rainbow walks of length >= 1 from u, counted per state by color
+    coding one length at a time.  A state reached at length k has k color
+    bits, so all lengths share one dict without collisions."""
+    states, layer = {}, {u: 1}
+    while layer:
         nxt = {}
-        for state, count in layers[-1].items():
+        for state, count in layer.items():
             x = state & low
             used = state ^ x
             for y, b in adj[x]:
                 if not used & b:
                     key = used | b | y
                     nxt[key] = nxt.get(key, 0) + count
-        if not nxt:
-            return layers
-        layers.append(nxt)
+        states.update(nxt)
+        layer = nxt
+    return states
 
 
 def _as_walk(g: ColoredGraph, ix: _WalkIndex, path: list, bits: list) -> Walk:
@@ -523,13 +534,15 @@ class ExchangeReport(namedtuple("_ExchangeReportFields",
 def verify_exchange(g: ColoredGraph) -> ExchangeReport:
     """Exhaustively test: shortest <=> rainbow, over all walks of g.
 
-    Walks are counted per (vertex, color set) state.  A walk from u to
-    v of length dist(u, v) is a geodesic, so u -> v has a geodesic that
-    is not rainbow exactly when it has more geodesics than rainbow walks
-    of that length; a rainbow walk is not shortest when its length, the
-    size of its color set, exceeds the distance to its end.  Only when
-    the counts show a failure are the offending walks listed, in the
-    depth-first order of the walk-by-walk search.
+    Walks are counted per (vertex, color set) state, from the rainbow
+    states kept in the graph's walk index.  A walk from u to v of length
+    dist(u, v) is a geodesic, so u -> v has a geodesic that is not
+    rainbow exactly when it has more geodesics than rainbow walks of that
+    length; a rainbow walk is not shortest when its length, the size of
+    its color set, exceeds the distance to its end.  Only when the counts
+    show a failure are the offending walks listed, in the depth-first
+    order of the walk-by-walk search.  The report is built anew on every
+    call.
     """
     ix = g._walk_index
     if ix.dist and -1 in ix.dist[0]:
@@ -537,17 +550,16 @@ def verify_exchange(g: ColoredGraph) -> ExchangeReport:
     low = ix.low
     n_shortest = n_rainbow = 0
     bad_pairs, bad_sources = [], []
-    for u, (du, geo) in enumerate(zip(ix.dist, ix.geodesics)):
+    for u, (du, geo, states) in enumerate(zip(ix.dist, ix.geodesics, ix.rainbow)):
         rainbow_geo = [0] * len(du)
         all_shortest = True
-        for k, layer in enumerate(_rainbow_layers(ix, u)[1:], 1):
-            for state, count in layer.items():
-                x = state & low
-                n_rainbow += count
-                if du[x] == k:
-                    rainbow_geo[x] += count
-                else:
-                    all_shortest = False
+        for state, count in states.items():
+            x = state & low
+            n_rainbow += count
+            if du[x] == (state ^ x).bit_count():
+                rainbow_geo[x] += count
+            else:
+                all_shortest = False
         if not all_shortest:
             bad_sources.append(u)
         for v in range(u + 1, len(du)):
@@ -585,19 +597,15 @@ def verify_rainbow_extension(g: ColoredGraph) -> ExtensionReport:
     from v_{k+2} back to v_0 using exactly {c_1, ..., c_k} must exist.
 
     The walks v_1 ... v_{k+1} are counted per (end vertex, color set)
-    state of the rainbow walks from v_1.  The reach test is a lookup in
-    the states of the rainbow walks from v_0, keyed on (v_{k+2}, color
+    state of the rainbow walks from v_1, as kept in the graph's walk
+    index, which the exchange check shares.  The reach test is a lookup
+    in the states of the rainbow walks from v_0, keyed on (v_{k+2}, color
     set).  Violations are listed, in the depth-first order of the
-    walk-by-walk search, only from the v_0 the counts show failing.
+    walk-by-walk search, only from the v_0 the counts show failing.  The
+    report is built anew on every call.
     """
     ix = g._walk_index
-    low, adj = ix.low, ix.adj
-    reached = []
-    for u in range(len(adj)):
-        states = {}
-        for layer in _rainbow_layers(ix, u)[1:]:
-            states.update(layer)
-        reached.append(states)
+    low, adj, reached = ix.low, ix.adj, ix.rainbow
     by_color = []
     for nbrs in adj:
         ends = {}

@@ -266,6 +266,30 @@ def test_degree_overflow_is_reported_on_stderr(capsys):
     assert "Traceback" not in err
 
 
+def _fault(*args, **kwargs):
+    raise ZeroDivisionError("internal fault")
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    ("ortk.numerics", "parse_weight", ["typical", "--family", "d21", "--lambda", "1,0,0"]),
+    ("ortk.ecgraph", "make_walk",
+     ["walk", "--family", "gl", "--m", "2", "--n", "2", "--lambda", "0,0,0,0", "--path", "∅,1"]),
+    ("ortk.rootsys", "RootSystem.root_by_name",
+     ["character", "--family", "gl", "--m", "2", "--n", "1", "--lambda", "0,0,0",
+      "--borel", "e1-d1"]),
+])
+def test_internal_fault_is_not_a_usage_error(module, name, argv, monkeypatch):
+    # only the ValueErrors of bad input exit 2; any other exception raised
+    # while reading --lambda, --path or --borel escapes run_command
+    target = importlib.import_module(module)
+    *owner, attr = name.split(".")
+    for part in owner:
+        target = getattr(target, part)
+    monkeypatch.setattr(target, attr, _fault)
+    with pytest.raises(ZeroDivisionError, match="internal fault"):
+        run_command(argv, print_fn=lambda *a: None)
+
+
 # -- each command imports only the layers it runs -------------------------------
 
 GL21 = ["--family", "gl", "--m", "2", "--n", "1", "--lambda", "0,0,0"]

@@ -9,6 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
+from ortk import ecgraph
 from ortk.ecgraph import (
     ColoredGraph,
     DisconnectedEndpoints,
@@ -28,7 +29,8 @@ from ortk.ecgraph import (
     verify_exchange,
     verify_rainbow_extension,
 )
-from ortk.orgraph import build_or_graph
+from ortk.numerics import parse_weight
+from ortk.orgraph import build_or_graph, build_or_lambda
 from ortk.rootsys import build_root_system
 
 from oracles import inverse_witness, is_rainbow, is_shortest, ref_quotient
@@ -298,6 +300,35 @@ def test_colored_isomorphic_symmetry():
     assert is_color_isomorphism(h, g, inv.vertex_bijection, inv.color_bijection)
 
 
+# the OR graphs of the graph-stretch benchmark and their reference graphs
+ISO_PAIRS = [(("gl", 4, 3), ("young", 4, 3)),
+             (("gl11n", None, 6), ("hypercube", None, 6)),
+             (("ospB", 3, 2), ("young", 3, 2))]
+
+
+@pytest.mark.parametrize("system, ref", ISO_PAIRS)
+def test_colored_isomorphic_on_the_stretch_pairs(system, ref):
+    family, m, n = system
+    g = build_or_graph(build_root_system(family, m=m, n=n)).graph
+    h = build_reference_graph(*ref)
+    for _ in ("cold", "warm"):
+        w = colored_isomorphic(g, h)
+        assert w is not None
+        assert is_color_isomorphism(g, h, w.vertex_bijection, w.color_bijection)
+    # one edge recolored: its color is no longer what the isomorphism needs
+    u, v, c = g.edges[0]
+    other = next(d for d in g.colors if d != c and not g.has_edge(u, v, d))
+    recolored = ColoredGraph(g.vertices, g.colors, ((u, v, other),) + g.edges[1:])
+    assert colored_isomorphic(recolored, h) is None
+    assert colored_isomorphic(h, recolored) is None
+    # the kept color degrees are the counts of the edges at each vertex
+    for graph in (g, h, recolored):
+        assert graph._color_degrees == {
+            x: {d: sum(1 for a, b, e in graph.edges if x in (a, b) and e == d)
+                for d in {e for a, b, e in graph.edges if x in (a, b)}}
+            for x in graph.vertices}
+
+
 def test_verify_exchange_pass_cases():
     for g in [build_reference_graph("young", 2, 2),
               build_reference_graph("young", 3, 2),
@@ -513,12 +544,58 @@ def connected_graphs(draw):
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(g=connected_graphs())
 def test_state_counting_matches_walk_by_walk_reference(g):
-    assert verify_exchange(g) == reference_exchange(g)
-    assert verify_rainbow_extension(g) == reference_extension(g)
+    want_exchange, want_extension = reference_exchange(g), reference_extension(g)
+    # the walk index is kept on the graph: either check may build it for
+    # the other, so both orders run, each on a fresh graph object
+    first = ColoredGraph(g.vertices, g.colors, g.edges)
+    assert verify_exchange(first) == want_exchange
+    assert verify_rainbow_extension(first) == want_extension
+    second = ColoredGraph(g.vertices, g.colors, g.edges)
+    assert verify_rainbow_extension(second) == want_extension
+    assert verify_exchange(second) == want_exchange
     apart = ColoredGraph(g.vertices + ("isolated",), g.colors, g.edges)
     with pytest.raises(DisconnectedEndpoints):
         verify_exchange(apart)
     assert verify_rainbow_extension(apart) == reference_extension(apart)
+
+
+@pytest.mark.parametrize("g", [
+    path_graph("abc", ["x", "x"]),
+    ColoredGraph(("a", "b", "c", "d"), ("1", "2"),
+                 (("a", "b", "1"), ("b", "c", "2"), ("c", "d", "1"))),
+    build_reference_graph("hypercube", n=3),
+], ids=["not-rainbow", "no-extension", "hypercube"])
+def test_rainbow_states_are_built_once_and_reports_are_not_kept(g, monkeypatch):
+    sources = []
+    rainbow_states = ecgraph._rainbow_states
+
+    def counting(low, adj, u):
+        sources.append(u)
+        return rainbow_states(low, adj, u)
+
+    monkeypatch.setattr(ecgraph, "_rainbow_states", counting)
+    g = ColoredGraph(g.vertices, g.colors, g.edges)
+    reports = [verify_exchange(g), verify_rainbow_extension(g),
+               verify_exchange(g), verify_rainbow_extension(g)]
+    # one color-coding pass per source, for the four calls together
+    assert sources == list(range(len(g.vertices)))
+    assert reports[0] == reports[2] == reference_exchange(g)
+    assert reports[1] == reports[3] == reference_extension(g)
+    # each call builds its own report
+    assert reports[0] is not reports[2] and reports[1] is not reports[3]
+
+
+def test_or_lambda_quotients_share_their_walk_index():
+    rs = build_root_system("gl", m=3, n=2)
+    og = build_or_graph(rs)
+    lam = parse_weight("1,0,0,-1,0")
+    first = build_or_lambda(rs, og, lam)
+    reports = verify_exchange(first.graph), verify_rainbow_extension(first.graph)
+    again = build_or_lambda(rs, og, lam)
+    assert again.graph is first.graph
+    assert "_walk_index" in again.graph.__dict__
+    assert again.graph._walk_index is first.graph._walk_index
+    assert (verify_exchange(again.graph), verify_rainbow_extension(again.graph)) == reports
 
 
 @pytest.mark.parametrize("n", range(1, 8))
