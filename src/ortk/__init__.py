@@ -15,7 +15,6 @@ _EXPORTS = {
         "borel_meet_join",
         "brick_decomposition_check",
         "hypercubic_collections",
-        "is_lambda_adjusted",
         "split_criterion",
     ),
     "atypicality": (
@@ -55,7 +54,6 @@ _EXPORTS = {
         "verify_rainbow_extension",
     ),
     "numerics": (
-        "BilinearForm",
         "Scalar",
         "Weight",
         "parse_weight",

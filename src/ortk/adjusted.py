@@ -29,7 +29,6 @@ from .rootsys import (
 __all__ = [
     "HypercubicCollection",
     "SplitVerdict",
-    "is_lambda_adjusted",
     "hypercubic_collections",
     "borel_meet_join",
     "brick_decomposition_check",
@@ -50,24 +49,6 @@ class HypercubicCollection(namedtuple("_HypercubicCollectionFields", "j sigma ro
 class SplitVerdict(Enum):
     INDECOMPOSABLE = "indecomposable"
     DECOMPOSABLE = "decomposable"
-
-
-def is_lambda_adjusted(rs: RootSystem, delta_a, lam: Weight) -> bool:
-    """Closure of Delta_0^+ with delta_a under root sums, plus (lam, beta) = 0
-    whenever both signs of beta sit in delta_a."""
-    delta_a = set(delta_a)
-    stray = delta_a - set(rs.delta1)
-    if stray:
-        raise ValueError(
-            f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
-    pool = [r.vector.r for r in rs.even_positive] + [r.vector.r for r in delta_a]
-    allowed = set(pool)
-    for u, v in itertools.combinations_with_replacement(pool, 2):
-        s = tuple(a + b for a, b in zip(u, v))
-        if rs.root_from_ivec(s) is not None and s not in allowed:
-            return False
-    paired = [r for r in delta_a if rs.negate(r) in delta_a]
-    return rs.orthogonal_roots(lam, paired) == set(paired)
 
 
 def hypercubic_collections(rs: RootSystem, b: Borel, lam: Weight):

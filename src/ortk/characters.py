@@ -35,7 +35,6 @@ __all__ = [
     "NumeratorCharacter",
     "MultiplicityQuery",
     "verma_character",
-    "char_add",
     "kostant_partitions",
     "weight_multiplicity",
     "character_weight_multiplicity",
@@ -63,9 +62,6 @@ class NumeratorCharacter:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.terms == other.terms
-
-    def coefficient(self, w: Weight) -> int:
-        return self.terms.get(w, 0)
 
 
 def _times_factors(terms: dict, factors) -> dict:
@@ -143,13 +139,6 @@ def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
     even subalgebra uses delta_a = empty set.
     """
     return NumeratorCharacter(_as_weights(rs, delta_a, lam))
-
-
-def char_add(c1: NumeratorCharacter, c2: NumeratorCharacter) -> NumeratorCharacter:
-    terms = dict(c1.terms)
-    for w, c in c2.terms.items():
-        terms[w] = terms.get(w, 0) + c
-    return NumeratorCharacter(terms)
 
 
 def _even_root_table(rs: RootSystem):
@@ -309,8 +298,9 @@ def total_dimension(c: NumeratorCharacter, rs: RootSystem):
 
 
 def _height_sorted(rs: RootSystem, weights) -> list:
-    """weights in (rs.sort_height, sort_key) order, compared as integers
-    over their common denominator."""
+    """weights sorted by even-simple height (extended by zero on a fixed
+    complement basis), then coordinate by coordinate as (rational part,
+    a-part), compared as integers over their common denominator."""
     den = lcm(*(w.den for w in weights))
     height_row = rs._inverse_height[2]
 

@@ -327,6 +327,8 @@ def _cmd_hypercubic(args, print_fn) -> int:
 def _cmd_quiver(args, print_fn) -> int:
     from .quiver import build_quiver, path_normal_forms, render_path
 
+    if args.w is not None and args.preset.strip() != "zigzag_window":
+        raise UsageError("--w only applies to --preset zigzag_window")
     try:
         q = build_quiver(args.preset, args.w)
         nf = path_normal_forms(q, args.max_len)

@@ -136,18 +136,6 @@ class Walk(namedtuple("_WalkFields", "graph walk_vertices walk_colors")):
 
     __slots__ = ()
 
-    @property
-    def length(self) -> int:
-        return len(self.walk_colors)
-
-    @property
-    def start(self):
-        return self.walk_vertices[0]
-
-    @property
-    def end(self):
-        return self.walk_vertices[-1]
-
 
 def make_walk(g: ColoredGraph, vertices, colors=None) -> Walk:
     """Build a validated walk; colors are inferred when unambiguous."""
@@ -270,31 +258,6 @@ class IsoWitness(namedtuple("_IsoWitnessFields", "vertex_bijection color_bijecti
         return tuple.__new__(cls, (dict(vertex_bijection), dict(color_bijection)))
 
 
-def is_color_isomorphism(g1: ColoredGraph, g2: ColoredGraph,
-                         vertex_map: dict, color_map: dict) -> bool:
-    """Check that the two maps give an edge-colored isomorphism.
-
-    color_map must cover every color used by g1 edges and hit distinct
-    colors of g2; unused colors are not constrained.
-    """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
-        return False
-    if set(vertex_map.keys()) != set(g1.vertices):
-        return False
-    if set(vertex_map.values()) != set(g2.vertices):
-        return False
-    used1 = set(g1.used_colors())
-    if not used1 <= set(color_map.keys()):
-        return False
-    images = [color_map[c] for c in used1]
-    if len(set(images)) != len(images) or not set(images) <= set(g2.colors):
-        return False
-    for u, v, c in g1.edges:
-        if not g2.has_edge(vertex_map[u], vertex_map[v], color_map[c]):
-            return False
-    return True
-
-
 def _color_signature(g: ColoredGraph, c) -> tuple:
     # edge count and degree sequence of the color-c subgraph, zero-degree
     # vertices dropped; each edge adds 2 to the degree sum
@@ -354,7 +317,8 @@ def _match_order(g: ColoredGraph):
     remaining = set(g.vertices)
     order = []
     while remaining:
-        start = max(remaining, key=lambda v: (g.degree(v), -g.vertices.index(v)))
+        # max keeps the first of equal degrees: the earliest in vertex order
+        start = max((v for v in g.vertices if v in remaining), key=g.degree)
         queue = deque([start])
         remaining.discard(start)
         while queue:

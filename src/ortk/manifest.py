@@ -21,7 +21,6 @@ __all__ = [
     "WALK_SEED",
     "WALKS_PER_PAIR",
     "grid_families",
-    "grid_size",
 ]
 
 
@@ -84,7 +83,3 @@ def grid_families() -> tuple:
         if key not in seen:
             seen.append(key)
     return tuple(seen)
-
-
-def grid_size() -> int:
-    return sum(len(entry.weights) for entry in LAMBDA_GRID)

@@ -1,4 +1,4 @@
-"""Exact scalars, weights and diagonal bilinear forms.
+"""Exact scalars and weights.
 
 Every quantity lives in the degree <= 1 space Q + Q*a, where a is the
 deformation parameter of the exceptional family.  There is no silent
@@ -6,7 +6,8 @@ promotion to a larger ring: a product that would reach degree 2 raises
 DegreeOverflow.  Weights are coordinate vectors over these scalars,
 stored as integers over one common denominator; all root coordinates in
 practice are integers, the a-part exists so that user-supplied weights
-can carry the parameter.
+can carry the parameter.  A root system's diagonal bilinear form is a
+Weight too: entry i is the form's value on the i-th basis vector.
 """
 
 from __future__ import annotations
@@ -25,11 +26,9 @@ __all__ = [
     "render_scalar",
     "parse_scalar",
     "Weight",
-    "weight",
     "zero_weight",
     "render_weight",
     "parse_weight",
-    "BilinearForm",
 ]
 
 
@@ -91,9 +90,6 @@ class Scalar(namedtuple("_ScalarFields", "r s")):
         if alpha is None:
             return self.r == 0 and self.s == 0
         return self.r + self.s * alpha == 0
-
-    def sort_key(self) -> tuple[Fraction, Fraction]:
-        return (self.r, self.s)
 
     def __add__(self, other: "Scalar") -> "Scalar":
         return Scalar(self.r + other.r, self.s + other.s)
@@ -191,7 +187,8 @@ class Weight(namedtuple("_WeightFields", "r s den")):
     A Weight is the immutable tuple (r, s, den): its field reads,
     construction, hash and == run in C, and it equals the plain tuple of
     its fields.  It has no order (<, <=, > and >= raise TypeError), and
-    w * c raises TypeError where a tuple would repeat: use scaled(c).
+    w * c raises TypeError where a tuple would repeat: a multiple of a
+    weight is built from its Scalar coords.
     """
 
     __slots__ = ()
@@ -228,7 +225,7 @@ class Weight(namedtuple("_WeightFields", "r s den")):
 
     def __mul__(self, other):
         # raised, not NotImplemented, which would fall back to tuple repetition
-        raise TypeError("a Weight is multiplied through scaled(c)")
+        raise TypeError("a Weight has no product; scale its Scalar coords")
 
     __rmul__ = __mul__
 
@@ -246,12 +243,6 @@ class Weight(namedtuple("_WeightFields", "r s den")):
             return not any(self.r + self.s)
         return not any(x * alpha.denominator + y * alpha.numerator
                        for x, y in zip(self.r, self.s))
-
-    def is_rational(self) -> bool:
-        return not any(self.s)
-
-    def sort_key(self):
-        return tuple(c.sort_key() for c in self.coords)
 
     def _combine(self, other: "Weight", sign: int) -> "Weight":
         """self + sign * other."""
@@ -271,16 +262,8 @@ class Weight(namedtuple("_WeightFields", "r s den")):
     def __neg__(self) -> "Weight":
         return Weight.of(tuple(-x for x in self.r), tuple(-x for x in self.s), self.den)
 
-    def scaled(self, c) -> "Weight":
-        c = _coerce_coord(c)
-        return Weight(tuple(a * c for a in self.coords))
-
     def __repr__(self):
         return f"Weight({render_weight(self)})"
-
-
-def weight(*coords) -> Weight:
-    return Weight(tuple(coords))
 
 
 def zero_weight(rank: int) -> Weight:
@@ -298,15 +281,3 @@ def parse_weight(text: str, rank: int | None = None) -> Weight:
         raise RankMismatch(f"expected {rank} coordinates, got {w.rank}")
     return w
 
-
-class BilinearForm(namedtuple("_BilinearFormFields", "diagonal")):
-    """Diagonal symmetric form; entry i is the value on the i-th basis vector."""
-
-    __slots__ = ()
-
-    def __new__(cls, diagonal):
-        return tuple.__new__(cls, (tuple(map(_coerce_coord, diagonal)),))
-
-    @property
-    def rank(self) -> int:
-        return len(self.diagonal)

@@ -28,6 +28,7 @@ from .ecgraph import (
     _contract,
     bfs_distances,
     make_walk,
+    partition_label,
     quotient_by_colors,
 )
 from .numerics import RankMismatch, Weight
@@ -73,8 +74,7 @@ class ORGraph:
 
 def _vertex_label(rs: RootSystem, b: Borel, rank: int) -> str:
     if rs.family == "gl":
-        parts = partition_of_borel(rs, b)
-        return "".join(str(p) for p in parts) if parts else "∅"
+        return partition_label(partition_of_borel(rs, b))
     if rs.family == "gl11n":
         n = rs.params[0]
         bits = []
@@ -104,16 +104,17 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
 
     labels = [_vertex_label(rs, b, k) for k, b in enumerate(borels)]
     vertex_of = {k: labels[k] for k in range(len(borels))}
+    ref_odd = ref.odd_set()
     graph_edges = []
     for u, i, v in edges:
         alpha = borels[u].simple[i - 1]
         # the color is the representative of {alpha, -alpha} positive
         # for the reference Borel
-        if alpha in ref.odd_set():
+        if alpha in ref_odd:
             rep = alpha
         else:
             rep = rs.negate(alpha)
-        assert rep in ref.odd_set(), "reflection root missing a reference sign"
+        assert rep in ref_odd, "reflection root missing a reference sign"
         graph_edges.append((vertex_of[u], vertex_of[v], rs.root_name(rep)))
     graph = ColoredGraph(tuple(labels), colors, tuple(graph_edges))
     borel_of_vertex = {labels[k]: b for k, b in enumerate(borels)}

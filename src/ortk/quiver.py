@@ -110,17 +110,12 @@ def build_quiver(preset: str, w: int | None = None) -> Quiver:
     """Construct one of the bundled presets.
 
     preset is one of "preprojective_a2", "chain3", "square4", or
-    "zigzag_window"; the zigzag window size may be given either through
-    the w argument or inline as "zigzag_window(3)".
+    "zigzag_window"; w is the zigzag window size, which only
+    zigzag_window takes.
     """
     name = preset.strip()
-    if name.startswith("zigzag_window(") and name.endswith(")"):
-        inner = name[len("zigzag_window("):-1]
-        try:
-            w = int(inner)
-        except ValueError:
-            raise ValueError("bad window size: %r" % inner)
-        name = "zigzag_window"
+    if w is not None and name != "zigzag_window":
+        raise ValueError("only zigzag_window takes a window size, not %r" % preset)
     if name == "preprojective_a2":
         return Quiver(
             vertices=[1, 2],
@@ -165,7 +160,7 @@ def build_quiver(preset: str, w: int | None = None) -> Quiver:
         )
     if name == "zigzag_window":
         if w is None:
-            raise ValueError("zigzag_window needs a window size, e.g. zigzag_window(3)")
+            raise ValueError("zigzag_window needs a window size w")
         if w < 2:
             raise ValueError("zigzag window size must be at least 2")
         vertices = list(range(-w, w + 1))

@@ -15,14 +15,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
-from .numerics import (
-    BilinearForm,
-    DegreeOverflow,
-    RankMismatch,
-    SingularBasis,
-    Weight,
-    scalar,
-)
+from .numerics import DegreeOverflow, RankMismatch, SingularBasis, Weight
 
 __all__ = [
     "UnsupportedFamily",
@@ -93,7 +86,7 @@ class Root:
         return (Root, (self.vector, self.parity, self.isotropic))
 
     def sort_key(self):
-        # the order of vector.sort_key(), whose a-parts are all zero
+        # roots are integral: their integer vectors order them
         return self.vector.r
 
     def __repr__(self):
@@ -106,7 +99,9 @@ class RootSystem:
     delta0/delta1 hold both signs of every root; even_positive and
     even_simple are fixed once (the even Borel never moves).  alpha_value
     is the optional rational specialization of the D(2,1;a) parameter and
-    routes every zero test made through this object.
+    routes every zero test made through this object.  form is the
+    diagonal of the invariant form as an integer Weight: entry i is the
+    form's value on the i-th basis vector, an a-part where it carries a.
     """
 
     def __init__(
@@ -114,7 +109,7 @@ class RootSystem:
         family: str,
         params: tuple,
         basis_names: tuple[str, ...],
-        form: BilinearForm,
+        form: Weight,
         even_vectors: list[Weight],
         odd_vectors: list[Weight],
         standard_odd_positive: list[Weight],
@@ -128,11 +123,6 @@ class RootSystem:
         self.alpha_value = alpha_value
         self.type_one = type_one
         self.rank = len(basis_names)
-        # the form's diagonal split into its rational part and its a-part
-        diag = Weight(form.diagonal)
-        if diag.den != 1:
-            raise UnsupportedFamily("the form's diagonal is not integral")
-        self._diag_r, self._diag_s = diag.r, diag.s
 
         def mk_root(v: Weight, parity: str) -> Root:
             root = Root(v, parity, False)
@@ -189,8 +179,8 @@ class RootSystem:
     def _weighted_roots(self) -> dict:
         """root -> its form-weighted vector, as (rational part, a-part)."""
         return {
-            r: (tuple(d * x for d, x in zip(self._diag_r, r.vector.r)),
-                tuple(d * x for d, x in zip(self._diag_s, r.vector.r)))
+            r: (tuple(d * x for d, x in zip(self.form.r, r.vector.r)),
+                tuple(d * x for d, x in zip(self.form.s, r.vector.r)))
             for r in self.delta0 + self.delta1
         }
 
@@ -228,8 +218,8 @@ class RootSystem:
     def roots_orthogonal(self, a: Root, b: Root) -> bool:
         """(a, b) = 0; root vectors are integral and carry no a-part."""
         return self._pair_is_zero(
-            sum(x * d * y for x, d, y in zip(a.vector.r, self._diag_r, b.vector.r)),
-            sum(x * d * y for x, d, y in zip(a.vector.r, self._diag_s, b.vector.r)))
+            sum(x * d * y for x, d, y in zip(a.vector.r, self.form.r, b.vector.r)),
+            sum(x * d * y for x, d, y in zip(a.vector.r, self.form.s, b.vector.r)))
 
     def root_from_ivec(self, v: tuple[int, ...]) -> Root | None:
         return self._by_ivec.get(v)
@@ -303,10 +293,6 @@ class RootSystem:
             return None
         return tuple(x // den for x in out)
 
-    def sort_height(self, v: Weight) -> Fraction:
-        """The even-simple height, extended by zero on a fixed complement basis."""
-        _, den, height_row = self._inverse_height
-        return Fraction(sum(map(mul, height_row, v.r)), den * v.den)
 
 
 def basis_inverse(basis_ivecs, rank: int) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -435,7 +421,7 @@ def build_root_system(
     if family == "gl":
         rank = m + n
         names = tuple(f"e{i+1}" for i in range(m)) + tuple(f"d{j+1}" for j in range(n))
-        form = BilinearForm(tuple(scalar(1) for _ in range(m)) + tuple(scalar(-1) for _ in range(n)))
+        form = Weight.of((1,) * m + (-1,) * n)
         ge = _unit_builder(rank)
         evens = [ge(i) - ge(j) for i in range(m) for j in range(m) if i != j]
         evens += [ge(m + i) - ge(m + j) for i in range(n) for j in range(n) if i != j]
@@ -450,7 +436,7 @@ def build_root_system(
     if family == "gl11n":
         rank = 2 * n
         names = tuple(f"e{i+1}" for i in range(n)) + tuple(f"d{j+1}" for j in range(n))
-        form = BilinearForm(tuple(scalar(1) for _ in range(n)) + tuple(scalar(-1) for _ in range(n)))
+        form = Weight.of((1,) * n + (-1,) * n)
         ge = _unit_builder(rank)
         odds = []
         std = []
@@ -464,7 +450,7 @@ def build_root_system(
     if family in ("ospB", "ospD"):
         rank = m + n
         names = tuple(f"e{i+1}" for i in range(m)) + tuple(f"d{j+1}" for j in range(n))
-        form = BilinearForm(tuple(scalar(1) for _ in range(m)) + tuple(scalar(-1) for _ in range(n)))
+        form = Weight.of((1,) * m + (-1,) * n)
         ge = _unit_builder(rank)
         evens = []
         for i in range(m):
@@ -504,7 +490,7 @@ def build_root_system(
 
     # d21alpha, basis order (delta, eps1, eps2)
     names = ("d", "e1", "e2")
-    form = BilinearForm((scalar(-1, -1), scalar(1), scalar(0, 1)))
+    form = Weight.of((-1, 1, 0), (-1, 0, 1))
     ge = _unit_builder(3)
     evens = []
     for i in range(3):

@@ -12,16 +12,25 @@ lookup per subset sum in place of the sums of the head's lattice class,
 a Verma numerator's terms built one Weight at a time in place of its
 columns, and a color-set quotient by BFS components in place of
 union-find.
-The rainbow and shortest walk tests and the inverse of an isomorphism
-witness live here too: only the tests use them.  The package never
-calls any of these.
+The rainbow and shortest walk tests, the check of an isomorphism
+witness and its inverse, the closure test of an adjusted odd set, the
+sum of two characters and the Scalar multiple of a weight live here
+too: only the tests use them.  The package never calls any of these.
 """
 
 from __future__ import annotations
 
+import itertools
+from fractions import Fraction
 from operator import add
 
-from ortk.characters import _height_sorted, _kostant_scaled, _numerator, _times_factors
+from ortk.characters import (
+    NumeratorCharacter,
+    _height_sorted,
+    _kostant_scaled,
+    _numerator,
+    _times_factors,
+)
 from ortk.ecgraph import (
     ColoredGraph,
     DisconnectedEndpoints,
@@ -30,7 +39,6 @@ from ortk.ecgraph import (
     bfs_distances,
 )
 from ortk.numerics import (
-    BilinearForm,
     DegreeOverflow,
     RankMismatch,
     Scalar,
@@ -47,17 +55,25 @@ class NotInSpan(ValueError):
     """The vector is not a combination of the given basis."""
 
 
-def inner_product(v: Weight, w: Weight, form: BilinearForm) -> Scalar:
-    """(v, w) in Scalar arithmetic; raises DegreeOverflow where a product
-    of two a-carrying scalars leaves the degree-1 space."""
+def inner_product(v: Weight, w: Weight, form: Weight) -> Scalar:
+    """(v, w) in Scalar arithmetic under the diagonal form whose entries
+    are the coordinates of the Weight form, such as rs.form; raises
+    DegreeOverflow where a product of two a-carrying scalars leaves the
+    degree-1 space."""
     if v.rank != w.rank or v.rank != form.rank:
         raise RankMismatch(
             f"ranks {v.rank}, {w.rank} against form of rank {form.rank}"
         )
     total = scalar(0)
-    for a, b, d in zip(v.coords, w.coords, form.diagonal):
+    for a, b, d in zip(v.coords, w.coords, form.coords):
         total = total + a * b * d
     return total
+
+
+def scaled(v: Weight, c) -> Weight:
+    """c * v for an int, Fraction or Scalar c, coordinate by coordinate in
+    Scalar arithmetic; raises DegreeOverflow where a product does."""
+    return Weight(tuple(x * c for x in v.coords))
 
 
 def ref_orthogonal(rs, v: Weight, root) -> bool:
@@ -77,7 +93,7 @@ def expand_in_basis(v: Weight, basis: list[Weight]) -> list[Scalar]:
     for b in basis:
         if b.rank != rank:
             raise RankMismatch(f"basis vector rank {b.rank}, expected {rank}")
-        if not b.is_rational():
+        if any(b.s):
             raise DegreeOverflow("basis vectors must have rational coordinates")
     ncols = len(basis)
     # augmented columns: rational part of v, then a-part of v
@@ -108,6 +124,34 @@ def expand_in_basis(v: Weight, basis: list[Weight]) -> list[Scalar]:
         Scalar(rows[pivot_of_col[j]][ncols], rows[pivot_of_col[j]][ncols + 1])
         for j in range(ncols)
     ]
+
+
+def _units(rank: int) -> list[Weight]:
+    return [Weight.of(tuple(int(j == i) for j in range(rank))) for i in range(rank)]
+
+
+def greedy_extension(rs) -> list[Weight]:
+    """even_simple completed to a basis by unit vectors, each appended
+    when elimination finds it outside the span of the vectors so far."""
+    ext = [r.vector for r in rs.even_simple]
+    for unit in _units(rs.rank):
+        try:
+            expand_in_basis(unit, ext)
+        except NotInSpan:
+            ext.append(unit)
+    return ext
+
+
+def ref_sort_height(rs):
+    """The function v -> the even-simple height of v's rational part,
+    extended by zero on greedy_extension's unit vectors: the height the
+    character listings sort by.  The height of each unit vector is
+    solved by elimination once; a weight's height is their sum weighted
+    by its coordinates."""
+    ext, n = greedy_extension(rs), len(rs.even_simple)
+    row = [sum((c.r for c in expand_in_basis(unit, ext)[:n]), Fraction(0))
+           for unit in _units(rs.rank)]
+    return lambda v: sum((h * c.r for h, c in zip(row, v.coords)), Fraction(0))
 
 
 def ref_atypical_colors(rs, og, lam: Weight) -> frozenset:
@@ -196,6 +240,32 @@ def ref_kac_flag_constituents(rs, b, lam: Weight) -> list:
                                for _ in range(c)])
 
 
+def is_lambda_adjusted(rs, delta_a, lam: Weight) -> bool:
+    """Closure of Delta_0^+ with delta_a under root sums, plus (lam, beta) = 0
+    whenever both signs of beta sit in delta_a."""
+    delta_a = set(delta_a)
+    stray = delta_a - set(rs.delta1)
+    if stray:
+        raise ValueError(
+            f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
+    pool = [r.vector.r for r in rs.even_positive] + [r.vector.r for r in delta_a]
+    allowed = set(pool)
+    for u, v in itertools.combinations_with_replacement(pool, 2):
+        s = tuple(a + b for a, b in zip(u, v))
+        if rs.root_from_ivec(s) is not None and s not in allowed:
+            return False
+    paired = [r for r in delta_a if rs.negate(r) in delta_a]
+    return rs.orthogonal_roots(lam, paired) == set(paired)
+
+
+def char_add(c1: NumeratorCharacter, c2: NumeratorCharacter) -> NumeratorCharacter:
+    """The sum of two characters; cancelled terms drop out."""
+    terms = dict(c1.terms)
+    for w, c in c2.terms.items():
+        terms[w] = terms.get(w, 0) + c
+    return NumeratorCharacter(terms)
+
+
 def is_rainbow(w) -> bool:
     """No color repeats along the walk."""
     return len(set(w.walk_colors)) == len(w.walk_colors)
@@ -205,10 +275,36 @@ def is_shortest(g, w) -> bool:
     """The walk is as long as the BFS distance between its ends."""
     if w.graph is not g and w.graph != g:
         raise InvalidWalk("walk belongs to a different graph")
-    dist = bfs_distances(g, w.start)
-    if w.end not in dist:
-        raise DisconnectedEndpoints(f"{w.start!r} and {w.end!r} are disconnected")
-    return w.length == dist[w.end]
+    start, end = w.walk_vertices[0], w.walk_vertices[-1]
+    dist = bfs_distances(g, start)
+    if end not in dist:
+        raise DisconnectedEndpoints(f"{start!r} and {end!r} are disconnected")
+    return len(w.walk_colors) == dist[end]
+
+
+def is_color_isomorphism(g1: ColoredGraph, g2: ColoredGraph,
+                         vertex_map: dict, color_map: dict) -> bool:
+    """Check that the two maps give an edge-colored isomorphism.
+
+    color_map must cover every color used by g1 edges and hit distinct
+    colors of g2; unused colors are not constrained.
+    """
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return False
+    if set(vertex_map.keys()) != set(g1.vertices):
+        return False
+    if set(vertex_map.values()) != set(g2.vertices):
+        return False
+    used1 = set(g1.used_colors())
+    if not used1 <= set(color_map.keys()):
+        return False
+    images = [color_map[c] for c in used1]
+    if len(set(images)) != len(images) or not set(images) <= set(g2.colors):
+        return False
+    for u, v, c in g1.edges:
+        if not g2.has_edge(vertex_map[u], vertex_map[v], color_map[c]):
+            return False
+    return True
 
 
 def inverse_witness(w: IsoWitness) -> IsoWitness:

@@ -248,6 +248,14 @@ def test_bad_mu_names_the_mu_flag(capsys):
         "error: bad --mu '0,0': expected 3 coordinates, got 2\n")
 
 
+@pytest.mark.parametrize("preset", ["zigzag_window(2)", "chain3"])
+def test_window_flag_applies_to_zigzag_window_only(preset, capsys):
+    # the window size has one spelling, --w, and no other preset takes it
+    code, out = cap(["quiver", "--preset", preset, "--w", "3"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --w only applies to --preset zigzag_window\n"
+
+
 @pytest.mark.parametrize("coord", ["1/0", "1/0a", "1+1/0a", "1/0+a"])
 def test_zero_denominator_is_a_bad_lambda(coord, capsys):
     # the a-carrying forms are parse errors too, not a ZeroDivisionError text
@@ -381,6 +389,7 @@ GOLDEN_QUERIES = {
     "quotient_gl22": [
         "quotient", "--family", "gl", "--m", "2", "--n", "2",
         "--lambda", "1/2,0,0,-1/2"],
+    "quiver_zigzag_w3": ["quiver", "--preset", "zigzag_window", "--w", "3"],
 }
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from ortk import ecgraph
+from ortk import ecgraph, manifest
 from ortk.ecgraph import (
     ColoredGraph,
     DisconnectedEndpoints,
@@ -23,7 +23,6 @@ from ortk.ecgraph import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    is_color_isomorphism,
     make_walk,
     quotient_by_colors,
     verify_exchange,
@@ -33,7 +32,7 @@ from ortk.numerics import parse_weight
 from ortk.orgraph import build_or_graph, build_or_lambda
 from ortk.rootsys import build_root_system
 
-from oracles import inverse_witness, is_rainbow, is_shortest, ref_quotient
+from oracles import inverse_witness, is_color_isomorphism, is_rainbow, is_shortest, ref_quotient
 
 
 def path_graph(labels, colors):
@@ -327,6 +326,45 @@ def test_colored_isomorphic_on_the_stretch_pairs(system, ref):
             x: {d: sum(1 for a, b, e in graph.edges if x in (a, b) and e == d)
                 for d in {e for a, b, e in graph.edges if x in (a, b)}}
             for x in graph.vertices}
+
+
+def quadratic_match_order(g):
+    """The isomorphism search's vertex order as first written: each
+    component starts at a vertex of the largest degree, ties broken by a
+    linear index lookup per vertex, and is walked breadth first."""
+    remaining = set(g.vertices)
+    order = []
+    while remaining:
+        start = max(remaining, key=lambda v: (g.degree(v), -g.vertices.index(v)))
+        remaining.discard(start)
+        queue = [start]
+        for x in queue:
+            order.append(x)
+            for y, _ in g.neighbors(x):
+                if y in remaining:
+                    remaining.discard(y)
+                    queue.append(y)
+    return order
+
+
+MATCH_ORDER_PAIRS = [((c.family, c.m, c.n), (c.reference, c.m, c.n))
+                     for c in manifest.ISO_SUITE] + ISO_PAIRS
+
+
+@pytest.mark.parametrize("system, ref", MATCH_ORDER_PAIRS,
+                         ids=["-".join(map(str, system)) for system, _ in MATCH_ORDER_PAIRS])
+def test_match_order_matches_the_quadratic_order(system, ref):
+    family, m, n = system
+    for g in (build_or_graph(build_root_system(family, m=m, n=n)).graph,
+              build_reference_graph(*ref)):
+        assert ecgraph._match_order(g) == quadratic_match_order(g)
+
+
+def test_match_order_starts_each_component_at_its_first_max_degree_vertex():
+    # two components; degrees tie inside {a, b} and {x, y, z} starts at y
+    g = ColoredGraph(("a", "b", "x", "y", "z"), ("c",),
+                     (("a", "b", "c"), ("x", "y", "c"), ("y", "z", "c")))
+    assert ecgraph._match_order(g) == quadratic_match_order(g) == ["y", "x", "z", "a", "b"]
 
 
 def test_verify_exchange_pass_cases():

@@ -1,8 +1,10 @@
 """The lazy package namespace: every exported name and submodule resolves
 to the object its defining module holds."""
 
+import functools
 import importlib
 import inspect
+import pathlib
 import sys
 
 import pytest
@@ -11,7 +13,7 @@ import ortk
 
 # the names that `import ortk` exported when it imported every layer eagerly
 EXPORTED = {
-    "BasisNotStabilized", "BilinearForm", "Borel", "ColoredGraph",
+    "BasisNotStabilized", "Borel", "ColoredGraph",
     "DisconnectedEndpoints", "Emptiness", "ExchangeReport", "ExtensionReport",
     "HypercubicCollection", "InvalidWalk", "MultiplicityQuery", "NotIsotropicSimple",
     "NumeratorCharacter", "ORGraph", "PathClass", "PreconditionViolated", "Quiver",
@@ -22,7 +24,7 @@ EXPORTED = {
     "build_quiver", "build_reference_graph", "build_root_system", "character_to_json",
     "character_weight_multiplicity", "colored_isomorphic",
     "enumerate_borels", "graph_from_json", "graph_to_dot", "graph_to_json",
-    "hom_dimensions", "hypercubic_collections", "is_lambda_adjusted", "is_typical",
+    "hom_dimensions", "hypercubic_collections", "is_typical",
     "kac_flag_constituents", "kostant_partitions", "make_walk", "odd_reflect",
     "parse_weight", "partition_of_borel", "path_normal_forms", "pure_positive_roots",
     "quotient_by_colors", "rbtriv_check", "render_path",
@@ -69,34 +71,81 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(ortk, "no_such_name")
 
 
-# -- every exported function is reached by the program, or says why not --------
+# -- every function in src/ortk runs in the program, or says why not ----------
 
-# the exported functions that neither `verify all` nor a pinned CLI query
-# enters, each with the reason it stays
+# the functions that neither `verify all` nor a pinned CLI query enters,
+# each with the reason it stays.  Dunders, and functions also bound to a
+# dunder name, are exempt: the Scalar ring operators, the reference
+# arithmetic of tests/oracles.inner_product, among them.
 UNREACHED = {
-    "character_weight_multiplicity": "acceptance criteria 4 and 5 state their tables with it",
-    "kostant_partitions": "the term count character_weight_multiplicity sums",
-    "graph_from_json": "bench-only: bench/workloads.py reads the JSON graphs it checks",
-    "is_lambda_adjusted": "test reference: the meet and join of every grid collection",
-    "semibrick_index_sets": "a real algorithm with an exhaustive reference, out of the "
-                            "suite until the paper ties it to characters",
+    "numerics.Scalar.is_zero": "reference arithmetic: tests/oracles.inner_product's zero test",
+    "numerics.Weight.coords": "I/O boundary: the tests and bench/oracle.py read a weight "
+                              "as Scalars",
+    "numerics.Weight.is_zero": "reference arithmetic: the oracles' and the benchmark's "
+                               "zero test of a weight",
+    "numerics.render_scalar": "reference arithmetic: Scalar's repr and DegreeOverflow message",
+    "ecgraph._as_walk": "counterexample lister: runs only when a walk check fails",
+    "ecgraph._rainbow_dfs": "counterexample lister: runs only when a walk check fails",
+    "ecgraph._geodesic_dfs": "counterexample lister: runs only when a walk check fails",
+    "verify._walk_payload": "counterexample lister: reports a failing walk check's walks",
+    "characters.character_weight_multiplicity": "acceptance criteria 4 and 5 state their "
+                                                "tables with it",
+    "characters.kostant_partitions": "the term count character_weight_multiplicity sums",
+    "characters._kostant_scaled": "kostant_partitions' lookup, also tests/oracles.py's",
+    "orgraph.semibrick_index_sets": "a real algorithm with an exhaustive reference, out of "
+                                    "the suite until the paper ties it to characters",
+    "ecgraph.graph_from_json": "bench-only: bench/workloads.py reads the JSON graphs it checks",
+    "ecgraph._decode_color": "graph_from_json's color reader",
+    "cli.main": "the console entry point; the guard calls run_command, which main wraps",
 }
 
 
-def test_every_exported_function_runs_or_is_listed():
-    # record every code object entered while `verify all` and each CLI query
-    # pinned in tests/test_cli.py run, and the dot output of
-    # test_dot_output_shape; an exported function none of them enters is dead
-    # surface unless UNREACHED names it with its reason
+def _defined_functions():
+    """{"module.qualname": code} for every module-level function and every
+    class-level method, static method, class method, property getter and
+    cached_property function whose code is in src/ortk (not namedtuple's
+    generated _make, _replace and _asdict); closures and lambdas are not
+    attributes, and a function bound to a dunder name is exempt."""
+    package = pathlib.Path(ortk.__file__).parent
+    bindings = []  # (short module name, holder qualname, attribute, function)
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module("ortk" if path.stem == "__init__" else f"ortk.{path.stem}")
+        short = module.__name__.removeprefix("ortk.")
+        for attr, obj in vars(module).items():
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__:
+                bindings.append((short, "", attr, obj))
+            elif inspect.isclass(obj) and obj.__module__ == module.__name__:
+                for cattr, cobj in vars(obj).items():
+                    if isinstance(cobj, (staticmethod, classmethod)):
+                        cobj = cobj.__func__
+                    elif isinstance(cobj, property):
+                        cobj = cobj.fget
+                    elif isinstance(cobj, functools.cached_property):
+                        cobj = cobj.func
+                    if inspect.isfunction(cobj):
+                        bindings.append((short, obj.__qualname__ + ".", cattr, cobj))
+    exempt = {f for _, _, attr, f in bindings if attr.startswith("__") and attr.endswith("__")}
+    return {f"{short}.{f.__qualname__}": f.__code__
+            for short, holder, attr, f in bindings
+            if f not in exempt and f.__qualname__ == holder + attr
+            and pathlib.Path(f.__code__.co_filename).parent == package}
+
+
+def test_every_function_runs_or_is_listed(tmp_path):
+    # record every code object entered while `verify all --report` and each
+    # CLI query pinned in tests/test_cli.py run (JSON and text), the queries
+    # that must not import dataclasses, and the dot output of
+    # test_dot_output_shape; a function in src/ortk none of them enters is
+    # dead code unless UNREACHED names it with its reason
     from test_cli import GOLDEN_QUERIES, NO_DATACLASSES
 
     from ortk.cli import run_command
 
-    queries = [argv + ["--out", "json"] for argv in GOLDEN_QUERIES.values()]
+    queries = [["verify", "all", "--report", str(tmp_path / "report.json")]]
+    queries += [argv + out for argv in GOLDEN_QUERIES.values() for out in (["--out", "json"], [])]
     queries += list(NO_DATACLASSES.values())
     queries.append(["or-graph", "--family", "gl11n", "--n", "2", "--out", "dot"])
-    functions = {name: getattr(ortk, name) for name in ortk.__all__}
-    functions = {name: f.__code__ for name, f in functions.items() if inspect.isfunction(f)}
+    functions = _defined_functions()
     entered = set()
 
     def record(frame, event, arg):
@@ -106,9 +155,12 @@ def test_every_exported_function_runs_or_is_listed():
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        assert ortk.run_suite("all").passed
         codes = [run_command(argv, print_fn=lambda *a: None) for argv in queries]
     finally:
         sys.setprofile(previous)
     assert codes == [0] * len(queries)
-    assert {name for name, code in functions.items() if code not in entered} == set(UNREACHED)
+    unreached = {name for name, code in functions.items() if code not in entered}
+    dead = sorted(unreached - set(UNREACHED))
+    assert not dead, f"never entered and not in UNREACHED: {dead}"
+    listed = sorted(set(UNREACHED) - unreached)
+    assert not listed, f"in UNREACHED but entered: {listed}"

@@ -70,7 +70,7 @@ def weights(draw, rs):
             num = inner_product(lam, beta.vector, rs.form)
         except DegreeOverflow:
             return lam
-        diag = rs.form.diagonal
+        diag = rs.form.coords
         if rs.alpha_value is not None:
             num = Scalar(num.r + num.s * rs.alpha_value, 0)
             diag = [Scalar(d.r + d.s * rs.alpha_value, 0) for d in diag]

@@ -137,7 +137,7 @@ def test_preset_shapes():
     assert len(q.zero_relations) == 6
     assert len(q.commutation_relations) == 3
 
-    q = build_quiver("zigzag_window(3)")
+    q = build_quiver("zigzag_window", w=3)
     assert len(q.vertices) == 7
     assert len(q.arrows) == 12
     assert len(q.zero_relations) == 10
@@ -151,6 +151,13 @@ def test_build_quiver_rejects_bad_presets():
         build_quiver("zigzag_window")
     with pytest.raises(ValueError):
         build_quiver("zigzag_window(x)")
+    # the window size is given through w only, and only zigzag_window takes one
+    with pytest.raises(ValueError, match="unknown preset"):
+        build_quiver("zigzag_window(3)")
+    with pytest.raises(ValueError, match="window size"):
+        build_quiver("zigzag_window(2)", w=3)
+    with pytest.raises(ValueError, match="window size"):
+        build_quiver("chain3", w=3)
     with pytest.raises(ValueError):
         build_quiver("pentagon")
 
@@ -223,7 +230,7 @@ def test_square4_dimensions():
 
 
 def test_zigzag_interior_dimensions():
-    q = build_quiver("zigzag_window(3)")
+    q = build_quiver("zigzag_window", w=3)
     dims = hom_dimensions(q)
     idx = {v: k for k, v in enumerate(q.vertices)}
     for i in (-1, 0, 1):
@@ -259,8 +266,9 @@ def test_window_stability():
 
 
 def test_dimension_symmetry():
-    for preset in ("preprojective_a2", "chain3", "square4", "zigzag_window(2)", "zigzag_window(3)"):
-        dims = hom_dimensions(build_quiver(preset))
+    for preset, w in (("preprojective_a2", None), ("chain3", None), ("square4", None),
+                      ("zigzag_window", 2), ("zigzag_window", 3)):
+        dims = hom_dimensions(build_quiver(preset, w))
         n = len(dims)
         for i in range(n):
             for j in range(n):
@@ -268,8 +276,9 @@ def test_dimension_symmetry():
 
 
 def test_rewriting_soundness():
-    for preset in ("preprojective_a2", "chain3", "square4", "zigzag_window(3)"):
-        q = build_quiver(preset)
+    for preset, w in (("preprojective_a2", None), ("chain3", None), ("square4", None),
+                      ("zigzag_window", 3)):
+        q = build_quiver(preset, w)
         for z in q.zero_relations:
             assert word_normal_form(q, z) == {}
         for lhs, rhs in q.commutation_relations:
@@ -282,8 +291,9 @@ def test_rewriting_soundness():
 
 
 def test_basis_words_are_fixed_points():
-    for preset in ("preprojective_a2", "chain3", "square4", "zigzag_window(2)"):
-        q = build_quiver(preset)
+    for preset, w in (("preprojective_a2", None), ("chain3", None), ("square4", None),
+                      ("zigzag_window", 2)):
+        q = build_quiver(preset, w)
         nf = path_normal_forms(q, 3)
         for classes in nf.values():
             for pc in classes:
@@ -322,14 +332,14 @@ def test_render_path():
 
 def test_oracle_agreement():
     cases = [
-        ("preprojective_a2", 2),
-        ("chain3", 3),
-        ("square4", 3),
-        ("zigzag_window(2)", 3),
-        ("zigzag_window(3)", 3),
+        ("preprojective_a2", None, 2),
+        ("chain3", None, 3),
+        ("square4", None, 3),
+        ("zigzag_window", 2, 3),
+        ("zigzag_window", 3, 3),
     ]
-    for preset, max_len in cases:
-        q = build_quiver(preset)
+    for preset, w, max_len in cases:
+        q = build_quiver(preset, w)
         nf = path_normal_forms(q, max_len)
         for s in q.vertices:
             for t in q.vertices:
