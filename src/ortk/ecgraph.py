@@ -36,8 +36,8 @@ class ColoredGraph:
     Tables that depend only on the graph are built on first use and kept
     for its lifetime: _walk_index (integer adjacency, BFS rows and the
     rainbow-walk states of every source, read by the exchange and
-    extension checks), _color_degrees (read by the isomorphism search)
-    and _quotients.  The checks' reports are never kept.
+    extension checks), _color_degrees and _match_order (read by the
+    isomorphism search) and _quotients.  The checks' reports are never kept.
     """
 
     # no __slots__: the cached properties live in __dict__
@@ -109,6 +109,26 @@ class ColoredGraph:
             for _, c in nbrs:
                 d[c] = d.get(c, 0) + 1
         return table
+
+    @cached_property
+    def _match_order(self) -> tuple:
+        """The isomorphism search's vertex order: BFS from a max-degree
+        vertex, new components appended as encountered."""
+        remaining = set(self.vertices)
+        order = []
+        while remaining:
+            # max keeps the first of equal degrees: the earliest in vertex order
+            start = max((v for v in self.vertices if v in remaining), key=self.degree)
+            queue = deque([start])
+            remaining.discard(start)
+            while queue:
+                x = queue.popleft()
+                order.append(x)
+                for y, _ in self._adj[x]:
+                    if y in remaining:
+                        remaining.discard(y)
+                        queue.append(y)
+        return tuple(order)
 
     def neighbors(self, v):
         return self._adj[v]
@@ -297,7 +317,7 @@ def colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
             sorted(_vertex_signature(g2, v) for v in g2.vertices):
         return None
 
-    order = _match_order(g1)
+    order = g1._match_order
     sigs = sorted(groups1)
     for images in itertools.product(
             *(itertools.permutations(groups2[s]) for s in sigs)):
@@ -309,26 +329,6 @@ def colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
         if phi is not None:
             return IsoWitness(phi, psi)
     return None
-
-
-def _match_order(g: ColoredGraph):
-    """BFS vertex order starting from a max-degree vertex, new components
-    appended as encountered."""
-    remaining = set(g.vertices)
-    order = []
-    while remaining:
-        # max keeps the first of equal degrees: the earliest in vertex order
-        start = max((v for v in g.vertices if v in remaining), key=g.degree)
-        queue = deque([start])
-        remaining.discard(start)
-        while queue:
-            x = queue.popleft()
-            order.append(x)
-            for y, _ in g.neighbors(x):
-                if y in remaining:
-                    remaining.discard(y)
-                    queue.append(y)
-    return order
 
 
 def _match_vertices(g1, g2, psi, order):

@@ -6,6 +6,12 @@ is identified with its set of positive odd roots.  Odd reflections at
 isotropic simple roots walk between Borels, and the ordered simple
 system is inherited along each reflection (the inherited order is
 asserted to be path-independent during enumeration).
+
+Enumeration runs on integers: a root is its index into delta1 + delta0,
+a Borel the bit mask of its odd positive roots, a simple system a tuple
+of indices, and a reflection a bit flip plus one table lookup per
+simple root.  Each Borel object is built once, when the search ends;
+odd_reflect wraps the same index step.
 """
 
 from __future__ import annotations
@@ -13,9 +19,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
-from .numerics import DegreeOverflow, RankMismatch, SingularBasis, Weight
+from .numerics import DegreeOverflow, RankMismatch, SingularBasis, Weight, _ratio
 
 __all__ = [
     "UnsupportedFamily",
@@ -166,6 +172,24 @@ class RootSystem:
         # states grow with the queried coordinates.
         self._kostant_memo: dict = {}
         self._borel_cache: tuple | None = None
+        # isotropic odd root index a -> _ReflectionRow(self, a), made on the
+        # first reflection at a
+        self._reflection_rows: dict = {}
+
+    # -- the root index layer of Borel enumeration ---------------------------------
+    #
+    # Enumeration names a root by its index into delta1 + delta0, so an odd
+    # root's index is its place in delta1, in canonical order, and its bit
+    # in a Borel's mask of odd positive roots.  A simple system is a tuple
+    # of indices.
+
+    @cached_property
+    def _root_index(self) -> tuple[tuple[Root, ...], dict, frozenset[int]]:
+        """(roots, index, iso): delta1 + delta0, root -> its index, and the
+        indices of the isotropic odd roots."""
+        roots = self.delta1 + self.delta0
+        iso = frozenset(k for k, r in enumerate(self.delta1) if r.isotropic)
+        return roots, {r: k for k, r in enumerate(roots)}, iso
 
     # -- the integer pairing kernel ----------------------------------------------
     #
@@ -239,9 +263,8 @@ class RootSystem:
         out = ""
         for name, x in zip(self.basis_names, v.r):
             if x:
-                mag = abs(Fraction(x, v.den))
                 sign = "-" if x < 0 else "+" if out else ""
-                out += sign + ("" if mag == 1 else str(mag)) + name
+                out += sign + ("" if abs(x) == v.den else _ratio(abs(x), v.den)) + name
         return out or "0"
 
     def root_by_name(self, name: str) -> Root:
@@ -520,6 +543,49 @@ def standard_borel(rs: RootSystem) -> Borel:
     return Borel(odd, _indecomposables(rs.even_positive + odd))
 
 
+class _ReflectionRow(dict):
+    """Where the odd reflection at the isotropic root index a sends each
+    root index b: a to the index of -a, b to that of a+b where that is a
+    root, else to b.  An entry is looked up on its first read and kept, so
+    only the pairs that meet in a simple system are ever summed."""
+
+    __slots__ = ("rs", "a")
+
+    def __init__(self, rs: RootSystem, a: int):
+        super().__init__()
+        self.rs = rs
+        self.a = a
+        roots, index, _ = rs._root_index
+        self[a] = index[rs.negate(roots[a])]
+
+    def __missing__(self, b: int) -> int:
+        roots, index, _ = self.rs._root_index
+        summed = self.rs.root_from_ivec(
+            tuple(map(add, roots[self.a].vector.r, roots[b].vector.r)))
+        image = self[b] = b if summed is None else index[summed]
+        return image
+
+
+def _reflect(rs: RootSystem, mask: int, simple: tuple[int, ...], k: int):
+    """The odd reflection of a Borel at its simple root k (0-based), on root
+    indices: (mask, simple) -> the reflected mask and simple system.
+
+    The bits of alpha and -alpha flip; the simple system is inherited
+    through alpha's _ReflectionRow."""
+    a = simple[k]
+    row = rs._reflection_rows.get(a)
+    if row is None:
+        row = rs._reflection_rows[a] = _ReflectionRow(rs, a)
+    return mask ^ (1 << a) ^ (1 << row[a]), tuple(map(row.__getitem__, simple))
+
+
+def _borel_of(roots: tuple[Root, ...], mask: int, simple: tuple[int, ...]) -> Borel:
+    """The Borel whose odd positive roots are the set bits of mask, in
+    index order, which is canonical order."""
+    odd = tuple(roots[k] for k in range(mask.bit_length()) if mask >> k & 1)
+    return Borel(odd, tuple(roots[k] for k in simple))
+
+
 def odd_reflect(rs: RootSystem, b: Borel, i: int) -> Borel:
     """Reflect b at its i-th simple root (1-based).
 
@@ -536,17 +602,9 @@ def odd_reflect(rs: RootSystem, b: Borel, i: int) -> Borel:
         raise NotIsotropicSimple(
             f"simple root {rs.root_name(alpha)} at index {i} is not odd isotropic"
         )
-    new_simple = []
-    for beta in b.simple:
-        if beta == alpha:
-            new_simple.append(rs.negate(alpha))
-            continue
-        summed = rs.root_from_ivec(tuple(a + c for a, c in zip(alpha.vector.r, beta.vector.r)))
-        new_simple.append(beta if summed is None else summed)
-    new_odd = set(b.odd_positive)
-    new_odd.discard(alpha)
-    new_odd.add(rs.negate(alpha))
-    return Borel(_canonical_odd(new_odd), tuple(new_simple))
+    roots, index, _ = rs._root_index
+    mask = sum(1 << index[r] for r in b.odd_positive)
+    return _borel_of(roots, *_reflect(rs, mask, tuple(index[r] for r in b.simple), i - 1))
 
 
 def enumerate_borels(rs: RootSystem) -> tuple[list[Borel], list[tuple[int, int, int]]]:
@@ -559,35 +617,50 @@ def enumerate_borels(rs: RootSystem) -> tuple[list[Borel], list[tuple[int, int, 
     simple system is inherited along odd_reflect from the standard
     Borel's, and a test oracle checks it; re-reaching a Borel along a
     second path asserts that the inherited order is path-independent.
+
+    The search runs on root indices: a Borel is the bit mask of its odd
+    positive roots, keyed once in a dict, and its simple system a tuple
+    of indices; each Borel is built once, at the end.
     """
     if rs._borel_cache is not None:
         return rs._borel_cache
     start = standard_borel(rs)
-    borels = [start]
-    rank_of = {start: 0}
+    roots, index, iso = rs._root_index
+    masks = [sum(1 << index[r] for r in start.odd_positive)]
+    simples = [tuple(index[r] for r in start.simple)]
+    rank_of = {masks[0]: 0}
     edges: list[tuple[int, int, int]] = []
-    frontier = [start]
+    frontier = masks[:]
     while frontier:
-        discovered: dict[Borel, Borel] = {}
-        pending: list[tuple[int, int, Borel]] = []
-        for b in frontier:
-            u = rank_of[b]
-            for i in b.isotropic_simple_indices():
-                nb = odd_reflect(rs, b, i)
-                known = borels[rank_of[nb]] if nb in rank_of else discovered.setdefault(nb, nb)
-                if known.simple != nb.simple:
+        discovered: dict[int, tuple[int, ...]] = {}
+        pending: list[tuple[int, int, int]] = []
+        for mask in frontier:
+            u = rank_of[mask]
+            simple = simples[u]
+            for k, a in enumerate(simple):
+                if a not in iso:
+                    continue
+                nmask, nsimple = _reflect(rs, mask, simple, k)
+                v = rank_of.get(nmask)
+                known = discovered.setdefault(nmask, nsimple) if v is None else simples[v]
+                if known != nsimple:
                     raise AssertionError("simple order depends on the path taken")
-                pending.append((u, i, nb))
-        layer = sorted(
-            discovered,
-            key=lambda x: tuple(r.sort_key() for r in x.odd_positive),
-        )
-        for nb in layer:
-            rank_of[nb] = len(borels)
-            borels.append(nb)
+                pending.append((u, k + 1, nmask))
+        # the masks sort as the canonical odd-positive sets do: delta1 is
+        # sorted and closed under negation, so -delta1[k] is delta1[N-1-k]
+        # with N = len(delta1).  A Borel holds one root of each pair
+        # {k, N-1-k}, so two masks differ in whole pairs; the smallest and
+        # the largest differing index form one pair, and the set holding
+        # its lower index is the smaller one in both orders
+        layer = sorted(discovered)
+        for nmask in layer:
+            rank_of[nmask] = len(masks)
+            masks.append(nmask)
+            simples.append(discovered[nmask])
         # each edge is seen from both ends, first from the lower rank
-        edges.extend((u, i, rank_of[nb]) for u, i, nb in pending if u < rank_of[nb])
+        edges.extend((u, i, rank_of[m]) for u, i, m in pending if u < rank_of[m])
         frontier = layer
+    borels = [start] + [_borel_of(roots, m, s) for m, s in zip(masks[1:], simples[1:])]
     rs._borel_cache = (borels, edges)
     return rs._borel_cache
 

@@ -92,6 +92,8 @@ UNREACHED = {
                                                 "tables with it",
     "characters.kostant_partitions": "the term count character_weight_multiplicity sums",
     "characters._kostant_scaled": "kostant_partitions' lookup, also tests/oracles.py's",
+    "rootsys.odd_reflect": "one reflection for a caller holding a Borel: "
+                           "semibrick_index_sets and the tests",
     "orgraph.semibrick_index_sets": "a real algorithm with an exhaustive reference, out of "
                                     "the suite until the paper ties it to characters",
     "ecgraph.graph_from_json": "bench-only: bench/workloads.py reads the JSON graphs it checks",

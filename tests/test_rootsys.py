@@ -1,6 +1,8 @@
 """Root systems, Borel enumeration, odd reflections."""
 
+import hashlib
 import itertools
+import json
 import random
 
 from fractions import Fraction
@@ -8,12 +10,14 @@ from fractions import Fraction
 import pytest
 
 from ortk import manifest
+from ortk.ecgraph import graph_to_json
 from ortk.numerics import Weight, zero_weight
 from ortk.orgraph import build_or_graph
 from ortk.rootsys import (
     Borel,
     NotIsotropicSimple,
     UnsupportedFamily,
+    _ReflectionRow,
     build_root_system,
     enumerate_borels,
     odd_reflect,
@@ -59,6 +63,9 @@ def test_root_negation_closure():
             assert neg.parity == r.parity
             assert neg.vector == -r.vector
             assert rs.negate(neg) == r
+        # negation reverses the sorted delta1, which enumerate_borels'
+        # integer sort of each layer relies on
+        assert [rs.negate(r) for r in rs.delta1] == list(reversed(rs.delta1))
 
 
 def test_standard_simples():
@@ -154,6 +161,11 @@ def test_enumerate_borels_counts():
         ("ospD", dict(m=1, n=1), 3, 2),
         ("ospD", dict(m=1, n=2), 5, 4),
         ("d21alpha", dict(), 4, 3),
+        # the graph-stretch benchmark families
+        ("gl", dict(m=4, n=3), 35, 60),
+        ("gl11n", dict(n=6), 64, 192),
+        ("ospB", dict(m=3, n=2), 10, 12),
+        ("ospD", dict(m=3, n=2), 14, 18),
     ]
     for family, kw, n_borels, n_edges in cases:
         rs = build_root_system(family, **kw)
@@ -165,6 +177,20 @@ def test_enumerate_borels_counts():
         for u, i, v in edges:
             assert 0 <= u < v < len(borels)
             assert odd_reflect(rs, borels[u], i) == borels[v]
+
+
+def test_a_path_dependent_simple_order_raises():
+    # a wrong entry planted in the reflection table of e2-d1, the first
+    # reflection out of the standard Borel of gl(2|2): the Borel reached
+    # again along another path then carries another simple order.  The
+    # check raises AssertionError itself, so python -O keeps it
+    rs = build_root_system("gl", m=2, n=2)
+    _, index, _ = rs._root_index
+    a = index[rs.root_by_name("e2-d1")]
+    row = rs._reflection_rows[a] = _ReflectionRow(rs, a)
+    row[index[rs.root_by_name("d1-d2")]] = index[rs.root_by_name("e1-e2")]
+    with pytest.raises(AssertionError, match="depends on the path"):
+        enumerate_borels(rs)
 
 
 def test_gl22_borel_partitions():
@@ -223,9 +249,11 @@ SIMPLE_ORACLE_FAMILIES = [
      ("d21alpha", dict(alpha=Fraction(2, 3)))]
 
 
-@pytest.mark.parametrize("family, kw", SIMPLE_ORACLE_FAMILIES,
-                         ids=["-".join([f] + [f"{k}{v}" for k, v in kw.items() if v])
-                              for f, kw in SIMPLE_ORACLE_FAMILIES])
+SIMPLE_ORACLE_IDS = ["-".join([f] + [f"{k}{v}" for k, v in kw.items() if v])
+                     for f, kw in SIMPLE_ORACLE_FAMILIES]
+
+
+@pytest.mark.parametrize("family, kw", SIMPLE_ORACLE_FAMILIES, ids=SIMPLE_ORACLE_IDS)
 def test_inherited_simple_system_matches_brute_force(family, kw):
     rs = build_root_system(family, **kw)
     borels, _ = enumerate_borels(rs)
@@ -233,6 +261,72 @@ def test_inherited_simple_system_matches_brute_force(family, kw):
         expected = ref_simple_roots(rs, b.odd_positive)
         assert set(b.simple) == expected, names(rs, b.simple)
         assert len(b.simple) == len(expected)
+
+
+def enumeration_digest(rs):
+    """sha256 of every Borel's odd positive names in rank order, its simple
+    names in order, and the edge list."""
+    borels, edges = enumerate_borels(rs)
+    lines = [" ".join(names(rs, b.odd_positive)) + " | " + " ".join(names(rs, b.simple))
+             for b in borels]
+    lines += [f"{u} {i} {v}" for u, i, v in edges]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# digests of the enumeration as first pinned; a change to the Borels, their
+# order, a simple order or an edge changes one
+ENUMERATION_DIGESTS = {
+    "gl-m1-n1": "26dde945506f20f9c047978954517b5468e9e72448bd16b373811ce8a5656516",
+    "gl-m2-n1": "3d3bb6af4bd71440b46dbac4446fb1630c80a719e2a75751749a115948903551",
+    "gl-m2-n2": "23c15b56cfb6daefeff3ad7986613968faeb840ae799204cd712ea0909ecda44",
+    "gl-m3-n2": "a38d0b54ed1d4a4ebb94bdf333d8aacfc28e2359d85c0ebed047219028b75476",
+    "gl11n-n1": "26dde945506f20f9c047978954517b5468e9e72448bd16b373811ce8a5656516",
+    "gl11n-n2": "e03a3c434ae4d2e6b468f3dfe6de17cdc89d3630469222b3fe04a5cd96b37049",
+    "gl11n-n3": "bf44e41b35c15598f1f0e288d87f60c46a5639fd6e79ae06e3e3b8c62a7c54a3",
+    "ospB-m1-n1": "ce348bd2280ef19f5f99db5e08fe16b838e388297629b83c763460bd43f42b23",
+    "ospB-m2-n1": "b3b428bdb5382a35aa5c74848b5884937365867eb1cab9c547f40d274e198e58",
+    "ospB-m2-n2": "531b7f3a7e9bf39087f1f216f4e1987c1bec8baf17ff7d895c902aae1094ac7c",
+    "ospD-m1-n2": "fca0e78f2e8168799ecec2f9c9f8f3aebf494ce1d7af16452c909b8b77848441",
+    "ospD-m2-n2": "66047a14d41312dd83e316d5b8961701dd465682295b532227befb975251daae",
+    "d21alpha": "59079613acd9be399062aab16b94234bb664688fe12c7b3bd7ffef49f8ec1c11",
+    "gl-m4-n3": "d33095cb6cab9e057f40209a63f07908889323cf98b5c30a7f6e11693cb43c9b",
+    "gl11n-n6": "ecfebac493aa6fb67df32c8f1119706282889cfa733f0f2d1332b15dcae8789a",
+    "ospB-m3-n2": "6bfac1aa6d0a686855e3b226517a348c04ccc9dd09dd18a1542e3da1bf345268",
+    "ospB-m2-n3": "11fe31ec3fed493750dea738b9363c9f3d88f8e85eec668125e3ca5b8e266f1b",
+    "ospD-m3-n2": "e0fa270d6a2c0b4e9dd834b88ff6da38f2b58da9ecc75b1dc25fa67a0b07e452",
+    "ospD-m2-n3": "261b37d50805e679ecbddd34c55b6692d36dc86fc34c2957825fa9891f81f31b",
+    "d21alpha-alpha2/3": "59079613acd9be399062aab16b94234bb664688fe12c7b3bd7ffef49f8ec1c11",
+}
+
+
+FAMILY_OF_ID = dict(zip(SIMPLE_ORACLE_IDS, SIMPLE_ORACLE_FAMILIES))
+
+
+@pytest.mark.parametrize("family_id", SIMPLE_ORACLE_IDS)
+def test_enumeration_is_pinned(family_id):
+    family, kw = FAMILY_OF_ID[family_id]
+    assert enumeration_digest(build_root_system(family, **kw)) == ENUMERATION_DIGESTS[family_id]
+
+
+def or_graph_digest(rs):
+    """sha256 of the JSON form of OR(g): vertex labels, colors and edges."""
+    text = json.dumps(graph_to_json(build_or_graph(rs).graph), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# the OR graphs of the graph-stretch benchmark families, as first pinned
+OR_GRAPH_DIGESTS = {
+    "gl-m4-n3": "92a420a7b887a6a145607ea72dd5c7864720bb7fe4a4a0e97bf271c10e8779e9",
+    "gl11n-n6": "24955ba0437f0a27f53fe42b85983c99ebb1298e759c617b2e15c33262c05e0f",
+    "ospB-m3-n2": "83782f9cd017db35e5d5ed7d47eba1b9547ac7217265665851872d56d2e8a539",
+    "ospD-m3-n2": "5ea4a180f6c911de697bbd86ec947d7b26daa9865f305a2df1af890255bad373",
+}
+
+
+@pytest.mark.parametrize("family_id", OR_GRAPH_DIGESTS)
+def test_stretch_or_graph_is_pinned(family_id):
+    family, kw = FAMILY_OF_ID[family_id]
+    assert or_graph_digest(build_root_system(family, **kw)) == OR_GRAPH_DIGESTS[family_id]
 
 
 def test_d21_borel_tree():
