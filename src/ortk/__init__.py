@@ -42,7 +42,6 @@ _EXPORTS = {
         "InvalidWalk",
         "Quotient",
         "Walk",
-        "bfs_distances",
         "build_reference_graph",
         "colored_isomorphic",
         "graph_from_json",

@@ -327,8 +327,11 @@ def _cmd_hypercubic(args, print_fn) -> int:
 def _cmd_quiver(args, print_fn) -> int:
     from .quiver import build_quiver, path_normal_forms, render_path
 
-    if args.w is not None and args.preset.strip() != "zigzag_window":
+    zigzag = args.preset.strip() == "zigzag_window"
+    if args.w is not None and not zigzag:
         raise UsageError("--w only applies to --preset zigzag_window")
+    if args.w is None and zigzag:
+        raise UsageError("--preset zigzag_window needs --w")
     try:
         q = build_quiver(args.preset, args.w)
         nf = path_normal_forms(q, args.max_len)

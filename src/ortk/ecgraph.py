@@ -1,8 +1,9 @@
 """Finite edge-colored graphs.
 
-Walks, BFS distances, color-set quotients, edge-colored isomorphism,
-the exchange and rainbow-extension verifiers, and the two reference
-families (Young lattices in a box, hypercubes).
+Walks, the walk index (BFS distances, BFS trees and rainbow walks),
+color-set quotients, edge-colored isomorphism, the exchange and
+rainbow-extension verifiers, and the two reference families (Young
+lattices in a box, hypercubes).
 
 Vertices and colors are opaque hashable IDs.  Edges are unordered pairs
 with a color; loops are forbidden, parallel edges of distinct colors are
@@ -11,7 +12,7 @@ allowed.
 
 import itertools
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from functools import cached_property
 
 from .numerics import _DataclassFields
@@ -33,11 +34,14 @@ class ColoredGraph:
     duplicate triples.  Graphs with equal vertices, colors and edges are
     equal and hash equal.
 
-    Tables that depend only on the graph are built on first use and kept
-    for its lifetime: _walk_index (integer adjacency, BFS rows and the
-    rainbow-walk states of every source, read by the exchange and
-    extension checks), _color_degrees and _match_order (read by the
-    isomorphism search) and _quotients.  The checks' reports are never kept.
+    _vindex maps each vertex to its position in vertices.  Tables that
+    depend only on the graph are built on first use and kept for its
+    lifetime: _walk_index (integer adjacency, the BFS rows of every
+    source and the rainbow-walk states, the one place distances are
+    computed: read by the exchange and extension checks, the semibrick
+    index sets and the walks suite), _color_degrees and _match_order
+    (read by the isomorphism search) and _quotients.  The checks'
+    reports are never kept.
     """
 
     # no __slots__: the cached properties live in __dict__
@@ -73,6 +77,7 @@ class ColoredGraph:
         object.__setattr__(self, "colors", cs)
         object.__setattr__(self, "edges", tuple(normalized))
         object.__setattr__(self, "_adj", {v: tuple(ns) for v, ns in adj.items()})
+        object.__setattr__(self, "_vindex", vindex)
 
     def _frozen(self, name, *value):
         raise AttributeError(f"cannot assign or delete {name!r} of an immutable ColoredGraph")
@@ -119,22 +124,21 @@ class ColoredGraph:
         while remaining:
             # max keeps the first of equal degrees: the earliest in vertex order
             start = max((v for v in self.vertices if v in remaining), key=self.degree)
-            queue = deque([start])
+            queue = [start]
             remaining.discard(start)
-            while queue:
-                x = queue.popleft()
-                order.append(x)
+            for x in queue:
                 for y, _ in self._adj[x]:
                     if y in remaining:
                         remaining.discard(y)
                         queue.append(y)
+            order += queue
         return tuple(order)
 
     def neighbors(self, v):
         return self._adj[v]
 
     def has_edge(self, u, v, c) -> bool:
-        return any(w == v and cc == c for w, cc in self._adj[u])
+        return (v, c) in self._adj[u]
 
     def edge_colors(self, u, v) -> tuple:
         return tuple(c for w, c in self._adj[u] if w == v)
@@ -186,18 +190,6 @@ def make_walk(g: ColoredGraph, vertices, colors=None) -> Walk:
     return Walk(g, vertices, colors)
 
 
-def bfs_distances(g: ColoredGraph, source) -> dict:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        for y, _ in g.neighbors(x):
-            if y not in dist:
-                dist[y] = dist[x] + 1
-                queue.append(y)
-    return dist
-
-
 class Quotient(namedtuple("_QuotientFields", "graph vertex_map loops")):
     """Result of contracting a color set.
 
@@ -228,7 +220,7 @@ def _contract(g: ColoredGraph, d) -> Quotient:
     unknown = d - set(g.colors)
     if unknown:
         raise ValueError(f"colors not in graph: {sorted(map(str, unknown))}")
-    vindex = {v: k for k, v in enumerate(g.vertices)}
+    vindex = g._vindex
     parent = {v: v for v in g.vertices}
 
     def find(x):
@@ -377,33 +369,39 @@ def _match_vertices(g1, g2, psi, order):
     return dict(phi) if extend(0) else None
 
 
-class _WalkIndex(namedtuple("_WalkIndexFields", "low adj color_of dist geodesics rainbow")):
-    """Integer form of a graph, shared by the walk counters.
+class _WalkIndex(namedtuple("_WalkIndexFields",
+                             "low adj color_of dist parent geodesics rainbow")):
+    """Integer form of a graph, shared by the walk counters, and the one
+    place where the package computes graph distances.
 
     Vertex k is g.vertices[k].  Color k is the bit 1 << (shift + k) with
     shift = len(vertices).bit_length(), so a walk state (end vertex x,
     color set) packs into the int x | colorbits, x = state & low, and
     (state ^ x).bit_count() is the walk's length when it is rainbow.
     adj[x] lists (y, bit) in the order of g.neighbors; dist[u][x] is the
-    BFS distance, -1 when x is not reachable from u, and geodesics[u][x]
-    the number of shortest walks u -> x.  rainbow[u] maps each state of
-    the rainbow walks of length >= 1 from u to the number of such walks.
+    BFS distance, -1 when x is not reachable from u.  parent[u][x] is the
+    vertex from which the BFS from u first reached x, -1 for u and for
+    the unreachable; the step's color is the first entry of adj[parent]
+    that ends at x.  geodesics[u][x] is the number of shortest walks
+    u -> x.  rainbow[u] maps each state of the rainbow walks of length
+    >= 1 from u to the number of such walks.
     """
 
     __slots__ = ()
 
 
 def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
-    vid = {v: k for k, v in enumerate(g.vertices)}
+    vid = g._vindex
     shift = len(g.vertices).bit_length()
     low = (1 << shift) - 1
     bit = {c: 1 << (shift + k) for k, c in enumerate(g.colors)}
     adj = tuple(tuple((vid[w], bit[c]) for w, c in g.neighbors(v))
                 for v in g.vertices)
-    dist, geodesics = [], []
+    dist, parents, geodesics = [], [], []
     for u in range(len(adj)):
         du = [-1] * len(adj)
         du[u] = 0
+        up = [-1] * len(adj)
         geo = [0] * len(adj)
         geo[u] = 1
         queue = [u]
@@ -411,14 +409,16 @@ def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
             for y, _ in adj[x]:
                 if du[y] < 0:
                     du[y] = du[x] + 1
+                    up[y] = x
                     queue.append(y)
                 if du[y] == du[x] + 1:
                     geo[y] += geo[x]
         dist.append(tuple(du))
+        parents.append(tuple(up))
         geodesics.append(tuple(geo))
     rainbow = tuple(_rainbow_states(low, adj, u) for u in range(len(adj)))
     return _WalkIndex(low, adj, {b: c for c, b in bit.items()},
-                      tuple(dist), tuple(geodesics), rainbow)
+                      tuple(dist), tuple(parents), tuple(geodesics), rainbow)
 
 
 def _rainbow_states(low: int, adj: tuple, u: int) -> dict:

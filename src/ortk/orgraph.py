@@ -26,7 +26,6 @@ from .ecgraph import (
     Quotient,
     Walk,
     _contract,
-    bfs_distances,
     make_walk,
     partition_label,
     quotient_by_colors,
@@ -155,35 +154,22 @@ class WalkHomVerdict(namedtuple("_WalkHomVerdictFields", "nonzero monomial")):
         return WalkHomVerdict(False, ())
 
 
-def _surviving_colors(vmap: dict, contracted: frozenset, w: Walk) -> list:
-    """Colors of the steps of w that survive in the quotient with class
-    map vmap: the contracted steps are dropped.  A surviving step whose
-    endpoints fall into one class would be a quotient loop; none occur
-    on OR graphs and we refuse to guess.
-    """
-    colors = []
-    for a, b, c in zip(w.walk_vertices, w.walk_vertices[1:], w.walk_colors):
-        if vmap[a] == vmap[b]:
-            if c not in contracted:
-                raise AssertionError(
-                    f"non-contracted step {a}-{b} collapsed to a loop")
-            continue
-        colors.append(c)
-    return colors
-
-
 def walk_hom_oracle(rs: RootSystem, og: ORGraph, lam: Weight,
                     w: Walk) -> WalkHomVerdict:
     """Is the composition of Verma maps along w nonzero, and if so what
     PBW monomial represents it?
 
     The walk lives in OR(g); its projection to OR(g, lambda) decides the
-    verdict (nonzero iff the projection is rainbow).
+    verdict (nonzero iff the projection is rainbow).  A step survives the
+    projection exactly when its color is not in D_lambda, unless a kept
+    edge collapses to a loop of the quotient; none occur on OR graphs,
+    and we refuse to guess.
     """
     w = make_walk(og.graph, w.walk_vertices, w.walk_colors)
     contracted = atypical_colors(rs, og, lam)
-    colors = _surviving_colors(_contract(og.graph, contracted).vertex_map,
-                               contracted, w)
+    if _contract(og.graph, contracted).loops:
+        raise AssertionError("a non-contracted edge collapsed to a loop of OR(g, lambda)")
+    colors = [c for c in w.walk_colors if c not in contracted]
     if len(set(colors)) != len(colors):
         return WalkHomVerdict.zero()
     start = og.borel_of_vertex[w.walk_vertices[0]]
@@ -212,8 +198,9 @@ def semibrick_index_sets(rs: RootSystem, og: ORGraph, lam: Weight,
     b: its distance to bbar is one more than that of b.
     """
     quotient = build_or_lambda(rs, og, lam)
-    vmap = quotient.vertex_map
-    dist_to_t = bfs_distances(quotient.graph, vmap[og.vertex_of_borel(bbar)])
+    vmap, g = quotient.vertex_map, quotient.graph
+    row = g._walk_index.dist[g._vindex[vmap[og.vertex_of_borel(bbar)]]]
+    dist_to_t = dict(zip(g.vertices, row))
     out = {}
     for vid, b in og.borel_of_vertex.items():
         v = vmap[vid]

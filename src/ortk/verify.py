@@ -21,7 +21,7 @@ from .characters import (
     weight_multiplicity,
 )
 from .ecgraph import (
-    bfs_distances,
+    _as_walk,
     build_reference_graph,
     colored_isomorphic,
     make_walk,
@@ -252,45 +252,35 @@ def suite_characters(builds: _Builds, family=None) -> list:
     return entries
 
 
-def _projection_nonzero(vmap, dist_from, walk) -> bool:
+def _projection_nonzero(quotient, walk) -> bool:
     """Independent zero test: the projected walk is shortest in the
-    quotient with class map vmap; dist_from[x] holds the BFS distances
-    from class x."""
+    quotient, by the distances of the quotient graph's walk index."""
+    vmap, g = quotient.vertex_map, quotient.graph
     surviving = sum(
         1
         for a, b in zip(walk.walk_vertices, walk.walk_vertices[1:])
         if vmap[a] != vmap[b]
     )
-    dist = dist_from[vmap[walk.walk_vertices[0]]]
-    return surviving == dist[vmap[walk.walk_vertices[-1]]]
+    start = g._vindex[vmap[walk.walk_vertices[0]]]
+    end = g._vindex[vmap[walk.walk_vertices[-1]]]
+    return surviving == g._walk_index.dist[start][end]
 
 
 def _geodesic_walks(graph):
-    """One BFS-shortest walk per ordered vertex pair."""
-    for u in graph.vertices:
-        parent = {u: None}
-        order = [u]
-        k = 0
-        while k < len(order):
-            x = order[k]
-            k += 1
-            for y, c in graph.neighbors(x):
-                if y not in parent:
-                    parent[y] = (x, c)
-                    order.append(y)
-        for v in graph.vertices:
-            if v == u:
+    """One BFS-shortest walk per ordered vertex pair: the path to v in the
+    BFS tree from u that the graph's walk index keeps."""
+    ix = graph._walk_index
+    for u, (du, up) in enumerate(zip(ix.dist, ix.parent)):
+        for v, d in enumerate(du):
+            if d <= 0:
                 continue
-            verts = [v]
-            colors = []
-            x = v
-            while parent[x] is not None:
-                x, c = parent[x]
-                verts.append(x)
-                colors.append(c)
-            verts.reverse()
-            colors.reverse()
-            yield make_walk(graph, verts, colors)
+            path = [v]
+            for _ in range(d):
+                path.append(up[path[-1]])
+            path.reverse()
+            bits = [next(b for z, b in ix.adj[x] if z == y)
+                    for x, y in zip(path, path[1:])]
+            yield _as_walk(graph, ix, path, bits)
 
 
 def suite_walks(builds: _Builds, family=None) -> list:
@@ -317,12 +307,10 @@ def suite_walks(builds: _Builds, family=None) -> list:
         for lam_text in row.weights:
             lam = parse_weight(lam_text, rs.rank) + rho
             quotient = build_or_lambda(rs, og, lam)
-            dist_from = {x: bfs_distances(quotient.graph, x)
-                         for x in quotient.graph.vertices}
             mismatch = None
             for w in walks:
                 got = walk_hom_oracle(rs, og, lam, w).nonzero
-                want = _projection_nonzero(quotient.vertex_map, dist_from, w)
+                want = _projection_nonzero(quotient, w)
                 if got != want and mismatch is None:
                     mismatch = _walk_payload(w) | {"oracle": got, "shortest": want}
             payload = {"walks": len(walks)}

@@ -10,8 +10,9 @@ criterion, the semibrick index sets by an exhaustive rainbow search
 in place of BFS distances, a weight multiplicity as one Kostant
 lookup per subset sum in place of the sums of the head's lattice class,
 a Verma numerator's terms built one Weight at a time in place of its
-columns, and a color-set quotient by BFS components in place of
-union-find.
+columns, a color-set quotient by BFS components in place of
+union-find, and graph distances by a BFS on vertex IDs in place of the
+walk index.
 The rainbow and shortest walk tests, the check of an isomorphism
 witness and its inverse, the closure test of an adjusted odd set, the
 sum of two characters and the Scalar multiple of a weight live here
@@ -36,7 +37,6 @@ from ortk.ecgraph import (
     DisconnectedEndpoints,
     InvalidWalk,
     IsoWitness,
-    bfs_distances,
 )
 from ortk.numerics import (
     DegreeOverflow,
@@ -269,6 +269,20 @@ def char_add(c1: NumeratorCharacter, c2: NumeratorCharacter) -> NumeratorCharact
 def is_rainbow(w) -> bool:
     """No color repeats along the walk."""
     return len(set(w.walk_colors)) == len(w.walk_colors)
+
+
+def bfs_distances(g, source) -> dict:
+    """{vertex: distance from source} over the vertices reachable from
+    source, by a BFS on vertex IDs in place of the walk index's integer
+    rows."""
+    dist = {source: 0}
+    queue = [source]
+    for x in queue:
+        for y, _ in g.neighbors(x):
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist
 
 
 def is_shortest(g, w) -> bool:

@@ -256,6 +256,13 @@ def test_window_flag_applies_to_zigzag_window_only(preset, capsys):
     assert capsys.readouterr().err == "error: --w only applies to --preset zigzag_window\n"
 
 
+def test_zigzag_window_without_w_names_the_flag(capsys):
+    # build_quiver's own message names its parameter w; the CLI names --w
+    code, out = cap(["quiver", "--preset", "zigzag_window"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --preset zigzag_window needs --w\n"
+
+
 @pytest.mark.parametrize("coord", ["1/0", "1/0a", "1+1/0a", "1/0+a"])
 def test_zero_denominator_is_a_bad_lambda(coord, capsys):
     # the a-carrying forms are parse errors too, not a ZeroDivisionError text
@@ -390,6 +397,11 @@ GOLDEN_QUERIES = {
         "quotient", "--family", "gl", "--m", "2", "--n", "2",
         "--lambda", "1/2,0,0,-1/2"],
     "quiver_zigzag_w3": ["quiver", "--preset", "zigzag_window", "--w", "3"],
+    # D_lambda = {e1-d1, e2-d2}: the walk crosses both, and the two kept
+    # steps give a monomial of two roots
+    "walk_gl22_contracted": [
+        "walk", "--family", "gl", "--m", "2", "--n", "2", "--lambda", "1,0,0,-1",
+        "--path", "∅,1,2,21,22"],
 }
 
 

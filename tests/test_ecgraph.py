@@ -17,7 +17,6 @@ from ortk.ecgraph import (
     ExtensionReport,
     InvalidWalk,
     Walk,
-    bfs_distances,
     build_reference_graph,
     colored_isomorphic,
     graph_from_json,
@@ -32,7 +31,14 @@ from ortk.numerics import parse_weight
 from ortk.orgraph import build_or_graph, build_or_lambda
 from ortk.rootsys import build_root_system
 
-from oracles import inverse_witness, is_color_isomorphism, is_rainbow, is_shortest, ref_quotient
+from oracles import (
+    bfs_distances,
+    inverse_witness,
+    is_color_isomorphism,
+    is_rainbow,
+    is_shortest,
+    ref_quotient,
+)
 
 
 def path_graph(labels, colors):

@@ -11,7 +11,7 @@ import pytest
 
 import ortk
 
-# the names that `import ortk` exported when it imported every layer eagerly
+# the names that `import ortk` exports
 EXPORTED = {
     "BasisNotStabilized", "Borel", "ColoredGraph",
     "DisconnectedEndpoints", "Emptiness", "ExchangeReport", "ExtensionReport",
@@ -19,7 +19,7 @@ EXPORTED = {
     "NumeratorCharacter", "ORGraph", "PathClass", "PreconditionViolated", "Quiver",
     "Quotient", "ReportEntry", "Root", "RootSystem", "S1Classification", "Scalar",
     "SplitVerdict", "UnsupportedFamily", "VerificationReport", "Walk", "WalkHomVerdict",
-    "Weight", "atypical_colors", "bfs_distances",
+    "Weight", "atypical_colors",
     "borel_meet_join", "brick_decomposition_check", "build_or_graph", "build_or_lambda",
     "build_quiver", "build_reference_graph", "build_root_system", "character_to_json",
     "character_weight_multiplicity", "colored_isomorphic",
@@ -84,7 +84,6 @@ UNREACHED = {
     "numerics.Weight.is_zero": "reference arithmetic: the oracles' and the benchmark's "
                                "zero test of a weight",
     "numerics.render_scalar": "reference arithmetic: Scalar's repr and DegreeOverflow message",
-    "ecgraph._as_walk": "counterexample lister: runs only when a walk check fails",
     "ecgraph._rainbow_dfs": "counterexample lister: runs only when a walk check fails",
     "ecgraph._geodesic_dfs": "counterexample lister: runs only when a walk check fails",
     "verify._walk_payload": "counterexample lister: reports a failing walk check's walks",

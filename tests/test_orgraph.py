@@ -6,14 +6,17 @@ import pytest
 
 from ortk import manifest
 from ortk.ecgraph import (
+    ColoredGraph,
     build_reference_graph,
     colored_isomorphic,
     make_walk,
+    quotient_by_colors,
     verify_exchange,
     verify_rainbow_extension,
 )
 from ortk.numerics import DegreeOverflow, RankMismatch, Weight, parse_weight, zero_weight
 from ortk.orgraph import (
+    ORGraph,
     atypical_colors,
     build_or_graph,
     build_or_lambda,
@@ -30,6 +33,7 @@ from ortk.rootsys import (
 )
 
 from oracles import (
+    bfs_distances,
     is_color_isomorphism,
     ref_atypical_colors,
     ref_rbtriv,
@@ -292,6 +296,24 @@ def test_walk_hom_atypical_step_erased():
     assert not walk_hom_oracle(rs, og, zero_weight(2), w).nonzero
 
 
+def test_walk_hom_oracle_refuses_a_quotient_loop():
+    # two parallel edges a-b: D_lambda holds the color of one and not the
+    # other, so contracting D_lambda makes the kept edge a loop.  OR graphs
+    # have no such pair; the oracle raises rather than drop or keep the step
+    rs = build_root_system("gl", m=2, n=2)
+    real = build_or_graph(rs)
+    lam = parse_weight("1,0,0,-1")
+    assert {"e1-d1", "e2-d2"} == atypical_colors(rs, real, lam)
+    g = ColoredGraph(("a", "b"), ("e1-d1", "e2-d1"),
+                     (("a", "b", "e1-d1"), ("a", "b", "e2-d1")))
+    og = ORGraph(g, {"a": real.borel_of_vertex["∅"], "b": real.borel_of_vertex["1"]},
+                 {c: real.root_of_color[c] for c in g.colors})
+    assert quotient_by_colors(g, {"e1-d1"}).loops == (("a", "e2-d1"),)
+    for path, colors in ((["a"], ()), (["a", "b"], ("e1-d1",)), (["a", "b"], ("e2-d1",))):
+        with pytest.raises(AssertionError, match="loop"):
+            walk_hom_oracle(rs, og, lam, make_walk(g, path, colors))
+
+
 def test_walk_hom_oracle_matches_shortest():
     # the composition is nonzero iff the projected walk is shortest
     import itertools
@@ -311,7 +333,6 @@ def test_walk_hom_oracle_matches_shortest():
         va, vc = quotient.vertex_map[a], quotient.vertex_map[c]
         kept = [col for col in w.walk_colors
                 if col in quotient.graph.colors]
-        from ortk.ecgraph import bfs_distances
         dist = bfs_distances(quotient.graph, va)[vc]
         assert verdict.nonzero == (len(kept) == dist)
     assert seen > 0

@@ -15,8 +15,11 @@ import pytest
 
 from ortk import manifest, verify
 from ortk.characters import NumeratorCharacter
+from ortk.ecgraph import ColoredGraph
 from ortk.rootsys import standard_borel
 from ortk.verify import ReportEntry, VerificationReport, run_suite
+
+from oracles import is_shortest
 
 # the number of grid weights
 GRID_SIZE = sum(len(entry.weights) for entry in manifest.LAMBDA_GRID)
@@ -277,6 +280,22 @@ def drawn_walk_digests(monkeypatch, family=None) -> dict:
         text = "\n".join(",".join(map(str, vertices)) for vertices in walks)
         digests[row] = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
     return digests
+
+
+def test_geodesic_walks_follow_the_first_edge_the_bfs_crossed():
+    # one walk per ordered pair, sources and targets in vertex order; a
+    # step between parallel edges takes the first in adjacency order
+    g = ColoredGraph("abcd", "xyzw", (("a", "b", "y"), ("a", "b", "x"),
+                                      ("b", "c", "z"), ("a", "d", "w"), ("c", "d", "x")))
+    walks = list(verify._geodesic_walks(g))
+    assert [(w.walk_vertices[0], w.walk_vertices[-1]) for w in walks] == [
+        (u, v) for u in "abcd" for v in "abcd" if u != v]
+    assert all(is_shortest(g, w) for w in walks)
+    assert all(w.walk_colors == tuple(g.edge_colors(a, b)[0] for a, b in
+                                      zip(w.walk_vertices, w.walk_vertices[1:]))
+               for w in walks)
+    assert walks[0].walk_colors == ("x",)
+    assert walks[1].walk_vertices == ("a", "b", "c")
 
 
 def test_walks_suite_draws_the_pinned_walks(monkeypatch):
