@@ -88,7 +88,6 @@ _EXPORTS = {
         "UnsupportedFamily",
         "build_root_system",
         "enumerate_borels",
-        "odd_reflect",
         "partition_of_borel",
         "pure_positive_roots",
         "standard_borel",

@@ -5,7 +5,8 @@ together with the positive even roots must be closed under root sums;
 opposite odd pairs force an orthogonality condition on the weight.
 Hypercubic collections are the orthogonal families of isotropic simple
 roots along which a Borel can be reflected in one step: r_J b is
-odd_reflect at each root of J in turn.  borel_meet_join gives the odd
+reached by the odd reflection at each root of J in turn, a walk along
+the edges of enumerate_borels.  borel_meet_join gives the odd
 sets of b cap r_J b and b + r_J b as plain frozensets, which the brick
 check and verma_character take as they are.
 """

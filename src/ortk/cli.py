@@ -61,28 +61,33 @@ def _build_system(args):
 
 
 def _resolve_borel(rs, og, borels, text):
-    """Borel addressing: graph vertex label, '#<rank>', or a comma list
-    of odd positive root names."""
+    """The rank of the Borel addressed by text: a graph vertex label,
+    '#<rank>' in decimal, or a comma list of odd positive root names; 0,
+    the standard Borel, when text is None.  Vertex k of og.graph is
+    borels[k]."""
     if text is None:
-        return borels[0]
+        return 0
     if text in og.borel_of_vertex:
-        return og.borel_of_vertex[text]
+        return og.graph.vertices.index(text)
     if text.startswith("#"):
         try:
             k = int(text[1:])
         except ValueError:
+            k = None
+        # int() also reads other digits, a sign, spaces and leading zeros
+        if k is None or str(k) != text[1:]:
             raise UsageError(f"bad Borel rank {text!r}")
         if not 0 <= k < len(borels):
             raise UsageError(f"Borel rank out of range: {text} (have {len(borels)})")
-        return borels[k]
+        return k
     names = [t.strip() for t in text.split(",") if t.strip()]
     if not names:
         raise UsageError("empty --borel")
     # an unknown name raises ValueError, which run_command reports with exit 2
     roots = {rs.root_by_name(nm) for nm in names}
-    for b in borels:
+    for k, b in enumerate(borels):
         if set(b.odd_positive) == roots:
-            return b
+            return k
     raise UsageError(f"no Borel has odd positive set {{{text}}}")
 
 
@@ -97,7 +102,7 @@ def _borel_arg(rs, text):
 
     og = build_or_graph(rs)
     borels, _ = enumerate_borels(rs)
-    return _resolve_borel(rs, og, borels, text)
+    return borels[_resolve_borel(rs, og, borels, text)]
 
 
 def _parse_lambda(rs, text, flag="--lambda"):
@@ -290,7 +295,8 @@ def _cmd_hypercubic(args, print_fn) -> int:
     rs = _build_system(args)
     og = build_or_graph(rs)
     borels, _ = enumerate_borels(rs)
-    b = _resolve_borel(rs, og, borels, args.borel)
+    k = _resolve_borel(rs, og, borels, args.borel)
+    b = borels[k]
     lam = _parse_lambda(rs, args.lam)
     splits = {}
     for i in b.isotropic_simple_indices():
@@ -307,7 +313,7 @@ def _cmd_hypercubic(args, print_fn) -> int:
             "brick_identity": brick_decomposition_check(rs, b, lam, coll),
         })
     data = {
-        "borel": str(og.vertex_of_borel(b)),
+        "borel": og.graph.vertices[k],
         "splits": splits,
         "collections": colls,
     }

@@ -10,7 +10,7 @@ frozenset of color names (atypical_colors); contracting it gives
 OR(g, lambda).  The images of two reflections at isotropic simple roots
 of b, with lambda orthogonal to both, meet trivially unless the roots
 are orthogonal (rs.roots_orthogonal), and then in the image of the
-double reflection, two odd_reflect calls.
+double reflection, two edges of OR(g).
 
 Weight convention: every lambda-indexed operation takes the unshifted
 weight; the walk machinery composes maps between the modules
@@ -35,7 +35,6 @@ from .rootsys import (
     Borel,
     RootSystem,
     enumerate_borels,
-    odd_reflect,
     partition_of_borel,
     pure_positive_roots,
 )
@@ -55,6 +54,9 @@ __all__ = [
 class ORGraph:
     """OR(g) with the dictionaries linking graph IDs back to root data.
 
+    Vertex k of graph is Borel k of enumerate_borels(rs), so a Borel's
+    rank is its vertex's position in graph.vertices, and edge (u, i, v)
+    of the enumeration is the graph edge between vertices u and v.
     Compares and hashes by identity."""
 
     __slots__ = ("graph", "borel_of_vertex", "root_of_color")
@@ -63,12 +65,6 @@ class ORGraph:
         self.graph = graph
         self.borel_of_vertex = borel_of_vertex
         self.root_of_color = root_of_color
-
-    def vertex_of_borel(self, b: Borel):
-        for vid, bb in self.borel_of_vertex.items():
-            if bb == b:
-                return vid
-        raise KeyError(f"Borel not in the enumeration: {b}")
 
 
 def _vertex_label(rs: RootSystem, b: Borel, rank: int) -> str:
@@ -102,7 +98,6 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
     root_of_color = {rs.root_name(r): r for r in color_roots}
 
     labels = [_vertex_label(rs, b, k) for k, b in enumerate(borels)]
-    vertex_of = {k: labels[k] for k in range(len(borels))}
     ref_odd = ref.odd_set()
     graph_edges = []
     for u, i, v in edges:
@@ -114,7 +109,7 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
         else:
             rep = rs.negate(alpha)
         assert rep in ref_odd, "reflection root missing a reference sign"
-        graph_edges.append((vertex_of[u], vertex_of[v], rs.root_name(rep)))
+        graph_edges.append((labels[u], labels[v], rs.root_name(rep)))
     graph = ColoredGraph(tuple(labels), colors, tuple(graph_edges))
     borel_of_vertex = {labels[k]: b for k, b in enumerate(borels)}
     return ORGraph(graph, borel_of_vertex, root_of_color)
@@ -195,19 +190,21 @@ def semibrick_index_sets(rs: RootSystem, og: ORGraph, lam: Weight,
     By the exchange property the rainbow walks are the geodesics, so such
     a path exists exactly when r_i b and b share a class, or a geodesic
     from the class of r_i b to that of bbar routes through the class of
-    b: its distance to bbar is one more than that of b.
+    b: its distance to bbar is one more than that of b.  The reflections
+    are the enumeration's edges: (u, i, v) is r_i u = v and r_i v = u,
+    and every isotropic simple index of every Borel lies in one edge.
     """
+    borels, edges = enumerate_borels(rs)
     quotient = build_or_lambda(rs, og, lam)
-    vmap, g = quotient.vertex_map, quotient.graph
-    row = g._walk_index.dist[g._vindex[vmap[og.vertex_of_borel(bbar)]]]
-    dist_to_t = dict(zip(g.vertices, row))
-    out = {}
-    for vid, b in og.borel_of_vertex.items():
-        v = vmap[vid]
-        hit = set()
-        for i in b.isotropic_simple_indices():
-            u = vmap[og.vertex_of_borel(odd_reflect(rs, b, i))]
-            if u == v or dist_to_t[u] == 1 + dist_to_t[v]:
-                hit.add(i)
-        out[b] = frozenset(hit)
-    return out
+    g = quotient.graph
+    # the quotient vertex of each Borel rank, and the distances to bbar's
+    cls = [g._vindex[quotient.vertex_map[vid]] for vid in og.graph.vertices]
+    dist = g._walk_index.dist[cls[borels.index(bbar)]]
+    hit = [set() for _ in borels]
+    for u, i, v in edges:
+        cu, cv = cls[u], cls[v]
+        if cu == cv or dist[cv] == 1 + dist[cu]:
+            hit[u].add(i)
+        if cu == cv or dist[cu] == 1 + dist[cv]:
+            hit[v].add(i)
+    return {b: frozenset(h) for b, h in zip(borels, hit)}

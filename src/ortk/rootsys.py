@@ -10,8 +10,8 @@ asserted to be path-independent during enumeration).
 Enumeration runs on integers: a root is its index into delta1 + delta0,
 a Borel the bit mask of its odd positive roots, a simple system a tuple
 of indices, and a reflection a bit flip plus one table lookup per
-simple root.  Each Borel object is built once, when the search ends;
-odd_reflect wraps the same index step.
+simple root.  Each Borel object is built once, when the search ends,
+and the reflections are the search's edges.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "build_root_system",
     "basis_inverse",
     "standard_borel",
-    "odd_reflect",
     "enumerate_borels",
     "pure_positive_roots",
     "weyl_vector",
@@ -586,37 +585,18 @@ def _borel_of(roots: tuple[Root, ...], mask: int, simple: tuple[int, ...]) -> Bo
     return Borel(odd, tuple(roots[k] for k in simple))
 
 
-def odd_reflect(rs: RootSystem, b: Borel, i: int) -> Borel:
-    """Reflect b at its i-th simple root (1-based).
-
-    The root must be odd isotropic.  The new simple system is inherited
-    (Cheng-Wang, GSM 144, section 1.4) and keeps the index order: the
-    reflected root becomes its own negative, any beta with alpha+beta a
-    root moves to alpha+beta, everything else stays.  The tests check it
-    against a brute-force search for the indecomposable positive roots.
-    """
-    if not 1 <= i <= len(b.simple):
-        raise NotIsotropicSimple(f"no simple root at index {i}")
-    alpha = b.simple[i - 1]
-    if alpha.parity != "odd" or not alpha.isotropic:
-        raise NotIsotropicSimple(
-            f"simple root {rs.root_name(alpha)} at index {i} is not odd isotropic"
-        )
-    roots, index, _ = rs._root_index
-    mask = sum(1 << index[r] for r in b.odd_positive)
-    return _borel_of(roots, *_reflect(rs, mask, tuple(index[r] for r in b.simple), i - 1))
-
-
 def enumerate_borels(rs: RootSystem) -> tuple[list[Borel], list[tuple[int, int, int]]]:
     """All Borels reachable by odd reflections, plus the reflection edges.
 
     Breadth-first from the standard Borel; within each layer Borels are
     ordered by their canonical odd-positive set, and ranks are assigned
     in discovery order.  Each undirected edge (u, i, v) is listed once,
-    with i the 1-based simple index at the earlier endpoint.  Every
-    simple system is inherited along odd_reflect from the standard
-    Borel's, and a test oracle checks it; re-reaching a Borel along a
-    second path asserts that the inherited order is path-independent.
+    with i the 1-based simple index at the earlier endpoint, which is
+    also the index at the later one: r_i u = v and r_i v = u.  Every
+    simple system is inherited along the reflections from the standard
+    Borel's (Cheng-Wang, GSM 144, section 1.4, as _ReflectionRow maps
+    it), and a test oracle checks it; re-reaching a Borel along a second
+    path asserts that the inherited order is path-independent.
 
     The search runs on root indices: a Borel is the bit mask of its odd
     positive roots, keyed once in a dict, and its simple system a tuple

@@ -5,9 +5,10 @@ one in src/: pairings through the Scalar product on the form's diagonal
 in place of the integer pairing kernel, coordinates by Gaussian
 elimination over Q in place of one basis inverse, a Borel's simple
 roots by a search over all pairwise sums in place of the simple system
-inherited along odd reflections, the trivial quotient by its direct
-criterion, the semibrick index sets by an exhaustive rainbow search
-in place of BFS distances, a weight multiplicity as one Kostant
+inherited along odd reflections, an odd reflection on root vectors in
+place of the enumeration's root-index tables, the trivial quotient by
+its direct criterion, the semibrick index sets by an exhaustive
+rainbow search in place of BFS distances, a weight multiplicity as one Kostant
 lookup per subset sum in place of the sums of the head's lattice class,
 a Verma numerator's terms built one Weight at a time in place of its
 columns, a color-set quotient by BFS components in place of
@@ -48,7 +49,7 @@ from ortk.numerics import (
     scalar,
 )
 from ortk.orgraph import build_or_lambda
-from ortk.rootsys import odd_reflect
+from ortk.rootsys import Borel, NotIsotropicSimple, Root
 
 
 class NotInSpan(ValueError):
@@ -170,6 +171,31 @@ def ref_simple_roots(rs, odd_positive) -> set:
     return {r for r in positive if r.vector not in sums}
 
 
+def odd_reflect(rs, b, i: int):
+    """b reflected at its i-th simple root alpha (1-based), on root vectors
+    in place of the enumeration's root-index tables.  The odd positives
+    lose alpha and gain -alpha, in canonical order.  The simple system is
+    inherited (Cheng-Wang, GSM 144, section 1.4): slot i becomes -alpha,
+    and every other beta becomes alpha+beta where that is a root, else
+    stays.  Raises NotIsotropicSimple unless slot i holds an odd isotropic
+    root."""
+    if not 1 <= i <= len(b.simple):
+        raise NotIsotropicSimple(f"no simple root at index {i}")
+    alpha = b.simple[i - 1]
+    if alpha.parity != "odd" or not alpha.isotropic:
+        raise NotIsotropicSimple(
+            f"simple root {rs.root_name(alpha)} at index {i} is not odd isotropic")
+    minus = rs.root_from_ivec(tuple(-x for x in alpha.vector.r))
+    odd = sorted([r for r in b.odd_positive if r != alpha] + [minus], key=Root.sort_key)
+
+    def image(beta):
+        summed = rs.root_from_ivec(tuple(map(add, alpha.vector.r, beta.vector.r)))
+        return beta if summed is None else summed
+
+    simple = tuple(minus if k == i else image(beta) for k, beta in enumerate(b.simple, start=1))
+    return Borel(tuple(odd), simple)
+
+
 def ref_rbtriv(rs, og, lam: Weight) -> bool:
     """OR(g, lambda) is a single point by the direct criterion: lambda
     pairs nonzero with every non-pure isotropic positive root.  Every
@@ -187,7 +213,8 @@ def ref_semibrick_index_sets(rs, og, lam: Weight, bbar) -> dict:
     quotient = build_or_lambda(rs, og, lam)
     q = quotient.graph
     vmap = quotient.vertex_map
-    t = vmap[og.vertex_of_borel(bbar)]
+    vertex_of = {b: vid for vid, b in og.borel_of_vertex.items()}
+    t = vmap[vertex_of[bbar]]
 
     def rainbow_through(x, via, used) -> bool:
         # a rainbow walk x -> t, avoiding the colors in used, that visits
@@ -206,7 +233,7 @@ def ref_semibrick_index_sets(rs, og, lam: Weight, bbar) -> dict:
         v = vmap[vid]
         out[b] = frozenset(
             i for i in b.isotropic_simple_indices()
-            if rainbow_through(vmap[og.vertex_of_borel(odd_reflect(rs, b, i))], v,
+            if rainbow_through(vmap[vertex_of[odd_reflect(rs, b, i)]], v,
                                frozenset()))
     return out
 

@@ -88,7 +88,7 @@ def test_criterion_2(builds):
     )
     beta = rs.root_by_name("d+e1+e2")
     w = ref_witness(rs, borels, beta, zero_weight(3), manifest.GAMMA_BOUND)
-    found = "(%s, gamma=0)" % og.vertex_of_borel(w[0]) if w else "no witness"
+    found = "(%s, gamma=0)" % og.graph.vertices[borels.index(w[0])] if w else "no witness"
     claim_ok = w is not None and w[0] == borels[1] and w[1] == zero_weight(3)
     ok = structure_ok and claim_ok
     print("CRITERION 2: %s: tree shape, Weyl vectors, and the pure root are "

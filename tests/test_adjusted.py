@@ -21,11 +21,10 @@ from ortk.rootsys import (
     PreconditionViolated,
     build_root_system,
     enumerate_borels,
-    odd_reflect,
     standard_borel,
 )
 
-from oracles import char_add, is_lambda_adjusted, scaled
+from oracles import char_add, is_lambda_adjusted, odd_reflect, scaled
 
 
 def test_is_lambda_adjusted_gl11():

@@ -14,13 +14,12 @@ from ortk.orgraph import build_or_graph, build_or_lambda, rbtriv_check
 from ortk.rootsys import (
     build_root_system,
     enumerate_borels,
-    odd_reflect,
     pure_positive_roots,
     standard_borel,
     weyl_vector,
 )
 
-from oracles import ref_orthogonal
+from oracles import odd_reflect, ref_orthogonal
 
 
 def test_is_typical_gl11():

@@ -23,12 +23,11 @@ from ortk.numerics import Weight, parse_weight, render_weight, zero_weight
 from ortk.rootsys import (
     build_root_system,
     enumerate_borels,
-    odd_reflect,
     standard_borel,
     weyl_vector,
 )
 
-from oracles import char_add, ref_sort_height
+from oracles import char_add, odd_reflect, ref_sort_height
 
 
 def rank_zero(rs):

@@ -182,6 +182,19 @@ def test_borel_addressing():
     assert other != by_default
 
 
+@pytest.mark.parametrize("spelling", ["#\u0663", "#+3", "# 3", "#03", "#3 "])
+def test_borel_rank_is_written_in_decimal(spelling, capsys):
+    # int() reads each of these as 3, but only "#3" addresses Borel 3, the
+    # vertex 11 of gl(2|2)
+    argv = ["hypercubic", "--family", "gl", "--m", "2", "--n", "2",
+            "--lambda", "0,0,0,0", "--out", "json"]
+    code, out = cap(argv + ["--borel", "#3"])
+    assert code == 0 and json.loads(out)["borel"] == "11"
+    capsys.readouterr()
+    assert cap(argv + ["--borel", spelling]) == (2, "")
+    assert capsys.readouterr().err == f"error: bad Borel rank {spelling!r}\n"
+
+
 @pytest.mark.parametrize("command, extra", [
     ("character", []),
     ("character", ["--induced"]),

@@ -25,7 +25,7 @@ EXPORTED = {
     "character_weight_multiplicity", "colored_isomorphic",
     "enumerate_borels", "graph_from_json", "graph_to_dot", "graph_to_json",
     "hom_dimensions", "hypercubic_collections", "is_typical",
-    "kac_flag_constituents", "kostant_partitions", "make_walk", "odd_reflect",
+    "kac_flag_constituents", "kostant_partitions", "make_walk",
     "parse_weight", "partition_of_borel", "path_normal_forms", "pure_positive_roots",
     "quotient_by_colors", "rbtriv_check", "render_path",
     "render_weight", "run_suite", "s1_classify",
@@ -91,8 +91,6 @@ UNREACHED = {
                                                 "tables with it",
     "characters.kostant_partitions": "the term count character_weight_multiplicity sums",
     "characters._kostant_scaled": "kostant_partitions' lookup, also tests/oracles.py's",
-    "rootsys.odd_reflect": "one reflection for a caller holding a Borel: "
-                           "semibrick_index_sets and the tests",
     "orgraph.semibrick_index_sets": "a real algorithm with an exhaustive reference, out of "
                                     "the suite until the paper ties it to characters",
     "ecgraph.graph_from_json": "bench-only: bench/workloads.py reads the JSON graphs it checks",

@@ -27,7 +27,6 @@ from ortk.orgraph import (
 from ortk.rootsys import (
     build_root_system,
     enumerate_borels,
-    odd_reflect,
     standard_borel,
     weyl_vector,
 )
@@ -35,6 +34,7 @@ from ortk.rootsys import (
 from oracles import (
     bfs_distances,
     is_color_isomorphism,
+    odd_reflect,
     ref_atypical_colors,
     ref_rbtriv,
     ref_semibrick_index_sets,
@@ -398,7 +398,6 @@ def test_semibrick_index_sets_gl22():
     b1 = og.borel_of_vertex["1"]
     got = sets[b1]
     for i in got:
-        from ortk.rootsys import odd_reflect
         nb = odd_reflect(rs, b1, i)
         assert nb != bbar
 
@@ -415,11 +414,13 @@ def test_semibrick_index_sets_atypical():
 
 
 @pytest.mark.parametrize("family, m, n",
-                         manifest.grid_families() + (("gl11n", None, 4),))
+                         manifest.grid_families() + (("gl11n", None, 4), ("ospB", 3, 2),
+                                                     ("ospD", 3, 2), ("ospB", 2, 3)))
 def test_semibrick_index_sets_match_rainbow_search(family, m, n):
     # the distance criterion against an exhaustive rainbow search, at
-    # every grid weight and for every bbar; gl(1|1)^4 is off the grid
-    # and runs at lambda = 0, where no edge is contracted
+    # every grid weight and for every bbar; gl(1|1)^4 and the three osp
+    # systems, whose vertices are labelled #k, are off the grid and run at
+    # lambda = 0, where no edge is contracted
     rs, lams = grid_weights(family, m, n)
     og = build_or_graph(rs)
     for lam in lams or [zero_weight(rs.rank)]:

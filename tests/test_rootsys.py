@@ -20,14 +20,13 @@ from ortk.rootsys import (
     _ReflectionRow,
     build_root_system,
     enumerate_borels,
-    odd_reflect,
     partition_of_borel,
     pure_positive_roots,
     standard_borel,
     weyl_vector,
 )
 
-from oracles import ref_orthogonal, ref_simple_roots
+from oracles import odd_reflect, ref_orthogonal, ref_simple_roots
 
 
 def names(rs, roots):
@@ -327,6 +326,30 @@ OR_GRAPH_DIGESTS = {
 def test_stretch_or_graph_is_pinned(family_id):
     family, kw = FAMILY_OF_ID[family_id]
     assert or_graph_digest(build_root_system(family, **kw)) == OR_GRAPH_DIGESTS[family_id]
+
+
+@pytest.mark.parametrize("family_id", SIMPLE_ORACLE_IDS)
+def test_one_borel_numbering(family_id):
+    # vertex k of OR(g) is Borel k of the enumeration, simple order
+    # included, and each enumeration edge (u, i, v) is a graph edge between
+    # vertices u and v whose reflection, by the oracle on root vectors,
+    # takes u to v and v to u at the same index i.  The graph-stretch
+    # families are among SIMPLE_ORACLE_FAMILIES
+    family, kw = FAMILY_OF_ID[family_id]
+    rs = build_root_system(family, **kw)
+    borels, edges = enumerate_borels(rs)
+    og = build_or_graph(rs)
+    by_vertex = [og.borel_of_vertex[v] for v in og.graph.vertices]
+    assert by_vertex == borels
+    assert [b.simple for b in by_vertex] == [b.simple for b in borels]
+    labels = og.graph.vertices
+    graph_pairs = {(x, y) for x, y, _ in og.graph.edges}
+    for u, i, v in edges:
+        assert (labels[u], labels[v]) in graph_pairs
+        there = odd_reflect(rs, borels[u], i)
+        back = odd_reflect(rs, borels[v], i)
+        assert there == borels[v] and there.simple == borels[v].simple
+        assert back == borels[u] and back.simple == borels[u].simple
 
 
 def test_d21_borel_tree():
