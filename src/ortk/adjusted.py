@@ -102,19 +102,18 @@ def brick_decomposition_check(rs: RootSystem, b: Borel, lam: Weight,
 
 def _brick_sum(rs: RootSystem, join: frozenset) -> dict:
     """The 4^|J| brick numerators summed, as offsets from lam; built once
-    per join odd set and kept in rs._kostant_memo.
+    per join odd set and kept in rs._bricks.
 
     The brick shifts -sigma_{J_1} + sigma_{J_2} are the exponents of
     prod_{beta in J} (1 + e^-beta)(1 + e^beta).  The join roots whose
     negatives are in the join too are the roots of J and their negatives,
     and the product is symmetric under beta <-> -beta, so it depends only
     on the join odd set: b and r_J b share one entry."""
-    key = ("brick", join)
-    total = rs._kostant_memo.get(key)
+    total = rs._bricks.get(join)
     if total is None:
         shifts = [beta.vector.r for beta in join if rs.negate(beta) in join]
         total = _times_factors(_numerator(rs, join), shifts)
-        rs._kostant_memo[key] = total
+        rs._bricks[join] = total
     return total
 
 

@@ -79,12 +79,10 @@ def _times_factors(terms: dict, factors) -> dict:
 
 def _numerator(rs: RootSystem, delta_a) -> dict:
     """Numerator of ch M^a(0) as {integer offset: coefficient}; built once
-    per odd set and kept in rs._kostant_memo, so callers only read it:
-    the brick checks compare it, and _numerator_columns reads it once."""
+    per odd set and kept in rs._numerators, so callers only read it: the
+    brick checks compare it, and _numerator_columns reads it once."""
     delta_a = frozenset(delta_a)
-    # the tag keeps the key apart from _subset_sums' bare free-set keys
-    key = ("numerator", delta_a)
-    terms = rs._kostant_memo.get(key)
+    terms = rs._numerators.get(delta_a)
     if terms is None:
         stray = delta_a - set(rs.delta1)
         if stray:
@@ -92,7 +90,7 @@ def _numerator(rs: RootSystem, delta_a) -> dict:
                 f"delta_a contains non odd roots: {[rs.root_name(r) for r in stray]}")
         factors = [r.vector.r for r in rs.delta1 if r not in delta_a]
         terms = _times_factors({(0,) * rs.rank: 1}, factors)
-        rs._kostant_memo[key] = terms
+        rs._numerators[delta_a] = terms
     return terms
 
 
@@ -100,11 +98,10 @@ def _numerator_columns(rs: RootSystem, delta_a, den: int) -> tuple:
     """The numerator of delta_a as (columns, coefficients): columns[i] is
     coordinate i of every offset times den, coefficients the matching
     coefficients, in the order of _numerator's dict.  Built once per
-    (odd set, den) and kept in rs._kostant_memo; den 1 is the dict's
-    offsets as they are, every other den scales them."""
+    (odd set, den) and kept in rs._columns; den 1 is the dict's offsets
+    as they are, every other den scales them."""
     delta_a = frozenset(delta_a)
-    key = ("columns", delta_a, den)
-    entry = rs._kostant_memo.get(key)
+    entry = rs._columns.get((delta_a, den))
     if entry is None:
         if den == 1:
             terms = _numerator(rs, delta_a)
@@ -112,7 +109,7 @@ def _numerator_columns(rs: RootSystem, delta_a, den: int) -> tuple:
         else:
             unit, coeffs = _numerator_columns(rs, delta_a, 1)
             entry = (tuple(tuple(map(den.__mul__, col)) for col in unit), coeffs)
-        rs._kostant_memo[key] = entry
+        rs._columns[delta_a, den] = entry
     return entry
 
 
@@ -141,28 +138,10 @@ def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
     return NumeratorCharacter(_as_weights(rs, delta_a, lam))
 
 
-def _even_root_table(rs: RootSystem):
-    """Even positive roots in even-simple coordinates, cached per system."""
-    table = rs._kostant_memo.get("roots")
-    if table is None:
-        table = []
-        n, den = len(rs.even_simple), rs.coord_denominator
-        for gamma in rs.even_positive:
-            coords = rs.height_coords(gamma.vector.r)
-            assert not any(coords[n:])
-            assert all(c % den == 0 for c in coords[:n])
-            ints = tuple(c // den for c in coords[:n])
-            assert all(i >= 0 for i in ints) and sum(ints) >= 1
-            table.append(ints)
-        table.sort(reverse=True)
-        rs._kostant_memo["roots"] = table
-    return table
-
-
 def _kostant_count(rs: RootSystem, key: tuple[int, ...]) -> int:
     """Partitions of the nonnegative even-simple coordinate vector key."""
-    roots = _even_root_table(rs)
-    memo = rs._kostant_memo
+    roots = rs._even_root_coords
+    memo = rs._kostant_counts
 
     def count(rem, i):
         if not any(rem):
@@ -254,8 +233,8 @@ def _subset_sums(rs: RootSystem, free_odd: frozenset) -> dict:
     number of subsets S with sum x), ...)}, n even simple roots and den
     the coord_denominator, each class sorted by descending coordinate
     sum of x[:n] // den.  Built once per free set and kept in
-    rs._kostant_memo; a head reads only its own class."""
-    classes = rs._kostant_memo.get(free_odd)
+    rs._subset_sums; a head reads only its own class."""
+    classes = rs._subset_sums.get(free_odd)
     if classes is None:
         if not free_odd <= set(rs.delta1):
             raise ValueError("free_odd must consist of odd roots")
@@ -269,7 +248,7 @@ def _subset_sums(rs: RootSystem, free_odd: frozenset) -> dict:
             grouped.setdefault(key, []).append((tuple(c // den for c in lead), subsets))
         classes = {key: tuple(sorted(pairs, key=lambda p: sum(p[0]), reverse=True))
                    for key, pairs in grouped.items()}
-        rs._kostant_memo[free_odd] = classes
+        rs._subset_sums[free_odd] = classes
     return classes
 
 

@@ -1,11 +1,12 @@
 """Command line front end.
 
-Exit codes: 0 on success, 1 when a verify run reports failures, 2 on
-usage or parse errors, including a weight whose a-part leaves the
-degree-1 space or a report file that cannot be opened.  JSON output is
-emitted with sorted keys so that identical inputs produce byte-identical
-exports.  Each command imports only the layers it runs, so start-up
-(and ``--help``) does not pay for the rest.
+Exit codes: 0 on success, 1 when a verify run reports failures or when
+the reader closes stdout before the output is written, 2 on usage or
+parse errors, including a weight whose a-part leaves the degree-1 space
+or a report file that cannot be opened.  JSON output is emitted with
+sorted keys so that identical inputs produce byte-identical exports.
+Each command imports only the layers it runs, so start-up (and
+``--help``) does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 __all__ = ["main", "run_command"]
@@ -67,8 +69,8 @@ def _resolve_borel(rs, og, borels, text):
     borels[k]."""
     if text is None:
         return 0
-    if text in og.borel_of_vertex:
-        return og.graph.vertices.index(text)
+    if text in og.graph._vindex:
+        return og.graph._vindex[text]
     if text.startswith("#"):
         try:
             k = int(text[1:])
@@ -265,7 +267,7 @@ def _cmd_walk(args, print_fn) -> int:
         raise UsageError("--path is required")
     verts = [t.strip() for t in args.path.split(",")]
     for v in verts:
-        if v not in og.borel_of_vertex:
+        if v not in og.graph._vindex:
             raise UsageError(f"unknown vertex {v!r}; labels: "
                              + " ".join(str(x) for x in og.graph.vertices))
     # a walk that is not in the graph raises InvalidWalk, a ValueError: exit 2
@@ -471,7 +473,17 @@ def run_command(argv, print_fn=print) -> int:
 
 
 def main() -> int:
-    return run_command(sys.argv[1:])
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush at
+        # interpreter exit cannot raise again ("Note on SIGPIPE", Python's
+        # signal docs), and say nothing on stderr
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ __all__ = [
     "LAMBDA_GRID",
     "ISO_SUITE",
     "GAMMA_BOUND",
-    "PHI_DEPTH",
     "QUIVER_MAX_LEN",
     "WALK_SEED",
     "WALKS_PER_PAIR",
@@ -64,9 +63,6 @@ ISO_SUITE = (
 # bounded the even-root witness search that s1_classify's proof replaced;
 # the tests' brute-force witness oracle and the benchmark still read it
 GAMMA_BOUND = 4
-
-# truncation depth for the brute-force character expansion oracle
-PHI_DEPTH = 4
 
 # path length bound for the quiver presets (stabilization is checked one past it)
 QUIVER_MAX_LEN = 3

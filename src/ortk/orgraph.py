@@ -52,18 +52,17 @@ __all__ = [
 
 
 class ORGraph:
-    """OR(g) with the dictionaries linking graph IDs back to root data.
+    """OR(g) with the dictionary linking color names back to roots.
 
     Vertex k of graph is Borel k of enumerate_borels(rs), so a Borel's
-    rank is its vertex's position in graph.vertices, and edge (u, i, v)
-    of the enumeration is the graph edge between vertices u and v.
-    Compares and hashes by identity."""
+    rank is its vertex's position in graph.vertices (graph._vindex), and
+    edge (u, i, v) of the enumeration is the graph edge between vertices
+    u and v.  Compares and hashes by identity."""
 
-    __slots__ = ("graph", "borel_of_vertex", "root_of_color")
+    __slots__ = ("graph", "root_of_color")
 
-    def __init__(self, graph: ColoredGraph, borel_of_vertex: dict, root_of_color: dict):
+    def __init__(self, graph: ColoredGraph, root_of_color: dict):
         self.graph = graph
-        self.borel_of_vertex = borel_of_vertex
         self.root_of_color = root_of_color
 
 
@@ -110,9 +109,7 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
             rep = rs.negate(alpha)
         assert rep in ref_odd, "reflection root missing a reference sign"
         graph_edges.append((labels[u], labels[v], rs.root_name(rep)))
-    graph = ColoredGraph(tuple(labels), colors, tuple(graph_edges))
-    borel_of_vertex = {labels[k]: b for k, b in enumerate(borels)}
-    return ORGraph(graph, borel_of_vertex, root_of_color)
+    return ORGraph(ColoredGraph(tuple(labels), colors, tuple(graph_edges)), root_of_color)
 
 
 def atypical_colors(rs: RootSystem, og: ORGraph, lam: Weight) -> frozenset:
@@ -167,7 +164,7 @@ def walk_hom_oracle(rs: RootSystem, og: ORGraph, lam: Weight,
     colors = [c for c in w.walk_colors if c not in contracted]
     if len(set(colors)) != len(colors):
         return WalkHomVerdict.zero()
-    start = og.borel_of_vertex[w.walk_vertices[0]]
+    start = enumerate_borels(rs)[0][og.graph._vindex[w.walk_vertices[0]]]
     start_pos = start.odd_set()
     monomial = []
     for c in colors:

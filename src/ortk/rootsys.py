@@ -156,24 +156,14 @@ class RootSystem:
             raise UnsupportedFamily("standard odd positives are not all roots")
         self.even_simple = _indecomposables(self.even_positive)
         self._names = {self.root_name(r): r for r in self.delta0 + self.delta1}
-        # the character kernels' fixed work, kept per system (characters.py,
-        # adjusted.py):
-        #   "roots"                   -> the even-root table of the Kostant count
-        #   (coordinates, index)      -> a Kostant state's partition count
-        #   frozenset of odd roots    -> a free set's odd-subset sums, by lattice class
-        #   ("numerator", odd set)    -> a numerator prod (1 + e^beta) as offsets
-        #   ("columns", odd set, den) -> that numerator as columns scaled by den
-        #   ("brick", join odd set)   -> a brick check's J-shift product
-        # One subset-sum dict per distinct free set, one product per
-        # distinct odd set queried, one column form per distinct (odd set,
-        # weight denominator) queried and one brick product per distinct
-        # join odd set, each with at most 2^|delta1| terms; the Kostant
-        # states grow with the queried coordinates.
-        self._kostant_memo: dict = {}
+        # the character kernels' fixed work (characters.py, adjusted.py), one
+        # table per kind; each product has at most 2^|delta1| terms
+        self._kostant_counts: dict = {}  # (coordinates, index) -> Kostant count
+        self._subset_sums: dict = {}  # free set -> its odd-subset sums by lattice class
+        self._numerators: dict = {}  # odd set -> numerator prod (1 + e^beta) as offsets
+        self._columns: dict = {}  # (odd set, den) -> that numerator as columns times den
+        self._bricks: dict = {}  # join odd set -> a brick check's J-shift product
         self._borel_cache: tuple | None = None
-        # isotropic odd root index a -> _ReflectionRow(self, a), made on the
-        # first reflection at a
-        self._reflection_rows: dict = {}
 
     # -- the root index layer of Borel enumeration ---------------------------------
     #
@@ -288,6 +278,21 @@ class RootSystem:
         height_row = tuple(sum(row[j] for row in rows[:len(self.even_simple)])
                            for j in range(self.rank))
         return rows, den, height_row
+
+    @cached_property
+    def _even_root_coords(self) -> tuple[tuple[int, ...], ...]:
+        """The even positive roots in even-simple coordinates, descending:
+        the parts of a Kostant partition."""
+        n, den = len(self.even_simple), self.coord_denominator
+        table = []
+        for gamma in self.even_positive:
+            coords = self.height_coords(gamma.vector.r)
+            assert not any(coords[n:])
+            assert all(c % den == 0 for c in coords[:n])
+            ints = tuple(c // den for c in coords[:n])
+            assert all(i >= 0 for i in ints) and sum(ints) >= 1
+            table.append(ints)
+        return tuple(sorted(table, reverse=True))
 
     @property
     def coord_denominator(self) -> int:
@@ -565,16 +570,14 @@ class _ReflectionRow(dict):
         return image
 
 
-def _reflect(rs: RootSystem, mask: int, simple: tuple[int, ...], k: int):
+def _reflect(rows: dict, mask: int, simple: tuple[int, ...], k: int):
     """The odd reflection of a Borel at its simple root k (0-based), on root
     indices: (mask, simple) -> the reflected mask and simple system.
 
     The bits of alpha and -alpha flip; the simple system is inherited
-    through alpha's _ReflectionRow."""
+    through alpha's _ReflectionRow, rows[alpha]."""
     a = simple[k]
-    row = rs._reflection_rows.get(a)
-    if row is None:
-        row = rs._reflection_rows[a] = _ReflectionRow(rs, a)
+    row = rows[a]
     return mask ^ (1 << a) ^ (1 << row[a]), tuple(map(row.__getitem__, simple))
 
 
@@ -610,6 +613,8 @@ def enumerate_borels(rs: RootSystem) -> tuple[list[Borel], list[tuple[int, int, 
     simples = [tuple(index[r] for r in start.simple)]
     rank_of = {masks[0]: 0}
     edges: list[tuple[int, int, int]] = []
+    # the reflection tables of this search only; the result alone is kept
+    rows = {a: _ReflectionRow(rs, a) for a in iso}
     frontier = masks[:]
     while frontier:
         discovered: dict[int, tuple[int, ...]] = {}
@@ -620,7 +625,7 @@ def enumerate_borels(rs: RootSystem) -> tuple[list[Borel], list[tuple[int, int, 
             for k, a in enumerate(simple):
                 if a not in iso:
                     continue
-                nmask, nsimple = _reflect(rs, mask, simple, k)
+                nmask, nsimple = _reflect(rows, mask, simple, k)
                 v = rank_of.get(nmask)
                 known = discovered.setdefault(nmask, nsimple) if v is None else simples[v]
                 if known != nsimple:

@@ -49,7 +49,7 @@ from ortk.numerics import (
     scalar,
 )
 from ortk.orgraph import build_or_lambda
-from ortk.rootsys import Borel, NotIsotropicSimple, Root
+from ortk.rootsys import Borel, NotIsotropicSimple, Root, enumerate_borels
 
 
 class NotInSpan(ValueError):
@@ -213,7 +213,8 @@ def ref_semibrick_index_sets(rs, og, lam: Weight, bbar) -> dict:
     quotient = build_or_lambda(rs, og, lam)
     q = quotient.graph
     vmap = quotient.vertex_map
-    vertex_of = {b: vid for vid, b in og.borel_of_vertex.items()}
+    # vertex k of OR(g) is Borel k of the enumeration
+    vertex_of = dict(zip(enumerate_borels(rs)[0], og.graph.vertices))
     t = vmap[vertex_of[bbar]]
 
     def rainbow_through(x, via, used) -> bool:
@@ -229,7 +230,7 @@ def ref_semibrick_index_sets(rs, og, lam: Weight, bbar) -> dict:
         return False
 
     out = {}
-    for vid, b in og.borel_of_vertex.items():
+    for b, vid in vertex_of.items():
         v = vmap[vid]
         out[b] = frozenset(
             i for i in b.isotropic_simple_indices()

@@ -318,6 +318,29 @@ def test_internal_fault_is_not_a_usage_error(module, name, argv, monkeypatch):
         run_command(argv, print_fn=lambda *a: None)
 
 
+def child_env():
+    """The environment of a child interpreter that imports this ortk."""
+    src = str(pathlib.Path(ortk.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # the read end of the child's stdout pipe is closed before the child
+    # starts, so its first write fails with EPIPE: it exits 1 and writes
+    # nothing to stderr
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "ortk.cli", "typical", "--family", "gl", "--m", "1",
+             "--n", "1", "--lambda", "0,0"],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env())
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (1, b"")
+
+
 # -- each command imports only the layers it runs -------------------------------
 
 GL21 = ["--family", "gl", "--m", "2", "--n", "1", "--lambda", "0,0,0"]
@@ -352,10 +375,7 @@ print(json.dumps([code, sorted(sys.modules)]))
 
 def modules_after(argv):
     """Exit code and every module loaded after `ortk ARGV` in a fresh interpreter."""
-    src = str(pathlib.Path(ortk.__file__).parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    out = subprocess.run([sys.executable, "-c", PROBE] + argv, env=env,
+    out = subprocess.run([sys.executable, "-c", PROBE] + argv, env=child_env(),
                          capture_output=True, encoding="utf-8", check=True)
     code, modules = json.loads(out.stdout.splitlines()[-1])
     return code, set(modules)

@@ -224,18 +224,31 @@ def test_verma_character_matches_product_expansion(data, key):
 @FUZZ
 @given(data=st.data(), key=systems)
 def test_numerators_survive_brick_checks_on_the_same_system(data, key):
-    # brick checks read the meet's and join's numerators from the memo the
-    # Verma characters share; no cached product may change under them
+    # brick checks read the meet's and join's numerators from the table the
+    # Verma characters share, and a multiplicity and a Kostant count fill
+    # the subset-sum and Kostant tables of the same system: every table
+    # kind is filled and read, and no kept entry may change under another
     rs, borels = system(key)
     b = data.draw(st.sampled_from(borels))
     lam = data.draw(weights(rs))
     zero = zero_weight(rs.rank)
+    free = frozenset(rs.negate(r) for r in b.odd_positive)
+    lower = data.draw(st.lists(st.sampled_from(
+        sorted(free, key=lambda r: r.sort_key()) + list(rs.even_positive)), max_size=3))
+    q = MultiplicityQuery(free, lam, total(
+        (r.vector if r in free else -r.vector for r in lower), lam))
+    v = total((r.vector for r in data.draw(st.lists(
+        st.sampled_from(rs.even_positive), min_size=1, max_size=4))), zero)
+    mult, count = ref_weight_multiplicity(rs, q), ref_kostant(rs, v)
+    assert count >= 1
+    assert (weight_multiplicity(rs, q), kostant_partitions(rs, v)) == (mult, count)
     for coll in hypercubic_collections(rs, b, zero):
         meet, join = borel_meet_join(rs, b, coll)
         for _ in range(2):
             assert brick_decomposition_check(rs, b, zero, coll)
         for delta_a in (meet, join, set(b.odd_positive)):
             assert verma_character(rs, delta_a, lam).terms == ref_numerator(rs, delta_a, lam)
+    assert (weight_multiplicity(rs, q), kostant_partitions(rs, v)) == (mult, count)
 
 
 def test_numerator_columns_across_denominators():
@@ -263,8 +276,7 @@ def test_numerator_columns_across_denominators():
         assert verma_character(rs, delta_a, lam).terms == ref
         for b in borels:
             assert kac_flag_constituents(rs, b, lam) == ref_kac_flag_constituents(rs, b, lam)
-    dens = {key[2] for key in rs._kostant_memo
-            if key[0] == "columns" and key[1] == frozenset(delta_a)}
+    dens = {den for odd, den in rs._columns if odd == frozenset(delta_a)}
     assert dens == {1, 2, 3}
 
 

@@ -280,7 +280,7 @@ def test_walk_hom_monomial_in_start_positives():
     w = make_walk(og.graph, ["22", "21", "2", "1", "∅"])
     verdict = walk_hom_oracle(rs, og, lam, w)
     assert verdict.nonzero
-    start = og.borel_of_vertex["22"]
+    start = enumerate_borels(rs)[0][og.graph._vindex["22"]]
     for r in verdict.monomial:
         assert r in start.odd_set()
 
@@ -306,8 +306,7 @@ def test_walk_hom_oracle_refuses_a_quotient_loop():
     assert {"e1-d1", "e2-d2"} == atypical_colors(rs, real, lam)
     g = ColoredGraph(("a", "b"), ("e1-d1", "e2-d1"),
                      (("a", "b", "e1-d1"), ("a", "b", "e2-d1")))
-    og = ORGraph(g, {"a": real.borel_of_vertex["∅"], "b": real.borel_of_vertex["1"]},
-                 {c: real.root_of_color[c] for c in g.colors})
+    og = ORGraph(g, {c: real.root_of_color[c] for c in g.colors})
     assert quotient_by_colors(g, {"e1-d1"}).loops == (("a", "e2-d1"),)
     for path, colors in ((["a"], ()), (["a", "b"], ("e1-d1",)), (["a", "b"], ("e2-d1",))):
         with pytest.raises(AssertionError, match="loop"):
@@ -388,14 +387,15 @@ def test_semibrick_index_sets_gl22():
     rs = build_root_system("gl", m=2, n=2)
     og = build_or_graph(rs)
     borels, _ = enumerate_borels(rs)
-    bbar = og.borel_of_vertex["∅"]
+    borel_of = dict(zip(og.graph.vertices, borels))
+    bbar = borel_of["∅"]
     sets = semibrick_index_sets(rs, og, zero_weight(4), bbar)
-    assert sets[og.borel_of_vertex["∅"]] == {2}
-    assert sets[og.borel_of_vertex["22"]] == frozenset()
+    assert sets[borel_of["∅"]] == {2}
+    assert sets[borel_of["22"]] == frozenset()
     # Borel (1) sits between ∅ and the two rank-2 vertices; reflecting
     # away from ∅ and coming back is never rainbow, so only the indices
     # whose reflections move away from bbar contribute
-    b1 = og.borel_of_vertex["1"]
+    b1 = borel_of["1"]
     got = sets[b1]
     for i in got:
         nb = odd_reflect(rs, b1, i)
@@ -424,7 +424,7 @@ def test_semibrick_index_sets_match_rainbow_search(family, m, n):
     rs, lams = grid_weights(family, m, n)
     og = build_or_graph(rs)
     for lam in lams or [zero_weight(rs.rank)]:
-        for bbar in og.borel_of_vertex.values():
+        for bbar in enumerate_borels(rs)[0]:
             assert (semibrick_index_sets(rs, og, lam, bbar)
                     == ref_semibrick_index_sets(rs, og, lam, bbar))
 

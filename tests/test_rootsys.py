@@ -178,7 +178,7 @@ def test_enumerate_borels_counts():
             assert odd_reflect(rs, borels[u], i) == borels[v]
 
 
-def test_a_path_dependent_simple_order_raises():
+def test_a_path_dependent_simple_order_raises(monkeypatch):
     # a wrong entry planted in the reflection table of e2-d1, the first
     # reflection out of the standard Borel of gl(2|2): the Borel reached
     # again along another path then carries another simple order.  The
@@ -186,8 +186,16 @@ def test_a_path_dependent_simple_order_raises():
     rs = build_root_system("gl", m=2, n=2)
     _, index, _ = rs._root_index
     a = index[rs.root_by_name("e2-d1")]
-    row = rs._reflection_rows[a] = _ReflectionRow(rs, a)
-    row[index[rs.root_by_name("d1-d2")]] = index[rs.root_by_name("e1-e2")]
+    b, wrong = index[rs.root_by_name("d1-d2")], index[rs.root_by_name("e1-e2")]
+    missing = _ReflectionRow.__missing__
+
+    def planted(row, key):
+        if (row.a, key) != (a, b):
+            return missing(row, key)
+        row[key] = wrong
+        return wrong
+
+    monkeypatch.setattr(_ReflectionRow, "__missing__", planted)
     with pytest.raises(AssertionError, match="depends on the path"):
         enumerate_borels(rs)
 
@@ -224,7 +232,7 @@ def test_partition_borel_is_the_enumerated_borel(m, n):
         flipped = {(j, m + 1 - i) for i in range(1, m + 1) for j in range(1, n + 1)
                    if rs.root_by_name(f"-e{i}+d{j}") in b.odd_positive}
         assert flipped == boxes, p
-        vertex = og.borel_of_vertex["".join(map(str, p)) or "∅"]
+        vertex = borels[og.graph._vindex["".join(map(str, p)) or "∅"]]
         assert vertex == b and vertex.simple == b.simple, p
 
 
@@ -234,7 +242,7 @@ def test_partition_borel_reflects_as_its_vertex():
     # taking the box in row 1, column 2 out along the edge colored e2-d1
     rs = build_root_system("gl", m=3, n=2)
     og = build_or_graph(rs)
-    b = og.borel_of_vertex["21"]
+    b = enumerate_borels(rs)[0][og.graph._vindex["21"]]
     assert partition_of_borel(rs, b) == (2, 1)
     assert names(rs, b.simple) == ["e1-d1", "-e2+d1", "e2-d2", "-e3+d2"]
     assert partition_of_borel(rs, odd_reflect(rs, b, 2)) == (1, 1)
@@ -328,21 +336,32 @@ def test_stretch_or_graph_is_pinned(family_id):
     assert or_graph_digest(build_root_system(family, **kw)) == OR_GRAPH_DIGESTS[family_id]
 
 
+def _expected_label(rs, b, k):
+    """The OR(g) vertex label of Borel b of rank k, from its odd positive
+    roots: the Young diagram for gl, for gl11n bit i set when
+    e_i - d_{n+1-i} is flipped, #k otherwise."""
+    if rs.family == "gl":
+        return "".join(map(str, partition_of_borel(rs, b))) or "∅"
+    if rs.family == "gl11n":
+        n = rs.params[0]
+        return "".join("0" if rs.root_by_name(f"e{i}-d{n + 1 - i}") in b.odd_positive else "1"
+                       for i in range(1, n + 1))
+    return f"#{k}"
+
+
 @pytest.mark.parametrize("family_id", SIMPLE_ORACLE_IDS)
 def test_one_borel_numbering(family_id):
-    # vertex k of OR(g) is Borel k of the enumeration, simple order
-    # included, and each enumeration edge (u, i, v) is a graph edge between
-    # vertices u and v whose reflection, by the oracle on root vectors,
-    # takes u to v and v to u at the same index i.  The graph-stretch
-    # families are among SIMPLE_ORACLE_FAMILIES
+    # vertex k of OR(g) is Borel k of the enumeration: its label is the
+    # label of borels[k].  Each enumeration edge (u, i, v) is a graph edge
+    # between vertices u and v whose reflection, by the oracle on root
+    # vectors, takes u to v and v to u at the same index i, simple order
+    # included.  The graph-stretch families are among SIMPLE_ORACLE_FAMILIES
     family, kw = FAMILY_OF_ID[family_id]
     rs = build_root_system(family, **kw)
     borels, edges = enumerate_borels(rs)
     og = build_or_graph(rs)
-    by_vertex = [og.borel_of_vertex[v] for v in og.graph.vertices]
-    assert by_vertex == borels
-    assert [b.simple for b in by_vertex] == [b.simple for b in borels]
     labels = og.graph.vertices
+    assert list(labels) == [_expected_label(rs, b, k) for k, b in enumerate(borels)]
     graph_pairs = {(x, y) for x, y, _ in og.graph.edges}
     for u, i, v in edges:
         assert (labels[u], labels[v]) in graph_pairs
