@@ -35,8 +35,7 @@ def _dump(obj) -> str:
 
 
 def _build_system(args):
-    from fractions import Fraction
-
+    from .numerics import parse_rational
     from .rootsys import build_root_system
 
     family = _internal_family(args.family)
@@ -45,8 +44,8 @@ def _build_system(args):
         if family != "d21alpha":
             raise UsageError("--alpha only applies to --family d21")
         try:
-            alpha = Fraction(args.alpha)
-        except (ValueError, ZeroDivisionError):
+            alpha = parse_rational(args.alpha)
+        except ValueError:
             raise UsageError(f"--alpha must be a rational like 2/3, got {args.alpha!r}")
     if family == "d21alpha":
         if args.m is not None or args.n is not None:

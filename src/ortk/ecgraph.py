@@ -31,8 +31,9 @@ class ColoredGraph:
 
     edges holds normalized triples (u, v, c) with u before v in vertex
     order; construction rejects loops, unknown endpoints or colors, and
-    duplicate triples.  Graphs with equal vertices, colors and edges are
-    equal and hash equal.
+    duplicate triples.  A graph compares and hashes by identity; two
+    graphs have the same structure when their (vertices, colors, edges)
+    are equal.
 
     _vindex maps each vertex to its position in vertices.  Tables that
     depend only on the graph are built on first use and kept for its
@@ -83,14 +84,6 @@ class ColoredGraph:
         raise AttributeError(f"cannot assign or delete {name!r} of an immutable ColoredGraph")
 
     __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.colors, self.edges) == (other.vertices, other.colors, other.edges)
-
-    def __hash__(self):
-        return hash((self.vertices, self.colors, self.edges))
 
     @cached_property
     def _walk_index(self) -> "_WalkIndex":

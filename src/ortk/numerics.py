@@ -1,13 +1,15 @@
 """Exact scalars and weights.
 
 Every quantity lives in the degree <= 1 space Q + Q*a, where a is the
-deformation parameter of the exceptional family.  There is no silent
-promotion to a larger ring: a product that would reach degree 2 raises
-DegreeOverflow.  Weights are coordinate vectors over these scalars,
-stored as integers over one common denominator; all root coordinates in
-practice are integers, the a-part exists so that user-supplied weights
-can carry the parameter.  A root system's diagonal bilinear form is a
-Weight too: entry i is the form's value on the i-th basis vector.
+deformation parameter of the exceptional family.  Weights are coordinate
+vectors over these scalars, stored as integers over one common
+denominator; all root coordinates in practice are integers, the a-part
+exists so that user-supplied weights can carry the parameter.  A root
+system's diagonal bilinear form is a Weight too: entry i is the form's
+value on the i-th basis vector.  A Scalar is the parsed form of one
+coordinate, read and written at the I/O boundary; it has no arithmetic.
+The pairing kernel in rootsys raises DegreeOverflow where a pairing
+would leave the degree-1 space.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ __all__ = [
     "SingularBasis",
     "Scalar",
     "scalar",
-    "render_scalar",
+    "parse_rational",
     "parse_scalar",
     "Weight",
     "zero_weight",
@@ -75,47 +77,13 @@ def _rat(x) -> Fraction:
 
 
 class Scalar(namedtuple("_ScalarFields", "r s")):
-    """An element r + s*a with r, s rational, kept in lowest terms.
-
-    An immutable tuple (r, s), as Weight is; its + and * are the ring's,
-    not the tuple's."""
+    """An element r + s*a with r, s rational: the immutable tuple (r, s)
+    that parse_scalar reads and Weight.coords gives."""
 
     __slots__ = ()
 
     def __new__(cls, r, s):
         return tuple.__new__(cls, (_rat(r), _rat(s)))
-
-    def is_zero(self, alpha: Fraction | None = None) -> bool:
-        """Zero test, under the optional specialization a = alpha."""
-        if alpha is None:
-            return self.r == 0 and self.s == 0
-        return self.r + self.s * alpha == 0
-
-    def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.r + other.r, self.s + other.s)
-
-    def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.r - other.r, self.s - other.s)
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.r, -self.s)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(_rat(other), Fraction(0))
-        if self.s != 0 and other.s != 0:
-            raise DegreeOverflow(
-                f"({render_scalar(self)})*({render_scalar(other)}) leaves the degree-1 space"
-            )
-        return Scalar(
-            self.r * other.r,
-            self.r * other.s + self.s * other.r,
-        )
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Scalar({render_scalar(self)})"
 
 
 def scalar(r=0, s=0) -> Scalar:
@@ -138,34 +106,42 @@ def _render_coord(x: int, y: int, den: int) -> str:
     return f"{_ratio(x, den)}{sign}{_ratio(abs(y), den)}a"
 
 
-def render_scalar(x: Scalar) -> str:
-    den = lcm(x.r.denominator, x.s.denominator)
-    return _render_coord(x.r.numerator * (den // x.r.denominator),
-                         x.s.numerator * (den // x.s.denominator), den)
+_RATIONAL = r"[0-9]+(?:/[0-9]+)?"
+_RATIONAL_RE = re.compile(rf"[+-]?{_RATIONAL}")
+_ALPHA_RE = re.compile(rf"([+-]?{_RATIONAL})?\s*([+-])?\s*({_RATIONAL})?\s*a")
 
 
-_ALPHA_RE = re.compile(
-    r"^([+-]?\d+(?:/\d+)?)?\s*([+-])?\s*(\d+(?:/\d+)?)?\s*a$"
-)
+def parse_rational(text: str) -> Fraction:
+    """Parse 'p' or 'p/q' in ASCII digits, with an optional sign and
+    surrounding spaces.  Anything else, a zero denominator included,
+    raises ValueError."""
+    if not _RATIONAL_RE.fullmatch(text.strip()):
+        raise ValueError(f"cannot parse rational {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse rational {text!r}") from None
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse 'p/q', 'p/q+r/s a', 'r/s a', 'a', '-a'.  Anything else, a zero
-    denominator included, raises ValueError."""
+    """Parse 'p/q', 'p/q+r/s a', 'r/s a', 'a', '-a', with ASCII digits.  A
+    rational part and an a-coefficient need a sign between them; anything
+    else, a zero denominator included, raises ValueError."""
     t = text.strip()
     try:
         if "a" not in t:
-            return scalar(Fraction(t))
-        m = _ALPHA_RE.match(t)
+            return scalar(parse_rational(t))
+        m = _ALPHA_RE.fullmatch(t)
         if m:
             lead, sign, coeff = m.groups()
             if sign is None and coeff is None:
                 # everything before 'a' is the a-coefficient, as in '1/2a' or '-a'
-                return Scalar(Fraction(0), Fraction(lead) if lead else Fraction(1))
-            r = Fraction(lead) if lead else Fraction(0)
-            s = Fraction(coeff) if coeff else Fraction(1)
-            return Scalar(r, -s if sign == "-" else s)
-    except (ValueError, ZeroDivisionError):
+                return Scalar(0, parse_rational(lead) if lead else 1)
+            if sign is not None:
+                r = parse_rational(lead) if lead else 0
+                s = parse_rational(coeff) if coeff else 1
+                return Scalar(r, -s if sign == "-" else s)
+    except ValueError:
         pass
     raise ValueError(f"cannot parse scalar {text!r}")
 
@@ -261,9 +237,6 @@ class Weight(namedtuple("_WeightFields", "r s den")):
 
     def __neg__(self) -> "Weight":
         return Weight.of(tuple(-x for x in self.r), tuple(-x for x in self.s), self.den)
-
-    def __repr__(self):
-        return f"Weight({render_weight(self)})"
 
 
 def zero_weight(rank: int) -> Weight:

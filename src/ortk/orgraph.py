@@ -190,6 +190,9 @@ def semibrick_index_sets(rs: RootSystem, og: ORGraph, lam: Weight,
     b: its distance to bbar is one more than that of b.  The reflections
     are the enumeration's edges: (u, i, v) is r_i u = v and r_i v = u,
     and every isotropic simple index of every Borel lies in one edge.
+
+    bbar must be one of the Borels of enumerate_borels(rs)[0], and the
+    result is keyed by those Borels: a Borel compares by identity.
     """
     borels, edges = enumerate_borels(rs)
     quotient = build_or_lambda(rs, og, lam)

@@ -46,7 +46,7 @@ class PathClass(namedtuple("_PathClassFields", "word source target")):
 
 class Quiver:
     """Vertices, named arrows (name, source, target) and the two kinds of
-    relations; quivers with equal fields are equal."""
+    relations."""
 
     __slots__ = ("vertices", "arrows", "zero_relations", "commutation_relations")
 
@@ -78,12 +78,6 @@ class Quiver:
                 raise ValueError("commutation relation sides must have equal length")
             if _word_endpoints(amap, lhs) != _word_endpoints(amap, rhs):
                 raise ValueError("commutation relation sides must share source and target")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.vertices, self.arrows, self.zero_relations, self.commutation_relations) \
-            == (other.vertices, other.arrows, other.zero_relations, other.commutation_relations)
 
 
 def _arrow_map(q: Quiver) -> dict:

@@ -21,7 +21,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import add, mul
 
-from .numerics import DegreeOverflow, RankMismatch, SingularBasis, Weight, _ratio
+from .numerics import DegreeOverflow, RankMismatch, SingularBasis, Weight, _ratio, render_weight
 
 __all__ = [
     "UnsupportedFamily",
@@ -57,6 +57,8 @@ class Root:
 
     Immutable and without order; roots with equal fields are equal, and
     a root hashes as its integer vector, independently of the hash seed.
+    It has no pickle or repr of its own: the program never pickles or
+    prints a Root, and RootSystem.root_name names one.
     A __slots__ class, not a namedtuple: the hot loops read its fields,
     and slot reads are the fastest attribute reads.
     """
@@ -67,7 +69,7 @@ class Root:
         # every family's roots have integer coordinates, so vector.r is
         # the root as an integer vector
         if vector.den != 1 or any(vector.s):
-            raise UnsupportedFamily(f"root {vector!r} is not integral")
+            raise UnsupportedFamily(f"root {render_weight(vector)} is not integral")
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "isotropic", isotropic)
@@ -86,16 +88,9 @@ class Root:
     def __hash__(self):
         return hash(self.vector.r)
 
-    def __reduce__(self):
-        # the default would restore the slots through __setattr__
-        return (Root, (self.vector, self.parity, self.isotropic))
-
     def sort_key(self):
         # roots are integral: their integer vectors order them
         return self.vector.r
-
-    def __repr__(self):
-        return f"Root({self.parity}, {self.vector!r})"
 
 
 class RootSystem:
@@ -200,9 +195,9 @@ class RootSystem:
     def _pair(self, lam_r, lam_s, root: Root) -> tuple[int, int]:
         """(lam, root) times lam.den, as (rational part, a-part).
 
-        Raises DegreeOverflow where the Scalar product does: an a-carrying
-        coordinate of lam meets an a-carrying diagonal entry on a nonzero
-        root coordinate."""
+        Raises DegreeOverflow where the pairing leaves the degree-1 space
+        Q + Q*a: an a-carrying coordinate of lam meets an a-carrying
+        diagonal entry on a nonzero root coordinate."""
         wr, ws = self._weighted_roots[root]
         r = sum(map(mul, lam_r, wr))
         s = sum(map(mul, lam_r, ws))
@@ -240,7 +235,7 @@ class RootSystem:
     def negate(self, r: Root) -> Root:
         out = self._by_ivec.get(tuple(-x for x in r.vector.r))
         if out is None:
-            raise ValueError(f"negative of {r!r} is not a root")
+            raise ValueError(f"negative of {self.root_name(r)} is not a root")
         return out
 
     def root_name(self, r: Root) -> str:
@@ -374,9 +369,11 @@ def _indecomposables(roots) -> tuple[Root, ...]:
 class Borel:
     """A Borel over the fixed even Borel: its positive odd roots.
 
-    odd_positive is canonically sorted and is the identity of the Borel;
-    simple carries the inherited total order on the simple system and is
-    excluded from equality and hash.  Immutable.
+    odd_positive is canonically sorted; simple carries the inherited
+    total order on the simple system.  Immutable, and compared by
+    identity: enumerate_borels builds each Borel once, and the program
+    addresses a Borel by its rank in that list, vertex k of the OR graph
+    being Borel k.
     """
 
     __slots__ = ("odd_positive", "simple")
@@ -389,21 +386,6 @@ class Borel:
         raise AttributeError(f"cannot assign or delete {name!r} of an immutable Borel")
 
     __setattr__ = __delattr__ = _frozen
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.odd_positive == other.odd_positive
-
-    def __hash__(self):
-        return hash((self.odd_positive,))
-
-    def __reduce__(self):
-        # the default would restore the slots through __setattr__
-        return (Borel, (self.odd_positive, self.simple))
-
-    def __repr__(self):
-        return f"Borel(odd_positive={self.odd_positive!r}, simple={self.simple!r})"
 
     def odd_set(self) -> frozenset[Root]:
         return frozenset(self.odd_positive)

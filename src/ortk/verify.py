@@ -56,7 +56,7 @@ __all__ = [
 
 
 class ReportEntry:
-    """One check's outcome; entries with equal fields are equal."""
+    """One check's outcome, written out by to_json."""
 
     __slots__ = ("check", "parameters", "status", "payload")
 
@@ -65,11 +65,6 @@ class ReportEntry:
         self.parameters = parameters
         self.status = status  # "pass" | "fail" | "skipped"
         self.payload = {} if payload is None else payload
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.to_json() == other.to_json()
 
     def to_json(self) -> dict:
         return {
@@ -81,18 +76,12 @@ class ReportEntry:
 
 
 class VerificationReport:
-    """The entries of one suite run, in manifest order; reports with equal
-    entries are equal."""
+    """The entries of one suite run, in manifest order."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: list):
         self.entries = entries
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
 
     @property
     def passed(self) -> bool:

@@ -1,8 +1,8 @@
 """Reference implementations that the tests compare the library against.
 
 Each one reaches its verdict along a second code path, apart from the
-one in src/: pairings through the Scalar product on the form's diagonal
-in place of the integer pairing kernel, coordinates by Gaussian
+one in src/: pairings through the Scalar ring below on the form's
+diagonal in place of the integer pairing kernel, coordinates by Gaussian
 elimination over Q in place of one basis inverse, a Borel's simple
 roots by a search over all pairwise sums in place of the simple system
 inherited along odd reflections, an odd reflection on root vectors in
@@ -16,8 +16,10 @@ union-find, and graph distances by a BFS on vertex IDs in place of the
 walk index.
 The rainbow and shortest walk tests, the check of an isomorphism
 witness and its inverse, the closure test of an adjusted odd set, the
-sum of two characters and the Scalar multiple of a weight live here
-too: only the tests use them.  The package never calls any of these.
+sum of two characters, the Scalar ring (sum, difference, negation,
+product and zero test of r + s*a; in src/ a Scalar is only a parsed
+coordinate) and the Scalar multiple of a weight live here too: only the
+tests use them.  The package never calls any of these.
 """
 
 from __future__ import annotations
@@ -56,6 +58,47 @@ class NotInSpan(ValueError):
     """The vector is not a combination of the given basis."""
 
 
+# -- the Scalar ring: r + s*a with r, s rational, of degree at most 1 ---------
+
+
+def _as_scalar(x) -> Scalar:
+    return x if isinstance(x, Scalar) else scalar(x)
+
+
+def render_scalar(x: Scalar) -> str:
+    """x as parse_scalar reads it: the text of a one-coordinate weight."""
+    return render_weight(Weight((x,)))
+
+
+def scalar_add(x: Scalar, y: Scalar) -> Scalar:
+    return Scalar(x.r + y.r, x.s + y.s)
+
+
+def scalar_sub(x: Scalar, y: Scalar) -> Scalar:
+    return Scalar(x.r - y.r, x.s - y.s)
+
+
+def scalar_neg(x: Scalar) -> Scalar:
+    return Scalar(-x.r, -x.s)
+
+
+def scalar_mul(x, y) -> Scalar:
+    """x * y for Scalars, ints or Fractions; raises DegreeOverflow where
+    both carry a, as the product would leave the degree-1 space."""
+    x, y = _as_scalar(x), _as_scalar(y)
+    if x.s != 0 and y.s != 0:
+        raise DegreeOverflow(
+            f"({render_scalar(x)})*({render_scalar(y)}) leaves the degree-1 space")
+    return Scalar(x.r * y.r, x.r * y.s + x.s * y.r)
+
+
+def scalar_is_zero(x: Scalar, alpha: Fraction | None = None) -> bool:
+    """Zero test, under the optional specialization a = alpha."""
+    if alpha is None:
+        return x.r == 0 and x.s == 0
+    return x.r + x.s * alpha == 0
+
+
 def inner_product(v: Weight, w: Weight, form: Weight) -> Scalar:
     """(v, w) in Scalar arithmetic under the diagonal form whose entries
     are the coordinates of the Weight form, such as rs.form; raises
@@ -67,19 +110,19 @@ def inner_product(v: Weight, w: Weight, form: Weight) -> Scalar:
         )
     total = scalar(0)
     for a, b, d in zip(v.coords, w.coords, form.coords):
-        total = total + a * b * d
+        total = scalar_add(total, scalar_mul(scalar_mul(a, b), d))
     return total
 
 
 def scaled(v: Weight, c) -> Weight:
     """c * v for an int, Fraction or Scalar c, coordinate by coordinate in
     Scalar arithmetic; raises DegreeOverflow where a product does."""
-    return Weight(tuple(x * c for x in v.coords))
+    return Weight(tuple(scalar_mul(x, c) for x in v.coords))
 
 
 def ref_orthogonal(rs, v: Weight, root) -> bool:
     """(v, root) = 0 by the Scalar inner product; raises as it does."""
-    return inner_product(v, root.vector, rs.form).is_zero(rs.alpha_value)
+    return scalar_is_zero(inner_product(v, root.vector, rs.form), rs.alpha_value)
 
 
 def expand_in_basis(v: Weight, basis: list[Weight]) -> list[Scalar]:
@@ -203,18 +246,21 @@ def ref_rbtriv(rs, og, lam: Weight) -> bool:
     exactly when one of the pairings does."""
     pairings = [inner_product(lam, root.vector, rs.form)
                 for root in og.root_of_color.values()]
-    return all(not p.is_zero(rs.alpha_value) for p in pairings)
+    return all(not scalar_is_zero(p, rs.alpha_value) for p in pairings)
 
 
 def ref_semibrick_index_sets(rs, og, lam: Weight, bbar) -> dict:
     """semibrick_index_sets by exhaustive search: i is in I_b when some
     rainbow walk in OR(g, lambda) starts at the class of r_i b, visits the
-    class of b, and ends at the class of bbar."""
+    class of b, and ends at the class of bbar, one of the enumerated
+    Borels."""
     quotient = build_or_lambda(rs, og, lam)
     q = quotient.graph
     vmap = quotient.vertex_map
-    # vertex k of OR(g) is Borel k of the enumeration
+    # vertex k of OR(g) is Borel k of the enumeration; a reflected copy of
+    # a Borel finds its vertex by its odd positive roots
     vertex_of = dict(zip(enumerate_borels(rs)[0], og.graph.vertices))
+    vertex_of_odd = {b.odd_positive: vid for b, vid in vertex_of.items()}
     t = vmap[vertex_of[bbar]]
 
     def rainbow_through(x, via, used) -> bool:
@@ -234,7 +280,7 @@ def ref_semibrick_index_sets(rs, og, lam: Weight, bbar) -> dict:
         v = vmap[vid]
         out[b] = frozenset(
             i for i in b.isotropic_simple_indices()
-            if rainbow_through(vmap[vertex_of[odd_reflect(rs, b, i)]], v,
+            if rainbow_through(vmap[vertex_of_odd[odd_reflect(rs, b, i).odd_positive]], v,
                                frozenset()))
     return out
 
@@ -294,6 +340,17 @@ def char_add(c1: NumeratorCharacter, c2: NumeratorCharacter) -> NumeratorCharact
     return NumeratorCharacter(terms)
 
 
+def structure(x):
+    """x with every ColoredGraph in it, at any depth of tuples, replaced by
+    its (vertices, colors, edges).  A graph compares by identity, so
+    records built on two copies of one graph compare equal only this way."""
+    if isinstance(x, ColoredGraph):
+        return x.vertices, x.colors, x.edges
+    if isinstance(x, tuple):
+        return type(x), tuple(map(structure, x))
+    return x
+
+
 def is_rainbow(w) -> bool:
     """No color repeats along the walk."""
     return len(set(w.walk_colors)) == len(w.walk_colors)
@@ -315,7 +372,7 @@ def bfs_distances(g, source) -> dict:
 
 def is_shortest(g, w) -> bool:
     """The walk is as long as the BFS distance between its ends."""
-    if w.graph is not g and w.graph != g:
+    if structure(w.graph) != structure(g):
         raise InvalidWalk("walk belongs to a different graph")
     start, end = w.walk_vertices[0], w.walk_vertices[-1]
     dist = bfs_distances(g, start)

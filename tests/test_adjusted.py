@@ -177,14 +177,15 @@ def test_reflect_along_matches_pair_reflection():
         for b in enumerate_borels(rs)[0]:
             for coll in hypercubic_collections(rs, b, lam):
                 if not coll.j:
-                    assert reflect_along(rs, b, coll) == b
+                    assert reflect_along(rs, b, coll).odd_positive == b.odd_positive
                 if len(coll.j) != 2:
                     continue
                 i, j = sorted(coll.j)
                 assert rs.roots_orthogonal(b.simple[i - 1], b.simple[j - 1])
                 ij = odd_reflect(rs, odd_reflect(rs, b, i), j)
                 ji = odd_reflect(rs, odd_reflect(rs, b, j), i)
-                assert ij == ji == reflect_along(rs, b, coll) != b
+                assert (ij.odd_positive == ji.odd_positive
+                        == reflect_along(rs, b, coll).odd_positive != b.odd_positive)
                 pairs += 1
     assert pairs == 40
 

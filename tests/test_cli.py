@@ -286,6 +286,25 @@ def test_zero_denominator_is_a_bad_lambda(coord, capsys):
         f"error: bad --lambda '{text}': cannot parse scalar '{coord}'\n")
 
 
+@pytest.mark.parametrize("coord", ["1 2a", "1/2 3a", "\u0663a", "\u0663", "1_0"])
+def test_malformed_coordinate_is_a_bad_lambda(coord, capsys):
+    # '1 2a' was read as 1+2a, and Fraction reads '\u0663' as 3 and '1_0'
+    # as 10; a coordinate needs a sign before its a-part and ASCII digits
+    text = f"{coord},0,0"
+    code, out = cap(["character", "--family", "d21", "--lambda", text])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: bad --lambda {text!r}: cannot parse scalar {coord!r}\n")
+
+
+@pytest.mark.parametrize("alpha", ["\u0663", "1_0", "2/0", "a", "0.5"])
+def test_alpha_is_an_ascii_rational(alpha, capsys):
+    code, out = cap(["typical", "--family", "d21", "--alpha", alpha, "--lambda", "1,1,1"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: --alpha must be a rational like 2/3, got {alpha!r}\n")
+
+
 def test_degree_overflow_is_reported_on_stderr(capsys):
     code, out = cap(["typical", "--family", "d21", "--lambda", "a,0,0"])
     assert (code, out) == (2, "")

@@ -38,6 +38,7 @@ from oracles import (
     is_rainbow,
     is_shortest,
     ref_quotient,
+    structure,
 )
 
 
@@ -171,7 +172,7 @@ def test_quotient_contract_one_edge():
 def test_quotient_empty_colorset_identity():
     g = build_reference_graph("young", 2, 2)
     q = quotient_by_colors(g, set())
-    assert q.graph == g
+    assert structure(q.graph) == structure(g)
     assert all(v == w for v, w in q.vertex_map.items())
 
 
@@ -217,7 +218,7 @@ def test_quotient_memo_matches_bfs_reference_on_every_color_set(family, m, n):
             assert (d in g._quotients) == warm
             q = quotient_by_colors(g, d)
             graph, vmap, loops = ref_quotient(g, d)
-            assert q.graph == graph
+            assert structure(q.graph) == structure(graph)
             assert q.vertex_map == vmap
             assert len(q.loops) == len(loops) and set(q.loops) == loops
     assert len(g._quotients) == len(subsets)
@@ -444,7 +445,7 @@ def test_json_round_trip():
               build_reference_graph("hypercube", n=3)]:
         blob = json.dumps(graph_to_json(g))
         h = graph_from_json(json.loads(blob))
-        assert h == g
+        assert structure(h) == structure(g)
 
 
 def test_dot_export():
@@ -590,15 +591,17 @@ def connected_graphs(draw):
 @settings(max_examples=250, deadline=None, derandomize=True, database=None)
 @given(g=connected_graphs())
 def test_state_counting_matches_walk_by_walk_reference(g):
-    want_exchange, want_extension = reference_exchange(g), reference_extension(g)
+    want_exchange = structure(reference_exchange(g))
+    want_extension = structure(reference_extension(g))
     # the walk index is kept on the graph: either check may build it for
-    # the other, so both orders run, each on a fresh graph object
+    # the other, so both orders run, each on a fresh graph object; the
+    # reports' walks name their graph, so they compare by structure
     first = ColoredGraph(g.vertices, g.colors, g.edges)
-    assert verify_exchange(first) == want_exchange
-    assert verify_rainbow_extension(first) == want_extension
+    assert structure(verify_exchange(first)) == want_exchange
+    assert structure(verify_rainbow_extension(first)) == want_extension
     second = ColoredGraph(g.vertices, g.colors, g.edges)
-    assert verify_rainbow_extension(second) == want_extension
-    assert verify_exchange(second) == want_exchange
+    assert structure(verify_rainbow_extension(second)) == want_extension
+    assert structure(verify_exchange(second)) == want_exchange
     apart = ColoredGraph(g.vertices + ("isolated",), g.colors, g.edges)
     with pytest.raises(DisconnectedEndpoints):
         verify_exchange(apart)
@@ -682,5 +685,5 @@ def json_graphs(draw):
 @given(g=json_graphs())
 def test_json_round_trip_random_graphs(g):
     h = graph_from_json(json.loads(json.dumps(graph_to_json(g))))
-    assert h == g
+    assert structure(h) == structure(g)
     assert [type(c) for c in h.colors] == [type(c) for c in g.colors]

@@ -365,7 +365,8 @@ def test_image_intersection_kind():
     assert rs.orthogonal_roots(lam, b.simple) == set(b.simple)
     assert rs.roots_orthogonal(a1, a3)
     refl = odd_reflect(rs, odd_reflect(rs, b, 3), 1)
-    assert refl != b and refl == odd_reflect(rs, odd_reflect(rs, b, 1), 3)
+    assert refl.odd_positive != b.odd_positive
+    assert refl.odd_positive == odd_reflect(rs, odd_reflect(rs, b, 1), 3).odd_positive
     assert not rs.roots_orthogonal(a1, a2)
 
 
@@ -399,7 +400,7 @@ def test_semibrick_index_sets_gl22():
     got = sets[b1]
     for i in got:
         nb = odd_reflect(rs, b1, i)
-        assert nb != bbar
+        assert nb.odd_positive != bbar.odd_positive
 
 
 def test_semibrick_index_sets_atypical():
@@ -411,6 +412,14 @@ def test_semibrick_index_sets_atypical():
     sets = semibrick_index_sets(rs, og, Weight((1, 0)), borels[0])
     assert sets[borels[0]] == {1}
     assert sets[borels[1]] == {1}
+    # the result is keyed by the enumerated Borels themselves, and bbar must
+    # be one of them: a Borel compares by identity, so a reflected copy of
+    # borels[0] is not found
+    assert all(k is b for k, b in zip(sets, borels)) and len(sets) == len(borels)
+    copy_of_std = odd_reflect(rs, borels[1], 1)
+    assert copy_of_std.odd_positive == borels[0].odd_positive
+    with pytest.raises(ValueError):
+        semibrick_index_sets(rs, og, Weight((1, 0)), copy_of_std)
 
 
 @pytest.mark.parametrize("family, m, n",
