@@ -12,6 +12,12 @@ of b, with lambda orthogonal to both, meet trivially unless the roots
 are orthogonal (rs.roots_orthogonal), and then in the image of the
 double reflection, two edges of OR(g).
 
+The walk path reads two tables that an ORGraph builds on first use: the
+colors' root supports, |colors| entries, over which atypical_colors
+pairs lambda with the sparse kernel of rootsys; and, per start vertex,
+the colors' roots oriented into that Borel's positives, at most
+|V| * |colors| entries, from which walk_hom_oracle reads its monomial.
+
 Weight convention: every lambda-indexed operation takes the unshifted
 weight; the walk machinery composes maps between the modules
 M^b(lambda - rho^b).
@@ -20,6 +26,8 @@ M^b(lambda - rho^b).
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import compress
+from operator import not_
 
 from .ecgraph import (
     ColoredGraph,
@@ -30,9 +38,10 @@ from .ecgraph import (
     partition_label,
     quotient_by_colors,
 )
-from .numerics import RankMismatch, Weight
+from .numerics import Weight
 from .rootsys import (
     Borel,
+    Root,
     RootSystem,
     enumerate_borels,
     partition_of_borel,
@@ -57,13 +66,25 @@ class ORGraph:
     Vertex k of graph is Borel k of enumerate_borels(rs), so a Borel's
     rank is its vertex's position in graph.vertices (graph._vindex), and
     edge (u, i, v) of the enumeration is the graph edge between vertices
-    u and v.  Compares and hashes by identity."""
+    u and v.  Compares and hashes by identity.
 
-    __slots__ = ("graph", "root_of_color")
+    Two tables serve the walk path; each is built on first use, never by
+    build_or_graph, and neither hashes a Root when read:
+    - _color_table, built by the first atypical_colors call: the color
+      names and their roots' supports, two tuples in color order, so
+      |colors| entries;
+    - _oriented, one row per start vertex that walk_hom_oracle was asked
+      about: vertex index -> {color: its root oriented into that Borel's
+      positives}, so at most |V| * |colors| entries.
+    """
+
+    __slots__ = ("graph", "root_of_color", "_color_table", "_oriented")
 
     def __init__(self, graph: ColoredGraph, root_of_color: dict):
         self.graph = graph
         self.root_of_color = root_of_color
+        self._color_table: tuple | None = None
+        self._oriented: dict[int, dict] = {}
 
 
 def _vertex_label(rs: RootSystem, b: Borel, rank: int) -> str:
@@ -114,12 +135,11 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
 
 def atypical_colors(rs: RootSystem, og: ORGraph, lam: Weight) -> frozenset:
     """D_lambda: the colors whose roots do not pair to zero with lambda."""
-    if lam.rank != rs.rank:
-        raise RankMismatch(f"weight of rank {lam.rank} against rank {rs.rank}")
-    r, s = lam.r, lam.s
-    pair, is_zero = rs._pair, rs._pair_is_zero
-    return frozenset(
-        c for c, root in og.root_of_color.items() if not is_zero(*pair(r, s, root)))
+    if og._color_table is None:
+        og._color_table = (tuple(og.root_of_color),
+                           tuple(root.support for root in og.root_of_color.values()))
+    colors, supports = og._color_table
+    return frozenset(compress(colors, map(not_, rs._pairs_to_zero(lam, supports))))
 
 
 def build_or_lambda(rs: RootSystem, og: ORGraph, lam: Weight) -> Quotient:
@@ -164,18 +184,27 @@ def walk_hom_oracle(rs: RootSystem, og: ORGraph, lam: Weight,
     colors = [c for c in w.walk_colors if c not in contracted]
     if len(set(colors)) != len(colors):
         return WalkHomVerdict.zero()
-    start = enumerate_borels(rs)[0][og.graph._vindex[w.walk_vertices[0]]]
-    start_pos = start.odd_set()
-    monomial = []
-    for c in colors:
-        root = og.root_of_color[c]
-        if root not in start_pos:
-            root = rs.negate(root)
-        assert root in start_pos
-        monomial.append(root)
-    monomial.sort(key=lambda r: r.sort_key())
-    assert len(set(monomial)) == len(monomial)
-    return WalkHomVerdict(True, tuple(monomial))
+    row = _oriented_row(rs, og, og.graph._vindex[w.walk_vertices[0]])
+    return WalkHomVerdict(True, tuple(sorted(map(row.__getitem__, colors), key=Root.sort_key)))
+
+
+def _oriented_row(rs: RootSystem, og: ORGraph, k: int) -> dict:
+    """The row of og._oriented for start vertex k, built on first use:
+    color -> its root oriented into the positives of Borel k.  Distinct
+    colors have distinct roots there, so a walk's distinct kept colors
+    give a monomial of distinct roots."""
+    row = og._oriented.get(k)
+    if row is None:
+        start_pos = enumerate_borels(rs)[0][k].odd_set()
+        row = {}
+        for c, root in og.root_of_color.items():
+            if root not in start_pos:
+                root = rs.negate(root)
+            assert root in start_pos
+            row[c] = root
+        assert len(set(row.values())) == len(row)
+        og._oriented[k] = row
+    return row
 
 
 def semibrick_index_sets(rs: RootSystem, og: ORGraph, lam: Weight,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from math import gcd, lcm
 from operator import add, mul
 
@@ -58,12 +59,14 @@ class Root:
     Immutable and without order; roots with equal fields are equal, and
     a root hashes as its integer vector, independently of the hash seed.
     It has no pickle or repr of its own: the program never pickles or
-    prints a Root, and RootSystem.root_name names one.
+    prints a Root, and RootSystem.root_name names one.  support is the
+    pairing kernel's view of the root: its nonzero coordinates as
+    (position, value) pairs, at most 3 in every family.
     A __slots__ class, not a namedtuple: the hot loops read its fields,
     and slot reads are the fastest attribute reads.
     """
 
-    __slots__ = ("vector", "parity", "isotropic")
+    __slots__ = ("vector", "parity", "isotropic", "support")
 
     def __init__(self, vector: Weight, parity: str, isotropic: bool):
         # every family's roots have integer coordinates, so vector.r is
@@ -73,6 +76,7 @@ class Root:
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "parity", parity)
         object.__setattr__(self, "isotropic", isotropic)
+        object.__setattr__(self, "support", tuple(compress(enumerate(vector.r), vector.r)))
 
     def _frozen(self, name, *value):
         raise AttributeError(f"cannot assign or delete {name!r} of an immutable Root")
@@ -123,12 +127,13 @@ class RootSystem:
         self.alpha_value = alpha_value
         self.type_one = type_one
         self.rank = len(basis_names)
+        # the form's a-carrying diagonal entries, as (position, a-part)
+        self._a_diagonal = tuple((i, d) for i, d in enumerate(form.s) if d)
 
         def mk_root(v: Weight, parity: str) -> Root:
-            root = Root(v, parity, False)
-            if parity == "odd" and self.roots_orthogonal(root, root):
-                root = Root(v, parity, True)
-            return root
+            # (v, v) over every coordinate of v: the zero ones add nothing
+            return Root(v, parity, parity == "odd" and self._pair_is_zero(
+                *self._pair(self._weigh(v), enumerate(v.r))))
 
         self.delta0 = tuple(
             sorted((mk_root(v, "even") for v in even_vectors), key=Root.sort_key)
@@ -177,36 +182,48 @@ class RootSystem:
 
     # -- the integer pairing kernel ----------------------------------------------
     #
-    # (lam, beta) for a root beta is sum_i lam_i * d_i * beta_i.  Each root
-    # keeps its form-weighted vector d_i * beta_i as two integer vectors,
-    # the rational part and the a-part of the diagonal, and a weight is two
-    # integer vectors over its denominator.  A pairing is then two integer
-    # dot products, split as (rational part, a-part).
+    # (lam, beta) for a root beta is sum_i lam_i * d_i * beta_i over the
+    # form's diagonal d.  _weigh weighs lam by the form once per call,
+    # scaled by lam.den: the rational-part vector lam_r * d_r, the a-part
+    # vector lam_r * d_s + lam_s * d_r, and the positions where
+    # lam_s * d_s != 0, where a product would have degree 2.  _pair then
+    # pairs a root over its support, its at most 3 nonzero coordinates:
+    # two short integer sums, split as (rational part, a-part), or
+    # DegreeOverflow where the support meets an overflow position.
 
-    @cached_property
-    def _weighted_roots(self) -> dict:
-        """root -> its form-weighted vector, as (rational part, a-part)."""
-        return {
-            r: (tuple(d * x for d, x in zip(self.form.r, r.vector.r)),
-                tuple(d * x for d, x in zip(self.form.s, r.vector.r)))
-            for r in self.delta0 + self.delta1
-        }
+    def _weigh(self, lam: Weight) -> tuple[tuple[int, ...], list[int], set[int]]:
+        """lam weighed by the form, times lam.den: (rational part, a-part,
+        overflow positions)."""
+        r, s = lam.r, lam.s
+        if len(r) != self.rank:
+            raise RankMismatch(f"weight of rank {len(r)} against rank {self.rank}")
+        dr = self.form.r
+        a_part, overflow = list(map(mul, s, dr)), set()
+        # only the diagonal's a-carrying entries add to lam_r * d_s and
+        # can overflow; D(2,1;a) is the one family that has them
+        for i, d in self._a_diagonal:
+            a_part[i] += r[i] * d
+            if s[i]:
+                overflow.add(i)
+        return tuple(map(mul, r, dr)), a_part, overflow
 
-    def _pair(self, lam_r, lam_s, root: Root) -> tuple[int, int]:
-        """(lam, root) times lam.den, as (rational part, a-part).
+    def _pair(self, weighed, support) -> tuple[int, int]:
+        """(lam, root) times lam.den, as (rational part, a-part), for lam
+        weighed by _weigh and the root's (position, coordinate) pairs: its
+        support, or any pairs that hold it.
 
         Raises DegreeOverflow where the pairing leaves the degree-1 space
-        Q + Q*a: an a-carrying coordinate of lam meets an a-carrying
-        diagonal entry on a nonzero root coordinate."""
-        wr, ws = self._weighted_roots[root]
-        r = sum(map(mul, lam_r, wr))
-        s = sum(map(mul, lam_r, ws))
-        if any(lam_s):
-            if any(x and y for x, y in zip(lam_s, ws)):
-                raise DegreeOverflow(
-                    f"pairing {self.root_name(root)} with an a-carrying weight "
-                    "leaves the degree-1 space")
-            s += sum(map(mul, lam_s, wr))
+        Q + Q*a: the support meets an overflow position of lam."""
+        wr, ws, overflow = weighed
+        r = s = 0
+        for i, x in support:
+            if i in overflow:
+                coords = dict(support)
+                root = Weight.of(coords.get(j, 0) for j in range(self.rank))
+                raise DegreeOverflow(f"pairing {self.vector_name(root)} with an "
+                                     "a-carrying weight leaves the degree-1 space")
+            r += wr[i] * x
+            s += ws[i] * x
         return r, s
 
     def _pair_is_zero(self, r, s) -> bool:
@@ -216,18 +233,20 @@ class RootSystem:
             return r == 0 and s == 0
         return r * alpha.denominator + s * alpha.numerator == 0
 
+    def _pairs_to_zero(self, lam: Weight, supports) -> list[bool]:
+        """For each root support in supports, does lam pair to zero with
+        that root?  Raises DegreeOverflow where any pairing overflows."""
+        weighed, pair, is_zero = self._weigh(lam), self._pair, self._pair_is_zero
+        return [is_zero(*pair(weighed, support)) for support in supports]
+
     def orthogonal_roots(self, lam: Weight, roots) -> frozenset[Root]:
         """The roots among roots that pair to zero with lam."""
-        if lam.rank != self.rank:
-            raise RankMismatch(f"weight of rank {lam.rank} against rank {self.rank}")
-        return frozenset(r for r in roots
-                         if self._pair_is_zero(*self._pair(lam.r, lam.s, r)))
+        roots = tuple(roots)
+        return frozenset(compress(roots, self._pairs_to_zero(lam, [r.support for r in roots])))
 
     def roots_orthogonal(self, a: Root, b: Root) -> bool:
         """(a, b) = 0; root vectors are integral and carry no a-part."""
-        return self._pair_is_zero(
-            sum(x * d * y for x, d, y in zip(a.vector.r, self.form.r, b.vector.r)),
-            sum(x * d * y for x, d, y in zip(a.vector.r, self.form.s, b.vector.r)))
+        return self._pair_is_zero(*self._pair(self._weigh(a.vector), b.support))
 
     def root_from_ivec(self, v: tuple[int, ...]) -> Root | None:
         return self._by_ivec.get(v)

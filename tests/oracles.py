@@ -12,8 +12,9 @@ rainbow search in place of BFS distances, a weight multiplicity as one Kostant
 lookup per subset sum in place of the sums of the head's lattice class,
 a Verma numerator's terms built one Weight at a time in place of its
 columns, a color-set quotient by BFS components in place of
-union-find, and graph distances by a BFS on vertex IDs in place of the
-walk index.
+union-find, graph distances by a BFS on vertex IDs in place of the
+walk index, and a walk verdict's monomial oriented root by root against
+the start Borel's odd set in place of the OR graph's orientation table.
 The rainbow and shortest walk tests, the check of an isomorphism
 witness and its inverse, the closure test of an adjusted odd set, the
 sum of two characters, the Scalar ring (sum, difference, negation,
@@ -50,7 +51,7 @@ from ortk.numerics import (
     render_weight,
     scalar,
 )
-from ortk.orgraph import build_or_lambda
+from ortk.orgraph import WalkHomVerdict, build_or_lambda
 from ortk.rootsys import Borel, NotIsotropicSimple, Root, enumerate_borels
 
 
@@ -203,6 +204,29 @@ def ref_atypical_colors(rs, og, lam: Weight) -> frozenset:
     nonzero with lambda."""
     return frozenset(c for c, root in og.root_of_color.items()
                      if not ref_orthogonal(rs, lam, root))
+
+
+def ref_walk_hom_oracle(rs, og, lam: Weight, w) -> WalkHomVerdict:
+    """walk_hom_oracle root by root: D_lambda by the Scalar pairing, and
+    each kept color's root negated into the start Borel's odd set.  The
+    walk must be one of og's; an OR graph has no quotient loop, so none is
+    looked for."""
+    contracted = ref_atypical_colors(rs, og, lam)
+    colors = [c for c in w.walk_colors if c not in contracted]
+    if len(set(colors)) != len(colors):
+        return WalkHomVerdict.zero()
+    start = enumerate_borels(rs)[0][og.graph.vertices.index(w.walk_vertices[0])]
+    start_pos = start.odd_set()
+    monomial = []
+    for c in colors:
+        root = og.root_of_color[c]
+        if root not in start_pos:
+            root = rs.negate(root)
+        assert root in start_pos
+        monomial.append(root)
+    monomial.sort(key=Root.sort_key)
+    assert len(set(monomial)) == len(monomial)
+    return WalkHomVerdict(True, tuple(monomial))
 
 
 def ref_simple_roots(rs, odd_positive) -> set:

@@ -2,6 +2,8 @@
 
 import random
 
+from fractions import Fraction
+
 import pytest
 
 from ortk import manifest
@@ -14,7 +16,7 @@ from ortk.ecgraph import (
     verify_exchange,
     verify_rainbow_extension,
 )
-from ortk.numerics import DegreeOverflow, RankMismatch, Weight, parse_weight, zero_weight
+from ortk.numerics import DegreeOverflow, RankMismatch, Scalar, Weight, parse_weight, zero_weight
 from ortk.orgraph import (
     ORGraph,
     atypical_colors,
@@ -38,6 +40,7 @@ from oracles import (
     ref_atypical_colors,
     ref_rbtriv,
     ref_semibrick_index_sets,
+    ref_walk_hom_oracle,
     ref_walk_nonzero,
 )
 
@@ -311,6 +314,8 @@ def test_walk_hom_oracle_refuses_a_quotient_loop():
     for path, colors in ((["a"], ()), (["a", "b"], ("e1-d1",)), (["a", "b"], ("e2-d1",))):
         with pytest.raises(AssertionError, match="loop"):
             walk_hom_oracle(rs, og, lam, make_walk(g, path, colors))
+    # the loop is refused before any orientation row is built
+    assert og._oriented == {}
 
 
 def test_walk_hom_oracle_matches_shortest():
@@ -467,3 +472,128 @@ def test_walk_oracle_matches_shortest_walk_reference_on_random_input(family, m, 
         assert set(g._quotients) == {d for _, d, _, _ in cases}
     assert len({d for _, d, _, _ in cases}) > 5
     assert {nonzero for _, _, _, (nonzero, _) in cases} == {True, False}
+
+
+def test_or_graph_tables_are_built_on_first_use():
+    rs = build_root_system("gl", m=3, n=2)
+    og = build_or_graph(rs)
+    g = og.graph
+    assert og._color_table is None and og._oriented == {}
+    # the color table: names and root supports in color order
+    atypical_colors(rs, og, zero_weight(rs.rank))
+    assert og._color_table == (g.colors, tuple(og.root_of_color[c].support for c in g.colors))
+    assert og._oriented == {}
+    # one orientation row per start vertex of a nonzero verdict, and no other
+    borels, _ = enumerate_borels(rs)
+    rng = random.Random(3)
+    starts = set()
+    for _ in range(12):
+        at = rng.choice(g.vertices)
+        path = [at]
+        for _ in range(rng.randrange(0, 4)):
+            at, _c = rng.choice(sorted(g.neighbors(at), key=str))
+            path.append(at)
+        if walk_hom_oracle(rs, og, zero_weight(rs.rank), make_walk(g, path)).nonzero:
+            starts.add(g._vindex[path[0]])
+    assert 1 < len(starts) < len(g.vertices)
+    assert set(og._oriented) == starts
+    for k, row in og._oriented.items():
+        assert tuple(row) == g.colors
+        for c, root in row.items():
+            assert root in borels[k].odd_positive
+            assert root.vector.r in {og.root_of_color[c].vector.r,
+                                     tuple(-x for x in og.root_of_color[c].vector.r)}
+
+
+WALK_SYSTEMS = [("gl", 4, 3, None), ("gl11n", None, 6, None), ("ospB", 3, 2, None),
+                ("ospD", 3, 2, None), ("gl", 2, 2, None), ("d21alpha", None, None, None),
+                ("d21alpha", None, None, Fraction(2, 3))]
+
+
+def _nullspace(rows, n):
+    """A basis of the rational vectors x with row . x = 0 for every row."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(n):
+        p = next((i for i in range(len(pivots), len(m)) if m[i][col]), None)
+        if p is None:
+            continue
+        r = len(pivots)
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][col] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                m[i] = [x - m[i][col] * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for r, col in enumerate(pivots):
+            v[col] = -m[r][free]
+        basis.append(v)
+    return basis
+
+
+def _weight_orthogonal_to(rs, roots, rng, stray_a=False):
+    """A random weight whose rational and a-parts pair to zero with every
+    root in roots, under the specialization of a if there is one.  With
+    stray_a it carries one more a-part on a random coordinate; on D(2,1;a)
+    that overflows against every odd root unless it sits on e1."""
+    rows = []
+    for root in roots:
+        r = [d * x for d, x in zip(rs.form.r, root.vector.r)]
+        s = [d * x for d, x in zip(rs.form.s, root.vector.r)]
+        alpha = rs.alpha_value
+        rows += [r, s] if alpha is None else [[x + alpha * y for x, y in zip(r, s)]]
+    basis = _nullspace(rows, rs.rank)
+
+    def combination():
+        coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3))) for _ in basis]
+        return [sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
+                for i in range(rs.rank)]
+
+    r = combination()
+    s = combination() if rng.random() < 0.3 else [0] * rs.rank
+    if stray_a:
+        s[rng.randrange(rs.rank)] += rng.choice((1, -1, Fraction(1, 2)))
+    return Weight(tuple(Scalar(x, y) for x, y in zip(r, s)))
+
+
+@pytest.mark.parametrize("family, m, n, alpha", WALK_SYSTEMS)
+def test_walk_hom_oracle_matches_root_by_root_reference(family, m, n, alpha):
+    # random walks of length 0-8 and weights orthogonal to 0-4 chosen
+    # colors: the verdict and the exact monomial, or DegreeOverflow, agree
+    # with the reference that orients each root against the start Borel's
+    # odd set and pairs by the Scalar product
+    rs = build_root_system(family, m=m, n=n, alpha=alpha)
+    og = build_or_graph(rs)
+    g = og.graph
+    rng = random.Random(f"{family}{m}{n}{alpha}")
+    color_roots = list(og.root_of_color.values())
+    verdicts, sizes = [], set()
+    for _ in range(120):
+        chosen = rng.sample(color_roots, min(rng.randint(0, 4), len(color_roots)))
+        stray_a = family == "d21alpha" and rng.random() < 0.4
+        lam = _weight_orthogonal_to(rs, chosen, rng, stray_a)
+        at = rng.choice(g.vertices)
+        path = [at]
+        for _ in range(rng.randrange(0, 9)):
+            at, _c = rng.choice(sorted(g.neighbors(at), key=str))
+            path.append(at)
+        w = make_walk(g, path)
+        try:
+            want = ref_walk_hom_oracle(rs, og, lam, w)
+        except DegreeOverflow:
+            with pytest.raises(DegreeOverflow):
+                walk_hom_oracle(rs, og, lam, w)
+            verdicts.append("overflow")
+            continue
+        assert walk_hom_oracle(rs, og, lam, w) == want, (lam, path)
+        if not stray_a:
+            assert not ref_atypical_colors(rs, og, lam) & {rs.root_name(r) for r in chosen}
+        verdicts.append(want.nonzero)
+        sizes.add(len(want.monomial))
+    assert {True, False} <= set(verdicts)
+    assert len(sizes) > 2
+    assert ("overflow" in verdicts) == (family == "d21alpha")

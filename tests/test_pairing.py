@@ -1,6 +1,7 @@
 """Differential tests for the integer pairing kernel of RootSystem.
 
-Every verdict of the kernel (RootSystem._pair, orthogonal_roots,
+Every verdict of the kernel (its per-root entry point RootSystem._pair on
+a weight weighed once by RootSystem._weigh, orthogonal_roots,
 roots_orthogonal) and of the library code on top of it (atypical colors,
 typicality, the OR(g, lambda) class map and the trivial quotient) is
 checked on random weights against references built only on the Scalar
@@ -9,6 +10,7 @@ DegreeOverflow.
 """
 
 import functools
+import re
 
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ortk.atypicality import is_typical
-from ortk.numerics import DegreeOverflow, Scalar, Weight
+from ortk.numerics import DegreeOverflow, Scalar, Weight, parse_weight
 from ortk.orgraph import atypical_colors, build_or_graph, build_or_lambda, rbtriv_check
 from ortk.rootsys import build_root_system, enumerate_borels, weyl_vector
 
@@ -104,7 +106,7 @@ def test_kernel_matches_inner(data, key):
     # every root's verdict and pairing value, DegreeOverflow included
     for root in roots:
         expected = outcome(inner_product, lam, root.vector, rs.form)
-        got = outcome(rs._pair, lam.r, lam.s, root)
+        got = outcome(lambda: rs._pair(rs._weigh(lam), root.support))
         if expected == "overflow":
             assert got == "overflow"
         else:
@@ -119,6 +121,43 @@ def test_kernel_matches_inner(data, key):
     except DegreeOverflow:
         expected = "overflow"
     assert outcome(rs.orthogonal_roots, lam, batch) == expected
+
+
+# lambda's a-part where a root's support meets it and where it misses it.
+# On D(2,1;a) the diagonal is (-1-a, 1, a): an a-part at d or e2 overflows
+# against exactly the roots whose support holds that position, and an
+# a-part at e1 pairs like a number.  Values are times lambda.den.
+A_PART_CASES = [
+    ("d21", "a,0,0", "2d", "overflow"),
+    ("d21", "a,0,0", "d+e1-e2", "overflow"),
+    ("d21", "a,0,0", "2e1", (0, 0)),
+    ("d21", "0,0,a", "-2e2", "overflow"),
+    ("d21", "0,0,a", "-2d", (0, 0)),
+    ("d21", "1,a,0", "2e1", (0, 2)),
+    ("d21", "1,a,0", "2d", (-2, -2)),
+    ("d21", "1,a,0", "d-e1+e2", (-1, -2)),
+    ("d21@2/3", "a,0,0", "2d", "overflow"),
+    ("d21@2/3", "a,0,0", "-2e1", (0, 0)),
+    ("gl(2|1)", "a,0,0", "e1-d1", (0, 1)),
+    ("gl(2|1)", "a,0,0", "e2-d1", (0, 0)),
+    ("gl(2|1)", "1/2a,0,1", "e1-d1", (2, 1)),
+    ("gl(2|1)", "1/2a,0,1", "-e1+e2", (0, -1)),
+]
+
+
+@pytest.mark.parametrize("key, lam, name, expected", A_PART_CASES)
+def test_kernel_on_a_parts_that_meet_or_miss_the_support(key, lam, name, expected):
+    rs, _, _ = system(key)
+    lam, root = parse_weight(lam), rs.root_by_name(name)
+    assert outcome(lambda: rs._pair(rs._weigh(lam), root.support)) == expected
+    inner = outcome(inner_product, lam, root.vector, rs.form)
+    if expected == "overflow":
+        assert inner == "overflow"
+        with pytest.raises(DegreeOverflow, match=f"^pairing {re.escape(name)} with"):
+            rs.orthogonal_roots(lam, (root,))
+    else:
+        assert inner == Scalar(Fraction(expected[0], lam.den), Fraction(expected[1], lam.den))
+        assert (root in rs.orthogonal_roots(lam, (root,))) == ref_orthogonal(rs, lam, root)
 
 
 @pytest.mark.parametrize("key", KEYS)
