@@ -5,8 +5,11 @@ the reader closes stdout before the output is written, 2 on usage or
 parse errors, including a weight whose a-part leaves the degree-1 space
 or a report file that cannot be opened.  JSON output is emitted with
 sorted keys so that identical inputs produce byte-identical exports.
-Each command imports only the layers it runs, so start-up (and
-``--help``) does not pay for the rest.
+Each command imports only the layers it runs and builds only its own
+subparser, so start-up does not pay for the rest; ``--help``, an unknown
+command and an empty command line build the full parser.  fractions
+loads only for ``--alpha``, ``quiver`` and Scalar I/O, since weights are
+parsed straight to integers.
 """
 
 from __future__ import annotations
@@ -386,78 +389,100 @@ def _add_out_flag(p, choices=("text", "json", "dot"), default="text"):
     p.add_argument("--out", choices=choices, default=default)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ortk",
-        description="Borel-subalgebra combinatorics for basic Lie superalgebras",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("or-graph", help="odd reflection graph OR(g)")
+def _or_graph_flags(p):
     _add_system_flags(p)
     _add_out_flag(p)
-    p.set_defaults(handler=_cmd_or_graph)
 
-    p = sub.add_parser("quotient", help="contracted graph OR(g, lambda)")
+
+def _quotient_flags(p):
     _add_system_flags(p, need_lambda=True)
     _add_out_flag(p)
-    p.set_defaults(handler=_cmd_quotient)
 
-    p = sub.add_parser("verify", help="run a verification suite")
+
+def _verify_flags(p):
     p.add_argument("mode", choices=("exchange", "extension", "iso", "all"))
     p.add_argument("--family", choices=_FAMILY_FLAG, default=None)
     p.add_argument("--report", default=None, metavar="PATH",
                    help="write the JSON report here")
-    p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("character", help="Verma character numerator")
+
+def _character_flags(p):
     _add_system_flags(p, need_lambda=True, with_borel=True)
     p.add_argument("--induced", action="store_true",
                    help="induce from the even subalgebra (empty odd part)")
     _add_out_flag(p, choices=("text", "json"))
-    p.set_defaults(handler=_cmd_character)
 
-    p = sub.add_parser("multiplicity", help="weight multiplicity in a Verma module")
+
+def _multiplicity_flags(p):
     _add_system_flags(p, need_lambda=True, with_borel=True)
     p.add_argument("--mu", required=True, metavar="C1,C2,...")
     _add_out_flag(p, choices=("text", "json"))
-    p.set_defaults(handler=_cmd_multiplicity)
 
-    p = sub.add_parser("typical", help="typicality of a highest weight")
+
+def _borel_query_flags(p):
     _add_system_flags(p, need_lambda=True, with_borel=True)
     _add_out_flag(p, choices=("text", "json"))
-    p.set_defaults(handler=_cmd_typical)
 
-    p = sub.add_parser("s1", help="classify pure isotropic roots for S1")
-    _add_system_flags(p, need_lambda=True, with_borel=True)
-    _add_out_flag(p, choices=("text", "json"))
-    p.set_defaults(handler=_cmd_s1)
 
-    p = sub.add_parser("walk", help="zero test for a composition along a walk")
+def _walk_flags(p):
     _add_system_flags(p, need_lambda=True)
     p.add_argument("--path", required=True, metavar="V0,V1,...")
     _add_out_flag(p, choices=("text", "json"))
-    p.set_defaults(handler=_cmd_walk)
 
-    p = sub.add_parser("hypercubic", help="hypercubic collections and brick identities")
-    _add_system_flags(p, need_lambda=True, with_borel=True)
-    _add_out_flag(p, choices=("text", "json"))
-    p.set_defaults(handler=_cmd_hypercubic)
 
-    p = sub.add_parser("quiver", help="Hom dimensions of a preset path algebra quotient")
+def _quiver_flags(p):
     p.add_argument("--preset", required=True,
                    help="preprojective_a2, zigzag_window, chain3, or square4")
     p.add_argument("--w", type=int, default=None, help="zigzag window half width")
     p.add_argument("--max-len", type=int, default=4)
     _add_out_flag(p, choices=("text", "json"))
-    p.set_defaults(handler=_cmd_quiver)
 
+
+# name -> (help line, flag builder, handler), in the order that --help lists
+_COMMANDS = {
+    "or-graph": ("odd reflection graph OR(g)", _or_graph_flags, _cmd_or_graph),
+    "quotient": ("contracted graph OR(g, lambda)", _quotient_flags, _cmd_quotient),
+    "verify": ("run a verification suite", _verify_flags, _cmd_verify),
+    "character": ("Verma character numerator", _character_flags, _cmd_character),
+    "multiplicity": ("weight multiplicity in a Verma module", _multiplicity_flags,
+                     _cmd_multiplicity),
+    "typical": ("typicality of a highest weight", _borel_query_flags, _cmd_typical),
+    "s1": ("classify pure isotropic roots for S1", _borel_query_flags, _cmd_s1),
+    "walk": ("zero test for a composition along a walk", _walk_flags, _cmd_walk),
+    "hypercubic": ("hypercubic collections and brick identities", _borel_query_flags,
+                   _cmd_hypercubic),
+    "quiver": ("Hom dimensions of a preset path algebra quotient", _quiver_flags,
+               _cmd_quiver),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ortk parser, with every command's subparser, or with only the
+    named command's.  The usage line lists every command either way, so
+    usage, help and error text do not depend on which subparsers were
+    built."""
+    parser = argparse.ArgumentParser(
+        prog="ortk",
+        description="Borel-subalgebra combinatorics for basic Lie superalgebras",
+    )
+    # the one-command parser spells out every command in its usage line, as
+    # the full parser's default does; the full parser keeps the default,
+    # since a metavar also renames the argument ("argument command:") in the
+    # invalid-choice and missing-command errors that only it gives
+    every = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in _COMMANDS if command is None else (command,):
+        help_line, add_flags, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        add_flags(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run_command(argv, print_fn=print) -> int:
     """Parse and run one command; returns the exit code."""
-    parser = build_parser()
+    # building one command's subparser costs about half of building all ten
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -6,17 +6,18 @@ vectors over these scalars, stored as integers over one common
 denominator; all root coordinates in practice are integers, the a-part
 exists so that user-supplied weights can carry the parameter.  A root
 system's diagonal bilinear form is a Weight too: entry i is the form's
-value on the i-th basis vector.  A Scalar is the parsed form of one
-coordinate, read and written at the I/O boundary; it has no arithmetic.
+value on the i-th basis vector.  A Scalar is the Fraction view of one
+coordinate, built only at the I/O boundary; it has no arithmetic.
 The pairing kernel in rootsys raises DegreeOverflow where a pairing
-would leave the degree-1 space.
+would leave the degree-1 space.  parse_weight reads each coordinate
+straight to integers, so fractions is imported only where a Fraction is
+made: parse_rational, Weight.coords and the Scalar constructor.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
@@ -24,9 +25,7 @@ __all__ = [
     "RankMismatch",
     "SingularBasis",
     "Scalar",
-    "scalar",
     "parse_rational",
-    "parse_scalar",
     "Weight",
     "zero_weight",
     "render_weight",
@@ -69,25 +68,26 @@ class _DataclassFields:
 
 
 def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
+    # inside a function, `import fractions` costs a sys.modules lookup once
+    # the module is loaded; `from fractions import Fraction` costs about
+    # four times as much
+    import fractions
+
+    if isinstance(x, fractions.Fraction):
         return x
     if isinstance(x, int):
-        return Fraction(x)
+        return fractions.Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
 class Scalar(namedtuple("_ScalarFields", "r s")):
     """An element r + s*a with r, s rational: the immutable tuple (r, s)
-    that parse_scalar reads and Weight.coords gives."""
+    of Fractions that Weight.coords gives."""
 
     __slots__ = ()
 
     def __new__(cls, r, s):
         return tuple.__new__(cls, (_rat(r), _rat(s)))
-
-
-def scalar(r=0, s=0) -> Scalar:
-    return Scalar(_rat(r), _rat(s))
 
 
 def _ratio(p: int, q: int) -> str:
@@ -111,45 +111,48 @@ _RATIONAL_RE = re.compile(rf"[+-]?{_RATIONAL}")
 _ALPHA_RE = re.compile(rf"([+-]?{_RATIONAL})?\s*([+-])?\s*({_RATIONAL})?\s*a")
 
 
+def _read_rational(text: str) -> tuple[int, int]:
+    """(p, q) with q > 0 for 'p' or 'p/q' in ASCII digits, with an optional
+    sign and surrounding spaces.  Anything else, a zero denominator
+    included, raises ValueError."""
+    t = text.strip()
+    if _RATIONAL_RE.fullmatch(t):
+        p, _, q = t.partition("/")
+        q = int(q or 1)
+        if q:
+            return int(p), q
+    raise ValueError(f"cannot parse rational {text!r}")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' in ASCII digits, with an optional sign and
-    surrounding spaces.  Anything else, a zero denominator included,
-    raises ValueError."""
-    if not _RATIONAL_RE.fullmatch(text.strip()):
-        raise ValueError(f"cannot parse rational {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"cannot parse rational {text!r}") from None
+    """The Fraction of a text that _read_rational reads."""
+    import fractions
+
+    return fractions.Fraction(*_read_rational(text))
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse 'p/q', 'p/q+r/s a', 'r/s a', 'a', '-a', with ASCII digits.  A
+def _read_coord(text: str) -> tuple[int, int, int, int]:
+    """(x, p, y, q) with p, q > 0 for the coordinate x/p + (y/q)*a written
+    as 'p/q', 'p/q+r/s a', 'r/s a', 'a', '-a', with ASCII digits.  A
     rational part and an a-coefficient need a sign between them; anything
     else, a zero denominator included, raises ValueError."""
     t = text.strip()
     try:
         if "a" not in t:
-            return scalar(parse_rational(t))
+            return (*_read_rational(t), 0, 1)
         m = _ALPHA_RE.fullmatch(t)
         if m:
             lead, sign, coeff = m.groups()
             if sign is None and coeff is None:
-                # everything before 'a' is the a-coefficient, as in '1/2a' or '-a'
-                return Scalar(0, parse_rational(lead) if lead else 1)
+                # everything before 'a' is the a-coefficient, as in '1/2a' or '-3a'
+                return (0, 1, *(_read_rational(lead) if lead else (1, 1)))
             if sign is not None:
-                r = parse_rational(lead) if lead else 0
-                s = parse_rational(coeff) if coeff else 1
-                return Scalar(r, -s if sign == "-" else s)
+                y, q = _read_rational(coeff) if coeff else (1, 1)
+                return (*(_read_rational(lead) if lead else (0, 1)),
+                        -y if sign == "-" else y, q)
     except ValueError:
         pass
     raise ValueError(f"cannot parse scalar {text!r}")
-
-
-def _coerce_coord(x) -> Scalar:
-    if isinstance(x, Scalar):
-        return x
-    return scalar(_rat(x))
 
 
 class Weight(namedtuple("_WeightFields", "r s den")):
@@ -170,7 +173,7 @@ class Weight(namedtuple("_WeightFields", "r s den")):
     __slots__ = ()
 
     def __new__(cls, coords):
-        coords = tuple(map(_coerce_coord, coords))
+        coords = tuple(c if isinstance(c, Scalar) else Scalar(c, 0) for c in coords)
         # the least common denominator leaves the fields in lowest terms
         den = lcm(*(c.r.denominator for c in coords), *(c.s.denominator for c in coords))
         return tuple.__new__(cls, (
@@ -207,7 +210,11 @@ class Weight(namedtuple("_WeightFields", "r s den")):
 
     @property
     def coords(self) -> tuple[Scalar, ...]:
-        return tuple(Scalar(Fraction(x, self.den), Fraction(y, self.den))
+        import fractions
+
+        # each Fraction is made here, so the Scalars skip _rat's checks
+        F, den = fractions.Fraction, self.den
+        return tuple(tuple.__new__(Scalar, (F(x, den), F(y, den)))
                      for x, y in zip(self.r, self.s))
 
     @property
@@ -248,9 +255,12 @@ def render_weight(w: Weight) -> str:
 
 
 def parse_weight(text: str, rank: int | None = None) -> Weight:
-    parts = text.split(",")
-    w = Weight(tuple(parse_scalar(p) for p in parts))
+    """The weight whose comma-separated coordinates _read_coord reads,
+    over their least common denominator."""
+    xs, ps, ys, qs = zip(*map(_read_coord, text.split(",")))
+    den = lcm(*ps, *qs)
+    w = Weight.of([x * (den // p) for x, p in zip(xs, ps)],
+                  [y * (den // q) for y, q in zip(ys, qs)], den)
     if rank is not None and w.rank != rank:
         raise RankMismatch(f"expected {rank} coordinates, got {w.rank}")
     return w
-

@@ -16,7 +16,6 @@ and the reflections are the search's edges.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm

@@ -3,7 +3,9 @@
 Each check produces one ReportEntry; a VerificationReport aggregates
 them.  Entry order follows the pinned manifest, so two runs on the same
 build emit identical reports.  Each suite applies the family filter
-itself, so a check for a filtered-out family never runs.
+itself, so a check for a filtered-out family never runs.  quiver, whose
+row reduction loads fractions, is imported only by the quiver suite,
+which runs only unfiltered.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .ecgraph import (
 )
 from .numerics import parse_weight, render_weight, zero_weight
 from .orgraph import build_or_graph, build_or_lambda, rbtriv_check, walk_hom_oracle
-from .quiver import build_quiver, hom_dimensions, word_normal_form
 from .rootsys import (
     build_root_system,
     enumerate_borels,
@@ -390,6 +391,8 @@ def suite_gl11n_dimensions(builds: _Builds, family=None) -> list:
 def suite_quiver(builds: _Builds, family=None) -> list:
     if family is not None:
         return []
+    from .quiver import build_quiver, hom_dimensions, word_normal_form
+
     dims = hom_dimensions(build_quiver("preprojective_a2"), manifest.QUIVER_MAX_LEN)
 
     win = {}

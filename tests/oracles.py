@@ -18,9 +18,12 @@ the start Borel's odd set in place of the OR graph's orientation table.
 The rainbow and shortest walk tests, the check of an isomorphism
 witness and its inverse, the closure test of an adjusted odd set, the
 sum of two characters, the Scalar ring (sum, difference, negation,
-product and zero test of r + s*a; in src/ a Scalar is only a parsed
-coordinate) and the Scalar multiple of a weight live here too: only the
-tests use them.  The package never calls any of these.
+product and zero test of r + s*a; in src/ a Scalar is only the
+Fraction view of a coordinate) and the Scalar multiple of a weight live
+here too: only the tests use them.  So does the Fraction reading of a
+coordinate, parse_scalar, on which ref_parse_weight builds a weight in
+place of parse_weight's integer reader.  The package never calls any of
+these.
 """
 
 from __future__ import annotations
@@ -43,13 +46,14 @@ from ortk.ecgraph import (
     IsoWitness,
 )
 from ortk.numerics import (
+    _ALPHA_RE,
+    _RATIONAL_RE,
     DegreeOverflow,
     RankMismatch,
     Scalar,
     SingularBasis,
     Weight,
     render_weight,
-    scalar,
 )
 from ortk.orgraph import WalkHomVerdict, build_or_lambda
 from ortk.rootsys import Borel, NotIsotropicSimple, Root, enumerate_borels
@@ -60,6 +64,11 @@ class NotInSpan(ValueError):
 
 
 # -- the Scalar ring: r + s*a with r, s rational, of degree at most 1 ---------
+
+
+def scalar(r=0, s=0) -> Scalar:
+    """r + s*a for ints or Fractions r and s."""
+    return Scalar(r, s)
 
 
 def _as_scalar(x) -> Scalar:
@@ -98,6 +107,45 @@ def scalar_is_zero(x: Scalar, alpha: Fraction | None = None) -> bool:
     if alpha is None:
         return x.r == 0 and x.s == 0
     return x.r + x.s * alpha == 0
+
+
+def _fraction(text: str) -> Fraction:
+    """'p' or 'p/q' as Fraction's own string parser reads it, once
+    _RATIONAL_RE accepts the text; ValueError otherwise."""
+    if not _RATIONAL_RE.fullmatch(text.strip()):
+        raise ValueError(f"cannot parse rational {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"cannot parse rational {text!r}") from None
+
+
+def parse_scalar(text: str) -> Scalar:
+    """One coordinate of the weight grammar ('p/q', 'p/q+r/s a', 'r/s a',
+    'a', '-a') as a Scalar of Fractions; ValueError 'cannot parse scalar'
+    on anything else, as parse_weight raises it."""
+    t = text.strip()
+    try:
+        if "a" not in t:
+            return scalar(_fraction(t))
+        m = _ALPHA_RE.fullmatch(t)
+        if m:
+            lead, sign, coeff = m.groups()
+            if sign is None and coeff is None:
+                return scalar(0, _fraction(lead) if lead else 1)
+            if sign is not None:
+                r = _fraction(lead) if lead else 0
+                s = _fraction(coeff) if coeff else 1
+                return scalar(r, -s if sign == "-" else s)
+    except ValueError:
+        pass
+    raise ValueError(f"cannot parse scalar {text!r}")
+
+
+def ref_parse_weight(text: str) -> Weight:
+    """parse_weight without a rank check, by way of one Scalar per
+    coordinate and Weight's Fraction constructor."""
+    return Weight(tuple(parse_scalar(p) for p in text.split(",")))
 
 
 def inner_product(v: Weight, w: Weight, form: Weight) -> Scalar:

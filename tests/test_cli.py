@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ortk
-from ortk.cli import run_command
+from ortk.cli import build_parser, run_command
 from ortk.ecgraph import graph_from_json, graph_to_json
 
 
@@ -379,6 +379,8 @@ NOT_LOADED = [
       "--path", "∅,1"], GRAPH_ONLY),
     (["quotient"] + GL21, GRAPH_ONLY),
     (["or-graph", "--family", "gl", "--m", "2", "--n", "1"], GRAPH_ONLY),
+    # the quiver suite runs only unfiltered
+    (["verify", "iso", "--family", "gl"], {"quiver"}),
 ]
 
 # run main() with the given argv, then print its exit code and the modules
@@ -466,6 +468,8 @@ def test_query_json_matches_golden_file(name):
 
 NO_DATACLASSES = {name: argv + ["--out", "json"] for name, argv in {
     "character": GOLDEN_QUERIES["character_gl21_fractional"],
+    "character-a-part": GOLDEN_QUERIES["character_d21_a_part"],
+    "character-alpha": GOLDEN_QUERIES["character_d21_alpha_2_3_a_part"],
     "multiplicity": GOLDEN_QUERIES["multiplicity_gl21_fractional"],
     "character-borel": ["character"] + GL21 + ["--borel", "1"],
     "multiplicity-borel": ["multiplicity"] + GL21 + ["--mu", "0,0,0", "--borel", "1"],
@@ -484,10 +488,16 @@ NO_DATACLASSES = {name: argv + ["--out", "json"] for name, argv in {
 @pytest.mark.parametrize("name", NO_DATACLASSES)
 def test_query_child_does_not_import_dataclasses(name):
     # importing dataclasses (and the inspect it pulls in) costs a query child
-    # several milliseconds, and no command uses it
-    code, modules = modules_after(NO_DATACLASSES[name])
+    # several milliseconds, and no command uses it.  Weights are parsed to
+    # integers, so fractions (and the decimal it pulls in, another 2 ms)
+    # loads only for --alpha and quiver, which make Fractions
+    argv = NO_DATACLASSES[name]
+    code, modules = modules_after(argv)
     assert code == 0
     assert {"dataclasses", "inspect"}.isdisjoint(modules)
+    makes_fractions = "--alpha" in argv or argv[0] == "quiver"
+    assert {"fractions", "decimal"}.isdisjoint(modules) != makes_fractions
+    assert "ortk.numerics" in modules
 
 
 def _dataclass_decorated(node) -> bool:
@@ -528,6 +538,80 @@ def test_verify_all_matches_golden_files(tmp_path):
     assert code == 0
     assert report.read_bytes() == (DATA / "verify_all.json").read_bytes()
     assert (out + "\n").encode("utf-8") == (DATA / "verify_all.txt").read_bytes()
+
+
+# -- one command's subparser: the same usage, help and errors as the full parser --
+
+COMMANDS = ["or-graph", "quotient", "verify", "character", "multiplicity", "typical", "s1",
+            "walk", "hypercubic", "quiver"]
+
+
+def parsed(parser, argv, capsys):
+    """Exit code, stdout and stderr of parser.parse_args(argv); code None
+    when it parses."""
+    try:
+        parser.parse_args(argv)
+        code = None
+    except SystemExit as e:
+        code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def parity_argvs():
+    """--help, the missing required arguments, a bad --out choice and an
+    unknown flag (reported by the top-level parser) of every command."""
+    for command in COMMANDS:
+        yield [command, "--help"]
+        yield [command]
+        yield ["verify", "all", "--out", "bogus"] if command == "verify" \
+            else [command, "--family", "gl", "--out", "bogus"]
+        yield [command, "--bogus"]
+
+
+def test_run_command_builds_only_the_named_subparser(capsys, monkeypatch):
+    for command in COMMANDS:
+        (sub,) = build_parser(command)._subparsers._group_actions
+        assert list(sub.choices) == [command]
+    (sub,) = build_parser()._subparsers._group_actions
+    assert list(sub.choices) == COMMANDS
+    # run_command names the command when argv[0] is one, and else builds all
+    built = []
+    monkeypatch.setattr(ortk.cli, "build_parser",
+                        lambda command=None: built.append(command) or build_parser(command))
+    argvs = [[command, "--help"] for command in COMMANDS] + [["--help"], ["wlak"], [],
+                                                            ["--out", "json", "walk"]]
+    for argv in argvs:
+        run_command(argv, print_fn=lambda *a: None)
+    assert built == COMMANDS + [None] * 4
+
+
+@pytest.mark.parametrize("columns", ["80", "200", "40"])
+def test_one_command_parser_writes_the_full_parsers_bytes(columns, capsys, monkeypatch):
+    # argparse wraps usage and help at the terminal width, read from COLUMNS
+    monkeypatch.setenv("COLUMNS", columns)
+    for argv in parity_argvs():
+        want = parsed(build_parser(), argv, capsys)
+        assert parsed(build_parser(argv[0]), argv, capsys) == want, argv
+        assert want[0] in (0, 2) and want[1] + want[2], argv
+        code = run_command(argv, print_fn=lambda *a: None)
+        assert (code, *capsys.readouterr()) == want, argv
+
+
+def test_help_unknown_and_empty_command_lines_are_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    choices = ", ".join(repr(c) for c in COMMANDS)
+    usage = "usage: ortk [-h] {" + ",".join(COMMANDS) + "} ...\n"
+    assert run_command(["--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(usage) and err == ""
+    assert all(f"\n    {c} " in out for c in COMMANDS)
+    assert run_command(["wlak"]) == 2
+    assert capsys.readouterr() == ("", usage + "ortk: error: argument command: invalid "
+                                   f"choice: 'wlak' (choose from {choices})\n")
+    assert run_command([]) == 2
+    assert capsys.readouterr() == (
+        "", usage + "ortk: error: the following arguments are required: command\n")
 
 
 # -- random argv: exit code 0, 1 or 2 and never a traceback --------------------

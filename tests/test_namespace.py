@@ -81,6 +81,11 @@ def test_unknown_name_raises_attribute_error():
 UNREACHED = {
     "numerics.Weight.coords": "I/O boundary: the tests and bench/oracle.py read a weight "
                               "as Scalars",
+    "numerics.Weight.__new__": "I/O boundary: bench/workloads.py and the tests build weights "
+                               "from Fractions; the program builds them with Weight.of",
+    "numerics.Scalar.__new__": "I/O boundary: Weight(coords) makes a Scalar of each int or "
+                               "Fraction coordinate, as the tests do",
+    "numerics._rat": "the Scalar constructor's int-or-Fraction check",
     "numerics.Weight.is_zero": "reference arithmetic: the oracles' and the benchmark's "
                                "zero test of a weight",
     "numerics.Weight._no_order": "misuse guard: <, <=, > and >= of a Weight raise TypeError, "

@@ -35,10 +35,8 @@ from ortk.numerics import (
     SingularBasis,
     Scalar,
     Weight,
-    parse_scalar,
     parse_weight,
     render_weight,
-    scalar,
     zero_weight,
 )
 from ortk.orgraph import WalkHomVerdict, build_or_graph
@@ -50,7 +48,10 @@ from oracles import (
     NotInSpan,
     expand_in_basis,
     inner_product,
+    parse_scalar,
+    ref_parse_weight,
     render_scalar,
+    scalar,
     scalar_add,
     scalar_is_zero,
     scalar_mul,
@@ -92,8 +93,8 @@ def test_scalar_zero_test_with_specialization():
 
 
 def test_scalar_is_a_parse_record_without_arithmetic():
-    # in src/ a Scalar is the tuple (r, s) that parse_scalar reads and
-    # Weight.coords gives, with no difference, negation or product
+    # in src/ a Scalar is the tuple (r, s) that Weight.coords gives, with
+    # no difference, negation or product; the oracles' parse_scalar reads one
     x, y = scalar(1, 2), scalar(3)
     assert x == (Fraction(1), Fraction(2)) and parse_scalar("1+2a") == x
     for op in (lambda: x - y, lambda: -x, lambda: x * y, lambda: x * Fraction(1, 2)):
@@ -208,7 +209,7 @@ def test_zero_denominator_is_a_parse_error(text):
     # any other unparsable scalar, never a ZeroDivisionError
     with pytest.raises(ValueError, match=f"^cannot parse scalar '{re.escape(text)}'$"):
         parse_scalar(text)
-    with pytest.raises(ValueError, match="cannot parse scalar"):
+    with pytest.raises(ValueError, match=f"^cannot parse scalar '{re.escape(text)}'$"):
         parse_weight(f"{text},0", 2)
 
 
@@ -220,7 +221,7 @@ def test_scalar_grammar_needs_a_sign_and_ascii_digits(text):
     # digits, where Fraction also reads other digits, '_' and decimals
     with pytest.raises(ValueError, match=f"^cannot parse scalar '{re.escape(text)}'$"):
         parse_scalar(text)
-    with pytest.raises(ValueError, match="cannot parse scalar"):
+    with pytest.raises(ValueError, match=f"^cannot parse scalar '{re.escape(text)}'$"):
         parse_weight(f"0,{text}", 2)
 
 
@@ -234,6 +235,81 @@ def test_weight_text_format():
         parse_weight("1,2", rank=3)
     with pytest.raises(ValueError):
         parse_weight("1,x")
+
+
+def _rational_text(rng, signed=True):
+    """'p' or 'p/q', often unreduced, with a sign now and then."""
+    p = rng.randint(0, 12)
+    q = rng.choice([None, 1, 2, 3, 4, 6, 9, 12])
+    sign = rng.choice(["", "", "+", "-"]) if signed else ""
+    return sign + (str(p) if q is None else f"{p}/{q}")
+
+
+def _coordinate_text(rng):
+    """A coordinate of the weight grammar: a rational part, an a-part or
+    both, with spaces where the grammar allows them."""
+    sp = lambda: rng.choice(["", "", " ", "  "])
+    kind = rng.randrange(3)
+    if kind == 0:
+        body = _rational_text(rng)
+    elif kind == 1:
+        body = rng.choice([_rational_text(rng), "", "-", "+"]) + sp() + "a"
+    else:
+        body = (_rational_text(rng) + sp() + rng.choice("+-") + sp()
+                + rng.choice([_rational_text(rng, signed=False), ""]) + sp() + "a")
+    return sp() + body + sp()
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return ("ValueError", str(e))
+
+
+def test_parse_weight_matches_the_fraction_reference():
+    # parse_weight reads integers and reduces once over their lcm; the
+    # reference reads one Scalar of Fractions per coordinate, so each
+    # coordinate is reduced on its own ('2/4' to 1/2, '-6/3a' to -2a)
+    rng = random.Random(20260101)
+    for _ in range(3000):
+        text = ",".join(_coordinate_text(rng) for _ in range(rng.randint(1, 6)))
+        got = parse_weight(text)
+        want = ref_parse_weight(text)
+        assert type(got) is Weight and got == want, text
+        assert gcd(got.den, *got.r, *got.s) == 1
+        assert parse_weight(text, got.rank) == want
+    for text, want in [("2/4", ((1,), (0,), 2)), ("-6/3a", ((0,), (-2,), 1)),
+                       (" 1/2-3/4a , 4/6 ", ((6, 8), (-9, 0), 12)),
+                       ("+0/5+a,-a", ((0, 0), (1, -1), 1))]:
+        assert parse_weight(text) == ref_parse_weight(text) == want
+
+
+@pytest.mark.parametrize("text, coord", [("1/0", "1/0"), ("٣", "٣"),
+                                         ("1 2a", "1 2a"), ("", ""), ("1,2,", "")])
+def test_parse_weight_rejects_as_the_reference_does(text, coord):
+    message = f"cannot parse scalar {coord!r}"
+    for parse in (parse_weight, ref_parse_weight):
+        with pytest.raises(ValueError) as e:
+            parse(text)
+        assert str(e.value) == message
+
+
+def test_parse_weight_and_the_reference_agree_on_damaged_text():
+    # one character of a valid weight replaced or inserted: both readers
+    # accept it with the same fields or reject it with the same message
+    rng = random.Random(7)
+    junk = ["x", "٣", "_", ".", "/", "/0", " ", "a", "*", "+", "-", ",", "e"]
+    rejected = 0
+    for _ in range(3000):
+        text = ",".join(_coordinate_text(rng) for _ in range(rng.randint(1, 4)))
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(junk) + text[i + rng.randrange(2):]
+        got = _outcome(parse_weight, text)
+        assert got == _outcome(ref_parse_weight, text), text
+        rejected += not isinstance(got, Weight)
+    # both branches are exercised: about nine in ten damaged texts are rejected
+    assert 2000 < rejected < 2950
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
