@@ -12,8 +12,9 @@ allowed.
 
 import itertools
 
+from array import array
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, partial
 
 from .numerics import _DataclassFields
 
@@ -38,11 +39,11 @@ class ColoredGraph:
     _vindex maps each vertex to its position in vertices.  Tables that
     depend only on the graph are built on first use and kept for its
     lifetime: _walk_index (integer adjacency, the BFS rows of every
-    source and the rainbow-walk states, the one place distances are
-    computed: read by the exchange and extension checks, the semibrick
-    index sets and the walks suite), _color_degrees and _match_order
-    (read by the isomorphism search) and _quotients.  The checks'
-    reports are never kept.
+    source, the rainbow-walk states and the extension frontiers, the one
+    place distances are computed: read by the exchange and extension
+    checks, the semibrick index sets and the walks suite), _color_degrees
+    and _match_order (read by the isomorphism search) and _quotients.
+    The checks' reports are never kept.
     """
 
     # no __slots__: the cached properties live in __dict__
@@ -363,7 +364,7 @@ def _match_vertices(g1, g2, psi, order):
 
 
 class _WalkIndex(namedtuple("_WalkIndexFields",
-                             "low adj color_of dist parent geodesics rainbow")):
+                             "low adj color_of dist parent geodesics rainbow frontier")):
     """Integer form of a graph, shared by the walk counters, and the one
     place where the package computes graph distances.
 
@@ -377,7 +378,12 @@ class _WalkIndex(namedtuple("_WalkIndexFields",
     the unreachable; the step's color is the first entry of adj[parent]
     that ends at x.  geodesics[u][x] is the number of shortest walks
     u -> x.  rainbow[u] maps each state of the rainbow walks of length
-    >= 1 from u to the number of such walks.
+    >= 1 from u to the number of such walks.  frontier[u] maps the bit b
+    of each color at u to (count, keys) over the steps x -b-> y that
+    extend a state (x, used) of rainbow[u] with b not in used: keys holds
+    used | y for each step, and count the number of walks they extend.
+    keys is an array('q'), a tuple when the keys need more than 63 bits,
+    and the empty tuple when there is no such step.
     """
 
     __slots__ = ()
@@ -390,47 +396,74 @@ def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
     bit = {c: 1 << (shift + k) for k, c in enumerate(g.colors)}
     adj = tuple(tuple((vid[w], bit[c]) for w, c in g.neighbors(v))
                 for v in g.vertices)
+    n = len(adj)
     dist, parents, geodesics = [], [], []
-    for u in range(len(adj)):
-        du = [-1] * len(adj)
+    for u in range(n):
+        du = [-1] * n
         du[u] = 0
-        up = [-1] * len(adj)
-        geo = [0] * len(adj)
+        up = [-1] * n
+        geo = [0] * n
         geo[u] = 1
         queue = [u]
         for x in queue:  # BFS order: geo[x] is complete when x is reached
+            d, gx = du[x] + 1, geo[x]
             for y, _ in adj[x]:
                 if du[y] < 0:
-                    du[y] = du[x] + 1
+                    du[y] = d
                     up[y] = x
+                    geo[y] = gx
                     queue.append(y)
-                if du[y] == du[x] + 1:
-                    geo[y] += geo[x]
+                elif du[y] == d:
+                    geo[y] += gx
         dist.append(tuple(du))
         parents.append(tuple(up))
         geodesics.append(tuple(geo))
-    rainbow = tuple(_rainbow_states(low, adj, u) for u in range(len(adj)))
-    return _WalkIndex(low, adj, {b: c for c, b in bit.items()},
-                      tuple(dist), tuple(parents), tuple(geodesics), rainbow)
+    # a key is below 1 << (shift + len(colors)), so 'q' holds it up to 63 bits
+    pack = partial(array, "q") if shift + len(g.colors) <= 63 else tuple
+    rainbow, frontier = [], []
+    for u in range(n):
+        states, front = _rainbow_states(low, adj, u)
+        for b, (count, *keys) in front.items():
+            front[b] = (count, pack(keys) if keys else ())
+        rainbow.append(states)
+        frontier.append(front)
+    return _WalkIndex(low, adj, {b: c for c, b in bit.items()}, tuple(dist),
+                      tuple(parents), tuple(geodesics), tuple(rainbow), tuple(frontier))
 
 
-def _rainbow_states(low: int, adj: tuple, u: int) -> dict:
+def _rainbow_states(low: int, adj: tuple, u: int) -> tuple:
     """Rainbow walks of length >= 1 from u, counted per state by color
-    coding one length at a time.  A state reached at length k has k color
-    bits, so all lengths share one dict without collisions."""
-    states, layer = {}, {u: 1}
+    coding one length at a time, and u's extension frontier.
+
+    A state reached at length k has k color bits, so all lengths share one
+    dict without collisions.  Returns (states, front).  front maps the bit
+    b of each color at u to the list [count, key, ...]: a key used | y for
+    every step x -b-> y that the pass takes from a stored state (x, used),
+    and count the walk counts of those steps summed.  Only the colors at
+    u are recorded: the extension check pairs a step with an edge at u of
+    the step's color."""
+    front, at_u, layer = {}, 0, {}
+    for y, b in adj[u]:
+        front[b] = [0]
+        at_u |= b
+        layer[b | y] = 1
+    states = {}
     while layer:
+        states.update(layer)
         nxt = {}
         for state, count in layer.items():
             x = state & low
             used = state ^ x
             for y, b in adj[x]:
                 if not used & b:
-                    key = used | b | y
-                    nxt[key] = nxt.get(key, 0) + count
-        states.update(nxt)
+                    f = used | y
+                    nxt[f | b] = nxt.get(f | b, 0) + count
+                    if b & at_u:
+                        steps = front[b]
+                        steps[0] += count
+                        steps.append(f)
         layer = nxt
-    return states
+    return states, front
 
 
 def _as_walk(g: ColoredGraph, ix: _WalkIndex, path: list, bits: list) -> Walk:
@@ -553,38 +586,26 @@ def verify_rainbow_extension(g: ColoredGraph) -> ExtensionReport:
     edge v_{k+1} -- v_{k+2} of the starting color c_0, a rainbow walk
     from v_{k+2} back to v_0 using exactly {c_1, ..., c_k} must exist.
 
-    The walks v_1 ... v_{k+1} are counted per (end vertex, color set)
-    state of the rainbow walks from v_1, as kept in the graph's walk
-    index, which the exchange check shares.  The reach test is a lookup
-    in the states of the rainbow walks from v_0, keyed on (v_{k+2}, color
-    set).  Violations are listed, in the depth-first order of the
-    walk-by-walk search, only from the v_0 the counts show failing.  The
-    report is built anew on every call.
+    The steps v_{k+1} -- v_{k+2} of color c_0 after a rainbow walk from
+    v_1 are the c_0 frontier of v_1 in the graph's walk index, built by
+    the pass that counts its rainbow states, which the exchange check
+    shares.  So each edge v_1 -- v_0 adds its frontier's walk count to
+    the configurations and is one containment test of the frontier's
+    keys (v_{k+2}, color set) in the rainbow states from v_0.  Violations
+    are listed, in the depth-first order of the walk-by-walk search, only
+    from the v_0 these tests show failing.  The report is built anew on
+    every call.
     """
     ix = g._walk_index
-    low, adj, reached = ix.low, ix.adj, ix.rainbow
-    by_color = []
-    for nbrs in adj:
-        ends = {}
-        for y, b in nbrs:
-            ends.setdefault(b, []).append(y)
-        by_color.append(ends)
-
+    adj, reached = ix.adj, ix.rainbow
     n_conf = 0
     failing = set()
-    for v1, states in enumerate(reached):
-        for state, count in states.items():
-            x = state & low
-            inner = state ^ x
-            ends = by_color[x]
-            for v0, b0 in adj[v1]:
-                ys = ends.get(b0)
-                if ys and not inner & b0:
-                    n_conf += count * len(ys)
-                    back = reached[v0]
-                    for y in ys:
-                        if inner | y not in back:
-                            failing.add(v0)
+    for nbrs, front in zip(adj, ix.frontier):
+        for v0, b0 in nbrs:
+            count, keys = front[b0]
+            n_conf += count
+            if v0 not in failing and not all(map(reached[v0].__contains__, keys)):
+                failing.add(v0)
 
     violations = []
     for v0 in sorted(failing):

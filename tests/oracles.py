@@ -13,7 +13,9 @@ lookup per subset sum in place of the sums of the head's lattice class,
 a Verma numerator's terms built one Weight at a time in place of its
 columns, a color-set quotient by BFS components in place of
 union-find, graph distances by a BFS on vertex IDs in place of the
-walk index, and a walk verdict's monomial oriented root by root against
+walk index, the rainbow-extension check by a loop over every rainbow
+state and every edge at its walk's start in place of the walk index's
+frontiers, and a walk verdict's monomial oriented root by root against
 the start Borel's odd set in place of the OR graph's orientation table.
 The rainbow and shortest walk tests, the check of an isomorphism
 witness and its inverse, the closure test of an adjusted odd set, the
@@ -42,8 +44,11 @@ from ortk.characters import (
 from ortk.ecgraph import (
     ColoredGraph,
     DisconnectedEndpoints,
+    ExtensionReport,
     InvalidWalk,
     IsoWitness,
+    _as_walk,
+    _rainbow_dfs,
 )
 from ortk.numerics import (
     _ALPHA_RE,
@@ -451,6 +456,52 @@ def is_shortest(g, w) -> bool:
     if end not in dist:
         raise DisconnectedEndpoints(f"{start!r} and {end!r} are disconnected")
     return len(w.walk_colors) == dist[end]
+
+
+def state_loop_extension(g: ColoredGraph) -> ExtensionReport:
+    """verify_rainbow_extension by a loop over the states of the walk
+    index's rainbow table, in place of its frontiers: for every state
+    (x, inner) of the walks from v1, every edge v1 -- v0 of a color b0
+    not in inner and every b0-colored edge x -- y, the reach test looks up
+    (y, inner) in the states from v0.  Fast enough for the stretch
+    graphs, where the walk-by-walk reference is not; its violations are
+    listed from the failing v0 as verify_rainbow_extension lists them."""
+    ix = g._walk_index
+    low, adj, reached = ix.low, ix.adj, ix.rainbow
+    by_color = []
+    for nbrs in adj:
+        ends = {}
+        for y, b in nbrs:
+            ends.setdefault(b, []).append(y)
+        by_color.append(ends)
+
+    n_conf = 0
+    failing = set()
+    for v1, states in enumerate(reached):
+        for state, count in states.items():
+            x = state & low
+            inner = state ^ x
+            ends = by_color[x]
+            for v0, b0 in adj[v1]:
+                ys = ends.get(b0)
+                if ys and not inner & b0:
+                    n_conf += count * len(ys)
+                    back = reached[v0]
+                    for y in ys:
+                        if inner | y not in back:
+                            failing.add(v0)
+
+    violations = []
+    for v0 in sorted(failing):
+        back = reached[v0]
+        for path, bits in _rainbow_dfs(ix, v0):
+            if len(bits) < 2:
+                continue
+            inner = sum(bits[1:])
+            for y, b in adj[path[-1]]:
+                if b == bits[0] and inner | y not in back:
+                    violations.append((_as_walk(g, ix, path, bits), g.vertices[y]))
+    return ExtensionReport(tuple(violations), n_conf)
 
 
 def is_color_isomorphism(g1: ColoredGraph, g2: ColoredGraph,

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+from array import array
 from math import factorial
 
 import pytest
@@ -38,6 +39,7 @@ from oracles import (
     is_rainbow,
     is_shortest,
     ref_quotient,
+    state_loop_extension,
     structure,
 )
 
@@ -623,15 +625,114 @@ def test_rainbow_states_are_built_once_and_reports_are_not_kept(g, monkeypatch):
         return rainbow_states(low, adj, u)
 
     monkeypatch.setattr(ecgraph, "_rainbow_states", counting)
-    g = ColoredGraph(g.vertices, g.colors, g.edges)
-    reports = [verify_exchange(g), verify_rainbow_extension(g),
-               verify_exchange(g), verify_rainbow_extension(g)]
-    # one color-coding pass per source, for the four calls together
-    assert sources == list(range(len(g.vertices)))
-    assert reports[0] == reports[2] == reference_exchange(g)
-    assert reports[1] == reports[3] == reference_extension(g)
-    # each call builds its own report
-    assert reports[0] is not reports[2] and reports[1] is not reports[3]
+    # either check may come first, each order on a fresh graph object
+    for first, second in ((verify_exchange, verify_rainbow_extension),
+                          (verify_rainbow_extension, verify_exchange)):
+        sources.clear()
+        fresh = ColoredGraph(g.vertices, g.colors, g.edges)
+        reports = {first: [first(fresh)]}
+        # the first check's pass already holds every frontier that the
+        # extension check reads: one entry per color at each vertex
+        assert sources == list(range(len(g.vertices)))
+        assert [set(front) for front in fresh._walk_index.frontier] == \
+            [{b for _, b in nbrs} for nbrs in fresh._walk_index.adj]
+        reports[second] = [second(fresh)]
+        reports[first].append(first(fresh))
+        reports[second].append(second(fresh))
+        # one color-coding pass per source, for the four calls together
+        assert sources == list(range(len(g.vertices)))
+        for check, want in ((verify_exchange, reference_exchange(fresh)),
+                            (verify_rainbow_extension, reference_extension(fresh))):
+            once, again = reports[check]
+            assert once == again == want
+            # each call builds its own report
+            assert once is not again
+
+
+@pytest.mark.parametrize("g, exchange", [
+    (ColoredGraph((), (), ()), ExchangeReport((), (), 0, 0)),
+    (ColoredGraph(("a",), (), ()), ExchangeReport((), (), 0, 0)),
+    (ColoredGraph(("a", "b"), ("x",), ()), DisconnectedEndpoints),
+    (ColoredGraph(("a", "b"), ("x",), (("a", "b", "x"),)), ExchangeReport((), (), 1, 2)),
+], ids=["empty", "one-vertex", "two-apart", "one-edge"])
+def test_walk_checks_on_graphs_without_walks_to_extend(g, exchange):
+    # no configuration exists, so the frontiers are empty or absent
+    if exchange is DisconnectedEndpoints:
+        with pytest.raises(DisconnectedEndpoints):
+            verify_exchange(g)
+    else:
+        assert verify_exchange(g) == exchange
+    assert verify_rainbow_extension(g) == ExtensionReport((), 0)
+    assert g._walk_index.frontier == tuple(
+        {b: (0, ()) for _, b in nbrs} for nbrs in g._walk_index.adj)
+
+
+STRETCH_GRAPHS = [("gl", 4, 3), ("gl11n", None, 6), ("ospB", 3, 2), ("ospD", 3, 2)]
+
+
+def same_extension(g):
+    """verify_rainbow_extension and the per-state loop give one report."""
+    report = verify_rainbow_extension(g)
+    assert report == state_loop_extension(g)
+    return report
+
+
+@pytest.mark.parametrize("family, m, n", STRETCH_GRAPHS)
+def test_frontiers_match_the_state_loop_on_stretch_graphs(family, m, n):
+    rs = build_root_system(family, m=m, n=n)
+    og = build_or_graph(rs)
+    report = same_extension(og.graph)
+    assert report.passed and report.n_configurations > 0
+    # 20 seeded lambdas, each drawn until its quotient keeps two colors
+    rng = random.Random(f"{family}{m}{n}")
+    kept = []
+    while len(kept) < 20:
+        lam = parse_weight(",".join(str(rng.choice((-1, 0, 0, 1))) for _ in range(rs.rank)))
+        q = build_or_lambda(rs, og, lam).graph
+        if len(q.colors) >= 2:
+            kept.append(len(q.colors))
+            assert same_extension(q).passed
+    assert max(kept) >= 4
+
+
+def test_frontiers_match_the_state_loop_on_q7():
+    report = same_extension(build_reference_graph("hypercube", n=7))
+    assert report.passed and report.n_configurations == 2 ** 7 * sum(
+        factorial(7) // factorial(7 - k) for k in range(2, 8))
+
+
+def planted_q4(extra_colors=()):
+    """Q4 with the edge 0000 -- 0001 recolored from 4 to 3; extra unused
+    colors come first in the color order, so they move every used bit up."""
+    q = build_reference_graph("hypercube", n=4)
+    edges = tuple((u, v, 3 if (u, v) == ("0000", "0001") else c) for u, v, c in q.edges)
+    return ColoredGraph(q.vertices, tuple(extra_colors) + q.colors, edges)
+
+
+def test_planted_violation_matches_both_references():
+    g = planted_q4()
+    report = same_extension(g)
+    assert not report.passed
+    assert structure(report) == structure(reference_extension(g))
+    assert (len(report.violations), report.n_configurations) == (66, 898)
+
+
+def test_frontier_keys_past_63_bits_fall_back_to_tuples():
+    # 5 vertex bits and 60 unused colors before the four used ones: the
+    # keys need 69 bits, more than an array('q') holds
+    narrow, wide = planted_q4(), planted_q4(f"unused{k}" for k in range(60))
+    fronts = [keys for front in wide._walk_index.frontier for _, keys in front.values()]
+    assert all(type(keys) is tuple for keys in fronts)
+    assert max(map(max, filter(None, fronts))) >= 2 ** 63
+    assert all(type(keys) is array for front in narrow._walk_index.frontier
+               for _, keys in front.values() if keys)
+
+    def walks(report):
+        return [(w.walk_vertices, w.walk_colors, y) for w, y in report.violations]
+
+    report, want = same_extension(wide), verify_rainbow_extension(narrow)
+    assert report.n_configurations == want.n_configurations
+    assert walks(report) == walks(want)
 
 
 def test_or_lambda_quotients_share_their_walk_index():
