@@ -8,8 +8,8 @@ sorted keys so that identical inputs produce byte-identical exports.
 Each command imports only the layers it runs and builds only its own
 subparser, so start-up does not pay for the rest; ``--help``, an unknown
 command and an empty command line build the full parser.  fractions
-loads only for ``--alpha``, ``quiver`` and Scalar I/O, since weights are
-parsed straight to integers.
+loads only for ``--alpha`` and Scalar I/O, since weights are parsed
+straight to integers and quiver reduction counts classes of words.
 """
 
 from __future__ import annotations

@@ -2,21 +2,30 @@
 
 A quiver carries two kinds of relations: zero relations that kill a path
 word outright, and commutation relations that declare two parallel words
-equal.  Every preset's relations are length-homogeneous, so Hom spaces
-split by path length and each degree can be reduced on its own.
+equal.  Both are length-homogeneous, so Hom spaces split by path length
+and each degree can be reduced on its own.
 
-The reduction is deliberately blunt: enumerate all composable words up to
-a length bound, translate every relation through every position, and row
-reduce the resulting sparse system over the rationals.  Once the degree
-max_len+1 quotient vanishes for every endpoint pair, all higher degrees
-vanish too (the relation ideal is length-graded), so the computed bases
-are complete.
+Every relation is a monomial (z = 0) or a binomial with coefficients
++1 and -1 (lhs = rhs), so a degree reduces to classes of words.  Its
+relation space is spanned by e_w for each word w that contains a zero
+relation, and by e_w - e_w' for each pair of words that one commutation
+translate turns into each other.  On a connected component of the
+translate graph the binomials span exactly the vectors whose
+coefficients sum to zero, and one killed word makes the span the whole
+component.  So the quotient has one basis class per component without
+a killed word, represented by its least word, and every word of that
+component equals the representative with coefficient 1.  A relation
+with other coefficients would need elimination over the rationals.
+
+Words are built one degree at a time.  Once every word of a degree is
+zero, so is every longer word, since it has a zero prefix (the relation
+ideal is two-sided and length-graded).  The computed bases are complete
+when the degree max_len+1 vanishes.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 __all__ = [
     "BasisNotStabilized",
@@ -178,90 +187,65 @@ def build_quiver(preset: str, w: int | None = None) -> Quiver:
     raise ValueError("unknown preset: %r" % preset)
 
 
-def _paths_up_to(q: Quiver, top: int) -> list:
-    """paths[L] maps (source, target) to the sorted composable words of length L."""
-    out_arrows = {v: [] for v in q.vertices}
+def _out_arrows(q: Quiver) -> dict:
+    """Vertex -> sorted (arrow name, target) pairs leaving it."""
+    out = {v: [] for v in q.vertices}
     for name, src, tgt in q.arrows:
-        out_arrows[src].append((name, tgt))
-    for v in out_arrows:
-        out_arrows[v].sort()
-    paths = [{(v, v): [()] for v in q.vertices}]
-    for _ in range(top):
-        layer = {}
-        for (s, t), words in paths[-1].items():
-            for word in words:
-                for name, tgt in out_arrows[t]:
-                    layer.setdefault((s, tgt), []).append(word + (name,))
-        for key in layer:
-            layer[key].sort()
-        paths.append(layer)
-    return paths
+        out[src].append((name, tgt))
+    for v in out:
+        out[v].sort()
+    return out
 
 
-def _relation_rows(q: Quiver, words: list) -> list:
-    """Sparse rows (column index -> Fraction) of the degree's relation translates."""
-    index = {wd: k for k, wd in enumerate(words)}
-    rows = []
+def _next_degree(out_arrows: dict, layer: dict) -> dict:
+    """Extend every word of one degree by one arrow.
+
+    layer maps (source, target) to the sorted composable words of one
+    length; the result does the same for the next length.
+    """
+    nxt = {}
+    for (s, t), words in layer.items():
+        for word in words:
+            for name, tgt in out_arrows[t]:
+                nxt.setdefault((s, tgt), []).append(word + (name,))
+    for key in nxt:
+        nxt[key].sort()
+    return nxt
+
+
+def _contains(word: tuple, sub: tuple) -> bool:
+    k = len(sub)
+    return any(word[i:i + k] == sub for i in range(len(word) - k + 1))
+
+
+def _degree_classes(q: Quiver, words: list) -> dict:
+    """Map each word of one degree to the least word of its class, or to
+    None when the class is zero.
+
+    words must be closed under commutation translates.  Two words share
+    a class when translates connect them; a class is zero when one of
+    its words contains a zero relation.
+    """
+    parent = {wd: wd for wd in words}
+
+    def find(wd):
+        while parent[wd] != wd:
+            parent[wd] = parent[parent[wd]]
+            wd = parent[wd]
+        return wd
+
+    # each translate pair holds lhs at the position where the other holds
+    # rhs, so reading lhs alone meets every pair once
     for wd in words:
-        n = len(wd)
-        for z in q.zero_relations:
-            k = len(z)
-            if k <= n and any(wd[i:i + k] == z for i in range(n - k + 1)):
-                rows.append({index[wd]: Fraction(1)})
-                break
         for lhs, rhs in q.commutation_relations:
             k = len(lhs)
-            for i in range(n - k + 1):
-                for one, other in ((lhs, rhs), (rhs, lhs)):
-                    if wd[i:i + k] == one:
-                        swapped = wd[:i] + other + wd[i + k:]
-                        if swapped != wd:
-                            row = {index[wd]: Fraction(1)}
-                            row[index[swapped]] = row.get(index[swapped], Fraction(0)) - 1
-                            rows.append(row)
-    return rows
-
-
-def _rref(rows: list) -> dict:
-    """Reduced row echelon form of sparse rational rows.
-
-    Returns pivot column -> row, each row normalized with pivot
-    coefficient 1 and every other pivot column eliminated.
-    """
-    pivots = {}
-    for raw in rows:
-        row = {c: v for c, v in raw.items() if v != 0}
-        while row:
-            lead = min(row)
-            if lead not in pivots:
-                inv = Fraction(1) / row[lead]
-                pivots[lead] = {c: v * inv for c, v in row.items()}
-                break
-            coef = row[lead]
-            for c, v in pivots[lead].items():
-                row[c] = row.get(c, Fraction(0)) - coef * v
-            row = {c: v for c, v in row.items() if v != 0}
-    for p in sorted(pivots, reverse=True):
-        prow = pivots[p]
-        for other, orow in pivots.items():
-            if other != p and p in orow:
-                coef = orow.pop(p)
-                for c, v in prow.items():
-                    if c == p:
-                        continue
-                    val = orow.get(c, Fraction(0)) - coef * v
-                    if val == 0:
-                        orow.pop(c, None)
-                    else:
-                        orow[c] = val
-    return pivots
-
-
-def _degree_basis(q: Quiver, words_ascending: list) -> list:
-    """Basis words of one degree's quotient, lex-smallest representatives."""
-    words = sorted(words_ascending, reverse=True)
-    pivots = _rref(_relation_rows(q, words))
-    return sorted(words[k] for k in range(len(words)) if k not in pivots)
+            for i in range(len(wd) - k + 1):
+                if wd[i:i + k] == lhs:
+                    a, b = find(wd), find(wd[:i] + rhs + wd[i + k:])
+                    parent[max(a, b)] = min(a, b)
+    dead = {find(wd) for wd in words
+            if any(_contains(wd, z) for z in q.zero_relations)}
+    return {wd: None if find(wd) in dead else find(wd) for wd in words}
 
 
 def path_normal_forms(q: Quiver, max_len: int) -> dict:
@@ -269,15 +253,21 @@ def path_normal_forms(q: Quiver, max_len: int) -> dict:
 
     Raises BasisNotStabilized unless every word of length max_len+1
     reduces to zero; the relations are length-graded, so that check
-    certifies all longer words vanish as well.
+    certifies all longer words vanish as well.  Words are built one
+    degree at a time, up to the first degree whose words all vanish.
     """
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    paths = _paths_up_to(q, max_len + 1)
+    out_arrows = _out_arrows(q)
+    layer = {(v, v): [()] for v in q.vertices}
     result = {(s, t): [] for s in q.vertices for t in q.vertices}
     for length in range(max_len + 2):
-        for (s, t), words in sorted(paths[length].items(), key=lambda kv: str(kv[0])):
-            basis = _degree_basis(q, words)
+        if length:
+            layer = _next_degree(out_arrows, layer)
+        live = False
+        for (s, t), words in sorted(layer.items(), key=lambda kv: str(kv[0])):
+            classes = _degree_classes(q, words)
+            basis = [wd for wd in words if classes[wd] == wd]
             if not basis:
                 continue
             if length == max_len + 1:
@@ -285,7 +275,10 @@ def path_normal_forms(q: Quiver, max_len: int) -> dict:
                     "dimension still grows at length %d for endpoints (%s, %s)"
                     % (length, s, t)
                 )
+            live = True
             result[(s, t)].extend(PathClass(wd, s, t) for wd in basis)
+        if not live:
+            break
     return result
 
 
@@ -296,30 +289,22 @@ def hom_dimensions(q: Quiver, max_len: int = 4) -> list:
 
 
 def word_normal_form(q: Quiver, word) -> dict:
-    """Expand an arrow word over the basis of its degree.
+    """The basis word that an arrow word equals, with coefficient 1.
 
-    Returns a map from basis words to rational coefficients; the empty
-    map means the word is zero in the quotient.  Only the word's own
-    degree matters, so no stabilization bound is needed.
+    Returns {basis word: 1}, the least word of the word's class; the
+    empty map means the word is zero in the quotient.  Only the word's
+    own degree matters, so no stabilization bound is needed.
     """
     word = tuple(word)
     if not word:
         raise ValueError("empty word has no endpoints; idempotents are already normal")
-    amap = _arrow_map(q)
-    s, t = _word_endpoints(amap, word)
-    length = len(word)
-    paths = _paths_up_to(q, length)
-    words = sorted(paths[length].get((s, t), []), reverse=True)
-    pivots = _rref(_relation_rows(q, words))
-    col = words.index(word)
-    if col not in pivots:
-        return {word: Fraction(1)}
-    out = {}
-    for c, v in pivots[col].items():
-        if c == col:
-            continue
-        out[words[c]] = -v
-    return out
+    s, t = _word_endpoints(_arrow_map(q), word)
+    out_arrows = _out_arrows(q)
+    layer = {(s, s): [()]}
+    for _ in word:
+        layer = _next_degree(out_arrows, layer)
+    rep = _degree_classes(q, layer[(s, t)])[word]
+    return {} if rep is None else {rep: 1}
 
 
 def render_path(pc: PathClass) -> str:

@@ -3,9 +3,8 @@
 Each check produces one ReportEntry; a VerificationReport aggregates
 them.  Entry order follows the pinned manifest, so two runs on the same
 build emit identical reports.  Each suite applies the family filter
-itself, so a check for a filtered-out family never runs.  quiver, whose
-row reduction loads fractions, is imported only by the quiver suite,
-which runs only unfiltered.
+itself, so a check for a filtered-out family never runs.  quiver is
+imported only by the quiver suite, which runs only unfiltered.
 """
 
 from __future__ import annotations

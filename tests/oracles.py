@@ -15,8 +15,10 @@ columns, a color-set quotient by BFS components in place of
 union-find, graph distances by a BFS on vertex IDs in place of the
 walk index, the rainbow-extension check by a loop over every rainbow
 state and every edge at its walk's start in place of the walk index's
-frontiers, and a walk verdict's monomial oriented root by root against
-the start Borel's odd set in place of the OR graph's orientation table.
+frontiers, a walk verdict's monomial oriented root by root against
+the start Borel's odd set in place of the OR graph's orientation table,
+and the rank of a quiver degree's relation rows by fraction-free
+elimination in place of counting classes of words.
 The rainbow and shortest walk tests, the check of an isomorphism
 witness and its inverse, the closure test of an adjusted odd set, the
 sum of two characters, the Scalar ring (sum, difference, negation,
@@ -573,3 +575,35 @@ def ref_walk_nonzero(g, d, path) -> tuple:
     graph, cls, _ = ref_quotient(g, d)
     steps = sum(1 for a, b in zip(path, path[1:]) if cls[a] != cls[b])
     return steps == bfs_distances(graph, cls[path[0]])[cls[path[-1]]], steps
+
+
+def bareiss_rank(rows) -> int:
+    """Rank of an integer matrix, given as equal-length rows, by
+    fraction-free (Bareiss) elimination.  Every division is exact, so
+    rational rows are scaled to integers first."""
+    if not rows:
+        return 0
+    mat = [list(r) for r in rows]
+    m, n = len(mat), len(mat[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(n):
+        piv = None
+        for i in range(row, m):
+            if mat[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        mat[row], mat[piv] = mat[piv], mat[row]
+        for i in range(row + 1, m):
+            for j in range(col + 1, n):
+                mat[i][j] = (mat[row][col] * mat[i][j] - mat[i][col] * mat[row][j]) // prev
+            mat[i][col] = 0
+        prev = mat[row][col]
+        rank += 1
+        row += 1
+        if row == m:
+            break
+    return rank

@@ -489,13 +489,13 @@ NO_DATACLASSES = {name: argv + ["--out", "json"] for name, argv in {
 def test_query_child_does_not_import_dataclasses(name):
     # importing dataclasses (and the inspect it pulls in) costs a query child
     # several milliseconds, and no command uses it.  Weights are parsed to
-    # integers, so fractions (and the decimal it pulls in, another 2 ms)
-    # loads only for --alpha and quiver, which make Fractions
+    # integers and quiver classes carry no coefficients, so fractions (and
+    # the decimal it pulls in, another 2 ms) loads only for --alpha
     argv = NO_DATACLASSES[name]
     code, modules = modules_after(argv)
     assert code == 0
     assert {"dataclasses", "inspect"}.isdisjoint(modules)
-    makes_fractions = "--alpha" in argv or argv[0] == "quiver"
+    makes_fractions = "--alpha" in argv
     assert {"fractions", "decimal"}.isdisjoint(modules) != makes_fractions
     assert "ortk.numerics" in modules
 

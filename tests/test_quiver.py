@@ -1,5 +1,11 @@
 """Path algebra quotients: preset shapes, frozen dimensions, reduction oracle."""
 
+import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,10 +13,11 @@ import sympy
 
 from hypothesis import given, settings, strategies as st
 
+import ortk
+from oracles import bareiss_rank
 from ortk.quiver import (
     BasisNotStabilized,
     PathClass,
-    _rref,
     Quiver,
     build_quiver,
     hom_dimensions,
@@ -42,48 +49,16 @@ def _words_dfs(q, s, t, length):
     return found
 
 
-def _bareiss_rank(rows):
-    """Rank of an integer matrix by fraction-free elimination."""
-    if not rows:
-        return 0
-    mat = [list(r) for r in rows]
-    m, n = len(mat), len(mat[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if mat[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        for i in range(row + 1, m):
-            for j in range(col + 1, n):
-                mat[i][j] = (mat[row][col] * mat[i][j] - mat[i][col] * mat[row][j]) // prev
-            mat[i][col] = 0
-        prev = mat[row][col]
-        rank += 1
-        row += 1
-        if row == m:
-            break
-    return rank
-
-
-def _oracle_degree_dim(q, s, t, length):
-    """Dimension of one degree of e_s A e_t, via integer elimination.
+def _oracle_relation_rows(q, words):
+    """Integer relation rows of one degree over the columns words, in order.
 
     Column order is ascending and killed words skip their commutation
     translates, so this walks a different route than the package code.
     """
-    words = _words_dfs(q, s, t, length)
-    if not words:
-        return 0
     cols = {wd: k for k, wd in enumerate(words)}
     rows = []
     for wd in words:
+        length = len(wd)
         killed = False
         for z in q.zero_relations:
             k = len(z)
@@ -106,7 +81,15 @@ def _oracle_degree_dim(q, s, t, length):
                             row[cols[wd]] += 1
                             row[cols[swapped]] -= 1
                             rows.append(row)
-    return len(words) - _bareiss_rank(rows)
+    return rows
+
+
+def _oracle_degree_dim(q, s, t, length):
+    """Dimension of one degree of e_s A e_t, via integer elimination."""
+    words = _words_dfs(q, s, t, length)
+    if not words:
+        return 0
+    return len(words) - bareiss_rank(_oracle_relation_rows(q, words))
 
 
 def _oracle_dim(q, s, t, max_len):
@@ -347,7 +330,115 @@ def test_oracle_agreement():
                 assert _oracle_degree_dim(q, s, t, max_len + 1) == 0, (preset, s, t)
 
 
-# -- _rref against sympy ---------------------------------------------------------
+# -- random quivers against the integer elimination oracle ----------------------
+
+
+def _random_quiver(seed):
+    """A quiver with 1-4 vertices and 1-4 arrows, loops and parallel arrows
+    allowed, a few zero relations and a few commutation relations, some
+    with lhs == rhs."""
+    rng = random.Random(seed)
+    vertices = list(range(rng.randint(1, 4)))
+    arrows = []
+    for k in range(rng.randint(1, 4)):
+        # half the arrows run parallel to an earlier one, so that
+        # commutation relations have distinct parallel words to join
+        if arrows and rng.random() < 0.5:
+            _, src, tgt = rng.choice(arrows)
+        else:
+            src, tgt = rng.choice(vertices), rng.choice(vertices)
+        arrows.append(("x%d" % k, src, tgt))
+    q = Quiver(vertices, arrows, frozenset(), frozenset())
+
+    def word():
+        """A random walk of 1-3 arrows, or None when it gets stuck."""
+        name, _, at = rng.choice(arrows)
+        wd = [name]
+        for _ in range(rng.randint(0, 2)):
+            out = [a for a in arrows if a[1] == at]
+            if not out:
+                return None
+            name, _, at = rng.choice(out)
+            wd.append(name)
+        return tuple(wd)
+
+    zeros = {z for z in (word() for _ in range(rng.randint(0, 3))) if z}
+    comms = set()
+    for _ in range(rng.randint(0, 4)):
+        lhs = word()
+        if lhs:
+            src = next(a[1] for a in arrows if a[0] == lhs[0])
+            tgt = next(a[2] for a in arrows if a[0] == lhs[-1])
+            others = [wd for wd in _words_dfs(q, src, tgt, len(lhs)) if wd != lhs]
+            rhs = rng.choice(others) if others and rng.random() < 0.75 else lhs
+            comms.add((lhs, rhs))
+    return Quiver(vertices, arrows, frozenset(zeros), frozenset(comms))
+
+
+def _unit(words, wd):
+    return [int(x == wd) for x in words]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_random_quivers_match_the_oracle(seed):
+    q = _random_quiver(seed)
+    rng = random.Random(-seed)
+    for max_len in range(4):
+        grows = any(_oracle_degree_dim(q, s, t, max_len + 1)
+                    for s in q.vertices for t in q.vertices)
+        if grows:
+            with pytest.raises(BasisNotStabilized):
+                hom_dimensions(q, max_len)
+        else:
+            assert hom_dimensions(q, max_len) == [
+                [_oracle_dim(q, s, t, max_len) for t in q.vertices] for s in q.vertices]
+    # a word is zero exactly when e_w lies in the relation span, and two
+    # words are equal exactly when e_w - e_w' does; sampled per degree
+    for length in range(1, 4):
+        for s in q.vertices:
+            for t in q.vertices:
+                words = _words_dfs(q, s, t, length)
+                if not words:
+                    continue
+                rows = _oracle_relation_rows(q, words)
+                rank = bareiss_rank(rows)
+                for wd in rng.sample(words, min(3, len(words))):
+                    nf = word_normal_form(q, wd)
+                    in_span = bareiss_rank(rows + [_unit(words, wd)]) == rank
+                    assert (nf == {}) == in_span, (seed, wd)
+                    # the representative is the least word of the class
+                    for rep, coef in nf.items():
+                        assert coef == 1 and rep <= wd, (seed, wd, rep)
+                        assert word_normal_form(q, rep) == nf, (seed, wd, rep)
+                    other = rng.choice(words + [w for w in nf if w != wd])
+                    diff = [x - y for x, y in zip(_unit(words, wd), _unit(words, other))]
+                    same = bareiss_rank(rows + [diff]) == rank
+                    assert (nf == word_normal_form(q, other)) == same, (seed, wd, other)
+
+
+# -- max_len does not bound the work ----------------------------------------------
+
+
+@pytest.mark.parametrize("preset,w", [("preprojective_a2", None), ("chain3", None),
+                                      ("square4", None), ("zigzag_window", 2),
+                                      ("zigzag_window", 3), ("zigzag_window", 5)])
+def test_huge_max_len_matches_max_len_4(preset, w):
+    # every preset's words vanish from degree 4 on, and path_normal_forms
+    # stops at the first degree whose words all vanish; the child's timeout
+    # turns a regression into a failure, not a hang
+    want = repr(path_normal_forms(build_quiver(preset, w), 4))
+    src = pathlib.Path(ortk.__file__).parents[1]
+    code = ("import sys\n"
+            "from ortk.quiver import build_quiver, path_normal_forms\n"
+            "w = None if sys.argv[2] == '-' else int(sys.argv[2])\n"
+            "print(repr(path_normal_forms(build_quiver(sys.argv[1], w), 10**6)))\n")
+    out = subprocess.run([sys.executable, "-c", code, preset, "-" if w is None else str(w)],
+                         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                         encoding="utf-8", timeout=60, check=True)
+    assert out.stdout == want + "\n"
+
+
+# -- the oracle's rank against sympy ---------------------------------------------
 
 
 @st.composite
@@ -375,16 +466,13 @@ def sparse_rows(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(sparse_rows())
-def test_rref_matches_sympy(case):
+def test_bareiss_rank_matches_sympy(case):
     width, rows = case
-    # _rref takes rows as {column: value}, with zero entries left out or not
-    got = _rref([{c: v for c, v in enumerate(row) if v or c % 2} for row in rows])
+    # bareiss_rank takes integer rows: each row is scaled by the lcm of its
+    # denominators, which keeps the rank
+    scaled = [[int(v * math.lcm(*(x.denominator for x in row))) for v in row]
+              for row in rows]
     matrix = sympy.Matrix(len(rows), width,
                           [sympy.Rational(v.numerator, v.denominator)
                            for row in rows for v in row])
-    reduced, pivots = matrix.rref()
-    assert sorted(got) == list(pivots)
-    for k, p in enumerate(pivots):
-        want = {c: Fraction(int(x.p), int(x.q))
-                for c, x in enumerate(reduced.row(k)) if x != 0}
-        assert got[p] == want
+    assert bareiss_rank(scaled) == matrix.rank()
