@@ -1,9 +1,9 @@
 """Finite edge-colored graphs.
 
-Walks, the walk index (BFS distances, BFS trees and rainbow walks),
-color-set quotients, edge-colored isomorphism, the exchange and
-rainbow-extension verifiers, and the two reference families (Young
-lattices in a box, hypercubes).
+Walks, the walk index (BFS distances and BFS trees), the rainbow index
+(rainbow walks, counted by color coding), color-set quotients,
+edge-colored isomorphism, the exchange and rainbow-extension verifiers,
+and the two reference families (Young lattices in a box, hypercubes).
 
 Vertices and colors are opaque hashable IDs.  Edges are unordered pairs
 with a color; loops are forbidden, parallel edges of distinct colors are
@@ -38,12 +38,14 @@ class ColoredGraph:
 
     _vindex maps each vertex to its position in vertices.  Tables that
     depend only on the graph are built on first use and kept for its
-    lifetime: _walk_index (integer adjacency, the BFS rows of every
-    source, the rainbow-walk states and the extension frontiers, the one
-    place distances are computed: read by the exchange and extension
-    checks, the semibrick index sets and the walks suite), _color_degrees
-    and _match_order (read by the isomorphism search) and _quotients.
-    The checks' reports are never kept.
+    lifetime: _walk_index (integer adjacency and the BFS rows of every
+    source, the one place distances are computed: read by every walk
+    check, the semibrick index sets and the walks suite), _rainbow_index
+    (the color-coding pass over _walk_index: the rainbow-walk states, the
+    extension frontiers and the exchange verdict, read only by the
+    exchange and extension checks), _color_degrees and _match_order
+    (read by the isomorphism search) and _quotients.  The checks'
+    reports are never kept.
     """
 
     # no __slots__: the cached properties live in __dict__
@@ -92,6 +94,12 @@ class ColoredGraph:
         # walks.  A quotient graph is kept in _quotients, so the checks run
         # on it share one index per contracted color set
         return _build_walk_index(self)
+
+    @cached_property
+    def _rainbow_index(self) -> "_RainbowIndex":
+        # the color-coding pass, apart from the BFS rows: readers of
+        # distances alone never run it
+        return _build_rainbow_index(self)
 
     @cached_property
     def _quotients(self) -> dict:
@@ -363,10 +371,9 @@ def _match_vertices(g1, g2, psi, order):
     return dict(phi) if extend(0) else None
 
 
-class _WalkIndex(namedtuple("_WalkIndexFields",
-                             "low adj color_of dist parent geodesics rainbow frontier")):
-    """Integer form of a graph, shared by the walk counters, and the one
-    place where the package computes graph distances.
+class _WalkIndex(namedtuple("_WalkIndexFields", "low adj color_of dist parent geodesics")):
+    """Integer form of a graph and its BFS rows, shared by the walk
+    checks, and the one place where the package computes graph distances.
 
     Vertex k is g.vertices[k].  Color k is the bit 1 << (shift + k) with
     shift = len(vertices).bit_length(), so a walk state (end vertex x,
@@ -377,13 +384,30 @@ class _WalkIndex(namedtuple("_WalkIndexFields",
     vertex from which the BFS from u first reached x, -1 for u and for
     the unreachable; the step's color is the first entry of adj[parent]
     that ends at x.  geodesics[u][x] is the number of shortest walks
-    u -> x.  rainbow[u] maps each state of the rainbow walks of length
-    >= 1 from u to the number of such walks.  frontier[u] maps the bit b
-    of each color at u to (count, keys) over the steps x -b-> y that
-    extend a state (x, used) of rainbow[u] with b not in used: keys holds
-    used | y for each step, and count the number of walks they extend.
-    keys is an array('q'), a tuple when the keys need more than 63 bits,
-    and the empty tuple when there is no such step.
+    u -> x.
+    """
+
+    __slots__ = ()
+
+
+class _RainbowIndex(namedtuple("_RainbowIndexFields",
+                               "rainbow frontier n_shortest n_rainbow bad_pairs bad_sources")):
+    """The color-coding pass over a graph's _WalkIndex, with the exchange
+    verdict that the pass records.
+
+    rainbow[u] maps each state of the rainbow walks of length >= 1 from u
+    to the number of such walks.  frontier[u] maps the bit b of each
+    color at u to (count, keys) over the steps x -b-> y that extend a
+    state (x, used) of rainbow[u] with b not in used: keys holds used | y
+    for each step, and count the number of walks they extend.  keys is an
+    array('q'), a tuple when the keys need more than 63 bits, and the
+    empty tuple when there is no such step.  n_shortest counts the
+    shortest walks u -> v over the pairs u < v, n_rainbow the rainbow
+    walks of length >= 1.  bad_pairs lists the pairs (u, v), u < v, with
+    more shortest walks than rainbow walks of length dist(u, v); a
+    shortest walk of a pair is rainbow when the pair is not listed.
+    bad_sources lists the u from which some rainbow walk is longer than
+    the distance to its end.  Both are in increasing order.
     """
 
     __slots__ = ()
@@ -392,7 +416,6 @@ class _WalkIndex(namedtuple("_WalkIndexFields",
 def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
     vid = g._vindex
     shift = len(g.vertices).bit_length()
-    low = (1 << shift) - 1
     bit = {c: 1 << (shift + k) for k, c in enumerate(g.colors)}
     adj = tuple(tuple((vid[w], bit[c]) for w, c in g.neighbors(v))
                 for v in g.vertices)
@@ -418,52 +441,82 @@ def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
         dist.append(tuple(du))
         parents.append(tuple(up))
         geodesics.append(tuple(geo))
+    return _WalkIndex((1 << shift) - 1, adj, {b: c for c, b in bit.items()},
+                      tuple(dist), tuple(parents), tuple(geodesics))
+
+
+def _build_rainbow_index(g: ColoredGraph) -> _RainbowIndex:
+    ix = g._walk_index
+    low, adj = ix.low, ix.adj
     # a key is below 1 << (shift + len(colors)), so 'q' holds it up to 63 bits
-    pack = partial(array, "q") if shift + len(g.colors) <= 63 else tuple
+    pack = partial(array, "q") if low.bit_length() + len(g.colors) <= 63 else tuple
     rainbow, frontier = [], []
-    for u in range(n):
-        states, front = _rainbow_states(low, adj, u)
+    n_shortest = n_rainbow = 0
+    bad_pairs, bad_sources = [], []
+    for u, (du, geo) in enumerate(zip(ix.dist, ix.geodesics)):
+        states, front, all_shortest, rainbow_geo = _rainbow_states(low, adj, du, u)
         for b, (count, *keys) in front.items():
             front[b] = (count, pack(keys) if keys else ())
         rainbow.append(states)
         frontier.append(front)
-    return _WalkIndex(low, adj, {b: c for c, b in bit.items()}, tuple(dist),
-                      tuple(parents), tuple(geodesics), tuple(rainbow), tuple(frontier))
+        n_rainbow += sum(states.values())
+        if not all_shortest:
+            bad_sources.append(u)
+        n_shortest += sum(geo[u + 1:])
+        if rainbow_geo != geo:
+            bad_pairs += [(u, v) for v in range(u + 1, len(geo)) if geo[v] != rainbow_geo[v]]
+    return _RainbowIndex(tuple(rainbow), tuple(frontier), n_shortest, n_rainbow,
+                         tuple(bad_pairs), tuple(bad_sources))
 
 
-def _rainbow_states(low: int, adj: tuple, u: int) -> tuple:
+def _rainbow_states(low: int, adj: tuple, du: tuple, u: int) -> tuple:
     """Rainbow walks of length >= 1 from u, counted per state by color
-    coding one length at a time, and u's extension frontier.
+    coding one length at a time, u's extension frontier, and the
+    exchange verdict's counts from u; du is the BFS distance row of u.
 
     A state reached at length k has k color bits, so all lengths share one
-    dict without collisions.  Returns (states, front).  front maps the bit
-    b of each color at u to the list [count, key, ...]: a key used | y for
-    every step x -b-> y that the pass takes from a stored state (x, used),
-    and count the walk counts of those steps summed.  Only the colors at
-    u are recorded: the extension check pairs a step with an edge at u of
-    the step's color."""
+    dict without collisions.  Returns (states, front, all_shortest,
+    rainbow_geo).  front maps the bit b of each color at u to the list
+    [count, key, ...]: a key used | y for every step x -b-> y that the
+    pass takes from a stored state (x, used), and count the walk counts
+    of those steps summed.  Only the colors at u are recorded: the
+    extension check pairs a step with an edge at u of the step's color.
+    all_shortest tells whether every state of length k ends at distance
+    k, and the tuple rainbow_geo holds at x the number of rainbow walks
+    u -> x of length dist(u, x), the empty walk at u included, so that it
+    equals the BFS row of geodesic counts when no pair from u fails."""
     front, at_u, layer = {}, 0, {}
     for y, b in adj[u]:
         front[b] = [0]
         at_u |= b
         layer[b | y] = 1
     states = {}
+    all_shortest, rainbow_geo = True, [0] * len(adj)
+    rainbow_geo[u] = 1
+    k = 0
     while layer:
+        k += 1
         states.update(layer)
         nxt = {}
         for state, count in layer.items():
             x = state & low
+            # a walk of length k reaches x only if dist(u, x) <= k
+            if du[x] == k:
+                rainbow_geo[x] += count
+            else:
+                all_shortest = False
             used = state ^ x
             for y, b in adj[x]:
                 if not used & b:
                     f = used | y
-                    nxt[f | b] = nxt.get(f | b, 0) + count
+                    key = f | b
+                    nxt[key] = nxt.get(key, 0) + count
                     if b & at_u:
                         steps = front[b]
                         steps[0] += count
                         steps.append(f)
         layer = nxt
-    return states, front
+    return states, front, all_shortest, tuple(rainbow_geo)
 
 
 def _as_walk(g: ColoredGraph, ix: _WalkIndex, path: list, bits: list) -> Walk:
@@ -524,50 +577,30 @@ class ExchangeReport(namedtuple("_ExchangeReportFields",
 def verify_exchange(g: ColoredGraph) -> ExchangeReport:
     """Exhaustively test: shortest <=> rainbow, over all walks of g.
 
-    Walks are counted per (vertex, color set) state, from the rainbow
-    states kept in the graph's walk index.  A walk from u to v of length
-    dist(u, v) is a geodesic, so u -> v has a geodesic that is not
-    rainbow exactly when it has more geodesics than rainbow walks of that
-    length; a rainbow walk is not shortest when its length, the size of
-    its color set, exceeds the distance to its end.  Only when the counts
-    show a failure are the offending walks listed, in the depth-first
-    order of the walk-by-walk search.  The report is built anew on every
-    call.
+    The verdict and the counts are read from the graph's rainbow index,
+    which the color-coding pass fills once per graph.  A walk from u to v
+    of length dist(u, v) is a geodesic, so u -> v has a geodesic that is
+    not rainbow exactly when it has more geodesics than rainbow walks of
+    that length; a rainbow walk is not shortest when its length, the size
+    of its color set, exceeds the distance to its end.  Only when the
+    counts show a failure are the offending walks listed, in the
+    depth-first order of the walk-by-walk search.  The report is built
+    anew on every call.
     """
     ix = g._walk_index
     if ix.dist and -1 in ix.dist[0]:
         raise DisconnectedEndpoints("graph is not connected")
-    low = ix.low
-    n_shortest = n_rainbow = 0
-    bad_pairs, bad_sources = [], []
-    for u, (du, geo, states) in enumerate(zip(ix.dist, ix.geodesics, ix.rainbow)):
-        rainbow_geo = [0] * len(du)
-        all_shortest = True
-        for state, count in states.items():
-            x = state & low
-            n_rainbow += count
-            if du[x] == (state ^ x).bit_count():
-                rainbow_geo[x] += count
-            else:
-                all_shortest = False
-        if not all_shortest:
-            bad_sources.append(u)
-        for v in range(u + 1, len(du)):
-            n_shortest += geo[v]
-            if geo[v] != rainbow_geo[v]:
-                bad_pairs.append((u, v))
-
-    bad_shortest = []
-    for u, v in bad_pairs:
-        for path, bits in _geodesic_dfs(ix, u, v):
-            if len(set(bits)) != len(bits):
-                bad_shortest.append(_as_walk(g, ix, path, bits))
+    rx = g._rainbow_index
+    bad_shortest = [_as_walk(g, ix, path, bits)
+                    for u, v in rx.bad_pairs
+                    for path, bits in _geodesic_dfs(ix, u, v)
+                    if len(set(bits)) != len(bits)]
     bad_rainbow = [_as_walk(g, ix, path, bits)
-                   for u in bad_sources
+                   for u in rx.bad_sources
                    for path, bits in _rainbow_dfs(ix, u)
                    if ix.dist[u][path[-1]] != len(bits)]
     return ExchangeReport(tuple(bad_shortest), tuple(bad_rainbow),
-                          n_shortest, n_rainbow)
+                          rx.n_shortest, rx.n_rainbow)
 
 
 class ExtensionReport(namedtuple("_ExtensionReportFields", "violations n_configurations")):
@@ -587,8 +620,8 @@ def verify_rainbow_extension(g: ColoredGraph) -> ExtensionReport:
     from v_{k+2} back to v_0 using exactly {c_1, ..., c_k} must exist.
 
     The steps v_{k+1} -- v_{k+2} of color c_0 after a rainbow walk from
-    v_1 are the c_0 frontier of v_1 in the graph's walk index, built by
-    the pass that counts its rainbow states, which the exchange check
+    v_1 are the c_0 frontier of v_1 in the graph's rainbow index, built
+    by the pass that counts its rainbow states, which the exchange check
     shares.  So each edge v_1 -- v_0 adds its frontier's walk count to
     the configurations and is one containment test of the frontier's
     keys (v_{k+2}, color set) in the rainbow states from v_0.  Violations
@@ -596,11 +629,11 @@ def verify_rainbow_extension(g: ColoredGraph) -> ExtensionReport:
     from the v_0 these tests show failing.  The report is built anew on
     every call.
     """
-    ix = g._walk_index
-    adj, reached = ix.adj, ix.rainbow
+    ix, rx = g._walk_index, g._rainbow_index
+    adj, reached = ix.adj, rx.rainbow
     n_conf = 0
     failing = set()
-    for nbrs, front in zip(adj, ix.frontier):
+    for nbrs, front in zip(adj, rx.frontier):
         for v0, b0 in nbrs:
             count, keys = front[b0]
             n_conf += count

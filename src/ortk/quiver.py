@@ -293,18 +293,24 @@ def word_normal_form(q: Quiver, word) -> dict:
 
     Returns {basis word: 1}, the least word of the word's class; the
     empty map means the word is zero in the quotient.  Only the word's
-    own degree matters, so no stabilization bound is needed.
+    own degree matters, so no stabilization bound is needed.  The
+    prefixes are reduced one degree at a time, and the first zero prefix
+    returns the empty map: the relation ideal is two-sided, so a word
+    with a zero prefix is zero, and the longer degrees are never built.
     """
     word = tuple(word)
     if not word:
         raise ValueError("empty word has no endpoints; idempotents are already normal")
-    s, t = _word_endpoints(_arrow_map(q), word)
+    amap = _arrow_map(q)
+    s, _ = _word_endpoints(amap, word)
     out_arrows = _out_arrows(q)
     layer = {(s, s): [()]}
-    for _ in word:
+    for k, name in enumerate(word, 1):
         layer = _next_degree(out_arrows, layer)
-    rep = _degree_classes(q, layer[(s, t)])[word]
-    return {} if rep is None else {rep: 1}
+        rep = _degree_classes(q, layer[(s, amap[name][1])])[word[:k]]
+        if rep is None:
+            return {}
+    return {rep: 1}
 
 
 def render_path(pc: PathClass) -> str:

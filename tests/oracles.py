@@ -13,9 +13,11 @@ lookup per subset sum in place of the sums of the head's lattice class,
 a Verma numerator's terms built one Weight at a time in place of its
 columns, a color-set quotient by BFS components in place of
 union-find, graph distances by a BFS on vertex IDs in place of the
-walk index, the rainbow-extension check by a loop over every rainbow
-state and every edge at its walk's start in place of the walk index's
-frontiers, a walk verdict's monomial oriented root by root against
+walk index, the exchange check by a loop over every rainbow state and
+every vertex pair in place of the counts that the color-coding pass
+records, the rainbow-extension check by a loop over every rainbow
+state and every edge at its walk's start in place of the rainbow
+index's frontiers, a walk verdict's monomial oriented root by root against
 the start Borel's odd set in place of the OR graph's orientation table,
 and the rank of a quiver degree's relation rows by fraction-free
 elimination in place of counting classes of words.
@@ -46,10 +48,12 @@ from ortk.characters import (
 from ortk.ecgraph import (
     ColoredGraph,
     DisconnectedEndpoints,
+    ExchangeReport,
     ExtensionReport,
     InvalidWalk,
     IsoWitness,
     _as_walk,
+    _geodesic_dfs,
     _rainbow_dfs,
 )
 from ortk.numerics import (
@@ -460,16 +464,61 @@ def is_shortest(g, w) -> bool:
     return len(w.walk_colors) == dist[end]
 
 
+def state_loop_exchange(g: ColoredGraph) -> ExchangeReport:
+    """verify_exchange by a loop over the states of the rainbow index's
+    table and over every vertex pair, in place of the counts and verdicts
+    that the color-coding pass records: a state (x, used) from u is a
+    geodesic when dist(u, x) is its color count, and u -> v has a
+    geodesic that is not rainbow when it has more geodesics than rainbow
+    geodesics.  Its witness walks are listed as verify_exchange lists
+    them."""
+    ix = g._walk_index
+    if ix.dist and -1 in ix.dist[0]:
+        raise DisconnectedEndpoints("graph is not connected")
+    low = ix.low
+    n_shortest = n_rainbow = 0
+    bad_pairs, bad_sources = [], []
+    for u, (du, geo, states) in enumerate(zip(ix.dist, ix.geodesics,
+                                              g._rainbow_index.rainbow)):
+        rainbow_geo = [0] * len(du)
+        all_shortest = True
+        for state, count in states.items():
+            x = state & low
+            n_rainbow += count
+            if du[x] == (state ^ x).bit_count():
+                rainbow_geo[x] += count
+            else:
+                all_shortest = False
+        if not all_shortest:
+            bad_sources.append(u)
+        for v in range(u + 1, len(du)):
+            n_shortest += geo[v]
+            if geo[v] != rainbow_geo[v]:
+                bad_pairs.append((u, v))
+
+    bad_shortest = []
+    for u, v in bad_pairs:
+        for path, bits in _geodesic_dfs(ix, u, v):
+            if len(set(bits)) != len(bits):
+                bad_shortest.append(_as_walk(g, ix, path, bits))
+    bad_rainbow = [_as_walk(g, ix, path, bits)
+                   for u in bad_sources
+                   for path, bits in _rainbow_dfs(ix, u)
+                   if ix.dist[u][path[-1]] != len(bits)]
+    return ExchangeReport(tuple(bad_shortest), tuple(bad_rainbow),
+                          n_shortest, n_rainbow)
+
+
 def state_loop_extension(g: ColoredGraph) -> ExtensionReport:
-    """verify_rainbow_extension by a loop over the states of the walk
-    index's rainbow table, in place of its frontiers: for every state
+    """verify_rainbow_extension by a loop over the states of the rainbow
+    index's table, in place of its frontiers: for every state
     (x, inner) of the walks from v1, every edge v1 -- v0 of a color b0
     not in inner and every b0-colored edge x -- y, the reach test looks up
     (y, inner) in the states from v0.  Fast enough for the stretch
     graphs, where the walk-by-walk reference is not; its violations are
     listed from the failing v0 as verify_rainbow_extension lists them."""
     ix = g._walk_index
-    low, adj, reached = ix.low, ix.adj, ix.rainbow
+    low, adj, reached = ix.low, ix.adj, g._rainbow_index.rainbow
     by_color = []
     for nbrs in adj:
         ends = {}

@@ -10,7 +10,7 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from ortk import ecgraph, manifest
+from ortk import ecgraph, manifest, verify
 from ortk.ecgraph import (
     ColoredGraph,
     DisconnectedEndpoints,
@@ -28,9 +28,9 @@ from ortk.ecgraph import (
     verify_exchange,
     verify_rainbow_extension,
 )
-from ortk.numerics import parse_weight
-from ortk.orgraph import build_or_graph, build_or_lambda
-from ortk.rootsys import build_root_system
+from ortk.numerics import parse_weight, zero_weight
+from ortk.orgraph import build_or_graph, build_or_lambda, semibrick_index_sets
+from ortk.rootsys import build_root_system, enumerate_borels
 
 from oracles import (
     bfs_distances,
@@ -39,6 +39,8 @@ from oracles import (
     is_rainbow,
     is_shortest,
     ref_quotient,
+    ref_semibrick_index_sets,
+    state_loop_exchange,
     state_loop_extension,
     structure,
 )
@@ -610,43 +612,66 @@ def test_state_counting_matches_walk_by_walk_reference(g):
     assert verify_rainbow_extension(apart) == reference_extension(apart)
 
 
+@pytest.fixture
+def pass_sources(monkeypatch):
+    """The sources of every color-coding pass run while the test runs."""
+    sources = []
+    rainbow_states = ecgraph._rainbow_states
+
+    def counting(low, adj, du, u):
+        sources.append(u)
+        return rainbow_states(low, adj, du, u)
+
+    monkeypatch.setattr(ecgraph, "_rainbow_states", counting)
+    return sources
+
+
 @pytest.mark.parametrize("g", [
     path_graph("abc", ["x", "x"]),
     ColoredGraph(("a", "b", "c", "d"), ("1", "2"),
                  (("a", "b", "1"), ("b", "c", "2"), ("c", "d", "1"))),
     build_reference_graph("hypercube", n=3),
 ], ids=["not-rainbow", "no-extension", "hypercube"])
-def test_rainbow_states_are_built_once_and_reports_are_not_kept(g, monkeypatch):
-    sources = []
-    rainbow_states = ecgraph._rainbow_states
-
-    def counting(low, adj, u):
-        sources.append(u)
-        return rainbow_states(low, adj, u)
-
-    monkeypatch.setattr(ecgraph, "_rainbow_states", counting)
+def test_rainbow_states_are_built_once_and_reports_are_not_kept(g, pass_sources):
     # either check may come first, each order on a fresh graph object
     for first, second in ((verify_exchange, verify_rainbow_extension),
                           (verify_rainbow_extension, verify_exchange)):
-        sources.clear()
+        pass_sources.clear()
         fresh = ColoredGraph(g.vertices, g.colors, g.edges)
+        # the BFS rows alone never run the color-coding pass
+        list(verify._geodesic_walks(fresh))
+        assert pass_sources == []
         reports = {first: [first(fresh)]}
         # the first check's pass already holds every frontier that the
         # extension check reads: one entry per color at each vertex
-        assert sources == list(range(len(g.vertices)))
-        assert [set(front) for front in fresh._walk_index.frontier] == \
+        assert pass_sources == list(range(len(g.vertices)))
+        assert [set(front) for front in fresh._rainbow_index.frontier] == \
             [{b for _, b in nbrs} for nbrs in fresh._walk_index.adj]
         reports[second] = [second(fresh)]
         reports[first].append(first(fresh))
         reports[second].append(second(fresh))
         # one color-coding pass per source, for the four calls together
-        assert sources == list(range(len(g.vertices)))
+        assert pass_sources == list(range(len(g.vertices)))
         for check, want in ((verify_exchange, reference_exchange(fresh)),
                             (verify_rainbow_extension, reference_extension(fresh))):
             once, again = reports[check]
             assert once == again == want
             # each call builds its own report
             assert once is not again
+
+
+def test_bfs_only_readers_never_run_the_color_coding_pass(pass_sources):
+    rs = build_root_system("gl11n", n=3)
+    og = build_or_graph(rs)
+    lam = zero_weight(rs.rank)
+    borels, _ = enumerate_borels(rs)
+    for bbar in borels:
+        assert semibrick_index_sets(rs, og, lam, bbar) == \
+            ref_semibrick_index_sets(rs, og, lam, bbar)
+    assert "_walk_index" in build_or_lambda(rs, og, lam).graph.__dict__
+    entries = verify.suite_walks(verify._Builds())
+    assert entries and all(e.status == "pass" for e in entries)
+    assert pass_sources == []
 
 
 @pytest.mark.parametrize("g, exchange", [
@@ -663,7 +688,7 @@ def test_walk_checks_on_graphs_without_walks_to_extend(g, exchange):
     else:
         assert verify_exchange(g) == exchange
     assert verify_rainbow_extension(g) == ExtensionReport((), 0)
-    assert g._walk_index.frontier == tuple(
+    assert g._rainbow_index.frontier == tuple(
         {b: (0, ()) for _, b in nbrs} for nbrs in g._walk_index.adj)
 
 
@@ -677,28 +702,77 @@ def same_extension(g):
     return report
 
 
-@pytest.mark.parametrize("family, m, n", STRETCH_GRAPHS)
-def test_frontiers_match_the_state_loop_on_stretch_graphs(family, m, n):
+def same_exchange(g):
+    """verify_exchange and the per-state loop give one report."""
+    report = verify_exchange(g)
+    assert report == state_loop_exchange(g)
+    return report
+
+
+def stretch_quotients(family, m, n):
+    """OR(g) of a stretch family and 20 seeded OR(g, lambda) quotients,
+    each lambda drawn until its quotient keeps two colors."""
     rs = build_root_system(family, m=m, n=n)
     og = build_or_graph(rs)
-    report = same_extension(og.graph)
-    assert report.passed and report.n_configurations > 0
-    # 20 seeded lambdas, each drawn until its quotient keeps two colors
     rng = random.Random(f"{family}{m}{n}")
-    kept = []
-    while len(kept) < 20:
+    quotients = []
+    while len(quotients) < 20:
         lam = parse_weight(",".join(str(rng.choice((-1, 0, 0, 1))) for _ in range(rs.rank)))
         q = build_or_lambda(rs, og, lam).graph
         if len(q.colors) >= 2:
-            kept.append(len(q.colors))
-            assert same_extension(q).passed
-    assert max(kept) >= 4
+            quotients.append(q)
+    return og.graph, quotients
+
+
+@pytest.mark.parametrize("family, m, n", STRETCH_GRAPHS)
+def test_frontiers_match_the_state_loop_on_stretch_graphs(family, m, n):
+    g, quotients = stretch_quotients(family, m, n)
+    report = same_extension(g)
+    assert report.passed and report.n_configurations > 0
+    assert all(same_extension(q).passed for q in quotients)
+    assert max(len(q.colors) for q in quotients) >= 4
+
+
+@pytest.mark.parametrize("family, m, n", STRETCH_GRAPHS)
+def test_exchange_matches_the_state_loop_on_stretch_graphs(family, m, n):
+    g, quotients = stretch_quotients(family, m, n)
+    report = same_exchange(g)
+    assert report.passed and report.n_shortest_walks > 0
+    assert all(same_exchange(q).passed for q in quotients)
 
 
 def test_frontiers_match_the_state_loop_on_q7():
     report = same_extension(build_reference_graph("hypercube", n=7))
     assert report.passed and report.n_configurations == 2 ** 7 * sum(
         factorial(7) // factorial(7 - k) for k in range(2, 8))
+
+
+def random_colored_graph(rng):
+    """A connected graph on 3-9 vertices and 2-5 colors: a random
+    spanning tree plus random extra edges, parallel edges of distinct
+    colors allowed."""
+    n = rng.randint(3, 9)
+    colors = tuple(f"c{k}" for k in range(rng.randint(2, 5)))
+    verts = tuple(f"v{k}" for k in range(n))
+    edges = {(verts[rng.randrange(k)], verts[k], rng.choice(colors)) for k in range(1, n)}
+    for _ in range(rng.randint(0, 2 * n)):
+        a, b = rng.sample(range(n), 2)
+        edges.add((verts[min(a, b)], verts[max(a, b)], rng.choice(colors)))
+    return ColoredGraph(verts, colors, tuple(edges))
+
+
+def test_exchange_matches_the_state_loop_on_seeded_random_graphs():
+    rng = random.Random("exchange state loop")
+    failing = ordered = 0
+    for _ in range(300):
+        g = random_colored_graph(rng)
+        # the bad pairs and bad sources name every witness walk, so equal
+        # reports also agree on both lists and on the witnesses' order
+        report = same_exchange(g)
+        failing += not report.passed
+        ordered += min(map(len, report[:2])) >= 2
+    # most fail, a few pass; many list two or more walks of each kind
+    assert 250 <= failing < 300 and ordered >= 150
 
 
 def planted_q4(extra_colors=()):
@@ -721,10 +795,10 @@ def test_frontier_keys_past_63_bits_fall_back_to_tuples():
     # 5 vertex bits and 60 unused colors before the four used ones: the
     # keys need 69 bits, more than an array('q') holds
     narrow, wide = planted_q4(), planted_q4(f"unused{k}" for k in range(60))
-    fronts = [keys for front in wide._walk_index.frontier for _, keys in front.values()]
+    fronts = [keys for front in wide._rainbow_index.frontier for _, keys in front.values()]
     assert all(type(keys) is tuple for keys in fronts)
     assert max(map(max, filter(None, fronts))) >= 2 ** 63
-    assert all(type(keys) is array for front in narrow._walk_index.frontier
+    assert all(type(keys) is array for front in narrow._rainbow_index.frontier
                for _, keys in front.values() if keys)
 
     def walks(report):
@@ -743,8 +817,10 @@ def test_or_lambda_quotients_share_their_walk_index():
     reports = verify_exchange(first.graph), verify_rainbow_extension(first.graph)
     again = build_or_lambda(rs, og, lam)
     assert again.graph is first.graph
-    assert "_walk_index" in again.graph.__dict__
+    # both tables are kept on the shared quotient graph
+    assert {"_walk_index", "_rainbow_index"} <= again.graph.__dict__.keys()
     assert again.graph._walk_index is first.graph._walk_index
+    assert again.graph._rainbow_index is first.graph._rainbow_index
     assert (verify_exchange(again.graph), verify_rainbow_extension(again.graph)) == reports
 
 
@@ -752,7 +828,7 @@ def test_or_lambda_quotients_share_their_walk_index():
 def test_hypercube_walk_counts(n):
     g = build_reference_graph("hypercube", n=n)
     geodesics = 2 ** (n - 1) * sum(factorial(n) // factorial(n - d) for d in range(1, n + 1))
-    exchange = verify_exchange(g)
+    exchange = same_exchange(g)
     extension = verify_rainbow_extension(g)
     assert exchange.passed and extension.passed
     assert exchange.n_shortest_walks == geodesics

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import ortk
 from oracles import bareiss_rank
+from ortk import quiver
 from ortk.quiver import (
     BasisNotStabilized,
     PathClass,
@@ -306,6 +307,26 @@ def test_word_normal_form_cases():
     q = build_quiver("chain3")
     assert word_normal_form(q, ("a", "c")) == {("a", "c"): 1}
     assert word_normal_form(q, ("a", "b", "a")) == {}
+
+
+def test_word_normal_form_stops_at_the_first_zero_prefix(monkeypatch):
+    q = build_quiver("zigzag_window", 3)
+    degrees = []
+    next_degree = quiver._next_degree
+
+    def counting(out_arrows, layer):
+        degrees.append(len(layer))
+        return next_degree(out_arrows, layer)
+
+    monkeypatch.setattr(quiver, "_next_degree", counting)
+    # a1 b1 = b0 a0 and a0 a1 = 0, so the prefix a1 b1 a1 is zero: degree
+    # 3 is the last one built, not degree 16
+    assert word_normal_form(q, ("a1", "b1") * 8) == {}
+    assert len(degrees) == 3
+    degrees.clear()
+    assert word_normal_form(q, ("a1", "b1")) == {("a1", "b1"): 1}
+    assert word_normal_form(q, ("b0", "a0", "b0")) == {}
+    assert len(degrees) == 5
 
 
 def test_render_path():
