@@ -12,9 +12,8 @@ allowed.
 
 import itertools
 
-from array import array
 from collections import namedtuple
-from functools import cached_property, partial
+from functools import cached_property
 
 from .numerics import _DataclassFields
 
@@ -41,11 +40,10 @@ class ColoredGraph:
     lifetime: _walk_index (integer adjacency and the BFS rows of every
     source, the one place distances are computed: read by every walk
     check, the semibrick index sets and the walks suite), _rainbow_index
-    (the color-coding pass over _walk_index: the rainbow-walk states, the
-    extension frontiers and the exchange verdict, read only by the
-    exchange and extension checks), _color_degrees and _match_order
-    (read by the isomorphism search) and _quotients.  The checks'
-    reports are never kept.
+    (the color-coding pass over _walk_index: the rainbow-walk states and
+    the exchange and extension verdicts, read only by the exchange and
+    extension checks), _iso_table (read only by the isomorphism search)
+    and _quotients.  The checks' reports are never kept.
     """
 
     # no __slots__: the cached properties live in __dict__
@@ -108,33 +106,8 @@ class ColoredGraph:
         return {}
 
     @cached_property
-    def _color_degrees(self) -> dict:
-        # vertex -> {color: number of edges of that color at the vertex}
-        table = {}
-        for v, nbrs in self._adj.items():
-            d = table[v] = {}
-            for _, c in nbrs:
-                d[c] = d.get(c, 0) + 1
-        return table
-
-    @cached_property
-    def _match_order(self) -> tuple:
-        """The isomorphism search's vertex order: BFS from a max-degree
-        vertex, new components appended as encountered."""
-        remaining = set(self.vertices)
-        order = []
-        while remaining:
-            # max keeps the first of equal degrees: the earliest in vertex order
-            start = max((v for v in self.vertices if v in remaining), key=self.degree)
-            queue = [start]
-            remaining.discard(start)
-            for x in queue:
-                for y, _ in self._adj[x]:
-                    if y in remaining:
-                        remaining.discard(y)
-                        queue.append(y)
-            order += queue
-        return tuple(order)
+    def _iso_table(self) -> "_IsoTable":
+        return _build_iso_table(self)
 
     def neighbors(self, v):
         return self._adj[v]
@@ -147,10 +120,6 @@ class ColoredGraph:
 
     def degree(self, v) -> int:
         return len(self._adj[v])
-
-    def used_colors(self) -> tuple:
-        seen = {c for _, _, c in self.edges}
-        return tuple(c for c in self.colors if c in seen)
 
 
 class Walk(namedtuple("_WalkFields", "graph walk_vertices walk_colors")):
@@ -272,103 +241,159 @@ class IsoWitness(namedtuple("_IsoWitnessFields", "vertex_bijection color_bijecti
         return tuple.__new__(cls, (dict(vertex_bijection), dict(color_bijection)))
 
 
-def _color_signature(g: ColoredGraph, c) -> tuple:
-    # edge count and degree sequence of the color-c subgraph, zero-degree
-    # vertices dropped; each edge adds 2 to the degree sum
-    degs = sorted(cd[c] for cd in g._color_degrees.values() if c in cd)
-    return (sum(degs) // 2, tuple(degs))
+class _IsoTable(namedtuple("_IsoTableFields",
+                           "census order back pairs color_degrees vsig csig by_sig")):
+    """What the isomorphism search reads of a graph, by vertex and color
+    index (vertex k is g.vertices[k], color k is g.colors[k]).
+
+    pairs[v] maps each neighbour w of v to the colors of the edges v -- w,
+    in the order of g.neighbors; color_degrees[v] maps each color at v to
+    its number of edges there.  vsig[v] is (degree, sorted color degrees)
+    and csig[c] is (edge count, sorted degree sequence of the c-colored
+    subgraph, zero degrees dropped); by_sig maps each vertex signature to
+    its vertices.  order is the search's vertex order: BFS from a
+    max-degree vertex, the earliest in vertex order, and new components
+    appended as encountered.  back[k] lists (w, colors) for each
+    neighbour w of order[k] that comes earlier in the order, as in
+    pairs.  census is (vertex count, edge count, sorted vertex
+    signatures, sorted signatures of the used colors): two graphs whose
+    censuses differ are not isomorphic.
+    """
+
+    __slots__ = ()
 
 
-def _vertex_signature(g: ColoredGraph, v) -> tuple:
-    return (g.degree(v), tuple(sorted(g._color_degrees[v].values())))
+def _build_iso_table(g: ColoredGraph) -> _IsoTable:
+    vid = g._vindex
+    cid = {c: k for k, c in enumerate(g.colors)}
+    n = len(g.vertices)
+    pairs = [{} for _ in range(n)]
+    color_degrees = [{} for _ in range(n)]
+    for v, x in enumerate(g.vertices):
+        at, cd = pairs[v], color_degrees[v]
+        for y, c in g.neighbors(x):
+            k = cid[c]
+            at.setdefault(vid[y], []).append(k)
+            cd[k] = cd.get(k, 0) + 1
+    pairs = tuple({w: tuple(cs) for w, cs in at.items()} for at in pairs)
+    vsig = tuple((sum(cd.values()), tuple(sorted(cd.values()))) for cd in color_degrees)
+    degs = [[] for _ in g.colors]
+    for cd in color_degrees:
+        for k, m in cd.items():
+            degs[k].append(m)
+    # each edge adds 2 to its color's degree sum
+    csig = tuple((sum(ds) // 2, tuple(sorted(ds))) for ds in degs)
+    by_sig = {}
+    for v, sig in enumerate(vsig):
+        by_sig.setdefault(sig, []).append(v)
+
+    placed = [False] * n
+    order = []
+    for start in sorted(range(n), key=lambda v: -vsig[v][0]):  # stable: earliest first
+        if placed[start]:
+            continue
+        placed[start] = True
+        queue = [start]
+        for x in queue:
+            for y in pairs[x]:
+                if not placed[y]:
+                    placed[y] = True
+                    queue.append(y)
+        order += queue
+    position = {v: k for k, v in enumerate(order)}
+    back = tuple(tuple((w, cs) for w, cs in pairs[v].items() if position[w] < k)
+                 for k, v in enumerate(order))
+    census = (n, len(g.edges), tuple(sorted(vsig)),
+              tuple(sorted(csig[k] for k, ds in enumerate(degs) if ds)))
+    return _IsoTable(census, tuple(order), back, pairs, tuple(color_degrees), vsig, csig,
+                     {sig: tuple(vs) for sig, vs in by_sig.items()})
 
 
 def colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
     """Search for a joint vertex/color bijection; None when there is none.
 
-    Exhaustive backtracking: color bijections are enumerated within
-    signature classes, then vertices are matched along a BFS order with
-    per-color degree pruning.
+    The color bijection covers the used colors.  Exhaustive backtracking
+    over both graphs' _iso_table, built once per graph: the vertices of
+    g1 are matched along its BFS order, each one to an unmatched vertex
+    of the same signature adjacent to the image of its first earlier
+    neighbour.  A color's image is bound the first time an edge of that
+    color is matched, only to an unbound color of the same signature,
+    and unbound on backtrack; where the edges between one pair have
+    several unbound colors, the search branches over their bijections.
+    A candidate must carry every edge to the earlier vertices and, for
+    the bound colors, the same color degrees.
     """
-    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+    t1, t2 = g1._iso_table, g2._iso_table
+    if t1.census != t2.census:
         return None
-    used1, used2 = g1.used_colors(), g2.used_colors()
-    if len(used1) != len(used2):
-        return None
-    sig1 = {c: _color_signature(g1, c) for c in used1}
-    sig2 = {c: _color_signature(g2, c) for c in used2}
-    groups1 = {}
-    groups2 = {}
-    for c in used1:
-        groups1.setdefault(sig1[c], []).append(c)
-    for c in used2:
-        groups2.setdefault(sig2[c], []).append(c)
-    if set(groups1) != set(groups2):
-        return None
-    if any(len(groups1[s]) != len(groups2[s]) for s in groups1):
-        return None
-    if sorted(_vertex_signature(g1, v) for v in g1.vertices) != \
-            sorted(_vertex_signature(g2, v) for v in g2.vertices):
-        return None
-
-    order = g1._match_order
-    sigs = sorted(groups1)
-    for images in itertools.product(
-            *(itertools.permutations(groups2[s]) for s in sigs)):
-        psi = {}
-        for s, perm in zip(sigs, images):
-            for c, d in zip(groups1[s], perm):
-                psi[c] = d
-        phi = _match_vertices(g1, g2, psi, order)
-        if phi is not None:
-            return IsoWitness(phi, psi)
-    return None
-
-
-def _match_vertices(g1, g2, psi, order):
+    order, back, cdeg1, vsig1, csig1 = t1.order, t1.back, t1.color_degrees, t1.vsig, t1.csig
+    pairs2, cdeg2, vsig2, csig2, by_sig2 = (t2.pairs, t2.color_degrees, t2.vsig,
+                                            t2.csig, t2.by_sig)
     n = len(order)
-    phi = {}
-    used = set()
+    phi, taken = [-1] * n, [False] * n
+    psi, psi_inv = [-1] * len(g1.colors), [-1] * len(g2.colors)
 
-    cds1, cds2 = g1._color_degrees, g2._color_degrees
-
-    def candidates(v):
-        mapped_nbrs = [(w, c) for w, c in g1.neighbors(v) if w in phi]
-        if mapped_nbrs:
-            w0, c0 = mapped_nbrs[0]
-            pool = [x for x, cc in g2.neighbors(phi[w0]) if cc == psi[c0]]
+    def bind(edges, x):
+        """Yield once per binding of unbound colors under which the edges
+        (w, colors) from a vertex to earlier ones map onto edges at x;
+        the bindings are undone when the generator finishes."""
+        at_x = pairs2[x]
+        fresh = []
+        for i, (w, cs) in enumerate(edges):
+            ds = at_x.get(phi[w])
+            if ds is None or len(ds) != len(cs):
+                break
+            if len(cs) == 1:
+                c, d = cs[0], ds[0]
+                if psi[c] == d:
+                    continue
+                if psi[c] >= 0 or psi_inv[d] >= 0 or csig1[c] != csig2[d]:
+                    break
+                psi[c], psi_inv[d] = d, c
+                fresh.append(c)
+                continue
+            open1 = [c for c in cs if psi[c] < 0]
+            open2 = [d for d in ds if psi_inv[d] < 0]
+            if len(open1) != len(open2) or any(psi[c] not in ds for c in cs if psi[c] >= 0):
+                break
+            if open1:
+                for images in itertools.permutations(open2):
+                    if all(csig1[c] == csig2[d] for c, d in zip(open1, images)):
+                        for c, d in zip(open1, images):
+                            psi[c], psi_inv[d] = d, c
+                        yield from bind(edges[i + 1:], x)
+                        for c, d in zip(open1, images):
+                            psi[c] = psi_inv[d] = -1
+                break
         else:
-            pool = list(g2.vertices)
-        degree = g1.degree(v)
-        cd1 = cds1[v]
-        out = []
-        for x in pool:
-            if x in used:
-                continue
-            if g2.degree(x) != degree:
-                continue
-            cd2 = cds2[x]
-            if any(cd2.get(psi[c], 0) != k for c, k in cd1.items()):
-                continue
-            if any(not g2.has_edge(x, phi[w], psi[c]) for w, c in mapped_nbrs):
-                continue
-            out.append(x)
-        return out
+            yield
+        for c in fresh:
+            psi_inv[psi[c]] = psi[c] = -1
 
-    def extend(k):
+    def match(k):
         if k == n:
             return True
         v = order[k]
-        for x in candidates(v):
-            phi[v] = x
-            used.add(x)
-            if extend(k + 1):
-                return True
-            del phi[v]
-            used.discard(x)
+        sig, edges, cd1 = vsig1[v], back[k], cdeg1[v].items()
+        pool = pairs2[phi[edges[0][0]]] if edges else by_sig2.get(sig, ())
+        for x in pool:
+            if taken[x] or vsig2[x] != sig:
+                continue
+            cd2 = cdeg2[x]
+            for _ in bind(edges, x):
+                if any(psi[c] >= 0 and cd2.get(psi[c]) != m for c, m in cd1):
+                    continue
+                phi[v], taken[x] = x, True
+                if match(k + 1):
+                    return True
+                phi[v], taken[x] = -1, False
         return False
 
-    return dict(phi) if extend(0) else None
+    if not match(0):
+        return None
+    vs1, vs2, cs1, cs2 = g1.vertices, g2.vertices, g1.colors, g2.colors
+    return IsoWitness({vs1[v]: vs2[phi[v]] for v in order},
+                      {cs1[c]: cs2[d] for c, d in enumerate(psi) if d >= 0})
 
 
 class _WalkIndex(namedtuple("_WalkIndexFields", "low adj color_of dist parent geodesics")):
@@ -391,23 +416,21 @@ class _WalkIndex(namedtuple("_WalkIndexFields", "low adj color_of dist parent ge
 
 
 class _RainbowIndex(namedtuple("_RainbowIndexFields",
-                               "rainbow frontier n_shortest n_rainbow bad_pairs bad_sources")):
+                               "rainbow n_shortest n_rainbow bad_pairs bad_sources "
+                               "n_configurations bad_starts")):
     """The color-coding pass over a graph's _WalkIndex, with the exchange
-    verdict that the pass records.
+    and extension verdicts that the pass records.
 
     rainbow[u] maps each state of the rainbow walks of length >= 1 from u
-    to the number of such walks.  frontier[u] maps the bit b of each
-    color at u to (count, keys) over the steps x -b-> y that extend a
-    state (x, used) of rainbow[u] with b not in used: keys holds used | y
-    for each step, and count the number of walks they extend.  keys is an
-    array('q'), a tuple when the keys need more than 63 bits, and the
-    empty tuple when there is no such step.  n_shortest counts the
-    shortest walks u -> v over the pairs u < v, n_rainbow the rainbow
-    walks of length >= 1.  bad_pairs lists the pairs (u, v), u < v, with
-    more shortest walks than rainbow walks of length dist(u, v); a
-    shortest walk of a pair is rainbow when the pair is not listed.
-    bad_sources lists the u from which some rainbow walk is longer than
-    the distance to its end.  Both are in increasing order.
+    to the number of such walks.  n_shortest counts the shortest walks
+    u -> v over the pairs u < v, n_rainbow the rainbow walks of length
+    >= 1.  bad_pairs lists the pairs (u, v), u < v, with more shortest
+    walks than rainbow walks of length dist(u, v); a shortest walk of a
+    pair is rainbow when the pair is not listed.  bad_sources lists the u
+    from which some rainbow walk is longer than the distance to its end.
+    n_configurations counts the rainbow-extension configurations, and
+    bad_starts lists the v_0 of those whose reach test fails.  All three
+    lists are in increasing order.
     """
 
     __slots__ = ()
@@ -448,25 +471,32 @@ def _build_walk_index(g: ColoredGraph) -> _WalkIndex:
 def _build_rainbow_index(g: ColoredGraph) -> _RainbowIndex:
     ix = g._walk_index
     low, adj = ix.low, ix.adj
-    # a key is below 1 << (shift + len(colors)), so 'q' holds it up to 63 bits
-    pack = partial(array, "q") if low.bit_length() + len(g.colors) <= 63 else tuple
-    rainbow, frontier = [], []
+    rainbow, fronts = [], []
     n_shortest = n_rainbow = 0
     bad_pairs, bad_sources = [], []
     for u, (du, geo) in enumerate(zip(ix.dist, ix.geodesics)):
         states, front, all_shortest, rainbow_geo = _rainbow_states(low, adj, du, u)
-        for b, (count, *keys) in front.items():
-            front[b] = (count, pack(keys) if keys else ())
         rainbow.append(states)
-        frontier.append(front)
+        fronts.append(front)
         n_rainbow += sum(states.values())
         if not all_shortest:
             bad_sources.append(u)
         n_shortest += sum(geo[u + 1:])
         if rainbow_geo != geo:
             bad_pairs += [(u, v) for v in range(u + 1, len(geo)) if geo[v] != rainbow_geo[v]]
-    return _RainbowIndex(tuple(rainbow), tuple(frontier), n_shortest, n_rainbow,
-                         tuple(bad_pairs), tuple(bad_sources))
+    # the reach tests look up states from any v0, so they wait for every
+    # source's pass: each edge v1 -- v0 of color b0 tests the steps of
+    # color b0 after the rainbow walks from v1
+    n_conf = 0
+    bad_starts = set()
+    for nbrs, front in zip(adj, fronts):
+        for v0, b0 in nbrs:
+            count, *keys = front[b0]
+            n_conf += count
+            if v0 not in bad_starts and not all(map(rainbow[v0].__contains__, keys)):
+                bad_starts.add(v0)
+    return _RainbowIndex(tuple(rainbow), n_shortest, n_rainbow, tuple(bad_pairs),
+                         tuple(bad_sources), n_conf, tuple(sorted(bad_starts)))
 
 
 def _rainbow_states(low: int, adj: tuple, du: tuple, u: int) -> tuple:
@@ -479,8 +509,8 @@ def _rainbow_states(low: int, adj: tuple, du: tuple, u: int) -> tuple:
     rainbow_geo).  front maps the bit b of each color at u to the list
     [count, key, ...]: a key used | y for every step x -b-> y that the
     pass takes from a stored state (x, used), and count the walk counts
-    of those steps summed.  Only the colors at u are recorded: the
-    extension check pairs a step with an edge at u of the step's color.
+    of those steps summed.  Only the colors at u are recorded: a reach
+    test pairs a step with an edge at u of the step's color.
     all_shortest tells whether every state of length k ends at distance
     k, and the tuple rainbow_geo holds at x the number of rainbow walks
     u -> x of length dist(u, x), the empty walk at u included, so that it
@@ -619,29 +649,20 @@ def verify_rainbow_extension(g: ColoredGraph) -> ExtensionReport:
     edge v_{k+1} -- v_{k+2} of the starting color c_0, a rainbow walk
     from v_{k+2} back to v_0 using exactly {c_1, ..., c_k} must exist.
 
-    The steps v_{k+1} -- v_{k+2} of color c_0 after a rainbow walk from
-    v_1 are the c_0 frontier of v_1 in the graph's rainbow index, built
-    by the pass that counts its rainbow states, which the exchange check
-    shares.  So each edge v_1 -- v_0 adds its frontier's walk count to
-    the configurations and is one containment test of the frontier's
-    keys (v_{k+2}, color set) in the rainbow states from v_0.  Violations
-    are listed, in the depth-first order of the walk-by-walk search, only
-    from the v_0 these tests show failing.  The report is built anew on
-    every call.
+    The configurations are counted and tested by the color-coding pass
+    that builds the graph's rainbow index, once per graph: the steps
+    v_{k+1} -- v_{k+2} of color c_0 after the rainbow walks from v_1 that
+    avoid c_0 are keyed (v_{k+2}, color set), and each edge v_1 -- v_0 of
+    color c_0 adds their walk count to the configurations and is one
+    containment test of their keys in the rainbow states from v_0.  A
+    call reads the count and the failing v_0; violations are listed, in
+    the depth-first order of the walk-by-walk search, only from those
+    v_0.  The report is built anew on every call.
     """
     ix, rx = g._walk_index, g._rainbow_index
     adj, reached = ix.adj, rx.rainbow
-    n_conf = 0
-    failing = set()
-    for nbrs, front in zip(adj, rx.frontier):
-        for v0, b0 in nbrs:
-            count, keys = front[b0]
-            n_conf += count
-            if v0 not in failing and not all(map(reached[v0].__contains__, keys)):
-                failing.add(v0)
-
     violations = []
-    for v0 in sorted(failing):
+    for v0 in rx.bad_starts:
         back = reached[v0]
         for path, bits in _rainbow_dfs(ix, v0):
             if len(bits) < 2:
@@ -650,7 +671,7 @@ def verify_rainbow_extension(g: ColoredGraph) -> ExtensionReport:
             for y, b in adj[path[-1]]:
                 if b == bits[0] and inner | y not in back:
                     violations.append((_as_walk(g, ix, path, bits), g.vertices[y]))
-    return ExtensionReport(tuple(violations), n_conf)
+    return ExtensionReport(tuple(violations), rx.n_configurations)
 
 
 def _partitions_in_box(m: int, n: int):

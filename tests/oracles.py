@@ -17,8 +17,11 @@ walk index, the exchange check by a loop over every rainbow state and
 every vertex pair in place of the counts that the color-coding pass
 records, the rainbow-extension check by a loop over every rainbow
 state and every edge at its walk's start in place of the rainbow
-index's frontiers, a walk verdict's monomial oriented root by root against
-the start Borel's odd set in place of the OR graph's orientation table,
+index's recorded extension verdict, an edge-colored isomorphism by a
+search over every color bijection within signature classes in place of
+binding colors while the vertices are matched, a walk verdict's
+monomial oriented root by root against the start Borel's odd set in
+place of the OR graph's orientation table,
 and the rank of a quiver degree's relation rows by fraction-free
 elimination in place of counting classes of words.
 The rainbow and shortest walk tests, the check of an isomorphism
@@ -568,7 +571,7 @@ def is_color_isomorphism(g1: ColoredGraph, g2: ColoredGraph,
         return False
     if set(vertex_map.values()) != set(g2.vertices):
         return False
-    used1 = set(g1.used_colors())
+    used1 = {c for _, _, c in g1.edges}
     if not used1 <= set(color_map.keys()):
         return False
     images = [color_map[c] for c in used1]
@@ -578,6 +581,99 @@ def is_color_isomorphism(g1: ColoredGraph, g2: ColoredGraph,
         if not g2.has_edge(vertex_map[u], vertex_map[v], color_map[c]):
             return False
     return True
+
+
+def bfs_match_order(g) -> list:
+    """A vertex order for the isomorphism search: each component starts
+    at a vertex of the largest degree, ties broken by a linear index
+    lookup per vertex, and is walked breadth first."""
+    remaining = set(g.vertices)
+    order = []
+    while remaining:
+        start = max(remaining, key=lambda v: (g.degree(v), -g.vertices.index(v)))
+        remaining.discard(start)
+        queue = [start]
+        for x in queue:
+            order.append(x)
+            for y, _ in g.neighbors(x):
+                if y in remaining:
+                    remaining.discard(y)
+                    queue.append(y)
+    return order
+
+
+def ref_colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
+    """colored_isomorphic by enumerating every bijection of the used
+    colors within classes of equal color signature and, for each one,
+    matching the vertices from scratch with the colors fixed, in place
+    of binding colors while the vertices are matched; on vertex IDs and
+    per-vertex color-degree dicts in place of the isomorphism table."""
+    if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
+        return None
+
+    def color_degrees(g):
+        table = {v: {} for v in g.vertices}
+        for u, v, c in g.edges:
+            for x in (u, v):
+                table[x][c] = table[x].get(c, 0) + 1
+        return table
+
+    def signature_classes(g, cds):
+        groups = {}
+        for c in dict.fromkeys(c for _, _, c in g.edges):
+            degs = sorted(cd[c] for cd in cds.values() if c in cd)
+            groups.setdefault((sum(degs) // 2, tuple(degs)), []).append(c)
+        return groups
+
+    def vertex_signatures(g, cds):
+        return sorted((g.degree(v), tuple(sorted(cds[v].values()))) for v in g.vertices)
+
+    cds1, cds2 = color_degrees(g1), color_degrees(g2)
+    groups1, groups2 = signature_classes(g1, cds1), signature_classes(g2, cds2)
+    if {s: len(cs) for s, cs in groups1.items()} != {s: len(cs) for s, cs in groups2.items()}:
+        return None
+    if vertex_signatures(g1, cds1) != vertex_signatures(g2, cds2):
+        return None
+
+    order = bfs_match_order(g1)
+
+    def match_vertices(psi):
+        phi, used = {}, set()
+
+        def candidates(v):
+            mapped_nbrs = [(w, c) for w, c in g1.neighbors(v) if w in phi]
+            if mapped_nbrs:
+                w0, c0 = mapped_nbrs[0]
+                pool = [x for x, cc in g2.neighbors(phi[w0]) if cc == psi[c0]]
+            else:
+                pool = list(g2.vertices)
+            return [x for x in pool
+                    if x not in used and g2.degree(x) == g1.degree(v)
+                    and all(cds2[x].get(psi[c], 0) == k for c, k in cds1[v].items())
+                    and all(g2.has_edge(x, phi[w], psi[c]) for w, c in mapped_nbrs)]
+
+        def extend(k):
+            if k == len(order):
+                return True
+            v = order[k]
+            for x in candidates(v):
+                phi[v] = x
+                used.add(x)
+                if extend(k + 1):
+                    return True
+                del phi[v]
+                used.discard(x)
+            return False
+
+        return dict(phi) if extend(0) else None
+
+    sigs = sorted(groups1)
+    for images in itertools.product(*(itertools.permutations(groups2[s]) for s in sigs)):
+        psi = {c: d for s, perm in zip(sigs, images) for c, d in zip(groups1[s], perm)}
+        phi = match_vertices(psi)
+        if phi is not None:
+            return IsoWitness(phi, psi)
+    return None
 
 
 def inverse_witness(w: IsoWitness) -> IsoWitness:

@@ -3,7 +3,7 @@
 import itertools
 import json
 import random
-from array import array
+import sys
 from math import factorial
 
 import pytest
@@ -34,10 +34,12 @@ from ortk.rootsys import build_root_system, enumerate_borels
 
 from oracles import (
     bfs_distances,
+    bfs_match_order,
     inverse_witness,
     is_color_isomorphism,
     is_rainbow,
     is_shortest,
+    ref_colored_isomorphic,
     ref_quotient,
     ref_semibrick_index_sets,
     state_loop_exchange,
@@ -310,14 +312,122 @@ def test_colored_isomorphic_symmetry():
     assert is_color_isomorphism(h, g, inv.vertex_bijection, inv.color_bijection)
 
 
+def random_iso_graph(rng):
+    """A graph on 0-8 vertices, often disconnected, with 1-4 colors of
+    which some may be unused: plain, with every drawn pair joined by 2-3
+    parallel edges of distinct colors, or with one color only, so that
+    several edges of one color meet at a vertex.  A fourth kind draws
+    up to 5 edges, each of a new color, so that all the used colors
+    share one signature; a drawn pair may take 2 or 3 of them."""
+    kind = rng.choice(("plain", "parallel", "one color", "a color per edge"))
+    n = rng.randint(0, 8)
+    colors = ("c0",) if kind == "one color" else tuple(f"c{k}" for k in range(rng.randint(1, 4)))
+    edges = set()
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        a, b = sorted(rng.sample(range(n), 2))
+        if kind == "a color per edge":
+            fresh = tuple(f"c{len(colors) + k}" for k in range(rng.choice((1, 1, 2, 3))))
+            if len(edges) + len(fresh) > 5:
+                break
+            colors += fresh
+        else:
+            width = rng.randint(2, 3) if kind == "parallel" else 1
+            fresh = rng.sample(colors, min(width, len(colors)))
+        for c in fresh:
+            edges.add((f"v{a}", f"v{b}", c))
+    return ColoredGraph(tuple(f"v{k}" for k in range(n)), colors, tuple(edges))
+
+
+def relabeled_copy(g, rng):
+    """g under a random vertex and color renaming, with its vertex, color
+    and edge orders shuffled and up to two unused colors added."""
+    names = [f"w{k}" for k in range(len(g.vertices))]
+    rng.shuffle(names)
+    rename = dict(zip(g.vertices, names))
+    recolor = dict(zip(g.colors, rng.sample([f"d{k}" for k in range(len(g.colors))],
+                                            len(g.colors))))
+    colors = list(recolor.values()) + [f"unused{k}" for k in range(rng.randint(0, 2))]
+    edges = [(rename[u], rename[v], recolor[c]) for u, v, c in g.edges]
+    for seq in (names, colors, edges):
+        rng.shuffle(seq)
+    return ColoredGraph(tuple(sorted(names)), tuple(colors), tuple(edges))
+
+
+def damaged_copy(g, rng):
+    """A relabeled copy of g with one edge recolored, moved to another
+    pair, or swapped with another edge of its color (u-v, x-y become u-y,
+    x-v, which keeps every vertex's color degrees); None when the drawn
+    change is not possible."""
+    h = relabeled_copy(g, rng)
+    edges = list(h.edges)
+    if not edges:
+        return None
+    u, v, c = edges.pop(rng.randrange(len(edges)))
+    change = rng.choice(("recolor", "move", "swap"))
+    if change == "recolor":
+        others = [d for d in h.colors if d != c]
+        if not others:
+            return None
+        new = [(u, v, rng.choice(others))]
+    elif change == "move":
+        new = [(*rng.sample(h.vertices, 2), c)]
+    else:
+        same = [e for e in edges if e[2] == c and not {u, v} & set(e[:2])]
+        if not same:
+            return None
+        x, y, _ = same[0]
+        edges.remove(same[0])
+        new = [(u, y, c), (x, v, c)]
+    try:
+        return ColoredGraph(h.vertices, h.colors, tuple(edges + new))
+    except ValueError:  # the change made a duplicate edge
+        return None
+
+
+def test_colored_isomorphic_matches_the_reference_on_seeded_random_pairs():
+    rng = random.Random("isomorphism reference")
+    found = {True: 0, False: 0, "searched": 0}
+    for _ in range(400):
+        g = random_iso_graph(rng)
+        for h in (relabeled_copy(g, rng), damaged_copy(g, rng), random_iso_graph(rng)):
+            if h is None:
+                continue
+            for a, b in ((g, h), (h, g)):
+                w = colored_isomorphic(a, b)
+                assert (w is not None) == (ref_colored_isomorphic(a, b) is not None)
+                if w is not None:
+                    assert is_color_isomorphism(a, b, w.vertex_bijection, w.color_bijection)
+                found[w is not None] += 1
+                found["searched"] += w is None and a._iso_table.census == b._iso_table.census
+    # relabeled copies are isomorphic and most other pairs are not; some
+    # pairs share every signature, so that the search itself rejects them
+    assert found[True] >= 800 and found[False] >= 800 and found["searched"] >= 10
+    empty = ColoredGraph((), ("unused",), ())
+    assert colored_isomorphic(empty, ColoredGraph((), (), ())) == ({}, {})
+
+
 # the OR graphs of the graph-stretch benchmark and their reference graphs
 ISO_PAIRS = [(("gl", 4, 3), ("young", 4, 3)),
              (("gl11n", None, 6), ("hypercube", None, 6)),
              (("ospB", 3, 2), ("young", 3, 2))]
 
 
+@pytest.fixture
+def iso_tables(monkeypatch):
+    """The graphs whose isomorphism table is built while the test runs."""
+    built = []
+    build = ecgraph._build_iso_table
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    monkeypatch.setattr(ecgraph, "_build_iso_table", counting)
+    return built
+
+
 @pytest.mark.parametrize("system, ref", ISO_PAIRS)
-def test_colored_isomorphic_on_the_stretch_pairs(system, ref):
+def test_colored_isomorphic_on_the_stretch_pairs(system, ref, iso_tables):
     family, m, n = system
     g = build_or_graph(build_root_system(family, m=m, n=n)).graph
     h = build_reference_graph(*ref)
@@ -325,37 +435,23 @@ def test_colored_isomorphic_on_the_stretch_pairs(system, ref):
         w = colored_isomorphic(g, h)
         assert w is not None
         assert is_color_isomorphism(g, h, w.vertex_bijection, w.color_bijection)
+    # one table per graph, built by the cold call and read by the warm one
+    assert iso_tables == [g, h]
+    assert ref_colored_isomorphic(g, h) is not None
     # one edge recolored: its color is no longer what the isomorphism needs
     u, v, c = g.edges[0]
     other = next(d for d in g.colors if d != c and not g.has_edge(u, v, d))
     recolored = ColoredGraph(g.vertices, g.colors, ((u, v, other),) + g.edges[1:])
     assert colored_isomorphic(recolored, h) is None
     assert colored_isomorphic(h, recolored) is None
+    assert ref_colored_isomorphic(recolored, h) is None
     # the kept color degrees are the counts of the edges at each vertex
     for graph in (g, h, recolored):
-        assert graph._color_degrees == {
-            x: {d: sum(1 for a, b, e in graph.edges if x in (a, b) and e == d)
-                for d in {e for a, b, e in graph.edges if x in (a, b)}}
-            for x in graph.vertices}
-
-
-def quadratic_match_order(g):
-    """The isomorphism search's vertex order as first written: each
-    component starts at a vertex of the largest degree, ties broken by a
-    linear index lookup per vertex, and is walked breadth first."""
-    remaining = set(g.vertices)
-    order = []
-    while remaining:
-        start = max(remaining, key=lambda v: (g.degree(v), -g.vertices.index(v)))
-        remaining.discard(start)
-        queue = [start]
-        for x in queue:
-            order.append(x)
-            for y, _ in g.neighbors(x):
-                if y in remaining:
-                    remaining.discard(y)
-                    queue.append(y)
-    return order
+        assert [{graph.colors[k]: m for k, m in cd.items()}
+                for cd in graph._iso_table.color_degrees] == [
+            {d: sum(1 for a, b, e in graph.edges if x in (a, b) and e == d)
+             for d in {e for a, b, e in graph.edges if x in (a, b)}}
+            for x in graph.vertices]
 
 
 MATCH_ORDER_PAIRS = [((c.family, c.m, c.n), (c.reference, c.m, c.n))
@@ -368,16 +464,89 @@ def test_match_order_matches_the_quadratic_order(system, ref):
     family, m, n = system
     for g in (build_or_graph(build_root_system(family, m=m, n=n)).graph,
               build_reference_graph(*ref)):
-        assert list(g._match_order) == quadratic_match_order(g)
+        assert [g.vertices[v] for v in g._iso_table.order] == bfs_match_order(g)
 
 
 def test_match_order_starts_each_component_at_its_first_max_degree_vertex():
     # two components; degrees tie inside {a, b} and {x, y, z} starts at y
     g = ColoredGraph(("a", "b", "x", "y", "z"), ("c",),
                      (("a", "b", "c"), ("x", "y", "c"), ("y", "z", "c")))
-    assert list(g._match_order) == quadratic_match_order(g) == ["y", "x", "z", "a", "b"]
+    assert [g.vertices[v] for v in g._iso_table.order] == bfs_match_order(g) == \
+        ["y", "x", "z", "a", "b"]
     # built once and kept on the graph for every later search
-    assert g._match_order is g._match_order
+    assert g._iso_table is g._iso_table
+
+
+def search_steps(g, h):
+    """colored_isomorphic(g, h) and the number of vertex steps its search
+    took (calls of its inner match, counted by a profile hook): one per
+    vertex, plus one for the last, when it never backtracks."""
+    steps = 0
+
+    def hook(frame, event, arg):
+        nonlocal steps
+        if event == "call" and frame.f_code.co_name == "match" and \
+                frame.f_code.co_filename == ecgraph.__file__:
+            steps += 1
+
+    sys.setprofile(hook)
+    try:
+        w = colored_isomorphic(g, h)
+    finally:
+        sys.setprofile(None)
+    return w, steps
+
+
+def test_isomorphism_search_never_backtracks_on_the_stretch_pairs():
+    for (family, m, n), ref in ISO_PAIRS:
+        g = build_or_graph(build_root_system(family, m=m, n=n)).graph
+        h = build_reference_graph(*ref)
+        for a, b in ((g, h), (h, g)):
+            w, steps = search_steps(a, b)
+            assert w is not None and steps == len(a.vertices) + 1
+
+
+def test_colored_isomorphic_binds_a_color_only_to_its_signature():
+    # b comes first in the order, and in h its neighbour by the one-edge
+    # color Y comes before its neighbour by the two-edge color X: only the
+    # signature test keeps x from being bound to Y, which would fail later
+    g = ColoredGraph(("a", "b", "c", "d", "e"), ("x", "y"),
+                     (("a", "b", "x"), ("b", "c", "y"), ("d", "e", "x")))
+    h = renamed(g, "CBADE", "XY")
+    for a, b in ((g, h), (h, g)):
+        w, steps = search_steps(a, b)
+        assert is_color_isomorphism(a, b, *w) and steps == 6
+
+
+def renamed(g, vertices, colors):
+    """g with vertex and color IDs upper-cased, listed in the given orders."""
+    return ColoredGraph(tuple(vertices), tuple(colors),
+                        tuple((u.upper(), v.upper(), c.upper()) for u, v, c in g.edges))
+
+
+@pytest.mark.parametrize("g, vertices, colors", [
+    # a and c look alike until a's neighbour p turns out to have one more
+    # edge than c's neighbour q; in h, C comes before A, so the search
+    # first binds x to Y and must unbind it to bind x to X
+    (ColoredGraph(("b", "a", "c", "p", "q", "p2"), ("x", "y", "z", "w", "u"),
+                  (("b", "a", "x"), ("b", "c", "y"), ("a", "p", "z"), ("c", "q", "w"),
+                   ("p", "p2", "u"))),
+     ("B", "C", "A", "P", "Q", "P2"), ("X", "Y", "Z", "W", "U")),
+    # the same with b -- a and b -- c each two parallel edges: both
+    # bijections of {x1, x2} onto {X3, X4} fail before A is tried
+    (ColoredGraph(("b", "a", "c", "p", "q", "p2"), ("x1", "x2", "x3", "x4", "y", "z", "u"),
+                  (("b", "a", "x1"), ("b", "a", "x2"), ("b", "c", "x3"), ("b", "c", "x4"),
+                   ("a", "p", "y"), ("c", "q", "z"), ("p", "p2", "u"))),
+     ("B", "C", "A", "P", "Q", "P2"), ("X1", "X2", "X3", "X4", "Y", "Z", "U")),
+], ids=["one-color-pairs", "parallel-pairs"])
+def test_colored_isomorphic_unbinds_colors_on_backtrack(g, vertices, colors):
+    h = renamed(g, vertices, colors)
+    for a, b in ((g, h), (h, g)):
+        w, steps = search_steps(a, b)
+        assert w is not None and is_color_isomorphism(a, b, *w)
+        assert ref_colored_isomorphic(a, b) is not None
+        # the first candidate for the second vertex fails
+        assert steps > len(a.vertices) + 1
 
 
 def test_verify_exchange_pass_cases():
@@ -642,11 +811,9 @@ def test_rainbow_states_are_built_once_and_reports_are_not_kept(g, pass_sources)
         list(verify._geodesic_walks(fresh))
         assert pass_sources == []
         reports = {first: [first(fresh)]}
-        # the first check's pass already holds every frontier that the
-        # extension check reads: one entry per color at each vertex
+        # the first check's pass already recorded the extension verdict
         assert pass_sources == list(range(len(g.vertices)))
-        assert [set(front) for front in fresh._rainbow_index.frontier] == \
-            [{b for _, b in nbrs} for nbrs in fresh._walk_index.adj]
+        assert recorded_extension(fresh) == listed_extension(reference_extension(fresh))
         reports[second] = [second(fresh)]
         reports[first].append(first(fresh))
         reports[second].append(second(fresh))
@@ -681,24 +848,40 @@ def test_bfs_only_readers_never_run_the_color_coding_pass(pass_sources):
     (ColoredGraph(("a", "b"), ("x",), (("a", "b", "x"),)), ExchangeReport((), (), 1, 2)),
 ], ids=["empty", "one-vertex", "two-apart", "one-edge"])
 def test_walk_checks_on_graphs_without_walks_to_extend(g, exchange):
-    # no configuration exists, so the frontiers are empty or absent
+    # no configuration exists, so none is counted and none fails
     if exchange is DisconnectedEndpoints:
         with pytest.raises(DisconnectedEndpoints):
             verify_exchange(g)
     else:
         assert verify_exchange(g) == exchange
     assert verify_rainbow_extension(g) == ExtensionReport((), 0)
-    assert g._rainbow_index.frontier == tuple(
-        {b: (0, ()) for _, b in nbrs} for nbrs in g._walk_index.adj)
+    assert recorded_extension(g) == (0, [])
 
 
 STRETCH_GRAPHS = [("gl", 4, 3), ("gl11n", None, 6), ("ospB", 3, 2), ("ospD", 3, 2)]
 
 
+def recorded_extension(g):
+    """The extension verdict that the color-coding pass recorded: the
+    configuration count and the failing v0, by vertex ID."""
+    rx = g._rainbow_index
+    return rx.n_configurations, [g.vertices[v] for v in rx.bad_starts]
+
+
+def listed_extension(report):
+    """The same verdict read off a report: its configuration count and
+    the start of each violation, once each, in the order listed."""
+    return report.n_configurations, list(dict.fromkeys(
+        w.walk_vertices[0] for w, _ in report.violations))
+
+
 def same_extension(g):
-    """verify_rainbow_extension and the per-state loop give one report."""
+    """verify_rainbow_extension and the per-state loop give one report,
+    and the recorded verdict is the loop's."""
     report = verify_rainbow_extension(g)
-    assert report == state_loop_extension(g)
+    want = state_loop_extension(g)
+    assert report == want
+    assert recorded_extension(g) == listed_extension(want)
     return report
 
 
@@ -775,6 +958,20 @@ def test_exchange_matches_the_state_loop_on_seeded_random_graphs():
     assert 250 <= failing < 300 and ordered >= 150
 
 
+def test_extension_matches_the_state_loop_on_seeded_random_graphs():
+    rng = random.Random("extension state loop")
+    failing = several = 0
+    for _ in range(300):
+        g = random_colored_graph(rng)
+        # equal reports agree on every violation and on their order, so
+        # the recorded failing v0 are compared one by one
+        report = same_extension(g)
+        failing += not report.passed
+        several += len(g._rainbow_index.bad_starts) >= 2
+    # most fail, a few pass; many fail from two or more v0
+    assert 250 <= failing < 300 and several >= 150
+
+
 def planted_q4(extra_colors=()):
     """Q4 with the edge 0000 -- 0001 recolored from 4 to 3; extra unused
     colors come first in the color order, so they move every used bit up."""
@@ -791,15 +988,11 @@ def test_planted_violation_matches_both_references():
     assert (len(report.violations), report.n_configurations) == (66, 898)
 
 
-def test_frontier_keys_past_63_bits_fall_back_to_tuples():
+def test_planted_violation_behind_60_unused_colors():
     # 5 vertex bits and 60 unused colors before the four used ones: the
-    # keys need 69 bits, more than an array('q') holds
+    # states need 69 bits, more than a machine word
     narrow, wide = planted_q4(), planted_q4(f"unused{k}" for k in range(60))
-    fronts = [keys for front in wide._rainbow_index.frontier for _, keys in front.values()]
-    assert all(type(keys) is tuple for keys in fronts)
-    assert max(map(max, filter(None, fronts))) >= 2 ** 63
-    assert all(type(keys) is array for front in narrow._rainbow_index.frontier
-               for _, keys in front.values() if keys)
+    assert max(map(max, wide._rainbow_index.rainbow)) >= 2 ** 63
 
     def walks(report):
         return [(w.walk_vertices, w.walk_colors, y) for w, y in report.violations]
@@ -807,6 +1000,7 @@ def test_frontier_keys_past_63_bits_fall_back_to_tuples():
     report, want = same_extension(wide), verify_rainbow_extension(narrow)
     assert report.n_configurations == want.n_configurations
     assert walks(report) == walks(want)
+    assert recorded_extension(wide) == recorded_extension(narrow)
 
 
 def test_or_lambda_quotients_share_their_walk_index():
