@@ -42,8 +42,9 @@ class ColoredGraph:
     check, the semibrick index sets and the walks suite), _rainbow_index
     (the color-coding pass over _walk_index: the rainbow-walk states and
     the exchange and extension verdicts, read only by the exchange and
-    extension checks), _iso_table (read only by the isomorphism search)
-    and _quotients.  The checks' reports are never kept.
+    extension checks), _iso_table and _iso_order (read only by the
+    isomorphism search, the second only of its first graph) and
+    _quotients.  The checks' reports are never kept.
     """
 
     # no __slots__: the cached properties live in __dict__
@@ -108,6 +109,11 @@ class ColoredGraph:
     @cached_property
     def _iso_table(self) -> "_IsoTable":
         return _build_iso_table(self)
+
+    @cached_property
+    def _iso_order(self) -> "_IsoOrder":
+        # read only where the graph is the first argument of the search
+        return _build_iso_order(self._iso_table)
 
     def neighbors(self, v):
         return self._adj[v]
@@ -242,23 +248,30 @@ class IsoWitness(namedtuple("_IsoWitnessFields", "vertex_bijection color_bijecti
 
 
 class _IsoTable(namedtuple("_IsoTableFields",
-                           "census order back pairs color_degrees vsig csig by_sig")):
-    """What the isomorphism search reads of a graph, by vertex and color
-    index (vertex k is g.vertices[k], color k is g.colors[k]).
+                           "census pairs color_degrees vsig csig by_sig")):
+    """The signature rows of a graph that the isomorphism search reads, by
+    vertex and color index (vertex k is g.vertices[k], color k is
+    g.colors[k]).
 
     pairs[v] maps each neighbour w of v to the colors of the edges v -- w,
     in the order of g.neighbors; color_degrees[v] maps each color at v to
     its number of edges there.  vsig[v] is (degree, sorted color degrees)
     and csig[c] is (edge count, sorted degree sequence of the c-colored
     subgraph, zero degrees dropped); by_sig maps each vertex signature to
-    its vertices.  order is the search's vertex order: BFS from a
-    max-degree vertex, the earliest in vertex order, and new components
-    appended as encountered.  back[k] lists (w, colors) for each
-    neighbour w of order[k] that comes earlier in the order, as in
-    pairs.  census is (vertex count, edge count, sorted vertex
+    its vertices.  census is (vertex count, edge count, sorted vertex
     signatures, sorted signatures of the used colors): two graphs whose
     censuses differ are not isomorphic.
     """
+
+    __slots__ = ()
+
+
+class _IsoOrder(namedtuple("_IsoOrderFields", "order back")):
+    """The match-order rows of the search's first graph.  order is the
+    search's vertex order: BFS from a max-degree vertex, the earliest in
+    vertex order, and new components appended as encountered.  back[k]
+    lists (w, colors) for each neighbour w of order[k] that comes earlier
+    in the order, as in _IsoTable.pairs."""
 
     __slots__ = ()
 
@@ -286,7 +299,15 @@ def _build_iso_table(g: ColoredGraph) -> _IsoTable:
     by_sig = {}
     for v, sig in enumerate(vsig):
         by_sig.setdefault(sig, []).append(v)
+    census = (n, len(g.edges), tuple(sorted(vsig)),
+              tuple(sorted(csig[k] for k, ds in enumerate(degs) if ds)))
+    return _IsoTable(census, pairs, tuple(color_degrees), vsig, csig,
+                     {sig: tuple(vs) for sig, vs in by_sig.items()})
 
+
+def _build_iso_order(t: _IsoTable) -> _IsoOrder:
+    pairs, vsig = t.pairs, t.vsig
+    n = len(pairs)
     placed = [False] * n
     order = []
     for start in sorted(range(n), key=lambda v: -vsig[v][0]):  # stable: earliest first
@@ -303,10 +324,7 @@ def _build_iso_table(g: ColoredGraph) -> _IsoTable:
     position = {v: k for k, v in enumerate(order)}
     back = tuple(tuple((w, cs) for w, cs in pairs[v].items() if position[w] < k)
                  for k, v in enumerate(order))
-    census = (n, len(g.edges), tuple(sorted(vsig)),
-              tuple(sorted(csig[k] for k, ds in enumerate(degs) if ds)))
-    return _IsoTable(census, tuple(order), back, pairs, tuple(color_degrees), vsig, csig,
-                     {sig: tuple(vs) for sig, vs in by_sig.items()})
+    return _IsoOrder(tuple(order), back)
 
 
 def colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
@@ -321,12 +339,15 @@ def colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
     and unbound on backtrack; where the edges between one pair have
     several unbound colors, the search branches over their bijections.
     A candidate must carry every edge to the earlier vertices and, for
-    the bound colors, the same color degrees.
+    the bound colors, the same color degrees.  The match runs on an
+    explicit stack, one candidate generator per matched vertex, so the
+    depth of the search is not bounded by Python's recursion limit.
+    g2's _iso_order is never built.
     """
     t1, t2 = g1._iso_table, g2._iso_table
     if t1.census != t2.census:
         return None
-    order, back, cdeg1, vsig1, csig1 = t1.order, t1.back, t1.color_degrees, t1.vsig, t1.csig
+    (order, back), cdeg1, vsig1, csig1 = g1._iso_order, t1.color_degrees, t1.vsig, t1.csig
     pairs2, cdeg2, vsig2, csig2, by_sig2 = (t2.pairs, t2.color_degrees, t2.vsig,
                                             t2.csig, t2.by_sig)
     n = len(order)
@@ -370,9 +391,9 @@ def colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
         for c in fresh:
             psi_inv[psi[c]] = psi[c] = -1
 
-    def match(k):
-        if k == n:
-            return True
+    def candidates(k):
+        """Yield each image of order[k], with phi, taken and psi set for
+        it; each is undone on the next resumption."""
         v = order[k]
         sig, edges, cd1 = vsig1[v], back[k], cdeg1[v].items()
         pool = pairs2[phi[edges[0][0]]] if edges else by_sig2.get(sig, ())
@@ -381,15 +402,25 @@ def colored_isomorphic(g1: ColoredGraph, g2: ColoredGraph):
                 continue
             cd2 = cdeg2[x]
             for _ in bind(edges, x):
-                if any(psi[c] >= 0 and cd2.get(psi[c]) != m for c, m in cd1):
-                    continue
-                phi[v], taken[x] = x, True
-                if match(k + 1):
-                    return True
-                phi[v], taken[x] = -1, False
-        return False
+                for c, m in cd1:
+                    if psi[c] >= 0 and cd2.get(psi[c]) != m:
+                        break
+                else:
+                    phi[v], taken[x] = x, True
+                    yield x
+                    phi[v], taken[x] = -1, False
 
-    if not match(0):
+    # stack[k] yields the images of order[k]: the search backtracks where
+    # one runs out, and stops when all n vertices have an image
+    stack = [candidates(0)] if n else []
+    while stack:
+        if next(stack[-1], None) is None:
+            stack.pop()
+        elif len(stack) == n:
+            break
+        else:
+            stack.append(candidates(len(stack)))
+    if n and not stack:
         return None
     vs1, vs2, cs1, cs2 = g1.vertices, g2.vertices, g1.colors, g2.colors
     return IsoWitness({vs1[v]: vs2[phi[v]] for v in order},

@@ -3,7 +3,10 @@
 Vertices are Borel subalgebras, edges are odd reflections at isotropic
 simple roots, and the edge color is the reflected root oriented into the
 positive system of the reference (standard) Borel.  Pure roots never
-color an edge.
+color an edge.  build_or_graph reads all of this from the Borel
+enumeration's odd masks and root indices (rootsys): the pure roots, the
+colors, each edge's color and the gl and gl(1|1)^n vertex labels are
+bit operations, with one root name per color.
 
 D_lambda, the colors whose roots pair nonzero with lambda, is a plain
 frozenset of color names (atypical_colors); contracting it gives
@@ -43,9 +46,9 @@ from .rootsys import (
     Borel,
     Root,
     RootSystem,
+    _partition_of_mask,
+    _young_box,
     enumerate_borels,
-    partition_of_borel,
-    pure_positive_roots,
 )
 
 __all__ = [
@@ -87,18 +90,19 @@ class ORGraph:
         self._oriented: dict[int, dict] = {}
 
 
-def _vertex_label(rs: RootSystem, b: Borel, rank: int) -> str:
+def _vertex_labels(rs: RootSystem, masks: tuple[int, ...]) -> list[str]:
+    """The label of each Borel, read from its odd mask: its Young diagram
+    for gl, for gl11n the bit string whose i-th bit is 0 when the Borel
+    holds e_i - d_{n+1-i}, else #rank."""
     if rs.family == "gl":
-        return partition_label(partition_of_borel(rs, b))
+        box = _young_box(rs)
+        return [partition_label(_partition_of_mask(box, mask)) for mask in masks]
     if rs.family == "gl11n":
-        n = rs.params[0]
-        bits = []
-        pos = {r.vector for r in b.odd_positive}
-        for i in range(1, n + 1):
-            vec = rs.root_by_name(f"e{i}-d{n + 1 - i}").vector
-            bits.append("0" if vec in pos else "1")
-        return "".join(bits)
-    return f"#{rank}"
+        # e_i - d_{n+1-i} are the standard odd positives; canonical order,
+        # which is index order, lists them from i = n down to i = 1
+        bits = [k for k in range(len(rs.delta1)) if rs._standard_mask >> k & 1][::-1]
+        return ["".join("0" if mask >> k & 1 else "1" for k in bits) for mask in masks]
+    return [f"#{k}" for k in range(len(masks))]
 
 
 def build_or_graph(rs: RootSystem) -> ORGraph:
@@ -106,31 +110,38 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
 
     Vertex IDs: partition labels for gl, bit strings for gl11n, #rank
     otherwise.  Colors: names of the non-pure isotropic roots positive
-    for the reference Borel.
-    """
-    borels, edges = enumerate_borels(rs)
-    ref = borels[0]
-    pure, _ = pure_positive_roots(rs, borels)
-    color_roots = [r for r in ref.odd_positive
-                   if r.isotropic and r not in pure]
-    color_roots.sort(key=lambda r: r.sort_key())
-    colors = tuple(rs.root_name(r) for r in color_roots)
-    root_of_color = {rs.root_name(r): r for r in color_roots}
+    for the reference Borel, in canonical order.
 
-    labels = [_vertex_label(rs, b, k) for k, b in enumerate(borels)]
-    ref_odd = ref.odd_set()
+    Everything is read from the enumeration's odd masks (rs._borel_masks)
+    and root indices: the pure odd roots are the AND of the masks, the
+    colors the isotropic non-pure bits of the reference mask, and an
+    edge's color the reference-positive one of the two bits that its
+    reflection flips, a and N-1-a with N = len(delta1).
+    """
+    _, edges = enumerate_borels(rs)
+    masks, ix = rs._borel_masks, rs._root_index
+    ref = masks[0]
+    pure = ref
+    for mask in masks:
+        pure &= mask
+    color_bits = [k for k in sorted(ix.iso) if ref >> k & 1 and not pure >> k & 1]
+    name_of = {k: rs.root_name(ix.roots[k]) for k in color_bits}
+    root_of_color = {name_of[k]: ix.roots[k] for k in color_bits}
+
+    labels = _vertex_labels(rs, masks)
+    last = len(rs.delta1) - 1
     graph_edges = []
-    for u, i, v in edges:
-        alpha = borels[u].simple[i - 1]
+    for u, _, v in edges:
+        flipped = masks[u] ^ masks[v]
+        a = (flipped & -flipped).bit_length() - 1
         # the color is the representative of {alpha, -alpha} positive
         # for the reference Borel
-        if alpha in ref_odd:
-            rep = alpha
-        else:
-            rep = rs.negate(alpha)
-        assert rep in ref_odd, "reflection root missing a reference sign"
-        graph_edges.append((labels[u], labels[v], rs.root_name(rep)))
-    return ORGraph(ColoredGraph(tuple(labels), colors, tuple(graph_edges)), root_of_color)
+        c = a if ref >> a & 1 else last - a
+        if not ref >> c & 1:
+            raise AssertionError("reflection root missing a reference sign")
+        graph_edges.append((labels[u], labels[v], name_of[c]))
+    return ORGraph(ColoredGraph(tuple(labels), tuple(name_of.values()), tuple(graph_edges)),
+                   root_of_color)
 
 
 def atypical_colors(rs: RootSystem, og: ORGraph, lam: Weight) -> frozenset:

@@ -7,19 +7,24 @@ isotropic simple roots walk between Borels, and the ordered simple
 system is inherited along each reflection (the inherited order is
 asserted to be path-independent during enumeration).
 
-Enumeration runs on integers: a root is its index into delta1 + delta0,
-a Borel the bit mask of its odd positive roots, a simple system a tuple
-of indices, and a reflection a bit flip plus one table lookup per
-simple root.  Each Borel object is built once, when the search ends,
-and the reflections are the search's edges.
+Set-up runs on integers.  A root is its index into delta1 + delta0 and
+carries an integer code, sum(x_i << 6*i) over its vector x, so the code
+of a sum of roots is the sum of their codes.  A Borel is the bit mask of
+its odd positive roots, a simple system a tuple of indices, and a
+reflection a bit flip plus one code lookup per simple root.  The even
+and the standard simple systems are found on codes, each Borel object
+is built once, when the search ends, and the reflections are the
+search's edges; the search keeps its masks on the root system, where the
+OR graph reads its colors and vertex labels.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 
 from .numerics import DegreeOverflow, RankMismatch, SingularBasis, Weight, _ratio, render_weight
 
@@ -96,6 +101,32 @@ class Root:
         return self.vector.r
 
 
+# a root's code packs its coordinates into one integer, _CODE_BITS bits each
+_CODE_BITS = 6
+
+
+def _codes(vectors, rank: int) -> tuple[int, ...]:
+    """The code sum(x_i << 6*i) of each integer vector x of vectors."""
+    shifts = [1 << _CODE_BITS * i for i in range(rank)]
+    return tuple(sum(map(mul, v, shifts)) for v in vectors)
+
+
+class _RootIndex(namedtuple("_RootIndexFields", "roots iso code by_code")):
+    """The integer view of a root system that set-up runs on.
+
+    A root is named by its index into roots, delta1 + delta0, so an odd
+    root's index is its place in delta1, in canonical order, and its bit
+    in a Borel's mask of odd positive roots; a simple system is a tuple
+    of indices.  iso holds the indices of the isotropic odd roots.
+    code[k] is sum(x_i << 6*i) over the vector x of root k: linear, so
+    code[a] + code[b] is the code of the vector a + b, and injective on
+    vectors with every |x_i| < 32.  by_code maps each root's code back to
+    its index.
+    """
+
+    __slots__ = ()
+
+
 class RootSystem:
     """Immutable container for one family's root data.
 
@@ -113,9 +144,9 @@ class RootSystem:
         params: tuple,
         basis_names: tuple[str, ...],
         form: Weight,
-        even_vectors: list[Weight],
-        odd_vectors: list[Weight],
-        standard_odd_positive: list[Weight],
+        even_vectors: list[tuple[int, ...]],
+        odd_vectors: list[tuple[int, ...]],
+        standard_odd_positive: list[tuple[int, ...]],
         type_one: bool,
         alpha_value: Fraction | None,
     ):
@@ -129,32 +160,44 @@ class RootSystem:
         # the form's a-carrying diagonal entries, as (position, a-part)
         self._a_diagonal = tuple((i, d) for i, d in enumerate(form.s) if d)
 
-        def mk_root(v: Weight, parity: str) -> Root:
-            # (v, v) over every coordinate of v: the zero ones add nothing
-            return Root(v, parity, parity == "odd" and self._pair_is_zero(
-                *self._pair(self._weigh(v), enumerate(v.r))))
-
-        self.delta0 = tuple(
-            sorted((mk_root(v, "even") for v in even_vectors), key=Root.sort_key)
-        )
-        self.delta1 = tuple(
-            sorted((mk_root(v, "odd") for v in odd_vectors), key=Root.sort_key)
-        )
-        self.delta_iso = tuple(r for r in self.delta1 if r.isotropic)
-        self._by_ivec = {r.vector.r: r for r in self.delta0 + self.delta1}
-        if len(self._by_ivec) != len(self.delta0) + len(self.delta1):
+        # the roots as integer vectors, in canonical order, odd ones first
+        even, odd = sorted(even_vectors), sorted(odd_vectors)
+        vectors = odd + even
+        if len(set(vectors)) != len(vectors):
             raise UnsupportedFamily("duplicate root vectors in family data")
+        # a sum or difference of two roots then stays inside the range,
+        # |x_i| < 32, on which codes are injective
+        coordinates = set().union(*vectors)
+        if max(coordinates) >= 16 or min(coordinates) <= -16:
+            raise UnsupportedFamily("root coordinate outside the code range |x| < 16")
+        self._by_ivec = {v: Root(Weight.of(v), "even", False) for v in even}
+        self.delta0 = tuple(self._by_ivec.values())
+        dr, ds, is_zero = form.r, form.s, self._pair_is_zero
+        for v in odd:
+            # (v, v) over the form's diagonal
+            squares = list(map(mul, v, v))
+            self._by_ivec[v] = Root(Weight.of(v), "odd", is_zero(
+                sum(map(mul, squares, dr)), sum(map(mul, squares, ds))))
+        self.delta1 = tuple(map(self._by_ivec.__getitem__, odd))
+        self.delta_iso = tuple(r for r in self.delta1 if r.isotropic)
 
         pos_set = set(standard_odd_positive)
-        # the standard even Borel: the lexicographically positive even roots
-        self.even_positive = tuple(r for r in self.delta0 if r.vector.r > (0,) * self.rank)
-        self.standard_odd_positive = tuple(
-            r for r in self.delta1 if r.vector in pos_set
-        )
-        if len(self.standard_odd_positive) != len(pos_set):
+        std = [k for k, v in enumerate(odd) if v in pos_set]
+        if len(std) != len(pos_set):
             raise UnsupportedFamily("standard odd positives are not all roots")
-        self.even_simple = _indecomposables(self.even_positive)
-        self._names = {self.root_name(r): r for r in self.delta0 + self.delta1}
+        self.standard_odd_positive = tuple(self.delta1[k] for k in std)
+        self._standard_mask = sum(1 << k for k in std)
+        code = _codes(vectors, self.rank)
+        self._root_index = _RootIndex(
+            self.delta1 + self.delta0,
+            frozenset(k for k, r in enumerate(self.delta1) if r.isotropic),
+            code, {c: k for k, c in enumerate(code)})
+        # the standard even Borel: the lexicographically positive even
+        # roots, which end delta0
+        zero = (0,) * self.rank
+        self.even_positive = tuple(r for r in self.delta0 if r.vector.r > zero)
+        self.even_simple = tuple(map(self._root_index.roots.__getitem__, _indecomposables(
+            self._root_index, range(len(vectors) - len(self.even_positive), len(vectors)))))
         # the character kernels' fixed work (characters.py, adjusted.py), one
         # table per kind; each product has at most 2^|delta1| terms
         self._kostant_counts: dict = {}  # (coordinates, index) -> Kostant count
@@ -162,22 +205,9 @@ class RootSystem:
         self._numerators: dict = {}  # odd set -> numerator prod (1 + e^beta) as offsets
         self._columns: dict = {}  # (odd set, den) -> that numerator as columns times den
         self._bricks: dict = {}  # join odd set -> a brick check's J-shift product
+        # enumerate_borels' result, and its Borels' odd masks in Borel order
         self._borel_cache: tuple | None = None
-
-    # -- the root index layer of Borel enumeration ---------------------------------
-    #
-    # Enumeration names a root by its index into delta1 + delta0, so an odd
-    # root's index is its place in delta1, in canonical order, and its bit
-    # in a Borel's mask of odd positive roots.  A simple system is a tuple
-    # of indices.
-
-    @cached_property
-    def _root_index(self) -> tuple[tuple[Root, ...], dict, frozenset[int]]:
-        """(roots, index, iso): delta1 + delta0, root -> its index, and the
-        indices of the isotropic odd roots."""
-        roots = self.delta1 + self.delta0
-        iso = frozenset(k for k, r in enumerate(self.delta1) if r.isotropic)
-        return roots, {r: k for k, r in enumerate(roots)}, iso
+        self._borel_masks: tuple[int, ...] | None = None
 
     # -- the integer pairing kernel ----------------------------------------------
     #
@@ -268,6 +298,11 @@ class RootSystem:
                 sign = "-" if x < 0 else "+" if out else ""
                 out += sign + ("" if abs(x) == v.den else _ratio(abs(x), v.den)) + name
         return out or "0"
+
+    @cached_property
+    def _names(self) -> dict[str, Root]:
+        # built on the first root_by_name: set-up names only the colors
+        return {self.root_name(r): r for r in self.delta0 + self.delta1}
 
     def root_by_name(self, name: str) -> Root:
         try:
@@ -372,16 +407,15 @@ def basis_inverse(basis_ivecs, rank: int) -> tuple[tuple[tuple[int, ...], ...], 
     return tuple(tuple(x * (den // d) for x in m[i][k:]) for i, d in enumerate(diag)), den
 
 
-def _indecomposables(roots) -> tuple[Root, ...]:
-    """Roots not expressible as a sum of two members (repeats allowed)."""
-    vecset = {r.vector.r for r in roots}
-    result = []
-    for r in roots:
-        v = r.vector.r
-        # roots are nonzero, so v - w lands in vecset only for a real split
-        if not any(tuple(a - b for a, b in zip(v, w)) in vecset for w in vecset):
-            result.append(r)
-    return tuple(sorted(result, key=Root.sort_key, reverse=True))
+def _indecomposables(ix: _RootIndex, ks) -> tuple[int, ...]:
+    """The root indices among ks whose roots are not a sum of two of
+    theirs (repeats allowed), in descending root order."""
+    code = ix.code
+    codes = [code[k] for k in ks]
+    codeset = set(codes)
+    # roots are nonzero, so c - w lands in codeset only for a real split
+    found = [k for k, c in zip(ks, codes) if codeset.isdisjoint([c - w for w in codes])]
+    return tuple(sorted(found, key=lambda k: ix.roots[k].vector.r, reverse=True))
 
 
 class Borel:
@@ -417,10 +451,6 @@ class Borel:
         )
 
 
-def _canonical_odd(roots) -> tuple[Root, ...]:
-    return tuple(sorted(roots, key=Root.sort_key))
-
-
 def build_root_system(
     family: str,
     m: int | None = None,
@@ -449,124 +479,97 @@ def build_root_system(
         rank = m + n
         names = tuple(f"e{i+1}" for i in range(m)) + tuple(f"d{j+1}" for j in range(n))
         form = Weight.of((1,) * m + (-1,) * n)
-        ge = _unit_builder(rank)
-        evens = [ge(i) - ge(j) for i in range(m) for j in range(m) if i != j]
-        evens += [ge(m + i) - ge(m + j) for i in range(n) for j in range(n) if i != j]
-        odds = []
-        for i in range(m):
-            for j in range(n):
-                odds.append(ge(i) - ge(m + j))
-                odds.append(ge(m + j) - ge(i))
-        std = [ge(i) - ge(m + j) for i in range(m) for j in range(n)]
+        vec = _vector_builder(rank)
+        evens = [vec((i, 1), (j, -1)) for i in range(m) for j in range(m) if i != j]
+        evens += [vec((m + i, 1), (m + j, -1)) for i in range(n) for j in range(n) if i != j]
+        std = [vec((i, 1), (m + j, -1)) for i in range(m) for j in range(n)]
+        odds = std + [_negative(v) for v in std]
         return RootSystem(family, (m, n), names, form, evens, odds, std, True, None)
 
     if family == "gl11n":
-        rank = 2 * n
         names = tuple(f"e{i+1}" for i in range(n)) + tuple(f"d{j+1}" for j in range(n))
         form = Weight.of((1,) * n + (-1,) * n)
-        ge = _unit_builder(rank)
-        odds = []
-        std = []
-        for i in range(n):
-            pos = ge(i) - ge(n + (n - 1 - i))
-            odds.append(pos)
-            odds.append(-pos)
-            std.append(pos)
+        vec = _vector_builder(2 * n)
+        std = [vec((i, 1), (n + (n - 1 - i), -1)) for i in range(n)]
+        odds = std + [_negative(v) for v in std]
         return RootSystem(family, (n,), names, form, [], odds, std, True, None)
 
     if family in ("ospB", "ospD"):
         rank = m + n
         names = tuple(f"e{i+1}" for i in range(m)) + tuple(f"d{j+1}" for j in range(n))
         form = Weight.of((1,) * m + (-1,) * n)
-        ge = _unit_builder(rank)
-        evens = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        evens.append(ge(i, s1) + ge(j, s2))
+        vec = _vector_builder(rank)
+        signs = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        evens = [vec((i, s1), (j, s2)) for i in range(m) for j in range(i + 1, m)
+                 for s1, s2 in signs]
+        evens += [vec((m + i, s1), (m + j, s2)) for i in range(n) for j in range(i + 1, n)
+                  for s1, s2 in signs]
+        evens += [vec((m + i, c)) for i in range(n) for c in (2, -2)]
+        odds = [vec((i, s1), (m + j, s2)) for i in range(m) for j in range(n)
+                for s1, s2 in signs]
         if family == "ospB":
-            for i in range(m):
-                evens.append(ge(i))
-                evens.append(-ge(i))
-        for i in range(n):
-            for j in range(i + 1, n):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        evens.append(ge(m + i, s1) + ge(m + j, s2))
-        for i in range(n):
-            evens.append(ge(m + i, 2))
-            evens.append(ge(m + i, -2))
-        odds = []
-        std = []
-        for i in range(m):
-            for j in range(n):
-                for s1 in (1, -1):
-                    for s2 in (1, -1):
-                        v = ge(i, s1) + ge(m + j, s2)
-                        odds.append(v)
-                        if s1 == 1:
-                            std.append(v)
-        if family == "ospB":
-            for j in range(n):
-                odds.append(ge(m + j))
-                odds.append(-ge(m + j))
-                std.append(ge(m + j))
+            evens += [vec((i, c)) for i in range(m) for c in (1, -1)]
+            odds += [vec((m + j, c)) for j in range(n) for c in (1, -1)]
+        # the odd roots whose first nonzero coordinate is positive
+        std = [v for v in odds if next(x for x in v if x) > 0]
         type_one = family == "ospD" and m == 1
         return RootSystem(family, (m, n), names, form, evens, odds, std, type_one, None)
 
     # d21alpha, basis order (delta, eps1, eps2)
     names = ("d", "e1", "e2")
     form = Weight.of((-1, 1, 0), (-1, 0, 1))
-    ge = _unit_builder(3)
-    evens = []
-    for i in range(3):
-        evens.append(ge(i, 2))
-        evens.append(ge(i, -2))
-    odds = []
-    std = []
-    for s0 in (1, -1):
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                v = ge(0, s0) + ge(1, s1) + ge(2, s2)
-                odds.append(v)
-                if s0 == 1:
-                    std.append(v)
+    vec = _vector_builder(3)
+    evens = [vec((i, c)) for i in range(3) for c in (2, -2)]
+    odds = [(s0, s1, s2) for s0 in (1, -1) for s1 in (1, -1) for s2 in (1, -1)]
+    std = [v for v in odds if v[0] == 1]
     return RootSystem("d21alpha", (), names, form, evens, odds, std, False, alpha)
 
 
-def _unit_builder(rank: int):
-    def ge(i: int, c: int = 1) -> Weight:
-        return Weight.of(c if j == i else 0 for j in range(rank))
+def _vector_builder(rank: int):
+    def vec(*terms) -> tuple[int, ...]:
+        """The integer vector sum of c times unit i over the (i, c) terms."""
+        v = [0] * rank
+        for i, c in terms:
+            v[i] += c
+        return tuple(v)
 
-    return ge
+    return vec
+
+
+def _negative(v: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in v)
+
+
+def _standard_simple(rs: RootSystem) -> tuple[int, ...]:
+    """The standard Borel's simple system on root indices: its even and
+    odd positive roots that are no sum of two of them, descending."""
+    n = len(rs._root_index.roots)
+    odd = [k for k in range(len(rs.delta1)) if rs._standard_mask >> k & 1]
+    return _indecomposables(rs._root_index, [*range(n - len(rs.even_positive), n), *odd])
 
 
 def standard_borel(rs: RootSystem) -> Borel:
-    odd = _canonical_odd(rs.standard_odd_positive)
-    return Borel(odd, _indecomposables(rs.even_positive + odd))
+    return _borel_of(rs._root_index.roots, rs._standard_mask, _standard_simple(rs))
 
 
 class _ReflectionRow(dict):
     """Where the odd reflection at the isotropic root index a sends each
     root index b: a to the index of -a, b to that of a+b where that is a
     root, else to b.  An entry is looked up on its first read and kept, so
-    only the pairs that meet in a simple system are ever summed."""
+    only the pairs that meet in a simple system are ever summed; a sum is
+    one code addition and one by_code lookup."""
 
-    __slots__ = ("rs", "a")
+    __slots__ = ("ix", "a")
 
-    def __init__(self, rs: RootSystem, a: int):
+    def __init__(self, ix: _RootIndex, a: int):
         super().__init__()
-        self.rs = rs
+        self.ix = ix
         self.a = a
-        roots, index, _ = rs._root_index
-        self[a] = index[rs.negate(roots[a])]
+        self[a] = ix.by_code[-ix.code[a]]
 
     def __missing__(self, b: int) -> int:
-        roots, index, _ = self.rs._root_index
-        summed = self.rs.root_from_ivec(
-            tuple(map(add, roots[self.a].vector.r, roots[b].vector.r)))
-        image = self[b] = b if summed is None else index[summed]
+        code = self.ix.code
+        image = self[b] = self.ix.by_code.get(code[self.a] + code[b], b)
         return image
 
 
@@ -585,7 +588,7 @@ def _borel_of(roots: tuple[Root, ...], mask: int, simple: tuple[int, ...]) -> Bo
     """The Borel whose odd positive roots are the set bits of mask, in
     index order, which is canonical order."""
     odd = tuple(roots[k] for k in range(mask.bit_length()) if mask >> k & 1)
-    return Borel(odd, tuple(roots[k] for k in simple))
+    return Borel(odd, tuple(map(roots.__getitem__, simple)))
 
 
 def enumerate_borels(rs: RootSystem) -> tuple[list[Borel], list[tuple[int, int, int]]]:
@@ -603,18 +606,19 @@ def enumerate_borels(rs: RootSystem) -> tuple[list[Borel], list[tuple[int, int, 
 
     The search runs on root indices: a Borel is the bit mask of its odd
     positive roots, keyed once in a dict, and its simple system a tuple
-    of indices; each Borel is built once, at the end.
+    of indices; each Borel is built once, at the end.  The masks are kept
+    on rs, in Borel order, as rs._borel_masks.
     """
     if rs._borel_cache is not None:
         return rs._borel_cache
-    start = standard_borel(rs)
-    roots, index, iso = rs._root_index
-    masks = [sum(1 << index[r] for r in start.odd_positive)]
-    simples = [tuple(index[r] for r in start.simple)]
+    ix = rs._root_index
+    masks = [rs._standard_mask]
+    simples = [_standard_simple(rs)]
     rank_of = {masks[0]: 0}
     edges: list[tuple[int, int, int]] = []
+    iso = ix.iso
     # the reflection tables of this search only; the result alone is kept
-    rows = {a: _ReflectionRow(rs, a) for a in iso}
+    rows = {a: _ReflectionRow(ix, a) for a in iso}
     frontier = masks[:]
     while frontier:
         discovered: dict[int, tuple[int, ...]] = {}
@@ -645,15 +649,19 @@ def enumerate_borels(rs: RootSystem) -> tuple[list[Borel], list[tuple[int, int, 
         # each edge is seen from both ends, first from the lower rank
         edges.extend((u, i, rank_of[m]) for u, i, m in pending if u < rank_of[m])
         frontier = layer
-    borels = [start] + [_borel_of(roots, m, s) for m, s in zip(masks[1:], simples[1:])]
-    rs._borel_cache = (borels, edges)
+    rs._borel_masks = tuple(masks)
+    rs._borel_cache = ([_borel_of(ix.roots, m, s) for m, s in zip(masks, simples)], edges)
     return rs._borel_cache
 
 
 def pure_positive_roots(
     rs: RootSystem, borels: list[Borel]
 ) -> tuple[frozenset[Root], frozenset[Root]]:
-    """Roots positive for every Borel, and the isotropic ones among them."""
+    """Roots positive for every Borel, and the isotropic ones among them.
+
+    Any list of Borels is read through its odd sets: one mask per Borel
+    would cost more to build than the set.  build_or_graph takes the
+    pure roots of the enumeration from its masks."""
     common = set(borels[0].odd_positive)
     for b in borels[1:]:
         common &= b.odd_set()
@@ -674,9 +682,31 @@ def weyl_vector(rs: RootSystem, b: Borel) -> Weight:
 # -- gl Borel -> Young diagram ------------------------------------------------
 
 
-def _unit_difference(rank: int, p: int, q: int) -> tuple[int, ...]:
-    """The integer vector of unit p minus unit q."""
-    return tuple(1 if k == p else -1 if k == q else 0 for k in range(rank))
+def _young_box(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
+    """The m x n box of gl(m|n) on root indices: row j (0-based) holds,
+    for the columns c = 1..m, the index of d_{j+1} - e_{m+1-c}, the root
+    that a Borel holds when it has the box flipped."""
+    m, n = rs.params
+    by_code = rs._root_index.by_code
+    return tuple(tuple(by_code[(1 << _CODE_BITS * (m + j)) - (1 << _CODE_BITS * (m - c))]
+                       for c in range(1, m + 1)) for j in range(n))
+
+
+def _partition_of_mask(box, mask: int) -> tuple[int, ...]:
+    """The Young diagram of the Borel with odd mask mask: the flipped
+    boxes of each row of box, bottom-up, without trailing zeros."""
+    rows = []
+    for j, cells in enumerate(box, start=1):
+        flipped = [mask >> k & 1 for k in cells]
+        length = sum(flipped)
+        if any(flipped[length:]):
+            raise AssertionError(f"flipped boxes of row {j} are not left-justified")
+        rows.append(length)
+    if any(rows[k] < rows[k + 1] for k in range(len(rows) - 1)):
+        raise AssertionError("flipped boxes do not form a partition")
+    while rows and rows[-1] == 0:
+        rows.pop()
+    return tuple(rows)
 
 
 def partition_of_borel(rs: RootSystem, b: Borel) -> tuple[int, ...]:
@@ -688,21 +718,6 @@ def partition_of_borel(rs: RootSystem, b: Borel) -> tuple[int, ...]:
     """
     if rs.family != "gl":
         raise UnsupportedFamily("partition addressing is specific to gl(m|n)")
-    m, n = rs.params
-    flipped = set()
-    pos = {r.vector.r for r in b.odd_positive}
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if _unit_difference(rs.rank, m + j - 1, i - 1) in pos:
-                flipped.add((j, m + 1 - i))
-    rows = []
-    for j in range(1, n + 1):
-        cols = sorted(c for (row, c) in flipped if row == j)
-        if cols != list(range(1, len(cols) + 1)):
-            raise AssertionError(f"flipped boxes of row {j} are not left-justified")
-        rows.append(len(cols))
-    if any(rows[k] < rows[k + 1] for k in range(n - 1)):
-        raise AssertionError("flipped boxes do not form a partition")
-    while rows and rows[-1] == 0:
-        rows.pop()
-    return tuple(rows)
+    by_code = rs._root_index.by_code
+    mask = sum(1 << by_code[c] for c in _codes([r.vector.r for r in b.odd_positive], rs.rank))
+    return _partition_of_mask(_young_box(rs), mask)

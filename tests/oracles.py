@@ -23,7 +23,12 @@ binding colors while the vertices are matched, a walk verdict's
 monomial oriented root by root against the start Borel's odd set in
 place of the OR graph's orientation table,
 and the rank of a quiver degree's relation rows by fraction-free
-elimination in place of counting classes of words.
+elimination in place of counting classes of words; and set-up on Root
+objects in place of root codes and Borel masks: the indecomposable
+roots by a tuple subtraction for every pair, the Borel enumeration by
+odd_reflect, a gl Borel's Young diagram from its set of odd root
+vectors, and the OR graph with its pure roots from the Borels' odd sets
+and one root name per edge.
 The rainbow and shortest walk tests, the check of an isomorphism
 witness and its inverse, the closure test of an adjusted odd set, the
 sum of two characters, the Scalar ring (sum, difference, negation,
@@ -70,7 +75,7 @@ from ortk.numerics import (
     render_weight,
 )
 from ortk.orgraph import WalkHomVerdict, build_or_lambda
-from ortk.rootsys import Borel, NotIsotropicSimple, Root, enumerate_borels
+from ortk.rootsys import Borel, NotIsotropicSimple, Root, enumerate_borels, pure_positive_roots
 
 
 class NotInSpan(ValueError):
@@ -323,6 +328,102 @@ def odd_reflect(rs, b, i: int):
 
     simple = tuple(minus if k == i else image(beta) for k, beta in enumerate(b.simple, start=1))
     return Borel(tuple(odd), simple)
+
+
+# -- set-up on Root objects, in place of root codes and Borel masks ------------
+
+
+def ref_indecomposables(roots) -> tuple:
+    """The roots not expressible as a sum of two members (repeats
+    allowed), in descending root order, by a tuple subtraction for every
+    pair of vectors in place of root codes."""
+    vecset = {r.vector.r for r in roots}
+    found = [r for r in roots
+             if not any(tuple(a - b for a, b in zip(r.vector.r, w)) in vecset for w in vecset)]
+    return tuple(sorted(found, key=Root.sort_key, reverse=True))
+
+
+def ref_enumerate_borels(rs) -> tuple[list, list]:
+    """enumerate_borels by a breadth-first search over Borel objects: the
+    standard simple system by ref_indecomposables, each reflection by
+    odd_reflect on root vectors, each layer sorted by the canonical odd
+    positive sets as tuples of root vectors, and each undirected edge
+    (u, i, v) listed once, from its lower rank u."""
+    odd = tuple(sorted(rs.standard_odd_positive, key=Root.sort_key))
+    borels = [Borel(odd, ref_indecomposables(rs.even_positive + odd))]
+    rank = {odd: 0}
+    edges, layer = [], borels[:]
+    while layer:
+        found, pending = {}, []
+        for b in layer:
+            for i, r in enumerate(b.simple, start=1):
+                if r.parity == "odd" and r.isotropic:
+                    nb = odd_reflect(rs, b, i)
+                    known = found.setdefault(nb.odd_positive, nb) if nb.odd_positive not in rank \
+                        else borels[rank[nb.odd_positive]]
+                    assert known.simple == nb.simple, "simple order depends on the path"
+                    pending.append((rank[b.odd_positive], i, nb.odd_positive))
+        layer = [found[key] for key in sorted(found, key=lambda key: [r.sort_key() for r in key])]
+        for b in layer:
+            rank[b.odd_positive] = len(borels)
+            borels.append(b)
+        edges += [(u, i, rank[key]) for u, i, key in pending if u < rank[key]]
+    return borels, edges
+
+
+def ref_partition_of_borel(rs, b) -> tuple:
+    """partition_of_borel on the set of b's odd root vectors, in place of
+    its odd mask: box (j, c) is flipped when d_j - e_{m+1-c} is in it."""
+    m, n = rs.params
+    pos = {r.vector.r for r in b.odd_positive}
+
+    def difference(p, q):
+        return tuple(1 if k == p else -1 if k == q else 0 for k in range(rs.rank))
+
+    flipped = {(j, m + 1 - i) for i in range(1, m + 1) for j in range(1, n + 1)
+               if difference(m + j - 1, i - 1) in pos}
+    rows = []
+    for j in range(1, n + 1):
+        cols = sorted(c for row, c in flipped if row == j)
+        assert cols == list(range(1, len(cols) + 1)), f"row {j} is not left-justified"
+        rows.append(len(cols))
+    assert all(rows[k] >= rows[k + 1] for k in range(n - 1)), "not a partition"
+    while rows and rows[-1] == 0:
+        rows.pop()
+    return tuple(rows)
+
+
+def ref_or_graph(rs, borels, edges) -> tuple:
+    """(vertices, colors, edges, root_of_color) of OR(g) on the Borel
+    objects of an enumeration, in place of its masks: each label from the
+    Borel's odd set (ref_partition_of_borel for gl), the colors from
+    pure_positive_roots, which intersects the Borels' odd sets, and each
+    edge colored by the name of its reflected root, negated when the
+    reference Borel does not hold it.  The edges are as the graph
+    normalizes them, in its order."""
+    ref = borels[0].odd_set()
+    pure, _ = pure_positive_roots(rs, borels)
+    color_roots = sorted((r for r in ref if r.isotropic and r not in pure), key=Root.sort_key)
+    root_of_color = {rs.root_name(r): r for r in color_roots}
+
+    def label(k, b):
+        if rs.family == "gl":
+            return "".join(map(str, ref_partition_of_borel(rs, b))) or "∅"
+        if rs.family == "gl11n":
+            n = rs.params[0]
+            return "".join("0" if rs.root_by_name(f"e{i}-d{n + 1 - i}") in b.odd_set() else "1"
+                           for i in range(1, n + 1))
+        return f"#{k}"
+
+    labels = [label(k, b) for k, b in enumerate(borels)]
+    graph_edges = []
+    for u, i, v in edges:
+        alpha = borels[u].simple[i - 1]
+        rep = alpha if alpha in ref else rs.negate(alpha)
+        assert rep in ref
+        graph_edges.append((labels[u], labels[v], rs.root_name(rep)))
+    graph = ColoredGraph(tuple(labels), tuple(root_of_color), tuple(graph_edges))
+    return graph.vertices, graph.colors, graph.edges, root_of_color
 
 
 def ref_rbtriv(rs, og, lam: Weight) -> bool:

@@ -456,6 +456,12 @@ GOLDEN_QUERIES = {
     "walk_gl22_contracted": [
         "walk", "--family", "gl", "--m", "2", "--n", "2", "--lambda", "1,0,0,-1",
         "--path", "∅,1,2,21,22"],
+    # the OR graphs of the graph-stretch benchmark families, past the
+    # pinned grid: every vertex label, color and edge position
+    "or_graph_gl43": ["or-graph", "--family", "gl", "--m", "4", "--n", "3"],
+    "or_graph_gl11n_6": ["or-graph", "--family", "gl11n", "--n", "6"],
+    "or_graph_ospB32": ["or-graph", "--family", "ospB", "--m", "3", "--n", "2"],
+    "or_graph_ospD32": ["or-graph", "--family", "ospD", "--m", "3", "--n", "2"],
 }
 
 

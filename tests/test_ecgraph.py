@@ -464,28 +464,55 @@ def test_match_order_matches_the_quadratic_order(system, ref):
     family, m, n = system
     for g in (build_or_graph(build_root_system(family, m=m, n=n)).graph,
               build_reference_graph(*ref)):
-        assert [g.vertices[v] for v in g._iso_table.order] == bfs_match_order(g)
+        assert [g.vertices[v] for v in g._iso_order.order] == bfs_match_order(g)
+
+
+def test_colored_isomorphic_on_1024_vertices():
+    # Q10 against itself and against OR(gl(1|1)^10): the search matches
+    # 1024 vertices, deeper than Python's default recursion limit
+    q10 = build_reference_graph("hypercube", n=10)
+    og = build_or_graph(build_root_system("gl11n", n=10)).graph
+    assert len(q10.vertices) == len(og.vertices) == 1024
+    for a, b in ((q10, q10), (q10, og), (og, q10)):
+        w = colored_isomorphic(a, b)
+        assert w is not None
+        assert is_color_isomorphism(a, b, w.vertex_bijection, w.color_bijection)
+
+
+def test_the_second_graph_builds_no_match_order():
+    # the search reads the match order of its first graph only; a fresh
+    # graph used as the second argument builds its signature rows alone
+    g = build_or_graph(build_root_system("gl", m=3, n=2)).graph
+    h = build_reference_graph("young", 3, 2)
+    cold = colored_isomorphic(g, h)
+    assert "_iso_order" in vars(g) and "_iso_table" in vars(h)
+    assert "_iso_order" not in vars(h)
+    # the warm search gives the same witness
+    assert colored_isomorphic(g, h) == cold
+    assert "_iso_order" not in vars(h)
 
 
 def test_match_order_starts_each_component_at_its_first_max_degree_vertex():
     # two components; degrees tie inside {a, b} and {x, y, z} starts at y
     g = ColoredGraph(("a", "b", "x", "y", "z"), ("c",),
                      (("a", "b", "c"), ("x", "y", "c"), ("y", "z", "c")))
-    assert [g.vertices[v] for v in g._iso_table.order] == bfs_match_order(g) == \
+    assert [g.vertices[v] for v in g._iso_order.order] == bfs_match_order(g) == \
         ["y", "x", "z", "a", "b"]
     # built once and kept on the graph for every later search
-    assert g._iso_table is g._iso_table
+    assert g._iso_table is g._iso_table and g._iso_order is g._iso_order
 
 
 def search_steps(g, h):
     """colored_isomorphic(g, h) and the number of vertex steps its search
-    took (calls of its inner match, counted by a profile hook): one per
-    vertex, plus one for the last, when it never backtracks."""
+    took (images yielded by its inner candidates generators, counted by a
+    profile hook, which sees each yield as a return of the yielded value):
+    one per vertex when it never backtracks."""
     steps = 0
 
     def hook(frame, event, arg):
         nonlocal steps
-        if event == "call" and frame.f_code.co_name == "match" and \
+        if event == "return" and arg is not None and \
+                frame.f_code.co_name == "candidates" and \
                 frame.f_code.co_filename == ecgraph.__file__:
             steps += 1
 
@@ -503,7 +530,7 @@ def test_isomorphism_search_never_backtracks_on_the_stretch_pairs():
         h = build_reference_graph(*ref)
         for a, b in ((g, h), (h, g)):
             w, steps = search_steps(a, b)
-            assert w is not None and steps == len(a.vertices) + 1
+            assert w is not None and steps == len(a.vertices)
 
 
 def test_colored_isomorphic_binds_a_color_only_to_its_signature():
@@ -515,7 +542,7 @@ def test_colored_isomorphic_binds_a_color_only_to_its_signature():
     h = renamed(g, "CBADE", "XY")
     for a, b in ((g, h), (h, g)):
         w, steps = search_steps(a, b)
-        assert is_color_isomorphism(a, b, *w) and steps == 6
+        assert is_color_isomorphism(a, b, *w) and steps == 5
 
 
 def renamed(g, vertices, colors):
@@ -546,7 +573,7 @@ def test_colored_isomorphic_unbinds_colors_on_backtrack(g, vertices, colors):
         assert w is not None and is_color_isomorphism(a, b, *w)
         assert ref_colored_isomorphic(a, b) is not None
         # the first candidate for the second vertex fails
-        assert steps > len(a.vertices) + 1
+        assert steps > len(a.vertices)
 
 
 def test_verify_exchange_pass_cases():

@@ -97,6 +97,12 @@ UNREACHED = {
     "numerics._DataclassFields.__get__": "bench-only: bench/selftest.py plants wrong answers "
                                          "through dataclasses.replace",
     "rootsys.Root._frozen": "immutability guard: assigning or deleting a Root field raises",
+    "rootsys.Root.__eq__": "value equality: the program meets each root as its system's one "
+                           "object, while the tests compare roots built apart",
+    "rootsys.RootSystem.root_from_ivec": "reference lookup: tests/oracles.py reflects a Borel "
+                                         "on root vectors through it",
+    "rootsys.partition_of_borel": "public Young-diagram reader of one Borel; OR graph labels "
+                                  "read the same diagram from the enumeration's masks",
     "rootsys.Borel._frozen": "immutability guard: assigning or deleting a Borel field raises",
     "ecgraph.ColoredGraph._frozen": "immutability guard: assigning or deleting a graph field "
                                     "raises",
@@ -166,9 +172,10 @@ def test_the_guard_covers_hand_written_dunders_only():
 def test_every_function_runs_or_is_listed(tmp_path):
     # record every code object entered while `verify all --report` and each
     # CLI query pinned in tests/test_cli.py run (JSON and text), the queries
-    # that must not import dataclasses, and the dot output of
-    # test_dot_output_shape; a function in src/ortk none of them enters is
-    # dead code unless UNREACHED names it with its reason
+    # that must not import dataclasses, the dot output of
+    # test_dot_output_shape and a character query at a Borel named by its
+    # roots; a function in src/ortk none of them enters is dead code unless
+    # UNREACHED names it with its reason
     from test_cli import GOLDEN_QUERIES, NO_DATACLASSES
 
     from ortk.cli import run_command
@@ -177,6 +184,8 @@ def test_every_function_runs_or_is_listed(tmp_path):
     queries += [argv + out for argv in GOLDEN_QUERIES.values() for out in (["--out", "json"], [])]
     queries += list(NO_DATACLASSES.values())
     queries.append(["or-graph", "--family", "gl11n", "--n", "2", "--out", "dot"])
+    queries.append(["character", "--family", "gl", "--m", "2", "--n", "1",
+                    "--lambda", "0,0,0", "--borel", "e1-d1,e2-d1"])
     functions = _defined_functions()
     entered = set()
 

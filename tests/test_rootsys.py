@@ -16,6 +16,7 @@ from ortk.orgraph import build_or_graph
 from ortk.rootsys import (
     Borel,
     NotIsotropicSimple,
+    RootSystem,
     UnsupportedFamily,
     _ReflectionRow,
     build_root_system,
@@ -26,7 +27,15 @@ from ortk.rootsys import (
     weyl_vector,
 )
 
-from oracles import odd_reflect, ref_orthogonal, ref_simple_roots
+from oracles import (
+    odd_reflect,
+    ref_enumerate_borels,
+    ref_indecomposables,
+    ref_or_graph,
+    ref_orthogonal,
+    ref_partition_of_borel,
+    ref_simple_roots,
+)
 
 
 def names(rs, roots):
@@ -186,9 +195,9 @@ def test_a_path_dependent_simple_order_raises(monkeypatch):
     # again along another path then carries another simple order.  The
     # check raises AssertionError itself, so python -O keeps it
     rs = build_root_system("gl", m=2, n=2)
-    _, index, _ = rs._root_index
-    a = index[rs.root_by_name("e2-d1")]
-    b, wrong = index[rs.root_by_name("d1-d2")], index[rs.root_by_name("e1-e2")]
+    index = rs._root_index.roots.index
+    a = index(rs.root_by_name("e2-d1"))
+    b, wrong = index(rs.root_by_name("d1-d2")), index(rs.root_by_name("e1-e2"))
     missing = _ReflectionRow.__missing__
 
     def planted(row, key):
@@ -335,6 +344,51 @@ OR_GRAPH_DIGESTS = {
 def test_stretch_or_graph_is_pinned(family_id):
     family, kw = FAMILY_OF_ID[family_id]
     assert or_graph_digest(build_root_system(family, **kw)) == OR_GRAPH_DIGESTS[family_id]
+
+
+# the pinned grid, the graph-stretch families and every gl, ospB and ospD
+# with m + n <= 6
+SET_UP_FAMILIES = list(dict.fromkeys(
+    list(manifest.grid_families())
+    + [("gl", 4, 3), ("gl11n", None, 6), ("ospB", 3, 2), ("ospD", 3, 2)]
+    + [(family, m, n) for family in ("gl", "ospB", "ospD")
+       for m in range(1, 6) for n in range(1, 7 - m)]))
+
+
+@pytest.mark.parametrize("family, m, n", SET_UP_FAMILIES,
+                         ids=["-".join(map(str, key)) for key in SET_UP_FAMILIES])
+def test_set_up_matches_the_reference_path(family, m, n):
+    # root codes and Borel masks against Root objects: the even and the
+    # standard simple systems, every Borel and edge of the enumeration,
+    # the Young diagrams and OR(g) with its color roots
+    rs = build_root_system(family, m, n)
+    assert rs.even_simple == ref_indecomposables(rs.even_positive)
+    borels, edges = enumerate_borels(rs)
+    ref_borels, ref_edges = ref_enumerate_borels(rs)
+    assert standard_borel(rs).simple == ref_borels[0].simple
+    assert [(b.odd_positive, b.simple) for b in borels] == \
+        [(b.odd_positive, b.simple) for b in ref_borels]
+    assert edges == ref_edges
+    if family == "gl":
+        assert [partition_of_borel(rs, b) for b in borels] == \
+            [ref_partition_of_borel(rs, b) for b in borels]
+    og = build_or_graph(rs)
+    vertices, colors, graph_edges, root_of_color = ref_or_graph(rs, ref_borels, ref_edges)
+    assert og.graph.vertices == vertices
+    assert og.graph.colors == colors
+    assert og.graph.edges == graph_edges
+    assert list(og.root_of_color.items()) == list(root_of_color.items())
+
+
+def test_root_codes_reject_coordinates_past_their_range():
+    # a sum of two roots must stay inside |x| < 32, where codes are
+    # injective, so a root coordinate of 16 is refused
+    with pytest.raises(UnsupportedFamily, match="code range"):
+        RootSystem("gl", (1, 1), ("e1", "d1"), Weight.of((1, -1)), [],
+                   [(16, -1), (-16, 1)], [(16, -1)], True, None)
+    rs = RootSystem("gl", (1, 1), ("e1", "d1"), Weight.of((1, -1)), [],
+                    [(15, -1), (-15, 1)], [(15, -1)], True, None)
+    assert [r.vector.r for r in rs.delta1] == [(-15, 1), (15, -1)]
 
 
 def _expected_label(rs, b, k):
