@@ -9,17 +9,24 @@ reached by the odd reflection at each root of J in turn, a walk along
 the edges of enumerate_borels.  borel_meet_join gives the odd
 sets of b cap r_J b and b + r_J b as plain frozensets, which the brick
 check and verma_character take as they are.
+
+Only the orthogonality to lambda depends on the weight.  A collection's
+indices J, roots and sigma, and its brick verdict, are fixed by the
+Borel: b keeps every pairwise orthogonal J as a finished collection,
+and each verdict from its first check.  hypercubic_collections pairs
+lambda with the isotropic simple roots once and keeps the collections
+inside the orthogonal ones; brick_decomposition_check reads the kept
+verdict.
 """
 
 from __future__ import annotations
 
-import itertools
-
 from collections import namedtuple
 from enum import Enum
+from itertools import combinations, compress
 
 from .characters import _numerator, _times_factors
-from .numerics import Weight, zero_weight
+from .numerics import Weight
 from .rootsys import (
     Borel,
     NotIsotropicSimple,
@@ -54,25 +61,35 @@ class SplitVerdict(Enum):
 
 def hypercubic_collections(rs: RootSystem, b: Borel, lam: Weight):
     """All subsets of isotropic simple indices that are pairwise orthogonal
-    and orthogonal to lam, the empty set included."""
-    indices = b.isotropic_simple_indices()
-    orthogonal = rs.orthogonal_roots(lam, (b.simple[i - 1] for i in indices))
-    candidates = [i for i in indices if b.simple[i - 1] in orthogonal]
-    out = []
-    for size in range(len(candidates) + 1):
-        for combo in itertools.combinations(candidates, size):
-            if not all(rs.roots_orthogonal(b.simple[i - 1], b.simple[j - 1])
-                       for i, j in itertools.combinations(combo, 2)):
-                continue
-            sigma = zero_weight(len(rs.basis_names))
-            for i in combo:
-                sigma = sigma + b.simple[i - 1].vector
-            out.append(HypercubicCollection(
-                j=frozenset(combo),
-                sigma=sigma,
-                roots=tuple(b.simple[i - 1] for i in combo)))
-    out.sort(key=lambda c: (len(c.j), tuple(sorted(c.j))))
-    return out
+    and orthogonal to lam, the empty set included, by size and then by
+    sorted indices: a new list of b's collections whose roots lam pairs
+    to zero with."""
+    indices, roots = b._isotropic_simple()
+    candidates = frozenset(compress(indices, rs._pairs_to_zero(lam, [r.support for r in roots])))
+    return [c for c in _collections(rs, b) if c.j <= candidates]
+
+
+def _collections(rs: RootSystem, b: Borel) -> tuple[HypercubicCollection, ...]:
+    """Every hypercubic collection of b, lam aside: the pairwise orthogonal
+    subsets J of its isotropic simple indices, by size and then by sorted
+    J, with their roots and sigma.  Built on the first call and kept on b."""
+    try:
+        return b._collections
+    except AttributeError:
+        indices, roots = b._isotropic_simple()
+        root_of = dict(zip(indices, roots))
+        zero = (0,) * rs.rank
+        out = []
+        # combinations of the ascending indices come in sorted order
+        for size in range(len(indices) + 1):
+            for combo in combinations(indices, size):
+                if all(rs.roots_orthogonal(root_of[i], root_of[j])
+                       for i, j in combinations(combo, 2)):
+                    vectors = [root_of[i].vector.r for i in combo]
+                    out.append(HypercubicCollection(
+                        combo, Weight.of(map(sum, zip(zero, *vectors))),
+                        [root_of[i] for i in combo]))
+        return b._keep("_collections", tuple(out))
 
 
 def borel_meet_join(rs: RootSystem, b: Borel, coll: HypercubicCollection):
@@ -94,10 +111,22 @@ def borel_meet_join(rs: RootSystem, b: Borel, coll: HypercubicCollection):
 def brick_decomposition_check(rs: RootSystem, b: Borel, lam: Weight,
                               coll: HypercubicCollection) -> bool:
     """ch M^{b cap r_J b}(lam) against the 4^|J| brick characters
-    M^{b + r_J b}(lam - sigma_{J_1} + sigma_{J_2})."""
-    meet, join = borel_meet_join(rs, b, coll)
-    # both sides as offsets from lam, neither depending on lam
-    return _numerator(rs, meet) == _brick_sum(rs, join)
+    M^{b + r_J b}(lam - sigma_{J_1} + sigma_{J_2}).
+
+    Both sides are offsets from lam, so the verdict does not depend on
+    lam.  b keeps it by the collection's root set, from the first check
+    of that set, which passed borel_meet_join's precondition: a set
+    that fails it is never kept, and raises on every call."""
+    try:
+        verdicts = b._brick_verdicts
+    except AttributeError:
+        verdicts = b._keep("_brick_verdicts", {})
+    key = frozenset(coll.roots)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        meet, join = borel_meet_join(rs, b, coll)
+        verdict = verdicts[key] = _numerator(rs, meet) == _brick_sum(rs, join)
+    return verdict
 
 
 def _brick_sum(rs: RootSystem, join: frozenset) -> dict:

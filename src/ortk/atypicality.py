@@ -13,7 +13,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .numerics import Weight, _DataclassFields
-from .rootsys import Borel, RootSystem, enumerate_borels, pure_positive_roots, weyl_vector
+from .rootsys import Borel, RootSystem, weyl_vector
 
 __all__ = [
     "Emptiness",
@@ -36,7 +36,8 @@ class S1Classification(namedtuple("_S1ClassificationFields",
 
 
 def is_typical(rs: RootSystem, b: Borel, lam: Weight) -> bool:
-    """No isotropic root pairs to zero with lam + rho^b."""
+    """No isotropic root pairs to zero with lam + rho^b; rho^b is kept
+    on b."""
     return not rs.orthogonal_roots(lam + weyl_vector(rs, b), rs.delta_iso)
 
 
@@ -65,33 +66,32 @@ def s1_classify(rs: RootSystem, b: Borel, lam: Weight,
       beta + gamma.
 
     gamma_bound is unused; it bounded the search this proof replaces.
+
+    Only the pairings with lam + rho depend on the weight.  An isotropic
+    simple alpha has (rho, alpha) = 0, so on simples (lam, alpha) =
+    (lam + rho, alpha), and every isotropic root is one of the pairs
+    +-beta, beta positive, whose pairings vanish together: one pass
+    over the positive isotropic roots decides each criterion and the
+    typicality of lam.  rho, the simple roots and the pure roots are
+    kept on b and on rs.
     """
-    rho = weyl_vector(rs, b)
-    shifted = lam + rho
-    pos = {r for r in b.odd_positive if r.isotropic}
-    borels, _ = enumerate_borels(rs)
-    _, pure_iso = pure_positive_roots(rs, borels)
-    simples = {b.simple[i - 1] for i in b.isotropic_simple_indices()}
-    orthogonal = rs.orthogonal_roots(shifted, pos)
-    # on simples (lam, alpha) = (lam + rho, alpha)
-    simple_orthogonal = rs.orthogonal_roots(lam, simples)
-    cin, cout = set(), set()
-    for r in rs.delta_iso:
-        if r not in pos:
-            cout.add(r)
-        elif r in simples:
-            if r in simple_orthogonal:
-                cin.add(r)
-            else:
-                cout.add(r)
-        elif r in orthogonal and r not in pure_iso:
+    pos = [r for r in b.odd_positive if r.isotropic]
+    orthogonal = rs.orthogonal_roots(lam + weyl_vector(rs, b), pos)
+    simples = set(b._isotropic_simple()[1])
+    pure = rs._pure_iso
+    cin, cout, unknown = set(), set(rs.delta_iso).difference(pos), set()
+    for r in pos:
+        if r in simples:
+            (cin if r in orthogonal else cout).add(r)
+        elif r in orthogonal and r not in pure:
             cin.add(r)
-    unknown = set(rs.delta_iso) - cin - cout
+        else:
+            unknown.add(r)
     if cin:
         verdict = Emptiness.NONEMPTY
     elif rs.type_one or rs.family == "d21alpha":
-        verdict = (Emptiness.EMPTY if is_typical(rs, b, lam)
-                   else Emptiness.NONEMPTY)
+        # typical: no isotropic root pairs to zero with lam + rho
+        verdict = Emptiness.NONEMPTY if orthogonal else Emptiness.EMPTY
     else:
         verdict = Emptiness.UNDETERMINED
     return S1Classification(frozenset(cin), frozenset(cout),

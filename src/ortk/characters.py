@@ -48,8 +48,10 @@ class NumeratorCharacter:
     """Numerator of a character over the fixed even denominator.
 
     terms is kept as given, without a copy, unless it holds a zero
-    coefficient; then it is rebuilt without the zeros.  Characters with
-    equal terms are equal; a character is mutable, so it has no hash."""
+    coefficient; then it is rebuilt without the zeros.  verma_character,
+    whose terms hold no zero, builds its characters without that scan.
+    Characters with equal terms are equal; a character is mutable, so it
+    has no hash."""
 
     __slots__ = ("terms",)
 
@@ -134,8 +136,14 @@ def verma_character(rs: RootSystem, delta_a, lam: Weight) -> NumeratorCharacter:
     delta_a = the odd part of the adjusted Borel; the ordinary Verma for
     a Borel b uses delta_a = its positive odd roots, induction from the
     even subalgebra uses delta_a = empty set.
+
+    Each coefficient counts the subsets of the factors that sum to its
+    offset, so none is 0, and the constructor's scan for zeros is
+    skipped.
     """
-    return NumeratorCharacter(_as_weights(rs, delta_a, lam))
+    c = object.__new__(NumeratorCharacter)
+    c.terms = _as_weights(rs, delta_a, lam)
+    return c
 
 
 def _kostant_count(rs: RootSystem, key: tuple[int, ...]) -> int:

@@ -119,11 +119,8 @@ def build_or_graph(rs: RootSystem) -> ORGraph:
     reflection flips, a and N-1-a with N = len(delta1).
     """
     _, edges = enumerate_borels(rs)
-    masks, ix = rs._borel_masks, rs._root_index
+    masks, ix, pure = rs._borel_masks, rs._root_index, rs._pure_mask
     ref = masks[0]
-    pure = ref
-    for mask in masks:
-        pure &= mask
     color_bits = [k for k in sorted(ix.iso) if ref >> k & 1 and not pure >> k & 1]
     name_of = {k: rs.root_name(ix.roots[k]) for k in color_bits}
     root_of_color = {name_of[k]: ix.roots[k] for k in color_bits}

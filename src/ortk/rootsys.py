@@ -21,10 +21,10 @@ OR graph reads its colors and vertex labels.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul, sub
 
 from .numerics import DegreeOverflow, RankMismatch, SingularBasis, Weight, _ratio, render_weight
 
@@ -310,6 +310,19 @@ class RootSystem:
         except KeyError:
             raise ValueError(f"unknown root {name!r} for {self.family}") from None
 
+    @cached_property
+    def _pure_mask(self) -> int:
+        """The odd roots positive in every enumerated Borel, as a mask: the
+        AND of the enumeration's masks."""
+        enumerate_borels(self)
+        return reduce(and_, self._borel_masks)
+
+    @cached_property
+    def _pure_iso(self) -> frozenset[Root]:
+        """The pure isotropic roots: the isotropic set bits of _pure_mask."""
+        ix, pure = self._root_index, self._pure_mask
+        return frozenset(ix.roots[k] for k in ix.iso if pure >> k & 1)
+
     # -- the integer coordinate layer -------------------------------------------
     #
     # Coordinates in the height-extension basis (even simple roots first,
@@ -426,9 +439,20 @@ class Borel:
     identity: enumerate_borels builds each Borel once, and the program
     addresses a Borel by its rank in that list, vertex k of the OR graph
     being Borel k.
+
+    A Borel also keeps the lambda-free parts of the per-weight queries,
+    each in a record slot that stays unset, and raises AttributeError,
+    until its first read fills it: _rho, the Weyl vector (weyl_vector);
+    _iso_simple, the indices and roots of the isotropic simple roots;
+    _collections, every hypercubic collection (adjusted); and
+    _brick_verdicts, the brick verdict of each root set checked
+    (adjusted).  A record is computed from the two fields alone, so once
+    filled it never changes, and a query then does only the work that
+    depends on its weight.  Unset slots cost a new Borel nothing.
     """
 
-    __slots__ = ("odd_positive", "simple")
+    __slots__ = ("odd_positive", "simple", "_rho", "_iso_simple", "_collections",
+                 "_brick_verdicts")
 
     def __init__(self, odd_positive: tuple[Root, ...], simple: tuple[Root, ...]):
         object.__setattr__(self, "odd_positive", odd_positive)
@@ -439,16 +463,28 @@ class Borel:
 
     __setattr__ = __delattr__ = _frozen
 
+    def _keep(self, record: str, value):
+        """Fill the record named record with value, and return value."""
+        object.__setattr__(self, record, value)
+        return value
+
     def odd_set(self) -> frozenset[Root]:
         return frozenset(self.odd_positive)
 
+    def _isotropic_simple(self) -> tuple[tuple[int, ...], tuple[Root, ...]]:
+        """The record (1-based indices, roots) of the odd isotropic simple
+        roots, in simple order."""
+        try:
+            return self._iso_simple
+        except AttributeError:
+            found = [(i, r) for i, r in enumerate(self.simple, start=1)
+                     if r.parity == "odd" and r.isotropic]
+            return self._keep("_iso_simple", (tuple(i for i, _ in found),
+                                              tuple(r for _, r in found)))
+
     def isotropic_simple_indices(self) -> tuple[int, ...]:
         """1-based indices of the odd isotropic simple roots."""
-        return tuple(
-            i
-            for i, r in enumerate(self.simple, start=1)
-            if r.parity == "odd" and r.isotropic
-        )
+        return self._isotropic_simple()[0]
 
 
 def build_root_system(
@@ -660,8 +696,9 @@ def pure_positive_roots(
     """Roots positive for every Borel, and the isotropic ones among them.
 
     Any list of Borels is read through its odd sets: one mask per Borel
-    would cost more to build than the set.  build_or_graph takes the
-    pure roots of the enumeration from its masks."""
+    would cost more to build than the set.  For the enumeration's Borels
+    the root system keeps them as the AND of its masks, _pure_mask, which
+    build_or_graph and s1_classify read."""
     common = set(borels[0].odd_positive)
     for b in borels[1:]:
         common &= b.odd_set()
@@ -671,12 +708,16 @@ def pure_positive_roots(
 
 
 def weyl_vector(rs: RootSystem, b: Borel) -> Weight:
-    total = [0] * rs.rank
-    for r in rs.even_positive:
-        total = [t + x for t, x in zip(total, r.vector.r)]
-    for r in b.odd_positive:
-        total = [t - x for t, x in zip(total, r.vector.r)]
-    return Weight.of(total, den=2)
+    """rho_b, half the sum of the even positive roots less that of the
+    odd positive roots of b; summed on the first call and kept on b."""
+    try:
+        return b._rho
+    except AttributeError:
+        # column sums; the zero column keeps a sum over no roots at rank
+        zero = (0,) * rs.rank
+        even = map(sum, zip(zero, *(r.vector.r for r in rs.even_positive)))
+        odd = map(sum, zip(zero, *(r.vector.r for r in b.odd_positive)))
+        return b._keep("_rho", Weight.of(map(sub, even, odd), den=2))
 
 
 # -- gl Borel -> Young diagram ------------------------------------------------

@@ -28,7 +28,10 @@ objects in place of root codes and Borel masks: the indecomposable
 roots by a tuple subtraction for every pair, the Borel enumeration by
 odd_reflect, a gl Borel's Young diagram from its set of odd root
 vectors, and the OR graph with its pure roots from the Borels' odd sets
-and one root name per edge.
+and one root name per edge; and the per-Borel queries (rho_b as a
+Weight sum, typicality, the S1 sets, the hypercubic collections and
+the brick identity on numerators) recomputed on every call, with
+Scalar pairings, in place of the records that a Borel keeps.
 The rainbow and shortest walk tests, the check of an isomorphism
 witness and its inverse, the closure test of an adjusted odd set, the
 sum of two characters, the Scalar ring (sum, difference, negation,
@@ -499,6 +502,81 @@ def ref_kac_flag_constituents(rs, b, lam: Weight) -> list:
     sums = _numerator(rs, map(rs.negate, b.odd_positive))
     return _height_sorted(rs, [w for w, c in ref_as_weights(lam, sums).items()
                                for _ in range(c)])
+
+
+# -- the per-Borel queries, with nothing kept on the Borel ----------------------
+
+
+def ref_weyl_vector(rs, b) -> Weight:
+    """rho_b as a Weight sum: the even positive roots less the odd positive
+    roots of b, halved in Scalar arithmetic."""
+    total = Weight.of((0,) * rs.rank)
+    for r in rs.even_positive:
+        total = total + r.vector
+    for r in b.odd_positive:
+        total = total - r.vector
+    return scaled(total, Fraction(1, 2))
+
+
+def ref_is_typical(rs, b, lam: Weight) -> bool:
+    """No isotropic root is orthogonal to lam + rho_b, by Scalar pairings."""
+    shifted = lam + ref_weyl_vector(rs, b)
+    return not any(ref_orthogonal(rs, shifted, r) for r in rs.delta_iso)
+
+
+def ref_s1_classify(rs, b, lam: Weight) -> tuple:
+    """s1_classify's sets and verdict value, recomputed from Root sets on
+    every call: the pure roots from every enumerated Borel's odd set, each
+    criterion by its own Scalar pairing, typicality by ref_is_typical."""
+    shifted = lam + ref_weyl_vector(rs, b)
+    pos = {r for r in b.odd_positive if r.isotropic}
+    _, pure_iso = pure_positive_roots(rs, enumerate_borels(rs)[0])
+    simples = {r for r in b.simple if r.parity == "odd" and r.isotropic}
+    cin, cout = set(), set()
+    for r in rs.delta_iso:
+        if r not in pos:
+            cout.add(r)
+        elif r in simples:
+            (cin if ref_orthogonal(rs, lam, r) else cout).add(r)
+        elif ref_orthogonal(rs, shifted, r) and r not in pure_iso:
+            cin.add(r)
+    if cin:
+        verdict = "nonempty"
+    elif rs.type_one or rs.family == "d21alpha":
+        verdict = "empty" if ref_is_typical(rs, b, lam) else "nonempty"
+    else:
+        verdict = "undetermined"
+    return cin, cout, set(rs.delta_iso) - cin - cout, verdict
+
+
+def ref_hypercubic_collections(rs, b, lam: Weight) -> list:
+    """Every subset of b's isotropic simple indices whose roots are pairwise
+    orthogonal and orthogonal to lam, by Scalar pairings, as (sorted
+    indices, roots, sigma), by size and then by indices; sigma is a Weight
+    sum."""
+    candidates = [i for i, r in enumerate(b.simple, start=1)
+                  if r.parity == "odd" and r.isotropic and ref_orthogonal(rs, lam, r)]
+    out = []
+    for size in range(len(candidates) + 1):
+        for combo in itertools.combinations(candidates, size):
+            roots = [b.simple[i - 1] for i in combo]
+            if all(ref_orthogonal(rs, x.vector, y) for x, y in itertools.combinations(roots, 2)):
+                sigma = Weight.of((0,) * rs.rank)
+                for r in roots:
+                    sigma = sigma + r.vector
+                out.append((list(combo), roots, sigma))
+    return sorted(out, key=lambda c: (len(c[0]), c[0]))
+
+
+def ref_brick_verdict(rs, b, roots) -> bool:
+    """The brick identity for a set of simple roots R of b, compared
+    directly on numerators: that of b's odd set less R, against that of
+    b's odd set with -R times prod_{beta in R} (1 + e^beta)(1 + e^-beta)."""
+    pos = set(b.odd_positive)
+    meet = pos - set(roots)
+    join = pos | {rs.negate(r) for r in roots}
+    shifts = [v for r in roots for v in (r.vector.r, (-r.vector).r)]
+    return _numerator(rs, meet) == _times_factors(_numerator(rs, join), shifts)
 
 
 def is_lambda_adjusted(rs, delta_a, lam: Weight) -> bool:

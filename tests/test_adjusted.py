@@ -158,6 +158,21 @@ def test_borel_meet_join_rejects_roots_not_simple_in_b():
         brick_decomposition_check(rs, b, zero_weight(4), coll)
 
 
+def test_brick_check_rejects_roots_not_simple_in_b_after_recording_verdicts():
+    # b keeps a verdict only for a root set that passed the precondition,
+    # so a foreign collection raises on every call, however many verdicts
+    # b holds
+    rs, b, coll = foreign_collection()
+    lam = zero_weight(4)
+    own = hypercubic_collections(rs, b, lam)
+    assert all(brick_decomposition_check(rs, b, lam, c) for c in own)
+    assert len(b._brick_verdicts) == len(own) > 1
+    for _ in range(2):
+        with pytest.raises(PreconditionViolated, match="not simple in b"):
+            brick_decomposition_check(rs, b, lam, coll)
+    assert len(b._brick_verdicts) == len(own)
+
+
 def reflect_along(rs, b, coll):
     """r_J b: odd_reflect at each root of the collection in turn, each found
     by value in the simple system reached."""

@@ -289,6 +289,22 @@ def test_character_terms_match_their_weight_of_rebuild(name):
                 assert (w.r, w.s, w.den) == (v.r, v.s, v.den)
 
 
+@pytest.mark.parametrize("name", ALGEBRA_BATCH_FAMILIES)
+def test_random_characters_hold_no_zero_term(name):
+    # verma_character skips the constructor's zero scan: each coefficient
+    # counts the subsets of the factors with one sum, so it is positive,
+    # and the coefficients add up to 2^(number of factors)
+    rs = build_root_system(*ALGEBRA_BATCH_FAMILIES[name])
+    rng = random.Random(f"no zero term {name}")
+    for _ in range(20):
+        delta_a = [r for r in rs.delta1 if rng.random() < 0.5]
+        lam = Weight.of([rng.randint(-4, 4) for _ in range(rs.rank)], den=rng.choice((1, 2, 3)))
+        c = verma_character(rs, delta_a, lam)
+        assert min(c.terms.values()) > 0
+        assert sum(c.terms.values()) == 2 ** (len(rs.delta1) - len(delta_a))
+        assert NumeratorCharacter(dict(c.terms)) == c
+
+
 def test_zero_coefficients_are_dropped():
     rs = build_root_system("gl", m=2, n=1)
     lam = parse_weight("1/2,0,-1/3", 3)

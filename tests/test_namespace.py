@@ -112,6 +112,9 @@ UNREACHED = {
     "ecgraph._rainbow_dfs": "counterexample lister: runs only when a walk check fails",
     "ecgraph._geodesic_dfs": "counterexample lister: runs only when a walk check fails",
     "verify._walk_payload": "counterexample lister: reports a failing walk check's walks",
+    "characters.NumeratorCharacter.__init__": "I/O boundary: the tests and bench/selftest.py "
+                                              "build characters from term dicts; "
+                                              "verma_character skips its zero scan",
     "characters.character_weight_multiplicity": "acceptance criteria 4 and 5 state their "
                                                 "tables with it",
     "characters.kostant_partitions": "the term count character_weight_multiplicity sums",

@@ -360,7 +360,8 @@ SET_UP_FAMILIES = list(dict.fromkeys(
 def test_set_up_matches_the_reference_path(family, m, n):
     # root codes and Borel masks against Root objects: the even and the
     # standard simple systems, every Borel and edge of the enumeration,
-    # the Young diagrams and OR(g) with its color roots
+    # the Young diagrams, OR(g) with its color roots and the pure
+    # isotropic roots
     rs = build_root_system(family, m, n)
     assert rs.even_simple == ref_indecomposables(rs.even_positive)
     borels, edges = enumerate_borels(rs)
@@ -378,6 +379,8 @@ def test_set_up_matches_the_reference_path(family, m, n):
     assert og.graph.colors == colors
     assert og.graph.edges == graph_edges
     assert list(og.root_of_color.items()) == list(root_of_color.items())
+    # the pure isotropic roots that s1_classify reads, from the AND of the masks
+    assert rs._pure_iso == pure_positive_roots(rs, borels)[1]
 
 
 def test_root_codes_reject_coordinates_past_their_range():
